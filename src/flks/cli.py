@@ -12,17 +12,18 @@ with 17 significant digits, which round-trips double precision losslessly.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
 import sys
 import textwrap
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact_solutions, lie_toolkit, pde_solver, reduced_systems, verify
 from .core import (
+    CaseTag,
     ConstantDecay,
     ExponentialDecay,
     FieldPair,
@@ -33,9 +34,7 @@ from .core import (
 )
 from .errors import FlksError, IoError, ParseError, ValidationError
 from .limiters import limiter_from_config
-from .quadrature import d1_uniform
 
-# schema: section -> key -> converter; unknown keys are hard errors
 _BOOL = {"true": True, "false": False}
 
 
@@ -50,92 +49,52 @@ def _as_floats(s):
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
+# section -> key -> converter, or the key's default value, whose type is then
+# its converter.  Unknown keys are hard errors.  Defaults are filled into every
+# parsed config and so echoed into every CSV header.  The [model], [grid] and
+# [solver] keys are the fields of ModelParams, Grid1D and SolverConfig.
 _SCHEMA = {
-    "run": {"seed": int, "command": str},
-    "model": {"D": float, "tau": float},
-    "limiter": {"kind": str, "v_max": float, "s0": float, "a": float},
+    "run": {"seed": 0, "command": str},
+    "model": {"D": 1.0, "tau": 1.0},
+    "limiter": {"kind": "tanh", "v_max": float, "s0": float, "a": float},
     "decay": {
-        "kind": str,
-        "kappa0": float,
-        "mu": float,
-        "lambda": float,
-        "times": _as_floats,
-        "values": _as_floats,
-        "allow_negative": _as_bool,
+        "kind": "constant", "kappa0": 1.0, "mu": float, "lambda": float,
+        "times": _as_floats, "values": _as_floats, "allow_negative": _as_bool,
     },
-    "grid": {"x_lo": float, "x_hi": float, "n": int},
-    "solver": {
-        "bc": str,
-        "cfl_safety": float,
-        "t_end": float,
-        "output_stride": int,
-    },
+    "grid": {"x_lo": -5.0, "x_hi": 5.0, "n": 64},
+    "solver": {"bc": "neumann", "cfl_safety": 0.4, "t_end": 1.0, "output_stride": 20},
     "initial": {
-        "kind": str,
-        "u0": float,
-        "v0": float,
-        "amplitude": float,
-        "center": float,
-        "width": float,
-        "noise": float,
+        "kind": "uniform", "u0": 1.0, "v0": 0.0,
+        "amplitude": float, "center": float, "width": float, "noise": float,
     },
     "exact": {
-        "family": str,
-        "C": float,
-        "V0": float,
-        "t0": float,
-        "alpha": float,
-        "A": float,
-        "B": float,
-        "U_ref": float,
-        "y0": float,
-        "C1": float,
-        "window_lo": float,
-        "window_hi": float,
-        "n": int,
-        "t_samples": _as_floats,
-        "s_guess_amplitude": float,
-        "s_guess_rate": float,
+        "family": str, "n": int, "t_samples": _as_floats,
+        "C": float, "V0": float, "t0": float, "alpha": float, "A": float, "B": float,
+        "U_ref": float, "y0": float, "C1": float, "window_lo": float, "window_hi": float,
+        "s_guess_amplitude": float, "s_guess_rate": float,
     },
     "reduce": {
-        "kind": str,
-        "t_end": float,
-        "h": float,
-        "n": int,
-        "xi_max": float,
-        "U0": float,
-        "V0": float,
-        "dU0": float,
-        "s0": float,
-        "C1": float,
-        "alpha": float,
-        "y_lo": float,
-        "y_hi": float,
+        "kind": str, "n": int, "t_end": float, "h": float, "xi_max": float,
+        "U0": float, "V0": float, "dU0": float, "s0": float, "C1": float,
+        "alpha": float, "y_lo": float, "y_hi": float,
     },
     "verify": {"family": str, "t_samples": _as_floats, "ht": float},
     "sweep": {"section": str, "key": str, "values": _as_floats, "command": str},
 }
 
-_DEFAULTS = {
-    "run": {"seed": 0},
-    "model": {"D": 1.0, "tau": 1.0},
-    "limiter": {"kind": "tanh"},
-    "decay": {"kind": "constant", "kappa0": 1.0},
-    "grid": {"x_lo": -5.0, "x_hi": 5.0, "n": 64},
-    "solver": {"bc": "neumann", "cfl_safety": 0.4, "t_end": 1.0, "output_stride": 20},
-    "initial": {"kind": "uniform", "u0": 1.0, "v0": 0.0},
-}
 
-# materialized only when the config leaves the limiter parameters out
-_LIMITER_PARAM_DEFAULTS = {
-    "tanh": {"v_max": 1.0, "s0": 1.0},
-    "algebraic_sqrt": {"v_max": 1.0},
-    "weber_fechner_log": {"v_max": 1.0, "s0": 1.0},
-    "tanh_log": {"v_max": 1.0, "a": 1.0},
-}
+def _convert(section, key, text):
+    """Convert config text for section.key through the key's schema entry."""
+    spec = _SCHEMA.get(section, {}).get(key)
+    if spec is None:
+        raise ValidationError(f"unknown config key {section}.{key}")
+    try:
+        return (spec if callable(spec) else type(spec))(text)
+    except ValueError as exc:
+        raise ValidationError(f"bad value for {section}.{key}: {exc}") from None
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Parsed, validated configuration; sections hold converted values."""
 
@@ -195,20 +154,20 @@ def parse_config(text, command=None):
             raise ParseError("key outside any section", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        schema = _SCHEMA[current]
-        if key not in schema:
+        if key not in _SCHEMA[current]:
             raise ValidationError(
                 f"unknown key {key!r} in section [{current}] at line {lineno}"
             )
         try:
-            sections[current][key] = schema[key](value)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key}: {exc}", line=lineno)
+            sections[current][key] = _convert(current, key, value.strip())
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
 
     merged = {}
-    for section, defaults in _DEFAULTS.items():
-        merged[section] = dict(defaults)
+    for section, keys in _SCHEMA.items():
+        defaults = {k: v for k, v in keys.items() if not callable(v)}
+        if defaults:
+            merged[section] = defaults
     for section, body in sections.items():
         merged.setdefault(section, {}).update(body)
 
@@ -237,53 +196,60 @@ def apply_overrides(cfg, overrides):
             raise ValidationError(f"override must look like section.key=value, got {item!r}")
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ValidationError(f"unknown override target {dotted!r}")
-        cfg.sections.setdefault(section, {})[key] = _SCHEMA[section][key](value.strip())
+        cfg.sections.setdefault(section, {})[key] = _convert(section, key, value.strip())
     _validate_config(cfg)
     return cfg
 
 
+# decay kind -> (law, its [decay] keys in argument order, start time of the
+# runs under it: kappa = mu / t is defined for t > 0 only)
+_DECAY_KINDS = {
+    "constant": (ConstantDecay, ("kappa0",), 0.0),
+    "power_law": (PowerLawDecay, ("mu",), 1.0),
+    "exponential": (ExponentialDecay, ("kappa0", "lambda"), 0.0),
+    "tabulated": (TabulatedDecay, ("times", "values"), 0.0),
+}
+
+
+def _decay_kind(cfg):
+    """The [decay] kind of cfg, checked against _DECAY_KINDS."""
+    kind = cfg.sections["decay"]["kind"]
+    if kind not in _DECAY_KINDS:
+        raise ValidationError(
+            f"unknown decay kind {kind!r}; expected one of {sorted(_DECAY_KINDS)}"
+        )
+    return kind
+
+
 def build_decay(cfg):
     d = cfg.sections["decay"]
-    kind = d.get("kind", "constant")
-    if kind == "constant":
-        return ConstantDecay(d["kappa0"])
-    if kind == "power_law":
-        return PowerLawDecay(d["mu"])
-    if kind == "exponential":
-        return ExponentialDecay(d["kappa0"], d["lambda"])
-    if kind == "tabulated":
-        return TabulatedDecay(d["times"], d["values"])
-    raise ValidationError(f"unknown decay kind {kind!r}")
+    kind = _decay_kind(cfg)
+    law, keys, _ = _DECAY_KINDS[kind]
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValidationError(f"decay kind {kind!r} needs {', '.join(missing)}")
+    return law(*(d[k] for k in keys))
 
 
 def build_limiter(cfg):
     lim = dict(cfg.sections["limiter"])
-    kind = lim.pop("kind", "tanh")
-    if not lim:
-        lim = dict(_LIMITER_PARAM_DEFAULTS.get(kind, {}))
-    return limiter_from_config(kind, **lim)
+    return limiter_from_config(lim.pop("kind"), **lim)
 
 
 def build_model(cfg):
-    m = cfg.sections["model"]
     return ModelParams(
-        D=m["D"], tau=m["tau"], limiter=build_limiter(cfg), decay=build_decay(cfg)
+        **cfg.sections["model"], limiter=build_limiter(cfg), decay=build_decay(cfg)
     )
 
 
 def build_grid(cfg):
-    g = cfg.sections["grid"]
-    return Grid1D(g["x_lo"], g["x_hi"], g["n"])
+    return Grid1D(**cfg.sections["grid"])
 
 
 def build_initial(cfg, grid):
     ini = cfg.sections["initial"]
     x = grid.nodes()
-    kind = ini.get("kind", "uniform")
-    u0 = ini.get("u0", 1.0)
-    v0 = ini.get("v0", 0.0)
+    kind, u0, v0 = ini["kind"], ini["u0"], ini["v0"]
     if kind == "uniform":
         u = np.full_like(x, u0)
     elif kind == "gaussian":
@@ -296,87 +262,212 @@ def build_initial(cfg, grid):
         u = u0 + ini.get("noise", 1e-2) * rng.standard_normal(x.size)
     else:
         raise ValidationError(f"unknown initial kind {kind!r}")
-    t0 = 1.0 if cfg.sections["decay"].get("kind") == "power_law" else 0.0
+    t0 = _DECAY_KINDS[_decay_kind(cfg)][2]
     return FieldPair(u, np.full_like(x, v0), t0)
+
+
+# ---------------------------------------------------------------------------
+# exact families and reducers
+# ---------------------------------------------------------------------------
+
+def _uniform_args(e, t0):
+    return {"C": e.get("C", 1.0), "V0": e.get("V0", 0.0), "t0": e.get("t0", t0)}
+
+
+def _case1(cfg, params, e):
+    return exact_solutions.case1_homogeneous(params, **_uniform_args(e, 0.0))
+
+
+def _case3(cfg, params, e):
+    return exact_solutions.case3_homogeneous(
+        params.decay.mu, params.tau, **_uniform_args(e, 1.0)
+    )
+
+
+def _case4(cfg, params, e):
+    return exact_solutions.case4_homogeneous(
+        params.decay.kappa0, params.decay.lam, params.tau, **_uniform_args(e, 0.0)
+    )
+
+
+def _case2(cfg, params, e):
+    s_profile = None
+    if "s_guess_amplitude" in e:
+        amp = e["s_guess_amplitude"]
+        rate = e.get("s_guess_rate", 0.2)
+        s_profile = lambda y: amp * math.exp(-rate * y * y)
+    return exact_solutions.case2_travelling_tanh(
+        params,
+        alpha=e.get("alpha", 1.1),
+        s_profile=s_profile,
+        C1=e.get("C1", 0.0),
+        U_ref=e.get("U_ref", 1.0),
+        y0=e.get("y0", 0.0),
+        window=(e.get("window_lo", -40.0), e.get("window_hi", 40.0)),
+        n=e.get("n", 16384),
+    )
+
+
+def _cellfree_front(cfg, params, e):
+    # constant decay is the lam = 0 member of the family
+    return exact_solutions.case4_cellfree_front(
+        alpha=e.get("alpha", 1.1), tau=params.tau, kappa0=params.decay.kappa0,
+        lam=getattr(params.decay, "lam", 0.0), A=e.get("A", 1.0), B=e.get("B", 0.0),
+    )
+
+
+def _constant_coefficient(params):
+    # every damped front solves tau v_t = v_xx - kappa0 v
+    return dataclasses.replace(params, decay=ConstantDecay(params.decay.kappa0))
+
+
+# family -> (builder(cfg, params, [exact] section), decay kinds that admit it
+# (empty: every kind), the model its PDE residual is measured under as a
+# function of the configured one (None: no residual check)).  The traveling
+# wave, a profile in y = t - alpha x, checks its decay law itself.
+_FAMILIES = {
+    "case1_homogeneous": (_case1, (), lambda params: params),
+    "case2_travelling_tanh": (_case2, (), None),
+    "case3_homogeneous": (_case3, ("power_law",), lambda params: params),
+    "case4_homogeneous": (_case4, ("exponential",), lambda params: params),
+    "case4_cellfree_front": (_cellfree_front, ("constant", "exponential"), _constant_coefficient),
+}
+
+
+def _reduce_homogeneous(cfg, params, r):
+    t0 = _DECAY_KINDS[_decay_kind(cfg)][2]
+    prob = reduced_systems.ReducedProblem(
+        "homogeneous", params, domain=(t0, t0 + r.get("t_end", 5.0)),
+        data={"U0": r.get("U0", 1.0), "V0": r.get("V0", 0.0)},
+    )
+    return reduced_systems.integrate_homogeneous(prob, h=r.get("h", 1e-3))
+
+
+def _reduce_steady_state(cfg, params, r):
+    grid = cfg.sections["grid"]
+    prob = reduced_systems.ReducedProblem(
+        "steady_state", params, domain=(grid["x_lo"], grid["x_hi"]), data={"bc": "neumann"},
+    )
+    return reduced_systems.solve_steady_state(prob, n=r.get("n", 128))
+
+
+def _reduce_travelling_wave(cfg, params, r):
+    prob = reduced_systems.ReducedProblem(
+        "travelling_wave", params,
+        constants={"alpha": r.get("alpha", 1.1)},
+        domain=(r.get("y_lo", 0.0), r.get("y_hi", 5.0)),
+        data={"U0": r.get("U0", 0.0), "dU0": r.get("dU0", 0.0),
+              "V0": r.get("V0", 1.0), "s0": r.get("s0", 0.0)},
+    )
+    return reduced_systems.integrate_travelling_wave(prob, h=r.get("h", 1e-3))
+
+
+def _reduce_self_similar(cfg, params, r):
+    xi_max = r.get("xi_max", 10.0)
+    prob = reduced_systems.ReducedProblem(
+        "self_similar", params, domain=(0.0, xi_max),
+        data={"U0": r.get("U0", 1.0), "C1": r.get("C1", 0.0)},
+    )
+    return reduced_systems.solve_self_similar(prob, n=r.get("n", 2000), xi_max=xi_max)
+
+
+# reduce kind -> (solver(cfg, params, [reduce] section), decay kinds that admit
+# it); the steady and traveling reductions take kappa0, the self-similar one
+# mu from the decay law
+_REDUCERS = {
+    "homogeneous": (_reduce_homogeneous, ()),
+    "steady_state": (_reduce_steady_state, ("constant",)),
+    "travelling_wave": (_reduce_travelling_wave, ("constant",)),
+    "self_similar": (_reduce_self_similar, ("power_law",)),
+}
+
+
+def _lookup(table, what, name, cfg):
+    """table[name], once its decay kinds are checked against cfg's."""
+    if name not in table:
+        raise ValidationError(f"unknown {what} {name!r}; expected one of {sorted(table)}")
+    entry = table[name]
+    kind = _decay_kind(cfg)
+    if entry[1] and kind not in entry[1]:
+        raise ValidationError(
+            f"{what} {name!r} needs decay kind {' or '.join(entry[1])}, not {kind!r}"
+        )
+    return entry
 
 
 # ---------------------------------------------------------------------------
 # CSV export / import
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _cell(c):
+    return format(float(c), ".17g") if isinstance(c, (int, float, np.floating)) else str(c)
 
 
-def export_csv(result, path, meta=None):
+def _long_table(times, x, us, vs):
+    """t, x, u, v columns, frame after frame, of fields sampled on nodes x."""
+    return np.repeat(times, x.size), np.tile(x, len(times)), np.ravel(us), np.ravel(vs)
+
+
+def export_csv(result, path, meta=None, columns=None):
     """Write a result as CSV with a JSON metadata header comment block.
 
     Column layout per result kind: trajectories go long-format (t, x, u, v),
-    profile results carry their abscissa plus profile columns, and report
-    dicts flatten to key,value rows.
+    profile results carry their abscissa plus profile columns, a 2-D array
+    is a table with the given column names (c0, c1, ... by default), and
+    report dicts flatten to key,value rows.  Numbers are written with 17
+    significant digits.
     """
     meta = dict(meta or {})
-    rows = []
+    profiles = {"kind": "profiles"}
     if isinstance(result, pde_solver.Trajectory):
         header = ["t", "x", "u", "v"]
-        x = result.grid.nodes()
-        for k in range(result.times.size):
-            t = result.times[k]
-            for j in range(x.size):
-                rows.append((t, x[j], result.us[k, j], result.vs[k, j]))
-        meta.setdefault("kind", "trajectory")
-        meta.setdefault("mass_ledger", [float(m) for m in result.mass])
-        meta.setdefault("min_u", [float(m) for m in result.min_u])
-        meta.setdefault("solver", result.metadata)
+        cols = _long_table(result.times, result.grid.nodes(), result.us, result.vs)
+        defaults = {
+            "kind": "trajectory",
+            "mass_ledger": [float(m) for m in result.mass],
+            "min_u": [float(m) for m in result.min_u],
+            "solver": result.metadata,
+        }
     elif isinstance(result, reduced_systems.SelfSimilarResult):
-        header = ["xi", "U", "V", "S"]
-        rows = list(zip(result.xi, result.U, result.V, result.S))
-        meta.setdefault("kind", "profiles")
-        meta.setdefault("defects", {
-            "u": result.defect_u, "v": result.defect_v, "s_form": result.s_form_defect,
-        })
-        meta.setdefault("converged", result.converged)
-        meta.setdefault("residual_history", [float(r) for r in result.residual_history])
-        meta.setdefault("metadata", result.metadata)
+        header, cols = ["xi", "U", "V", "S"], (result.xi, result.U, result.V, result.S)
+        defaults = dict(
+            profiles,
+            defects={"u": result.defect_u, "v": result.defect_v, "s_form": result.s_form_defect},
+            converged=result.converged,
+            residual_history=[float(r) for r in result.residual_history],
+            metadata=result.metadata,
+        )
     elif isinstance(result, exact_solutions.TravellingWaveSolution):
-        header = ["y", "U", "V", "s"]
-        rows = list(zip(result.y, result.U, result.V, result.s))
-        meta.setdefault("kind", "profiles")
-        meta.setdefault("params", result.params)
-        meta.setdefault("residual_history", [float(r) for r in result.residual_history])
+        header, cols = ["y", "U", "V", "s"], (result.y, result.U, result.V, result.s)
+        defaults = dict(profiles, params=result.params,
+                        residual_history=[float(r) for r in result.residual_history])
     elif isinstance(result, reduced_systems.HomogeneousResult):
-        header = ["t", "U", "V"]
-        rows = list(zip(result.ts, result.U, result.V))
-        meta.setdefault("kind", "profiles")
+        header, cols, defaults = ["t", "U", "V"], (result.ts, result.U, result.V), profiles
     elif isinstance(result, reduced_systems.SteadyStateResult):
-        header = ["x", "U", "V"]
-        rows = list(zip(result.x, result.U, result.V))
-        meta.setdefault("kind", "profiles")
-        meta.setdefault("defect", result.defect)
+        header, cols = ["x", "U", "V"], (result.x, result.U, result.V)
+        defaults = dict(profiles, defect=result.defect)
     elif isinstance(result, reduced_systems.TravellingWaveResult):
         header = ["y", "U", "dU", "V", "s"]
-        rows = list(zip(result.y, result.U, result.dU, result.V, result.s))
-        meta.setdefault("kind", "profiles")
+        cols, defaults = (result.y, result.U, result.dU, result.V, result.s), profiles
     elif isinstance(result, dict):
-        header = ["key", "value"]
-        rows = [(k, v) for k, v in sorted(result.items())]
-        meta.setdefault("kind", "report")
+        header, cols, defaults = ["key", "value"], None, {"kind": "report"}
     elif isinstance(result, np.ndarray) and result.ndim == 2:
-        header = [f"c{i}" for i in range(result.shape[1])]
-        rows = [tuple(r) for r in result]
-        meta.setdefault("kind", "table")
+        header = list(columns or (f"c{i}" for i in range(result.shape[1])))
+        cols, defaults = result.T, {"kind": "table"}
     else:
         raise ValidationError(f"no CSV layout for {type(result).__name__}")
+    for key, value in defaults.items():
+        meta.setdefault(key, value)
 
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(
-                    ",".join(_fmt(c) if isinstance(c, (int, float, np.floating)) else str(c) for c in row)
-                    + "\n"
-                )
+            if cols is None:
+                for row in sorted(result.items()):
+                    f.write(",".join(_cell(c) for c in row) + "\n")
+            else:
+                np.savetxt(f, np.column_stack(cols), fmt="%.17g", delimiter=",")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -416,13 +507,15 @@ Draws with matplotlib when it is installed; otherwise writes a grey-scale
 raster of the same data with numpy and the standard library alone.
 """
 import json
+import os
 import struct
 import zlib
 
 import numpy as np
 
-CSV = {csv_path!r}
-PNG = {png_path!r}
+HERE = os.path.dirname(os.path.abspath(__file__))
+CSV = os.path.join(HERE, {csv_path!r})
+PNG = os.path.join(HERE, {png_path!r})
 
 with open(CSV) as f:
     lines = f.read().splitlines()
@@ -564,16 +657,18 @@ def emit_plot_script(kind, csv_path, out_path, x_slice=0.7):
     is installed, and otherwise a grey-scale raster written with numpy and
     the standard library alone: u(x, t) for a trajectory, the first profile
     column against the abscissa for profiles, one bar per key for a report.
+    It finds the CSV relative to its own location, so it runs from any
+    working directory.
     """
     if not os.path.exists(csv_path):
         raise IoError(f"CSV not found: {csv_path}")
     if kind not in _PLOT_BODIES:
         raise ValidationError(f"unknown plot kind {kind!r}")
     data, plot, raster = _PLOT_BODIES[kind]
-    png = os.path.splitext(csv_path)[0] + ".png"
+    csv_rel = os.path.relpath(csv_path, os.path.dirname(os.path.abspath(out_path)))
     text = _PLOT_TEMPLATE.format(
-        csv_path=csv_path,
-        png_path=png,
+        csv_path=csv_rel,
+        png_path=os.path.splitext(csv_rel)[0] + ".png",
         data=data,
         plot=textwrap.indent(plot.format(x_slice=x_slice), "    "),
         raster=textwrap.indent(raster, "    "),
@@ -594,21 +689,18 @@ def _meta_for(cfg):
     return {"config": cfg.sections, "command": cfg.command}
 
 
+def _write(result, outdir, stem, plot_kind, meta, **kwargs):
+    """Export result to <stem>.csv in outdir, with plot_<plot_kind>.py beside it."""
+    csv_path = export_csv(result, os.path.join(outdir, stem + ".csv"), meta=meta, **kwargs)
+    emit_plot_script(plot_kind, csv_path, os.path.join(outdir, f"plot_{plot_kind}.py"))
+
+
 def cmd_simulate(cfg, outdir):
     params = build_model(cfg)
     grid = build_grid(cfg)
-    s = cfg.sections["solver"]
-    config = pde_solver.SolverConfig(
-        grid=grid,
-        t_end=s["t_end"],
-        bc=s.get("bc", "neumann"),
-        cfl_safety=s.get("cfl_safety", 0.4),
-        output_stride=s.get("output_stride", 20),
-    )
+    config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
     traj = pde_solver.run(build_initial(cfg, grid), params, config)
-    csv_path = os.path.join(outdir, "trajectory.csv")
-    export_csv(traj, csv_path, meta=_meta_for(cfg))
-    emit_plot_script("trajectory", csv_path, os.path.join(outdir, "plot_trajectory.py"))
+    _write(traj, outdir, "trajectory", "trajectory", _meta_for(cfg))
     return {"frames": int(traj.times.size), "steps": traj.steps_taken,
             "mass_drift": float(abs(traj.mass[-1] - traj.mass[0]))}
 
@@ -617,123 +709,33 @@ def cmd_exact(cfg, outdir):
     params = build_model(cfg)
     e = cfg.sections.get("exact", {})
     family = e.get("family", "case1_homogeneous")
+    sol = _lookup(_FAMILIES, "exact family", family, cfg)[0](cfg, params, e)
     meta = _meta_for(cfg)
-    if family == "case1_homogeneous":
-        sol = exact_solutions.case1_homogeneous(
-            params, C=e.get("C", 1.0), V0=e.get("V0", 0.0), t0=e.get("t0", 0.0)
-        )
-    elif family == "case3_homogeneous":
-        sol = exact_solutions.case3_homogeneous(
-            params.decay.mu, params.tau, C=e.get("C", 1.0), V0=e.get("V0", 0.0),
-            t0=e.get("t0", 1.0),
-        )
-    elif family == "case4_homogeneous":
-        sol = exact_solutions.case4_homogeneous(
-            params.decay.kappa0, params.decay.lam, params.tau,
-            C=e.get("C", 1.0), V0=e.get("V0", 0.0), t0=e.get("t0", 0.0),
-        )
-    elif family == "case2_travelling_tanh":
-        s_profile = None
-        if "s_guess_amplitude" in e:
-            amp = e["s_guess_amplitude"]
-            rate = e.get("s_guess_rate", 0.2)
-            s_profile = lambda y: amp * math.exp(-rate * y * y)
-        sol = exact_solutions.case2_travelling_tanh(
-            params,
-            alpha=e.get("alpha", 1.1),
-            s_profile=s_profile,
-            C1=e.get("C1", 0.0),
-            U_ref=e.get("U_ref", 1.0),
-            y0=e.get("y0", 0.0),
-            window=(e.get("window_lo", -40.0), e.get("window_hi", 40.0)),
-            n=e.get("n", 16384),
-        )
-        csv_path = os.path.join(outdir, f"{family}.csv")
-        export_csv(sol, csv_path, meta=meta)
-        emit_plot_script("profiles", csv_path, os.path.join(outdir, "plot_profiles.py"))
+    if isinstance(sol, exact_solutions.TravellingWaveSolution):
+        _write(sol, outdir, family, "profiles", meta)
         return {"family": family, "converged": sol.converged,
                 "iterations": len(sol.residual_history)}
-    elif family == "case4_cellfree_front":
-        sol = exact_solutions.case4_cellfree_front(
-            alpha=e.get("alpha", 1.1), tau=params.tau, kappa0=params.decay.kappa0,
-            lam=params.decay.lam, A=e.get("A", 1.0), B=e.get("B", 0.0),
-        )
-    else:
-        raise ValidationError(f"unknown exact family {family!r}")
 
-    # sample homogeneous / front families on the grid at the requested times
+    # sample the field families on the grid at the requested times
     grid = build_grid(cfg)
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
-    x = grid.nodes()
-    rows = []
-    for t in ts:
-        u = np.broadcast_to(np.asarray(sol.eval_u(x, t), dtype=float), x.shape)
-        v = np.broadcast_to(np.asarray(sol.eval_v(x, t), dtype=float), x.shape)
-        for j in range(x.size):
-            rows.append((t, x[j], u[j], v[j]))
-    table = np.asarray(rows)
-    csv_path = os.path.join(outdir, f"{family}.csv")
+    frames = [sol.sample(grid, t) for t in ts]
+    table = np.column_stack(
+        _long_table(ts, grid.nodes(), [f.u for f in frames], [f.v for f in frames])
+    )
     meta["kind"] = "trajectory"
     meta["params"] = {k: str(v) for k, v in sol.params.items()}
     meta["assumptions"] = list(sol.assumptions)
-    try:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
-            f.write("t,x,u,v\n")
-            for row in table:
-                f.write(",".join(_fmt(c) for c in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {csv_path}: {exc}") from exc
-    emit_plot_script("trajectory", csv_path, os.path.join(outdir, "plot_trajectory.py"))
-    return {"family": family, "samples": len(rows)}
+    _write(table, outdir, family, "trajectory", meta, columns=("t", "x", "u", "v"))
+    return {"family": family, "samples": len(table)}
 
 
 def cmd_reduce(cfg, outdir):
     params = build_model(cfg)
     r = cfg.sections.get("reduce", {})
     kind = r.get("kind", "homogeneous")
-    meta = _meta_for(cfg)
-    if kind == "homogeneous":
-        t0 = 1.0 if cfg.sections["decay"].get("kind") == "power_law" else 0.0
-        prob = reduced_systems.ReducedProblem(
-            "homogeneous", params, domain=(t0, t0 + r.get("t_end", 5.0)),
-            data={"U0": r.get("U0", 1.0), "V0": r.get("V0", 0.0)},
-        )
-        res = reduced_systems.integrate_homogeneous(prob, h=r.get("h", 1e-3))
-    elif kind == "steady_state":
-        grid = cfg.sections["grid"]
-        prob = reduced_systems.ReducedProblem(
-            "steady_state", params,
-            constants={"kappa0": cfg.sections["decay"].get("kappa0", 1.0)},
-            domain=(grid["x_lo"], grid["x_hi"]),
-            data={"bc": "neumann"},
-        )
-        res = reduced_systems.solve_steady_state(prob, n=r.get("n", 128))
-    elif kind == "travelling_wave":
-        prob = reduced_systems.ReducedProblem(
-            "travelling_wave", params,
-            constants={"alpha": r.get("alpha", 1.1),
-                       "kappa0": cfg.sections["decay"].get("kappa0", 1.0)},
-            domain=(r.get("y_lo", 0.0), r.get("y_hi", 5.0)),
-            data={"U0": r.get("U0", 0.0), "dU0": r.get("dU0", 0.0),
-                  "V0": r.get("V0", 1.0), "s0": r.get("s0", 0.0)},
-        )
-        res = reduced_systems.integrate_travelling_wave(prob, h=r.get("h", 1e-3))
-    elif kind == "self_similar":
-        prob = reduced_systems.ReducedProblem(
-            "self_similar", params,
-            constants={"mu": cfg.sections["decay"].get("mu", 0.5)},
-            domain=(0.0, r.get("xi_max", 10.0)),
-            data={"U0": r.get("U0", 1.0), "C1": r.get("C1", 0.0)},
-        )
-        res = reduced_systems.solve_self_similar(
-            prob, n=r.get("n", 2000), xi_max=r.get("xi_max", 10.0)
-        )
-    else:
-        raise ValidationError(f"unknown reduce kind {kind!r}")
-    csv_path = os.path.join(outdir, f"reduce_{kind}.csv")
-    export_csv(res, csv_path, meta=meta)
-    emit_plot_script("profiles", csv_path, os.path.join(outdir, "plot_profiles.py"))
+    res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
+    _write(res, outdir, f"reduce_{kind}", "profiles", _meta_for(cfg))
     out = {"kind": kind}
     if hasattr(res, "defect_u"):
         out.update(defect_u=res.defect_u, defect_v=res.defect_v, converged=res.converged)
@@ -746,25 +748,11 @@ def cmd_verify(cfg, outdir):
     params = build_model(cfg)
     v = cfg.sections.get("verify", {})
     family = v.get("family", "case1_homogeneous")
-    e = cfg.sections.get("exact", {})
-    if family == "case1_homogeneous":
-        sol = exact_solutions.case1_homogeneous(
-            params, C=e.get("C", 1.0), V0=e.get("V0", 0.0), t0=e.get("t0", 0.0)
-        )
-    elif family == "case4_cellfree_front":
-        sol = exact_solutions.case4_cellfree_front(
-            alpha=e.get("alpha", 1.1), tau=params.tau,
-            kappa0=getattr(params.decay, "kappa0", 1.0),
-            lam=getattr(params.decay, "lam", 0.0),
-            A=e.get("A", 1.0), B=e.get("B", 0.0),
-        )
-        # the damped front solves the constant-coefficient equation
-        params = ModelParams(
-            D=params.D, tau=params.tau, limiter=params.limiter,
-            decay=ConstantDecay(getattr(params.decay, "kappa0", 1.0)),
-        )
-    else:
-        raise ValidationError(f"unknown verify family {family!r}")
+    build, _, residual_model = _lookup(_FAMILIES, "verify family", family, cfg)
+    if residual_model is None:
+        raise ValidationError(f"family {family!r} has no PDE residual check")
+    sol = build(cfg, params, cfg.sections.get("exact", {}))
+    params = residual_model(params)
     grid = build_grid(cfg)
     rep = verify.pde_residual(
         sol, params, grid, v.get("t_samples", (0.5, 1.0)), ht=v.get("ht", 5e-4)
@@ -775,23 +763,18 @@ def cmd_verify(cfg, outdir):
         "worst_x": rep.worst_location[0],
         "worst_t": rep.worst_location[1],
     }
-    csv_path = os.path.join(outdir, "residual_report.csv")
-    export_csv(report, csv_path, meta=_meta_for(cfg))
+    _write(report, outdir, "residual_report", "report", _meta_for(cfg))
     with open(os.path.join(outdir, "residual_report.json"), "w", encoding="utf-8") as f:
         json.dump({"family": family, **report}, f, indent=2, sort_keys=True)
-    emit_plot_script("report", csv_path, os.path.join(outdir, "plot_report.py"))
     return report
 
 
 def cmd_lie(cfg, outdir):
     rows = lie_toolkit.classification_report()
     reports = {}
-    for case in ("I", "II", "III", "IV"):
-        from .core import CaseTag
-
-        tag = {t.value: t for t in CaseTag}[case]
+    for tag in CaseTag:
         rep = lie_toolkit.verify_optimal_system(tag)
-        reports[case] = {
+        reports[tag.value] = {
             "representatives": rep.representatives,
             "all_ok": rep.all_ok,
             "checks": [
@@ -805,8 +788,7 @@ def cmd_lie(cfg, outdir):
     flat = {
         f"optimal_{case}_all_ok": int(rep["all_ok"]) for case, rep in reports.items()
     }
-    csv_path = os.path.join(outdir, "lie_report.csv")
-    export_csv(flat, csv_path, meta=_meta_for(cfg))
+    export_csv(flat, os.path.join(outdir, "lie_report.csv"), meta=_meta_for(cfg))
     return {"all_ok": all(rep["all_ok"] for rep in reports.values())}
 
 
@@ -817,21 +799,26 @@ def cmd_sweep(cfg, outdir):
     base_command = s.get("command", "simulate")
     if not section or not key or not values:
         raise ValidationError("[sweep] needs section, key and values")
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
-        raise ValidationError(f"unknown sweep target {section}.{key}")
+    if base_command not in _COMMANDS or base_command == "sweep":
+        raise ValidationError(f"sweep cannot run command {base_command!r}")
+    # each value is converted as if written in a config file, so integer keys
+    # get ints, and names its own subdirectory
+    values = [_convert(section, key, _format_value(v)) for v in values]
+    subdirs = [os.path.join(outdir, f"{section}.{key}={v!r}") for v in values]
+    if len(set(subdirs)) < len(subdirs):
+        raise ValidationError(f"sweep values repeat: {', '.join(map(repr, values))}")
 
-    def one(value):
+    def one(value, subdir):
         sub = RunConfig(
             command=base_command,
             sections={sec: dict(body) for sec, body in cfg.sections.items()},
         )
-        sub.sections[section][key] = value
-        subdir = os.path.join(outdir, f"{section}.{key}={value:g}")
+        sub.sections.setdefault(section, {})[key] = value
         os.makedirs(subdir, exist_ok=True)
         return _COMMANDS[base_command](sub, subdir)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(values))) as ex:
-        results = list(ex.map(one, values))
+        results = list(ex.map(one, values, subdirs))
     return {"runs": len(results)}
 
 

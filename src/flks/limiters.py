@@ -165,13 +165,17 @@ _LIMITER_KINDS = {
 
 
 def limiter_from_config(kind, **params):
-    """Build a limiter by name; unknown names or parameters are errors."""
+    """Build a limiter by name; unknown names or parameters are errors.
+
+    Given no parameters at all, each parameter of the kind is 1.0.
+    """
     try:
         cls, names = _LIMITER_KINDS[kind]
     except KeyError:
         raise ValidationError(
             f"unknown limiter kind {kind!r}; expected one of {sorted(_LIMITER_KINDS)}"
         ) from None
+    params = params or dict.fromkeys(names, 1.0)
     extra = set(params) - set(names)
     if extra:
         raise ValidationError(f"limiter {kind!r} does not accept {sorted(extra)}")

@@ -140,8 +140,9 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     Second-order central differences with centered face averages; under
     zero-flux boundaries the cell mass is a free direction of the u-equation,
     so one residual row pins the trapezoid mass of the initial guess.  The
-    Jacobian is finite-differenced column-block-wise through the sparse
-    structure; a halving line search keeps the defect monotone.
+    Jacobian is a dense forward difference built one column (one O(n)
+    residual) at a time, O(n^2) per Newton step; a halving line search keeps
+    the defect monotone.
     """
     params = problem.params
     kappa0 = float(problem.constants.get("kappa0", getattr(params.decay, "kappa0", 0.0)))

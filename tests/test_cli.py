@@ -309,3 +309,161 @@ def test_plot_script_raster_without_matplotlib(tmp_path):
     img = rows[:, 1:]
     assert img[-1, 0] == 0 and img[0, -1] == 255
     assert img[-1, -1] == round(255 * 2 / 5) and img[0, 0] == round(255 * 3 / 5)
+
+
+CONSTANT = "kind = constant\nkappa0 = 0.5"
+EXPONENTIAL = "kind = exponential\nkappa0 = 0.5\nlambda = 0.2"
+POWER_LAW = "kind = power_law\nmu = 0.5"
+
+
+def _sweep(target, values, command="simulate"):
+    section, key = target.split(".")
+    return f"[sweep]\nsection = {section}\nkey = {key}\nvalues = {values}\ncommand = {command}\n"
+
+
+@pytest.mark.parametrize(
+    "command, decay, extra, overrides, code",
+    [
+        pytest.param("simulate", "kind = exponential\nkappa0 = 0.5", "", [], 2,
+                     id="exponential-without-lambda"),
+        pytest.param("simulate", "kind = power_law", "", [], 2, id="power-law-without-mu"),
+        pytest.param("simulate", "kind = tabulated\nvalues = 0.5,0.5", "", [], 2,
+                     id="tabulated-without-times"),
+        pytest.param("exact", CONSTANT, "[exact]\nfamily = case3_homogeneous\n", [], 2,
+                     id="exact-case3-constant"),
+        pytest.param("exact", CONSTANT, "[exact]\nfamily = case4_homogeneous\n", [], 2,
+                     id="exact-case4-constant"),
+        pytest.param("exact", CONSTANT, "[exact]\nfamily = nonsense\n", [], 2,
+                     id="exact-unknown-family"),
+        pytest.param("verify", POWER_LAW, "[verify]\nfamily = case4_cellfree_front\n", [], 2,
+                     id="verify-cellfree-power-law"),
+        pytest.param("verify", CONSTANT, "[verify]\nfamily = case2_travelling_tanh\n", [], 2,
+                     id="verify-travelling-wave"),
+        pytest.param("reduce", EXPONENTIAL, "[reduce]\nkind = travelling_wave\n", [], 2,
+                     id="reduce-travelling-wave-exponential"),
+        pytest.param("reduce", POWER_LAW, "[reduce]\nkind = steady_state\n", [], 2,
+                     id="reduce-steady-state-power-law"),
+        pytest.param("simulate", CONSTANT, "", ["model.D=abc"], 2, id="override-bad-float"),
+        pytest.param("sweep", CONSTANT, _sweep("grid.n", "16,32.5"), [], 2,
+                     id="sweep-int-key-non-integral"),
+        pytest.param("sweep", CONSTANT, _sweep("decay.kappa0", "0.4", "sweep"), [], 2,
+                     id="sweep-of-sweeps"),
+        pytest.param("sweep", CONSTANT, _sweep("decay.kappa0", "0.4", "bogus"), [], 2,
+                     id="sweep-unknown-command"),
+        pytest.param("exact", CONSTANT, "[exact]\nfamily = case4_cellfree_front\n", [], 0,
+                     id="exact-cellfree-constant"),
+        pytest.param("sweep", CONSTANT, _sweep("exact.C", "1,2", "exact"), [], 0,
+                     id="sweep-section-left-out"),
+    ],
+)
+def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
+    # a config error exits 2 with a one-line message, never a traceback; a
+    # family or reduction under a decay law that does not admit it is one.
+    # The cell-free front under constant decay is its family's lam = 0 member,
+    # and a sweep may target a section the config leaves out.
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error:")
+    else:
+        assert err == ""
+
+
+def test_exact_cellfree_front_constant_decay_is_lam_zero(tmp_path):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + "[exact]\nfamily = case4_cellfree_front\nt_samples = 0.5\n")
+    assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
+    _, cols = import_csv(str(tmp_path / "c" / "case4_cellfree_front.csv"))
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, "kind = exponential\nkappa0 = 0.5\nlambda = 0")
+                        + "[exact]\nfamily = case4_cellfree_front\nt_samples = 0.5\n")
+    assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+    _, cols_exp = import_csv(str(tmp_path / "e" / "case4_cellfree_front.csv"))
+    assert not cols["u"].any()
+    np.testing.assert_array_equal(cols["v"], cols_exp["v"])
+
+
+@pytest.mark.parametrize(
+    "decay, family",
+    [
+        ("constant", "case1_homogeneous"),
+        ("power_law", "case3_homogeneous"),
+        ("exponential", "case4_homogeneous"),
+        ("exponential", "case4_cellfree_front"),
+        ("constant", "case4_cellfree_front"),
+    ],
+)
+def test_verify_every_sampled_family(tmp_path, decay, family):
+    # n = 128 puts the 4th-order stencil error of the fronts below the bound
+    decay = {"constant": CONSTANT, "power_law": POWER_LAW, "exponential": EXPONENTIAL}[decay]
+    cfg = MINIMAL.replace(CONSTANT, decay).replace("n = 32", "n = 128")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(cfg + f"[verify]\nfamily = {family}\n")
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rep = json.loads((out / "residual_report.json").read_text())
+    assert rep["family"] == family
+    assert rep["sup_norm"] < 1e-6
+
+
+def test_sweep_converts_values_per_key(tmp_path):
+    # an int key receives ints, and subdirectories are named by repr(value)
+    cfg = MINIMAL + "\n[sweep]\nsection = grid\nkey = n\nvalues = 16,32\n"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["grid.n=16", "grid.n=32"]
+    for n in (16, 32):
+        meta, cols = import_csv(str(out / f"grid.n={n}" / "trajectory.csv"))
+        assert meta["config"]["grid"]["n"] == n
+        assert np.unique(cols["x"]).size == n + 1
+
+
+def test_sweep_keeps_close_values_apart_and_rejects_repeats(tmp_path):
+    base = MINIMAL + "\n[sweep]\nsection = decay\nkey = kappa0\nvalues = "
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(base + "0.1,0.1000001\n")
+    out = tmp_path / "close"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["decay.kappa0=0.1", "decay.kappa0=0.1000001"]
+    cfg_path.write_text(base + "0.1,0.25,0.1\n")
+    out = tmp_path / "repeat"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert os.listdir(out) == []  # rejected before any run started
+
+
+def test_plot_script_finds_its_csv_from_any_cwd(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "cfg.ini", "--out", "new_simulate"]) == 0
+    out = tmp_path / "new_simulate"
+    # cd new_simulate && python plot_trajectory.py
+    proc = subprocess.run([sys.executable, "plot_trajectory.py"], cwd=str(out),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    _png_size(out / "trajectory.png")
+    (out / "trajectory.png").unlink()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    proc = subprocess.run([sys.executable, str(out / "plot_trajectory.py")], cwd=str(elsewhere),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    _png_size(out / "trajectory.png")
+    assert os.listdir(elsewhere) == []
+
+
+def test_export_block_matches_per_value_formatting(tmp_path):
+    # the block writer prints every double as format(x, ".17g") would
+    vals = np.array([[0.1, -0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300, -2.5],
+                     [1.0, 3.0, 1 / 3, 2.0**-1074 * 3]])
+    path = tmp_path / "t.csv"
+    export_csv(vals, str(path), columns=("a", "b", "c", "d"))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "a,b,c,d"
+    assert lines[2:] == [",".join(format(float(x), ".17g") for x in row) for row in vals]

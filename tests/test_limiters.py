@@ -115,3 +115,10 @@ def test_factory_roundtrip_and_errors():
         limiter_from_config("algebraic_sqrt", v_max=1.0, s0=2.0)  # extra key
     with pytest.raises(ValidationError):
         TanhLimiter(-1.0, 1.0)
+
+
+def test_factory_without_parameters_sets_each_to_one():
+    assert limiter_from_config("tanh") == TanhLimiter(1.0, 1.0)
+    assert limiter_from_config("algebraic_sqrt") == AlgebraicSqrtLimiter(1.0)
+    assert limiter_from_config("weber_fechner_log") == WeberFechnerLogLimiter(1.0, 1.0)
+    assert limiter_from_config("tanh_log") == TanhLogLimiter(1.0, 1.0)
