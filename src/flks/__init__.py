@@ -25,7 +25,6 @@ from .core import (
     PowerLawDecay,
     TabulatedDecay,
     classify,
-    evaluate_decay,
 )
 from .exact_solutions import (
     ExactSolution,
@@ -49,7 +48,6 @@ from .quadrature import (
     exp_integral_Ei,
     integrate_adaptive,
     picard_iterate,
-    solve_linear_first_order,
 )
 from .reduced_systems import (
     ReducedProblem,
@@ -71,7 +69,6 @@ __all__ = [
     "PowerLawDecay",
     "TabulatedDecay",
     "classify",
-    "evaluate_decay",
     "ExactSolution",
     "case1_homogeneous",
     "case2_travelling_tanh",
@@ -92,7 +89,6 @@ __all__ = [
     "exp_integral_Ei",
     "integrate_adaptive",
     "picard_iterate",
-    "solve_linear_first_order",
     "ReducedProblem",
     "integrate_homogeneous",
     "integrate_travelling_wave",

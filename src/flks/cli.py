@@ -695,6 +695,14 @@ def _write(result, outdir, stem, plot_kind, meta, **kwargs):
     emit_plot_script(plot_kind, csv_path, os.path.join(outdir, f"plot_{plot_kind}.py"))
 
 
+def _write_json(payload, path):
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=2, sort_keys=True, default=str)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_simulate(cfg, outdir):
     params = build_model(cfg)
     grid = build_grid(cfg)
@@ -764,8 +772,7 @@ def cmd_verify(cfg, outdir):
         "worst_t": rep.worst_location[1],
     }
     _write(report, outdir, "residual_report", "report", _meta_for(cfg))
-    with open(os.path.join(outdir, "residual_report.json"), "w", encoding="utf-8") as f:
-        json.dump({"family": family, **report}, f, indent=2, sort_keys=True)
+    _write_json({"family": family, **report}, os.path.join(outdir, "residual_report.json"))
     return report
 
 
@@ -783,8 +790,7 @@ def cmd_lie(cfg, outdir):
             ],
         }
     payload = {"classification": rows, "optimal_systems": reports}
-    with open(os.path.join(outdir, "lie_report.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=str)
+    _write_json(payload, os.path.join(outdir, "lie_report.json"))
     flat = {
         f"optimal_{case}_all_ok": int(rep["all_ok"]) for case, rep in reports.items()
     }
@@ -808,17 +814,23 @@ def cmd_sweep(cfg, outdir):
     if len(set(subdirs)) < len(subdirs):
         raise ValidationError(f"sweep values repeat: {', '.join(map(repr, values))}")
 
-    def one(value, subdir):
+    # every member passes the checks a config file gets before any member runs
+    subs = []
+    for value in values:
         sub = RunConfig(
             command=base_command,
             sections={sec: dict(body) for sec, body in cfg.sections.items()},
         )
         sub.sections.setdefault(section, {})[key] = value
+        _validate_config(sub)
+        subs.append(sub)
+
+    def one(sub, subdir):
         os.makedirs(subdir, exist_ok=True)
         return _COMMANDS[base_command](sub, subdir)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(values))) as ex:
-        results = list(ex.map(one, values, subdirs))
+        results = list(ex.map(one, subs, subdirs))
     return {"runs": len(results)}
 
 

@@ -146,11 +146,6 @@ class TabulatedDecay(DecayLaw):
         return self._cum_at(b) - self._cum_at(a)
 
 
-def evaluate_decay(law, t):
-    """Evaluate kappa(t) for any decay law; domain errors propagate."""
-    return law.kappa(t)
-
-
 #: Admitted generator names per classification case, in table row order.
 _GENERATORS = {
     CaseTag.I_ARBITRARY: ("X1",),

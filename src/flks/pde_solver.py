@@ -4,18 +4,22 @@ u_t   = D u_xx - (u F(v_x))_x + S_u
 tau v_t = v_xx - kappa(t) v + u + S_v
 
 Space: second-order central diffusion plus a conservative chemotactic flux
-with upwind-biased (Fromm) face reconstruction, on the n+1 grid nodes; the
-boundary nodes own half cells so zero-flux boundaries conserve the trapezoid
-mass exactly.  Time: SSP-RK3 with kappa evaluated at the stage times.  The
-time step follows the configured CFL heuristic; positivity of u is reported
-per frame, never enforced.
+with upwind-biased (Fromm) face reconstruction, on the n+1 grid nodes.  One
+operator serves both boundary kinds; a kind is only a ghost fill (one ghost
+node each side: wrapped when periodic, mirrored for zero-flux Neumann), the
+two boundary face fluxes (wrapped, or zero) and the cell widths (the
+Neumann boundary nodes own half cells, so zero-flux boundaries conserve the
+trapezoid mass exactly).  Time: SSP-RK3 with kappa evaluated at the stage
+times.  The time step follows the configured CFL heuristic; positivity of u
+is reported per frame, never enforced.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldPair, Grid1D, evaluate_decay
+from .core import FieldPair, Grid1D
 from .errors import CFLViolation, InvalidState, StepSizeError, ValidationError
 
 
@@ -49,56 +53,60 @@ def stable_dt(params, config):
     return config.cfl_safety * min(diffusive, advective)
 
 
+@functools.lru_cache(maxsize=32)
+def _ghost_fill(n, dx, bc):
+    """The per-kind data of the ghost-padded operator on n cells.
+
+    Returns the node map that pads nodes 0..n with one ghost on each side,
+    the face map that extends the n interior face fluxes by the two
+    boundary faces (index n picks an appended zero flux), and the cell
+    widths of the nodes.
+    """
+    inner = np.arange(n)
+    widths = np.full(n + 1, dx)
+    if bc == "periodic":
+        # node n aliases node 0; ghosts and boundary faces wrap around
+        nodes = np.concatenate([[n - 1], inner, [0, 1]])
+        faces = np.concatenate([[n - 1], inner, [0]])
+    else:
+        # mirror ghosts u[-1] = u[1], u[n+1] = u[n-1] realize u_x = 0; the
+        # boundary faces carry no flux and the boundary nodes own half cells,
+        # so conservation telescopes exactly
+        nodes = np.concatenate([[1], inner, [n, n - 1]])
+        faces = np.concatenate([[n], inner, [n]])
+        widths[0] = widths[-1] = 0.5 * dx
+    for cached in (nodes, faces, widths):
+        cached.flags.writeable = False
+    return nodes, faces, widths
+
+
 def _rhs(u, v, t, params, config):
     """Semi-discrete right-hand side on the grid nodes."""
     dx = config.grid.dx
     D = params.D
     tau = params.tau
     lim = params.limiter
-    kap = evaluate_decay(params.decay, t)
+    kap = params.decay.kappa(t)
+    nodes, faces, w = _ghost_fill(u.size - 1, dx, config.bc)
+    U = u[nodes]
+    V = v[nodes]
 
-    if config.bc == "periodic":
-        # node n aliases node 0; work on the n unique values
-        uu = u[:-1]
-        vv = v[:-1]
-        um, up, up2 = np.roll(uu, 1), np.roll(uu, -1), np.roll(uu, -2)
-        vp = np.roll(vv, -1)
-        s_face = (vp - vv) / dx
-        Fv = lim.F(s_face)
-        # Fromm reconstruction at faces i+1/2 (donor biased by flux sign)
-        ubar_pos = uu + 0.25 * (up - um)
-        ubar_neg = up - 0.25 * (up2 - uu)
-        ubar = np.where(Fv >= 0.0, ubar_pos, ubar_neg)
-        J = ubar * Fv
-        G = D * (up - uu) / dx
-        du = (G - np.roll(G, 1)) / dx - (J - np.roll(J, 1)) / dx
-        vxx = (vp - 2.0 * vv + np.roll(vv, 1)) / (dx * dx)
-        dv = (vxx - kap * vv + uu) / tau
-        du = np.concatenate([du, du[:1]])
-        dv = np.concatenate([dv, dv[:1]])
-    else:
-        # mirror ghosts u[-1] = u[1], u[n+1] = u[n-1] realize u_x = 0
-        s_face = (v[1:] - v[:-1]) / dx
-        Fv = lim.F(s_face)
-        # face i+1/2 between nodes i and i+1, i = 0..n-1
-        u_im1 = np.concatenate([u[1:2], u[:-2]])   # u[i-1] with mirror
-        u_ip2 = np.concatenate([u[2:], u[-2:-1]])  # u[i+2] with mirror
-        ubar_pos = u[:-1] + 0.25 * (u[1:] - u_im1)
-        ubar_neg = u[1:] - 0.25 * (u_ip2 - u[:-1])
-        ubar = np.where(Fv >= 0.0, ubar_pos, ubar_neg)
-        J_int = ubar * Fv
-        G_int = D * (u[1:] - u[:-1]) / dx
-        J = np.concatenate([[0.0], J_int, [0.0]])
-        G = np.concatenate([[0.0], G_int, [0.0]])
-        # boundary nodes own half cells: conservation telescopes exactly
-        w = np.full(u.size, dx)
-        w[0] = w[-1] = 0.5 * dx
-        du = (G[1:] - G[:-1]) / w - (J[1:] - J[:-1]) / w
-        vxx = np.empty_like(v)
-        vxx[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+    # face i+1/2 between nodes i and i+1, i = 0..n-1
+    um, u0, up, up2 = U[:-3], U[1:-2], U[2:-1], U[3:]
+    Fv = lim.F((V[2:-1] - V[1:-2]) / dx)
+    # Fromm reconstruction at the faces (donor biased by flux sign)
+    ubar_pos = u0 + 0.25 * (up - um)
+    ubar_neg = up - 0.25 * (up2 - u0)
+    ubar = np.where(Fv >= 0.0, ubar_pos, ubar_neg)
+    J = np.append(ubar * Fv, 0.0)[faces]
+    G = np.append(D * (up - u0) / dx, 0.0)[faces]
+    du = (G[1:] - G[:-1]) / w - (J[1:] - J[:-1]) / w
+    vxx = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / (dx * dx)
+    if config.bc == "neumann":
+        # the mirrored three-point form rounds differently from 2(v1 - v0)
         vxx[0] = 2.0 * (v[1] - v[0]) / (dx * dx)
         vxx[-1] = 2.0 * (v[-2] - v[-1]) / (dx * dx)
-        dv = (vxx - kap * v + u) / tau
+    dv = (vxx - kap * V[1:-1] + U[1:-1]) / tau
 
     if config.source_u is not None:
         du = du + config.source_u(config.grid.nodes(), t)

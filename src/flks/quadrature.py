@@ -204,34 +204,6 @@ def _advance_segment(problem, y_a, t_a, t_b, tol, a_seen=0.0):
     return _guarded_exp(-dA) * y_a + part, dA
 
 
-def solve_linear_first_order(problem, t_eval, tol=1e-12):
-    """Solve y' + a(t) y = b(t) by the method of integrating factors.
-
-    This realizes y(t) = mu(t)^-1 [mu(t0) y0 + int_t0^t mu(s) b(s) ds] with
-    mu(t) = exp(int_t0^t a), evaluated segment-by-segment so exponents stay
-    bounded.  t_eval may be a scalar or an array; values are returned in the
-    order requested.
-    """
-    scalar = np.ndim(t_eval) == 0
-    ts = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    order = np.argsort(ts, kind="stable")
-    out = np.empty_like(ts)
-    t_cur, y_cur, a_cum = problem.t0, problem.y0, 0.0
-    # walk rightward through sorted targets; leftward targets restart from t0
-    for idx in order:
-        t = ts[idx]
-        if t >= problem.t0:
-            if t < t_cur:
-                t_cur, y_cur, a_cum = problem.t0, problem.y0, 0.0
-            y_cur, dA = _advance_segment(problem, y_cur, t_cur, t, tol, a_cum)
-            a_cum += dA
-            t_cur = t
-            out[idx] = y_cur
-        else:
-            out[idx] = _advance_segment(problem, problem.y0, problem.t0, t, tol)[0]
-    return float(out[0]) if scalar else out
-
-
 class CachedLinearSolution:
     """Propagating evaluator for a LinearFirstOrderProblem.
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams, evaluate_decay
+from .core import ModelParams
 from .errors import (
     BlowupDetected,
     NoConvergence,
@@ -23,7 +23,7 @@ from .errors import (
 from .limiters import TanhLogLimiter
 from .quadrature import cumulative_integral, d1_uniform, d2_uniform, picard_iterate
 
-_KINDS = ("homogeneous", "steady_state", "travelling_wave", "self_similar", "cellfree_wave")
+_KINDS = ("homogeneous", "steady_state", "travelling_wave", "self_similar")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ReducedProblem:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind in ("travelling_wave", "cellfree_wave"):
+        if self.kind == "travelling_wave":
             if not self.constants.get("alpha"):
                 raise ValidationError(f"{self.kind} requires a nonzero alpha")
 
@@ -78,7 +78,7 @@ def integrate_homogeneous(problem, h=1e-3):
     U[0], V[0] = U0, V0
 
     def dv(t, u, v):
-        return (-evaluate_decay(law, t) * v + u) / tau
+        return (-law.kappa(t) * v + u) / tau
 
     for k in range(n):
         t, u, v = ts[k], U[k], V[k]

@@ -2,10 +2,12 @@
 finite-transform invariance checks.
 
 Residuals use fourth-order central differences in x and t so the measurement
-noise sits well below the second-order solver errors being judged.  For
-evaluable solutions the stencils sample the callables directly; for sampled
-trajectories they run over the stored frames (which must be uniformly
-spaced in time).
+noise sits well below the second-order solver errors being judged.  One
+residual kernel serves every input: 5 time levels padded by 4 nodes on each
+side.  Evaluable solutions are sampled on the padded nodes directly; sampled
+trajectories supply their stored frames (which must be uniformly spaced in
+time), wrapped around for periodic ones and with the outer 4 nodes as the
+padding otherwise.
 """
 
 import math
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import evaluate_decay
 from .errors import (
     DegenerateFit,
     GridMismatch,
@@ -49,62 +50,73 @@ def _transformed_pair(sol, kind, eps, lam=0.0):
 
 
 _T_STENCIL = (1.0, -8.0, 0.0, 8.0, -1.0)
+_PAD = 4
 
 
-def _residual_from_callables(eval_u, eval_v, params, grid, t_samples, ht):
+def _residual(samples, params, ht, grid, x_loc):
+    """Residual norms over (t, levels_u, levels_v) samples.
+
+    Each sample holds the fields at the 5 time levels t + k ht, k = -2..2,
+    on the nodes x_loc padded by _PAD nodes on each side; the residual is
+    measured on x_loc only, where the padded 4th-order stencils are central.
+    """
     from .quadrature import d1_uniform, d2_uniform
 
     dx = grid.dx
-    pad = 4
-    xp = np.concatenate(
-        [
-            grid.x_lo + dx * np.arange(-pad, 0),
-            grid.nodes(),
-            grid.x_hi + dx * np.arange(1, pad + 1),
-        ]
-    )
+    D, tau, lim = params.D, params.tau, params.limiter
+    sl = slice(_PAD, -_PAD)
     sup = -1.0
     worst = (math.nan, math.nan)
     sq_sum = 0.0
     count = 0
-    D, tau, lim = params.D, params.tau, params.limiter
-    for t in t_samples:
-        levels_u = []
-        levels_v = []
-        for k in (-2, -1, 0, 1, 2):
-            tt = t + k * ht
-            levels_u.append(np.asarray(eval_u(xp, tt), dtype=float))
-            levels_v.append(np.asarray(eval_v(xp, tt), dtype=float))
+    ts = []
+    for t, levels_u, levels_v in samples:
         u_t = sum(c * lev for c, lev in zip(_T_STENCIL, levels_u)) / (12.0 * ht)
         v_t = sum(c * lev for c, lev in zip(_T_STENCIL, levels_v)) / (12.0 * ht)
         u = levels_u[2]
         v = levels_v[2]
         u_xx = d2_uniform(u, dx)
         v_xx = d2_uniform(v, dx)
-        v_x = d1_uniform(v, dx)
-        g_x = d1_uniform(u * lim.F(v_x), dx)
-        kap = evaluate_decay(params.decay, t)
-        R_u = (u_t - D * u_xx + g_x)[pad:-pad]
-        R_v = (tau * v_t - v_xx + kap * v - u)[pad:-pad]
+        g_x = d1_uniform(u * lim.F(d1_uniform(v, dx)), dx)
+        kap = params.decay.kappa(t)
+        R_u = (u_t - D * u_xx + g_x)[sl]
+        R_v = (tau * v_t - v_xx + kap * v - u)[sl]
         both = np.maximum(np.abs(R_u), np.abs(R_v))
         j = int(np.argmax(both))
         if both[j] > sup:
             sup = float(both[j])
-            worst = (float(grid.nodes()[j]), float(t))
+            worst = (float(x_loc[j]), float(t))
         sq_sum += float(np.sum(R_u**2) + np.sum(R_v**2))
         count += 2 * R_u.size
+        ts.append(float(t))
     return ResidualReport(
         sup_norm=sup,
         l2_norm=math.sqrt(sq_sum / count),
         grid=grid,
-        t_samples=tuple(float(t) for t in t_samples),
+        t_samples=tuple(ts),
         worst_location=worst,
     )
 
 
-def _residual_from_trajectory(traj, params):
-    from .quadrature import d1_uniform, d2_uniform
+def _callable_samples(eval_u, eval_v, grid, t_samples, ht):
+    dx = grid.dx
+    xp = np.concatenate(
+        [
+            grid.x_lo + dx * np.arange(-_PAD, 0),
+            grid.nodes(),
+            grid.x_hi + dx * np.arange(1, _PAD + 1),
+        ]
+    )
+    for t in t_samples:
+        times = [t + k * ht for k in (-2, -1, 0, 1, 2)]
+        yield (
+            t,
+            [np.asarray(eval_u(xp, tt), dtype=float) for tt in times],
+            [np.asarray(eval_v(xp, tt), dtype=float) for tt in times],
+        )
 
+
+def _residual_from_trajectory(traj, params):
     times = traj.times
     us, vs = traj.us, traj.vs
     # a clipped final step may break frame uniformity; drop ragged tails
@@ -116,76 +128,38 @@ def _residual_from_trajectory(traj, params):
         raise ValidationError("need at least 5 uniformly spaced frames")
     if not np.allclose(dts, dts[0], rtol=1e-8, atol=1e-14):
         raise ValidationError("trajectory frames must be uniformly spaced in time")
-    ht = float(dts[0])
-    dx = traj.grid.dx
-    D, tau, lim = params.D, params.tau, params.limiter
-    periodic = traj.bc == "periodic"
-    sup = -1.0
-    worst = (math.nan, math.nan)
-    sq_sum = 0.0
-    count = 0
     xs = traj.grid.nodes()
-    for k in range(2, times.size - 2):
-        t = float(times[k])
-        u = us[k]
-        v = vs[k]
-        u_t = sum(c * us[k + j - 2] for j, c in enumerate(_T_STENCIL)) / (12.0 * ht)
-        v_t = sum(c * vs[k + j - 2] for j, c in enumerate(_T_STENCIL)) / (12.0 * ht)
-        if periodic:
-            uu, vv = u[:-1], v[:-1]
-
-            def dp1(f):
-                return (np.roll(f, 2) - 8 * np.roll(f, 1) + 8 * np.roll(f, -1) - np.roll(f, -2)) / (12 * dx)
-
-            def dp2(f):
-                return (-np.roll(f, 2) + 16 * np.roll(f, 1) - 30 * f + 16 * np.roll(f, -1) - np.roll(f, -2)) / (12 * dx * dx)
-
-            u_xx = dp2(uu)
-            v_xx = dp2(vv)
-            g_x = dp1(uu * lim.F(dp1(vv)))
-            kap = evaluate_decay(params.decay, t)
-            R_u = u_t[:-1] - D * u_xx + g_x
-            R_v = tau * v_t[:-1] - v_xx + kap * vv - uu
-            x_loc = xs[:-1]
-        else:
-            u_xx = d2_uniform(u, dx)
-            v_xx = d2_uniform(v, dx)
-            g_x = d1_uniform(u * lim.F(d1_uniform(v, dx)), dx)
-            kap = evaluate_decay(params.decay, t)
-            sl = slice(4, -4)
-            R_u = (u_t - D * u_xx + g_x)[sl]
-            R_v = (tau * v_t - v_xx + kap * v - u)[sl]
-            x_loc = xs[sl]
-        both = np.maximum(np.abs(R_u), np.abs(R_v))
-        j = int(np.argmax(both))
-        if both[j] > sup:
-            sup = float(both[j])
-            worst = (float(x_loc[j]), t)
-        sq_sum += float(np.sum(R_u**2) + np.sum(R_v**2))
-        count += 2 * R_u.size
-    return ResidualReport(
-        sup_norm=sup,
-        l2_norm=math.sqrt(sq_sum / count),
-        grid=traj.grid,
-        t_samples=tuple(float(t) for t in times[2:-2]),
-        worst_location=worst,
+    if traj.bc == "periodic":
+        # node n aliases node 0: pad the n unique nodes by wrapping around
+        x_loc = xs[:-1]
+        us = np.pad(us[:, :-1], ((0, 0), (_PAD, _PAD)), mode="wrap")
+        vs = np.pad(vs[:, :-1], ((0, 0), (_PAD, _PAD)), mode="wrap")
+    else:
+        # the outer nodes serve as padding; residuals are interior only
+        x_loc = xs[_PAD:-_PAD]
+    samples = (
+        (float(times[k]), us[k - 2:k + 3], vs[k - 2:k + 3]) for k in range(2, times.size - 2)
     )
+    return _residual(samples, params, float(dts[0]), traj.grid, x_loc)
 
 
 def pde_residual(sol, params, grid=None, t_samples=None, ht=5e-4):
     """Residual of the full system for an evaluable solution or trajectory.
 
     R_u = u_t - D u_xx + (u F(v_x))_x and R_v = tau v_t - v_xx + kappa v - u,
-    measured with 4th-order stencils; interior nodes only.  For evaluable
-    solutions the caller chooses the grid, time samples and temporal stencil
-    step ht (the samples, padded by 4 dx and 2 ht, must stay inside the
-    solution's validity domain).
+    measured with 4th-order stencils at the grid nodes.  A Neumann trajectory
+    leaves out its 4 outer nodes on each side, which pad the stencils; a
+    periodic one is measured at nodes 0..n-1 (node n is node 0).  For
+    evaluable solutions the caller chooses the grid, time samples and
+    temporal stencil step ht (the samples, padded by 4 dx and 2 ht, must stay
+    inside the solution's validity domain).
     """
     if hasattr(sol, "times") and hasattr(sol, "us"):
         return _residual_from_trajectory(sol, params)
     if grid is None or t_samples is None:
         raise ValidationError("evaluable solutions need an explicit grid and t_samples")
-    return _residual_from_callables(sol.eval_u, sol.eval_v, params, grid, t_samples, ht)
+    samples = _callable_samples(sol.eval_u, sol.eval_v, grid, t_samples, ht)
+    return _residual(samples, params, ht, grid, grid.nodes())
 
 
 def compare(a, b):

@@ -467,3 +467,31 @@ def test_export_block_matches_per_value_formatting(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "a,b,c,d"
     assert lines[2:] == [",".join(format(float(x), ".17g") for x in row) for row in vals]
+
+
+def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
+    # a negative constant kappa0 is flagged in a sweep just as in [decay]
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + _sweep("decay.kappa0", "0.5,-1"))
+    out = tmp_path / "neg"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert os.listdir(out) == []
+    allowed = "[decay]\nallow_negative = true\n"
+    cfg_path.write_text(MINIMAL + allowed + _sweep("decay.kappa0", "0.5,-1"))
+    out = tmp_path / "allowed"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["decay.kappa0=-1.0", "decay.kappa0=0.5"]
+
+
+@pytest.mark.parametrize("command, report", [("verify", "residual_report.json"),
+                                             ("lie", "lie_report.json")])
+def test_unwritable_json_report_exits_4(tmp_path, capsys, command, report):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "o"
+    (out / report).mkdir(parents=True)
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and report in err
+    assert "Traceback" not in err

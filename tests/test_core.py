@@ -11,7 +11,6 @@ from flks.core import (
     PowerLawDecay,
     TabulatedDecay,
     classify,
-    evaluate_decay,
 )
 from flks.errors import DomainError, ValidationError
 from flks.limiters import TanhLimiter
@@ -19,36 +18,34 @@ from flks.limiters import TanhLimiter
 
 def test_constant_decay_value():
     # Fig-scale constant kappa0 = 0.5
-    assert evaluate_decay(ConstantDecay(0.5), 7.3) == 0.5
+    assert ConstantDecay(0.5).kappa(7.3) == 0.5
 
 
 def test_power_law_decay_value():
-    assert evaluate_decay(PowerLawDecay(mu=2.0), 2.0) == 1.0
+    assert PowerLawDecay(mu=2.0).kappa(2.0) == 1.0
 
 
 def test_exponential_decay_lambda_zero_degenerates_to_constant():
-    assert evaluate_decay(ExponentialDecay(0.5, 0.0), 3.0) == 0.5
+    assert ExponentialDecay(0.5, 0.0).kappa(3.0) == 0.5
     for t in np.linspace(-4.0, 9.0, 40):
-        assert evaluate_decay(ExponentialDecay(0.5, 0.0), t) == evaluate_decay(
-            ConstantDecay(0.5), t
-        )
+        assert ExponentialDecay(0.5, 0.0).kappa(t) == ConstantDecay(0.5).kappa(t)
 
 
 def test_power_law_domain_error():
     with pytest.raises(DomainError):
-        evaluate_decay(PowerLawDecay(2.0), 0.0)
+        PowerLawDecay(2.0).kappa(0.0)
     with pytest.raises(DomainError):
-        evaluate_decay(PowerLawDecay(2.0), -1.0)
+        PowerLawDecay(2.0).kappa(-1.0)
 
 
 def test_tabulated_interpolation_and_range():
     law = TabulatedDecay(times=(0.0, 1.0, 2.0), values=(1.0, 3.0, 3.0))
-    assert evaluate_decay(law, 0.5) == 2.0
-    assert evaluate_decay(law, 2.0) == 3.0
+    assert law.kappa(0.5) == 2.0
+    assert law.kappa(2.0) == 3.0
     with pytest.raises(DomainError):
-        evaluate_decay(law, 2.5)
+        law.kappa(2.5)
     with pytest.raises(DomainError):
-        evaluate_decay(law, -0.1)
+        law.kappa(-0.1)
 
 
 def test_tabulated_validation():

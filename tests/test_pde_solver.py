@@ -15,7 +15,7 @@ from flks.core import (
 from flks.errors import CFLViolation, InvalidState, StepSizeError
 from flks.exact_solutions import case1_homogeneous, case4_cellfree_front
 from flks.limiters import TanhLimiter
-from flks.pde_solver import SolverConfig, Trajectory, run, stable_dt, step, total_mass
+from flks.pde_solver import SolverConfig, Trajectory, _rhs, run, stable_dt, step, total_mass
 
 
 def make_params(decay=None, tau=0.1, D=0.8):
@@ -241,3 +241,24 @@ def test_solver_self_convergence_on_bump():
     d1 = np.max(np.abs(runs[64][::2] - runs[32]))
     d2 = np.max(np.abs(runs[128][::2] - runs[64]))
     assert 2.5 < d1 / d2 < 6.5
+
+
+def test_neumann_rhs_is_periodic_rhs_of_even_extension():
+    # mirror ghosts are the even extension: the Neumann operator on [0, L]
+    # must agree with the periodic one on [-L, L] at the nodes of [0, L]
+    p = make_params()
+    L, n = 3.0, 64
+    x = Grid1D(0.0, L, n).nodes()
+    u = 1.0 + 0.3 * np.cos(np.pi * x / L) - 0.2 * np.cos(3.0 * np.pi * x / L)
+    # v has minima at both ends, so the upwind faces there reach into the ghosts
+    v = 0.3 * np.cos(np.pi * x / L) - 0.5 * np.cos(2.0 * np.pi * x / L)
+    neu = _rhs(u, v, 0.3, p, SolverConfig(grid=Grid1D(0.0, L, n), t_end=1.0))
+    per = _rhs(
+        np.concatenate([u[:0:-1], u]),
+        np.concatenate([v[:0:-1], v]),
+        0.3,
+        p,
+        SolverConfig(grid=Grid1D(-L, L, 2 * n), t_end=1.0, bc="periodic"),
+    )
+    for a, b in zip(neu, per):
+        assert np.max(np.abs(a - b[n:])) <= 1e-12 * np.max(np.abs(a))

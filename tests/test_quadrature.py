@@ -14,6 +14,7 @@ from flks.errors import (
     OverflowGuard,
 )
 from flks.quadrature import (
+    CachedLinearSolution,
     LinearFirstOrderProblem,
     cumulative_integral,
     d1_uniform,
@@ -23,7 +24,6 @@ from flks.quadrature import (
     exp_kernel_upper,
     integrate_adaptive,
     picard_iterate,
-    solve_linear_first_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,18 +135,18 @@ def test_adaptive_depth_limit():
 
 
 # ---------------------------------------------------------------------------
-# solve_linear_first_order
+# CachedLinearSolution
 # ---------------------------------------------------------------------------
 
 def test_linear_pure_integration():
     p = LinearFirstOrderProblem(a=lambda t: 0.0, b=lambda t: 1.0, t0=0.0, y0=0.0)
-    assert solve_linear_first_order(p, 5.0) == pytest.approx(5.0, abs=1e-11)
+    assert CachedLinearSolution(p)(5.0) == pytest.approx(5.0, abs=1e-11)
 
 
 def test_linear_steady_level():
     # a = kappa0/tau = 5, b = C/tau = 10: steady level C/kappa0 = 2
     p = LinearFirstOrderProblem(a=lambda t: 5.0, b=lambda t: 10.0, t0=0.0, y0=0.0)
-    assert solve_linear_first_order(p, 12.0) == pytest.approx(2.0, abs=1e-12)
+    assert CachedLinearSolution(p)(12.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_linear_constant_coefficients_closed_form():
@@ -154,7 +154,7 @@ def test_linear_constant_coefficients_closed_form():
     p = LinearFirstOrderProblem(a=lambda t: a, b=lambda t: b, t0=t0, y0=y0)
     for t in (0.5, 1.0, 3.0, 8.0):
         exact = b / a + (y0 - b / a) * math.exp(-a * (t - t0))
-        assert solve_linear_first_order(p, t) == pytest.approx(exact, rel=1e-10)
+        assert CachedLinearSolution(p)(t) == pytest.approx(exact, rel=1e-10)
 
 
 def test_linear_exponential_coefficient_vs_rk4():
@@ -165,7 +165,7 @@ def test_linear_exponential_coefficient_vs_rk4():
         t0=0.0,
         y0=0.0,
     )
-    got = solve_linear_first_order(p, 1.0)
+    got = CachedLinearSolution(p)(1.0)
     ref = rk4_scalar(
         lambda t, y: (C - kappa0 * math.exp(lam * t) * y) / tau, 0.0, 0.0, 1.0, 20000
     )
@@ -175,7 +175,8 @@ def test_linear_exponential_coefficient_vs_rk4():
 def test_linear_array_eval_and_backward():
     p = LinearFirstOrderProblem(a=lambda t: 1.0, b=lambda t: 0.0, t0=0.0, y0=1.0)
     ts = np.array([2.0, -1.0, 0.5])
-    ys = solve_linear_first_order(p, ts)
+    sol = CachedLinearSolution(p)
+    ys = np.array([sol(t) for t in ts])
     assert np.allclose(ys, np.exp(-ts), rtol=1e-10)
 
 
@@ -183,7 +184,7 @@ def test_linear_overflow_guard():
     # negative a grows the factor; a huge window must trip the guard
     p = LinearFirstOrderProblem(a=lambda t: -2.0, b=lambda t: 1.0, t0=0.0, y0=1.0)
     with pytest.raises(OverflowGuard):
-        solve_linear_first_order(p, 400.0)
+        CachedLinearSolution(p)(400.0)
 
 
 # ---------------------------------------------------------------------------
