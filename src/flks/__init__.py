@@ -4,7 +4,8 @@ Library layout:
 
 - ``core``: decay laws, model parameters, grids, discrete states
 - ``limiters``: flux-limiter catalog F(s) = f(s)*s
-- ``quadrature``: adaptive integration, integrating factors, Ei, Picard
+- ``quadrature``: adaptive integration, the integrating factor of exactly
+  integrated decay laws, Ei, the Picard fixed-point engine
 - ``exact_solutions``: closed-form / quadrature solution families
 - ``reduced_systems``: direct numerical integration of the reduced systems
 - ``pde_solver``: method-of-lines solver for the full system
@@ -44,7 +45,6 @@ from .limiters import (
 )
 from .pde_solver import SolverConfig, Trajectory, run, step
 from .quadrature import (
-    LinearFirstOrderProblem,
     exp_integral_Ei,
     integrate_adaptive,
     picard_iterate,
@@ -85,7 +85,6 @@ __all__ = [
     "Trajectory",
     "run",
     "step",
-    "LinearFirstOrderProblem",
     "exp_integral_Ei",
     "integrate_adaptive",
     "picard_iterate",

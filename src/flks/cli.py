@@ -12,6 +12,7 @@ with 17 significant digits, which round-trips double precision losslessly.
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import math
@@ -703,6 +704,25 @@ def _write_json(payload, path):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _report_set(outdir, *names):
+    """Make the writes of a set of report files in outdir all or nothing.
+
+    When a write inside the block fails with IoError, every file of the set
+    is removed before the error propagates, so no partial set is left
+    behind.
+    """
+    try:
+        yield
+    except IoError:
+        for name in names:
+            path = os.path.join(outdir, name)
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
+
+
 def cmd_simulate(cfg, outdir):
     params = build_model(cfg)
     grid = build_grid(cfg)
@@ -771,8 +791,9 @@ def cmd_verify(cfg, outdir):
         "worst_x": rep.worst_location[0],
         "worst_t": rep.worst_location[1],
     }
-    _write(report, outdir, "residual_report", "report", _meta_for(cfg))
-    _write_json({"family": family, **report}, os.path.join(outdir, "residual_report.json"))
+    with _report_set(outdir, "residual_report.csv", "plot_report.py", "residual_report.json"):
+        _write(report, outdir, "residual_report", "report", _meta_for(cfg))
+        _write_json({"family": family, **report}, os.path.join(outdir, "residual_report.json"))
     return report
 
 
@@ -790,11 +811,12 @@ def cmd_lie(cfg, outdir):
             ],
         }
     payload = {"classification": rows, "optimal_systems": reports}
-    _write_json(payload, os.path.join(outdir, "lie_report.json"))
     flat = {
         f"optimal_{case}_all_ok": int(rep["all_ok"]) for case, rep in reports.items()
     }
-    export_csv(flat, os.path.join(outdir, "lie_report.csv"), meta=_meta_for(cfg))
+    with _report_set(outdir, "lie_report.json", "lie_report.csv"):
+        _write_json(payload, os.path.join(outdir, "lie_report.json"))
+        export_csv(flat, os.path.join(outdir, "lie_report.csv"), meta=_meta_for(cfg))
     return {"all_ok": all(rep["all_ok"] for rep in reports.values())}
 
 

@@ -4,6 +4,7 @@ Everything here is immutable after construction (``FieldPair`` arrays are the
 one exception: they belong to the solver run that owns them).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,9 +23,17 @@ class CaseTag(Enum):
 
 
 class DecayLaw:
-    """Base for the kappa(t) family; concrete laws implement ``kappa``."""
+    """Base for the kappa(t) family.
+
+    Concrete laws implement ``kappa(t)`` and its exact integral
+    ``cumulative(a, b)`` over [a, b], which the integrating factor of the
+    uniform relaxation tau v' + kappa(t) v = C is built from.
+    """
 
     def kappa(self, t):
+        raise NotImplementedError
+
+    def cumulative(self, a, b):
         raise NotImplementedError
 
 
@@ -114,6 +123,9 @@ class TabulatedDecay(DecayLaw):
             raise ValidationError("tabulated samples must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("tabulated times must be strictly increasing")
+        # integrals of the interpolant from times[0] to each knot
+        seg = np.cumsum(0.5 * np.add(values[1:], values[:-1]) * np.diff(times))
+        object.__setattr__(self, "_seg", (0.0, *seg.tolist()))
 
     def kappa(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -124,26 +136,21 @@ class TabulatedDecay(DecayLaw):
         out = np.interp(t_arr, self.times, self.values)
         return out if np.ndim(t) else float(out)
 
+    def cumulative(self, a, b):
+        """Exact integral of the interpolant over [a, b] (DomainError outside)."""
+        lo, hi = self.times[0], self.times[-1]
+        for t in (a, b):
+            if not lo <= t <= hi:  # also rejects NaN
+                raise DomainError(f"t={t!r} outside tabulated range [{lo}, {hi}]")
+        return self._cum_at(b) - self._cum_at(a)
+
     def _cum_at(self, t):
         # exact integral of the piecewise-linear interpolant from times[0]
-        ts = np.asarray(self.times)
-        ks = np.asarray(self.values)
-        seg = getattr(self, "_seg", None)
-        if seg is None:
-            seg = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (ks[1:] + ks[:-1]) * np.diff(ts))]
-            )
-            object.__setattr__(self, "_seg", seg)
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), ts.size - 2)
+        ts, ks = self.times, self.values
+        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
         dt = t - ts[i]
         slope = (ks[i + 1] - ks[i]) / (ts[i + 1] - ts[i])
-        return float(seg[i] + ks[i] * dt + 0.5 * slope * dt * dt)
-
-    def cumulative(self, a, b):
-        self.kappa(a)
-        self.kappa(b)
-        return self._cum_at(b) - self._cum_at(a)
+        return float(self._seg[i] + ks[i] * dt + 0.5 * slope * dt * dt)
 
 
 #: Admitted generator names per classification case, in table row order.

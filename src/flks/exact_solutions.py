@@ -17,7 +17,6 @@ from .errors import ComplexRoots, DomainError, ValidationError
 from .limiters import TanhLimiter, WeberFechnerLogLimiter
 from .quadrature import (
     CachedLinearSolution,
-    LinearFirstOrderProblem,
     cumulative_integral,
     d1_uniform,
     d2_uniform,
@@ -73,15 +72,9 @@ def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, law=None, tol=1e-12):
     """
     law = params.decay if law is None else law
     tau = params.tau
-    cum = getattr(law, "cumulative", None)
-    problem = LinearFirstOrderProblem(
-        a=lambda s: law.kappa(s) / tau,
-        b=lambda s: C / tau,
-        t0=float(t0),
-        y0=float(V0),
-        a_cumulative=(lambda lo, hi: cum(lo, hi) / tau) if cum is not None else None,
+    v_of_t = CachedLinearSolution(
+        lambda lo, hi: law.cumulative(lo, hi) / tau, C / tau, t0, V0, tol=tol
     )
-    v_of_t = CachedLinearSolution(problem, tol=tol)
     tag = classify(law)[0]
     return ExactSolution(
         case=tag,
@@ -259,7 +252,6 @@ def case2_travelling_tanh(
     y0=0.0,
     window=(-40.0, 40.0),
     n=16384,
-    damping=0.5,
     tol=1e-10,
     max_iter=400,
     self_consistent=True,
@@ -280,10 +272,14 @@ def case2_travelling_tanh(
 
     The closure s = V'[U[s]] is found by a damped self-consistency loop from
     s = 0 (or the supplied initial guess s_profile), iterated in the bounded
-    variable tanh(alpha s / s0) with adaptive damping; the loop gain of this
-    map is large and negative, so any fixed damping oscillates.  The residual
-    history is recorded on the solution.  With self_consistent=False the
-    supplied s_profile is used as-is (single pass, no closure).
+    variable tanh(alpha s / s0) by picard_iterate, whose damping starts at
+    0.5 and halves whenever the defect stops improving; the loop gain of
+    this map is large and negative.  A fixed damping of 0.1 also converges
+    at the README fig-1 parameters (215 iterations) but fails at D = 0.5
+    and at v_max = 2 or 3, where the adaptive damping converges.  The
+    residual history is recorded on the solution.  With
+    self_consistent=False the supplied s_profile is used as-is (single
+    pass, no closure).
     """
     limiter = params.limiter
     if not isinstance(limiter, TanhLimiter):
@@ -340,10 +336,8 @@ def case2_travelling_tanh(
         result = picard_iterate(
             g_map,
             np.tanh(k_tanh * s_init),
-            damping=damping,
             tol=tol,
             max_iter=max_iter,
-            adapt=True,
         )
         history = result.residuals
         s = np.arctanh(np.clip(result.profile, -cap, cap)) / k_tanh

@@ -1,10 +1,11 @@
 """Numerical integration primitives.
 
-Contains the adaptive Simpson integrator, the generic integrating-factor
-solver for linear first-order ODEs, the exponential integral Ei, a damped
-Picard fixed-point engine, and fourth-order uniform-grid helpers (cumulative
-integrals, derivative stencils, exponential-kernel convolutions) used by the
-solution constructors.
+Contains the adaptive Simpson integrator, the integrating-factor solver for
+y' + a(t) y = b with an exactly integrated a and a constant b, the
+exponential integral Ei, the Picard fixed-point engine (one adaptive damping
+policy), and fourth-order uniform-grid helpers (cumulative integrals,
+derivative stencils, exponential-kernel convolutions) used by the solution
+constructors.
 """
 
 import math
@@ -108,56 +109,6 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, max_depth=60):
     return QuadratureResult(sign * value, err, evals[0])
 
 
-@dataclass(frozen=True)
-class LinearFirstOrderProblem:
-    """y'(t) + a(t) y(t) = b(t),  y(t0) = y0, with continuous a and b.
-
-    a_cumulative, when given, must return the exact integral of a over
-    [lo, hi]; it replaces the adaptive quadrature of the exponent, which
-    both speeds up the solve and removes refinement trouble for piecewise
-    coefficients.
-    """
-
-    a: object
-    b: object
-    t0: float
-    y0: float
-    a_cumulative: object = None
-
-
-class _AnchoredIntegral:
-    """Cumulative integral A(s) = int_{origin}^{s} g, memoized at anchors.
-
-    Each query integrates adaptively from the nearest previously computed
-    anchor, so clustered evaluation points (as produced by an outer adaptive
-    integral) stay cheap.
-    """
-
-    def __init__(self, g, origin, tol):
-        self.g = g
-        self.tol = tol
-        self._xs = [float(origin)]
-        self._vals = [0.0]
-
-    def at(self, s):
-        s = float(s)
-        i = bisect_left(self._xs, s)
-        if i < len(self._xs) and self._xs[i] == s:
-            return self._vals[i]
-        # nearest existing anchor
-        candidates = []
-        if i > 0:
-            candidates.append(i - 1)
-        if i < len(self._xs):
-            candidates.append(i)
-        j = min(candidates, key=lambda k: abs(self._xs[k] - s))
-        inc = integrate_adaptive(self.g, self._xs[j], s, self.tol).value
-        val = self._vals[j] + inc
-        self._xs.insert(i, s)
-        self._vals.insert(i, val)
-        return val
-
-
 _EXP_GUARD = 700.0
 
 
@@ -169,12 +120,13 @@ def _guarded_exp(x):
     return math.exp(x)
 
 
-def _advance_segment(problem, y_a, t_a, t_b, tol, a_seen=0.0):
-    """Propagate y from t_a to t_b via the integrating-factor formula.
+def _advance_segment(cumulative, b, y_a, t_a, t_b, tol, a_seen=0.0):
+    """Propagate y' + a y = b from t_a to t_b via the integrating factor.
 
-    The exponent of the factor is always handled as a difference of
-    cumulative integrals (a log-sum), never as a product of exponentials, so
-    large factors cancel before exponentiation.  ``a_seen`` carries the
+    ``cumulative(lo, hi)`` is the exact integral of a over [lo, hi] and b is
+    a constant.  The exponent of the factor is always handled as a difference
+    of cumulative integrals (a log-sum), never as a product of exponentials,
+    so large factors cancel before exponentiation.  ``a_seen`` carries the
     cumulative exponent accumulated before t_a; when |a_seen + dA| passes the
     representable range the solve raises OverflowGuard.
 
@@ -182,52 +134,55 @@ def _advance_segment(problem, y_a, t_a, t_b, tol, a_seen=0.0):
     """
     if t_b == t_a:
         return y_a, 0.0
-    if problem.a_cumulative is not None:
-        acc_at = lambda s: problem.a_cumulative(t_a, s)
-    else:
-        acc_at = _AnchoredIntegral(problem.a, t_a, 0.1 * tol).at
-    dA = acc_at(t_b)
+    dA = cumulative(t_a, t_b)
     if abs(a_seen + dA) > _EXP_GUARD:
         raise OverflowGuard(
             f"integrating-factor exponent {a_seen + dA:.3g} exceeds ±{_EXP_GUARD:g}"
         )
     if abs(dA) > 50.0:
         t_mid = 0.5 * (t_a + t_b)
-        y_mid, dA1 = _advance_segment(problem, y_a, t_a, t_mid, tol, a_seen)
-        y_b, dA2 = _advance_segment(problem, y_mid, t_mid, t_b, tol, a_seen + dA1)
+        y_mid, dA1 = _advance_segment(cumulative, b, y_a, t_a, t_mid, tol, a_seen)
+        y_b, dA2 = _advance_segment(cumulative, b, y_mid, t_mid, t_b, tol, a_seen + dA1)
         return y_b, dA1 + dA2
 
     def integrand(s):
-        return _guarded_exp(acc_at(s) - dA) * float(problem.b(s))
+        return _guarded_exp(cumulative(t_a, s) - dA) * b
 
     part = integrate_adaptive(integrand, t_a, t_b, tol).value
     return _guarded_exp(-dA) * y_a + part, dA
 
 
 class CachedLinearSolution:
-    """Propagating evaluator for a LinearFirstOrderProblem.
+    """Solution of y'(t) + a(t) y(t) = b, y(t0) = y0, for a constant b.
 
+    ``cumulative(lo, hi)`` must return the exact integral of a over
+    [lo, hi]; tol governs the adaptive quadrature of the particular part.
     Forward evaluations advance from the nearest previously computed anchor
     instead of restarting at t0, so dense or repeated queries stay cheap.
     """
 
-    def __init__(self, problem, tol=1e-12):
-        self.problem = problem
+    def __init__(self, cumulative, b, t0, y0, tol=1e-12):
+        self.cumulative = cumulative
+        self.b = float(b)
+        self.t0 = float(t0)
+        self.y0 = float(y0)
         self.tol = tol
-        self._ts = [float(problem.t0)]
-        self._ys = [float(problem.y0)]
+        self._ts = [self.t0]
+        self._ys = [self.y0]
         self._as = [0.0]
 
     def __call__(self, t):
         t = float(t)
-        p = self.problem
-        if t < p.t0:
-            return _advance_segment(p, p.y0, p.t0, t, self.tol)[0]
+        if t < self.t0:
+            return _advance_segment(
+                self.cumulative, self.b, self.y0, self.t0, t, self.tol
+            )[0]
         i = bisect_left(self._ts, t)
         if i < len(self._ts) and self._ts[i] == t:
             return self._ys[i]
         y, dA = _advance_segment(
-            p, self._ys[i - 1], self._ts[i - 1], t, self.tol, self._as[i - 1]
+            self.cumulative, self.b, self._ys[i - 1], self._ts[i - 1], t, self.tol,
+            self._as[i - 1],
         )
         self._ts.insert(i, t)
         self._ys.insert(i, y)
@@ -313,21 +268,27 @@ class PicardResult:
     converged: bool = True
 
 
-def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200,
-                   divergence_ratio=10.0, divergence_window=5, adapt=False):
-    """Damped fixed-point iteration y <- y + damping*(map_fn(y) - y).
+# picard_iterate gives up when the defect grows by _DIVERGENCE_RATIO over
+# _DIVERGENCE_WINDOW consecutive iterations
+_DIVERGENCE_RATIO = 10.0
+_DIVERGENCE_WINDOW = 5
+
+
+def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200):
+    """Damped fixed-point iteration y <- y + d*(map_fn(y) - y), d <= damping.
+
+    The damping d starts at ``damping``, halves (down to 1e-3) whenever the
+    defect fails to improve on its best value, and recovers by a factor 1.2
+    (up to ``damping``) after five consecutive improvements; while the
+    defect improves at every step, d stays at ``damping`` and the iterates
+    are the plain damped ones.  Halving lets strongly over-reacting (large
+    negative eigenvalue) maps converge.
 
     The recorded residual is the undamped defect ||map_fn(y) - y||_inf, so
-    the history is comparable across damping choices.  Raises NoConvergence
-    after max_iter and DivergenceDetected when the defect grows by
-    divergence_ratio over divergence_window consecutive iterations; both
-    carry the history and the last profile.
-
-    With adapt=True the damping halves whenever the defect stops improving
-    and recovers slowly after sustained improvement, which converges for
-    strongly over-reacting (large negative eigenvalue) fixed-point maps
-    where any fixed damping oscillates.  Divergence detection is then left
-    to the damping floor rather than the ratio test.
+    the history is comparable across damping values.  Raises NoConvergence
+    after max_iter, and DivergenceDetected when the defect grows tenfold
+    over five consecutive iterations or the map returns non-finite values;
+    both carry the history and the last profile.
     """
     if not (0.0 < damping <= 1.0):
         raise DomainError("damping must lie in (0, 1]")
@@ -346,22 +307,20 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200,
         residuals.append(res)
         if res < tol:
             return PicardResult(fy, residuals, k + 1)
-        if adapt:
-            if best is None or res < best:
-                best = res
-                improve_run += 1
-                if improve_run >= 5 and d < damping:
-                    d = min(damping, 1.2 * d)
-                    improve_run = 0
-            else:
-                d = max(0.5 * d, 1e-3)
-                improve_run = 0
-        elif (
-            len(residuals) > divergence_window
-            and residuals[-1] > divergence_ratio * residuals[-1 - divergence_window]
-            and residuals[-1] > tol
+        if (
+            len(residuals) > _DIVERGENCE_WINDOW
+            and res > _DIVERGENCE_RATIO * residuals[-1 - _DIVERGENCE_WINDOW]
         ):
             raise DivergenceDetected(residuals, profile=y)
+        if best is None or res < best:
+            best = res
+            improve_run += 1
+            if improve_run >= 5 and d < damping:
+                d = min(damping, 1.2 * d)
+                improve_run = 0
+        else:
+            d = max(0.5 * d, 1e-3)
+            improve_run = 0
         y = y + d * (fy - y)
     raise NoConvergence(max_iter, residuals[-1], residuals, profile=y)
 

@@ -322,9 +322,7 @@ class SelfSimilarResult:
     metadata: dict
 
 
-def solve_self_similar(
-    problem, n=2000, xi_max=10.0, damping=0.5, tol=1e-10, max_iter=200
-):
+def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     """Coupled similarity profiles on the half line [0, xi_max].
 
     Alternates (a) the exact quadrature of the U-equation's local first
@@ -380,7 +378,7 @@ def solve_self_similar(
     history = []
     converged = True
     try:
-        res = picard_iterate(S_of, np.zeros(n + 1), damping=damping, tol=tol, max_iter=max_iter)
+        res = picard_iterate(S_of, np.zeros(n + 1), tol=tol, max_iter=max_iter)
         S = res.profile
         history = res.residuals
     except NoConvergence as exc:

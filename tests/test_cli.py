@@ -495,3 +495,16 @@ def test_unwritable_json_report_exits_4(tmp_path, capsys, command, report):
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and report in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, last", [("verify", "residual_report.json"),
+                                           ("lie", "lie_report.csv")])
+def test_failed_report_write_leaves_no_partial_set(tmp_path, capsys, command, last):
+    # a directory in place of the last file of the set makes its write fail
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "o"
+    (out / last).mkdir(parents=True)
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert os.listdir(out) == [last]

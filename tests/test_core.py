@@ -4,6 +4,7 @@ import pytest
 from flks.core import (
     CaseTag,
     ConstantDecay,
+    DecayLaw,
     ExponentialDecay,
     FieldPair,
     Grid1D,
@@ -14,6 +15,10 @@ from flks.core import (
 )
 from flks.errors import DomainError, ValidationError
 from flks.limiters import TanhLimiter
+from flks.quadrature import integrate_adaptive
+
+_KNOTS = np.linspace(0.0, 2.0, 9)
+_TABULATED = TabulatedDecay(times=tuple(_KNOTS), values=tuple(0.5 + 0.2 * np.sin(3.0 * _KNOTS)))
 
 
 def test_constant_decay_value():
@@ -46,6 +51,31 @@ def test_tabulated_interpolation_and_range():
         law.kappa(2.5)
     with pytest.raises(DomainError):
         law.kappa(-0.1)
+
+
+@pytest.mark.parametrize(
+    "law, a, b",
+    [
+        (ConstantDecay(0.5), -1.0, 3.0),
+        (PowerLawDecay(1.5), 0.5, 4.0),
+        (ExponentialDecay(0.5, 0.3), -1.0, 3.0),
+        (ExponentialDecay(0.5, 0.0), 0.0, 2.0),
+        (_TABULATED, 0.0, 2.0),
+        (_TABULATED, 0.3, 1.7),
+    ],
+)
+def test_cumulative_is_exact_integral_of_kappa(law, a, b):
+    ref = integrate_adaptive(law.kappa, a, b, tol=1e-13).value
+    assert abs(law.cumulative(a, b) - ref) <= 1e-10
+    assert abs(law.cumulative(b, a) + ref) <= 1e-10
+
+
+def test_tabulated_cumulative_range():
+    for a, b in ((-0.1, 1.0), (0.5, 2.5), (np.nan, 1.0), (0.5, np.nan)):
+        with pytest.raises(DomainError):
+            _TABULATED.cumulative(a, b)
+    with pytest.raises(NotImplementedError):
+        DecayLaw().cumulative(0.0, 1.0)
 
 
 def test_tabulated_validation():

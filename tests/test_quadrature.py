@@ -15,7 +15,6 @@ from flks.errors import (
 )
 from flks.quadrature import (
     CachedLinearSolution,
-    LinearFirstOrderProblem,
     cumulative_integral,
     d1_uniform,
     d2_uniform,
@@ -139,33 +138,33 @@ def test_adaptive_depth_limit():
 # ---------------------------------------------------------------------------
 
 def test_linear_pure_integration():
-    p = LinearFirstOrderProblem(a=lambda t: 0.0, b=lambda t: 1.0, t0=0.0, y0=0.0)
-    assert CachedLinearSolution(p)(5.0) == pytest.approx(5.0, abs=1e-11)
+    sol = CachedLinearSolution(lambda lo, hi: 0.0, b=1.0, t0=0.0, y0=0.0)
+    assert sol(5.0) == pytest.approx(5.0, abs=1e-11)
 
 
 def test_linear_steady_level():
     # a = kappa0/tau = 5, b = C/tau = 10: steady level C/kappa0 = 2
-    p = LinearFirstOrderProblem(a=lambda t: 5.0, b=lambda t: 10.0, t0=0.0, y0=0.0)
-    assert CachedLinearSolution(p)(12.0) == pytest.approx(2.0, abs=1e-12)
+    sol = CachedLinearSolution(lambda lo, hi: 5.0 * (hi - lo), b=10.0, t0=0.0, y0=0.0)
+    assert sol(12.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_linear_constant_coefficients_closed_form():
     a, b, y0, t0 = 1.7, -0.6, 2.3, 0.5
-    p = LinearFirstOrderProblem(a=lambda t: a, b=lambda t: b, t0=t0, y0=y0)
+    cumulative = lambda lo, hi: a * (hi - lo)
     for t in (0.5, 1.0, 3.0, 8.0):
         exact = b / a + (y0 - b / a) * math.exp(-a * (t - t0))
-        assert CachedLinearSolution(p)(t) == pytest.approx(exact, rel=1e-10)
+        assert CachedLinearSolution(cumulative, b, t0, y0)(t) == pytest.approx(exact, rel=1e-10)
 
 
 def test_linear_exponential_coefficient_vs_rk4():
     kappa0, lam, tau, C = 0.5, 0.2, 0.1, 1.0
-    p = LinearFirstOrderProblem(
-        a=lambda t: kappa0 * math.exp(lam * t) / tau,
-        b=lambda t: C / tau,
+    sol = CachedLinearSolution(
+        lambda lo, hi: kappa0 * (math.exp(lam * hi) - math.exp(lam * lo)) / (lam * tau),
+        b=C / tau,
         t0=0.0,
         y0=0.0,
     )
-    got = CachedLinearSolution(p)(1.0)
+    got = sol(1.0)
     ref = rk4_scalar(
         lambda t, y: (C - kappa0 * math.exp(lam * t) * y) / tau, 0.0, 0.0, 1.0, 20000
     )
@@ -173,18 +172,17 @@ def test_linear_exponential_coefficient_vs_rk4():
 
 
 def test_linear_array_eval_and_backward():
-    p = LinearFirstOrderProblem(a=lambda t: 1.0, b=lambda t: 0.0, t0=0.0, y0=1.0)
     ts = np.array([2.0, -1.0, 0.5])
-    sol = CachedLinearSolution(p)
+    sol = CachedLinearSolution(lambda lo, hi: hi - lo, b=0.0, t0=0.0, y0=1.0)
     ys = np.array([sol(t) for t in ts])
     assert np.allclose(ys, np.exp(-ts), rtol=1e-10)
 
 
 def test_linear_overflow_guard():
     # negative a grows the factor; a huge window must trip the guard
-    p = LinearFirstOrderProblem(a=lambda t: -2.0, b=lambda t: 1.0, t0=0.0, y0=1.0)
+    sol = CachedLinearSolution(lambda lo, hi: -2.0 * (hi - lo), b=1.0, t0=0.0, y0=1.0)
     with pytest.raises(OverflowGuard):
-        CachedLinearSolution(p)(400.0)
+        sol(400.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +274,38 @@ def test_picard_geometric_ratio_tracks_lipschitz():
 
 
 def test_picard_no_convergence_reports_history():
+    # y -> y + 1 has no fixed point: the defect stays 1 whatever the damping
     with pytest.raises(NoConvergence) as exc:
-        picard_iterate(lambda y: -y, np.ones(3), damping=1.0, tol=1e-12, max_iter=17)
+        picard_iterate(lambda y: y + 1.0, np.ones(3), damping=1.0, tol=1e-12, max_iter=17)
     assert exc.value.iterations == 17
     assert len(exc.value.history) == 17
     assert exc.value.profile is not None
+
+
+def test_picard_contraction_reproduces_plain_damped_iterates():
+    # the defect improves at every step, so the damping never moves
+    def step(y):
+        return np.cos(y) + 0.1 * y
+
+    res = picard_iterate(step, np.linspace(-1.0, 1.0, 7), damping=0.5, tol=1e-12)
+    y = np.linspace(-1.0, 1.0, 7)
+    residuals = []
+    for _ in range(res.iterations - 1):
+        fy = step(y)
+        residuals.append(float(np.max(np.abs(fy - y))))
+        y = y + 0.5 * (fy - y)
+    fy = step(y)
+    residuals.append(float(np.max(np.abs(fy - y))))
+    assert res.residuals == residuals
+    assert np.array_equal(res.profile, fy)
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_picard_halves_damping_for_overreacting_map():
+    # undamped y -> -y flips sign forever; halving the damping lands on 0
+    res = picard_iterate(lambda y: -y, np.ones(3), damping=1.0, tol=1e-12, max_iter=17)
+    assert res.residuals == [2.0, 2.0, 0.0]
+    assert np.array_equal(res.profile, np.zeros(3))
 
 
 def test_picard_divergence_detected():
