@@ -729,8 +729,14 @@ def cmd_simulate(cfg, outdir):
     config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
     traj = pde_solver.run(build_initial(cfg, grid), params, config)
     _write(traj, outdir, "trajectory", "trajectory", _meta_for(cfg))
-    return {"frames": int(traj.times.size), "steps": traj.steps_taken,
-            "mass_drift": float(abs(traj.mass[-1] - traj.mass[0]))}
+    summary = {"frames": int(traj.times.size), "steps": traj.steps_taken,
+               "mass_drift": float(abs(traj.mass[-1] - traj.mass[0]))}
+    min_u = float(np.min(traj.min_u))
+    if min_u < 0.0:
+        # a negative cell density is unphysical: say so, outside the CSV body
+        print(f"warning: negative cell density min_u={min_u:.6g}", file=sys.stderr)
+        summary["min_u"] = min_u
+    return summary
 
 
 def cmd_exact(cfg, outdir):

@@ -42,6 +42,14 @@ def _require_finite(name, value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _reject_nan(*ts):
+    """DomainError when a time is NaN.  A scalar is tested with t != t, which
+    stays cheap on the PDE path (kappa runs three times per step)."""
+    for t in ts:
+        if (t != t) if isinstance(t, float) else np.isnan(t).any():
+            raise DomainError(f"decay time must not be NaN, got t={t!r}")
+
+
 @dataclass(frozen=True)
 class ConstantDecay(DecayLaw):
     """kappa(t) = kappa0 for all t."""
@@ -52,10 +60,12 @@ class ConstantDecay(DecayLaw):
         _require_finite("kappa0", self.kappa0)
 
     def kappa(self, t):
+        _reject_nan(t)
         return self.kappa0 * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.kappa0
 
     def cumulative(self, a, b):
         """Exact integral of kappa over [a, b]."""
+        _reject_nan(a, b)
         return self.kappa0 * (b - a)
 
 
@@ -69,12 +79,12 @@ class PowerLawDecay(DecayLaw):
         _require_finite("mu", self.mu)
 
     def kappa(self, t):
-        if np.any(np.asarray(t) <= 0.0):
+        if not np.all(np.asarray(t) > 0.0):  # also rejects NaN
             raise DomainError(f"power-law decay is defined for t > 0, got t={t!r}")
         return self.mu / t
 
     def cumulative(self, a, b):
-        if a <= 0.0 or b <= 0.0:
+        if not (a > 0.0 and b > 0.0):  # also rejects NaN
             raise DomainError("power-law decay is defined for t > 0")
         return self.mu * np.log(b / a)
 
@@ -91,10 +101,12 @@ class ExponentialDecay(DecayLaw):
         _require_finite("lam", self.lam)
 
     def kappa(self, t):
+        _reject_nan(t)
         return self.kappa0 * np.exp(self.lam * np.asarray(t, dtype=float)) if np.ndim(t) \
             else self.kappa0 * np.exp(self.lam * t)
 
     def cumulative(self, a, b):
+        _reject_nan(a, b)
         if self.lam == 0.0:
             return self.kappa0 * (b - a)
         return self.kappa0 * (np.exp(self.lam * b) - np.exp(self.lam * a)) / self.lam
@@ -129,7 +141,7 @@ class TabulatedDecay(DecayLaw):
 
     def kappa(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.times[0]) or np.any(t_arr > self.times[-1]):
+        if not np.all((t_arr >= self.times[0]) & (t_arr <= self.times[-1])):  # also rejects NaN
             raise DomainError(
                 f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
             )

@@ -8,6 +8,7 @@ derivative stencils, exponential-kernel convolutions) used by the solution
 constructors.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -408,16 +409,22 @@ def _poly_exp_moments(z, kmax=3, terms=30):
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _panel_weights(z):
     """Nodal weights for int_0^1 f(theta) exp(z(1-theta)) dtheta with f the
     cubic through 4 nodes.  Returns (left-edge, interior, right-edge) weight
-    vectors for node offsets (0,1,2,3), (-1,0,1,2), (-2,-1,0,1)."""
+    vectors for node offsets (0,1,2,3), (-1,0,1,2), (-2,-1,0,1).
+
+    A closure pass evaluates the kernels thousands of times at a handful of
+    z values, so the weights are cached per z and returned read-only."""
     A = _poly_exp_moments(z)
     weights = []
     for offsets in ((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0)):
         V = np.vander(np.asarray(offsets), 4, increasing=True)  # V[j,k] = theta_j^k
-        weights.append(np.linalg.solve(V.T, A))
-    return weights
+        wts = np.linalg.solve(V.T, A)
+        wts.flags.writeable = False
+        weights.append(wts)
+    return tuple(weights)
 
 
 def exp_kernel_lower(f, h, r):

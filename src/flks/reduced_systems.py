@@ -140,9 +140,10 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     Second-order central differences with centered face averages; under
     zero-flux boundaries the cell mass is a free direction of the u-equation,
     so one residual row pins the trapezoid mass of the initial guess.  The
-    Jacobian is a dense forward difference built one column (one O(n)
-    residual) at a time, O(n^2) per Newton step; a halving line search keeps
-    the defect monotone.
+    Jacobian is a sparse forward difference coloured by the three-point
+    stencil (six residual calls per Newton step at any n, see
+    ``_fd_jacobian``) and each step is one sparse LU solve; a halving line
+    search keeps the defect monotone.
     """
     params = problem.params
     kappa0 = float(problem.constants.get("kappa0", getattr(params.decay, "kappa0", 0.0)))
@@ -157,6 +158,7 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     w = np.full(n + 1, dx)
     w[0] = w[-1] = 0.5 * dx
     mass_target = float(np.dot(w, u))
+    mass_row = w if bc == "neumann" else None
     limiter = params.limiter
     D = params.D
 
@@ -173,8 +175,8 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
         history.append(defect)
         if defect < tol:
             return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, it)
-        J = _fd_jacobian(residual, z, R)
-        delta = np.linalg.solve(J, -R)
+        J = _fd_jacobian(residual, z, R, mass_row)
+        delta = spla.spsolve(J, -R)
         lam = 1.0
         base = defect
         while lam > 1e-4:
@@ -194,16 +196,39 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, len(history))
 
 
-def _fd_jacobian(residual, z, R0, eps=1e-7):
-    """Dense forward-difference Jacobian; the systems here are small."""
-    m = z.size
-    J = np.empty((m, m))
+def _fd_jacobian(residual, z, R0, mass_row=None, eps=1e-7):
+    """Sparse forward-difference Jacobian of the stacked (u, v) residual.
+
+    Row i of either block reads only nodes i-1..i+1 of u and v, so columns
+    three apart never share a row: every third u column is perturbed in one
+    residual call, then every third v column, six calls in all (Curtis,
+    Powell & Reid, J. Inst. Math. Appl. 13, 1974).  ``mass_row`` holds the
+    trapezoid weights of the linear Neumann mass row (row 0), which is filled
+    exactly instead of differenced.  Returns a CSC matrix.
+    """
+    N = z.size // 2
     scale = eps * max(1.0, float(np.max(np.abs(z))))
-    for c in range(m):
-        zp = z.copy()
-        zp[c] += scale
-        J[:, c] = (residual(zp) - R0) / scale
-    return J
+    i = np.arange(N)
+    rows, cols, vals = [], [], []
+    for block in (0, N):
+        for colour in range(3):
+            zp = z.copy()
+            zp[block + colour : block + N : 3] += scale
+            dR = (residual(zp) - R0) / scale
+            # row i's one perturbed column among i-1..i+1
+            j = i + (colour - i + 1) % 3 - 1
+            ok = (j >= 0) & (j < N)
+            for rblock in (0, N):
+                rows.append(rblock + i[ok])
+                cols.append(block + j[ok])
+                vals.append(dR[rblock + i[ok]])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if mass_row is not None:
+        keep = rows != 0
+        rows = np.concatenate([rows[keep], np.zeros(N, dtype=rows.dtype)])
+        cols = np.concatenate([cols[keep], i])
+        vals = np.concatenate([vals[keep], mass_row])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +303,40 @@ def _build_similarity_operator(xi, h):
     V'(xi_max) - V(xi_max)/xi_max = 0 (admits the linear far field, excludes
     the exponentially growing homogeneous mode)."""
     n = xi.size
-    A = sp.lil_matrix((n, n))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    for i in range(2, n - 2):
-        for k in range(5):
-            A[i, i - 2 + k] += c2[k] - 0.5 * xi[i] * c1[k]
-        A[i, i] += 0.5
     c2b = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12 * h * h)
     c1b = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-    i = 1
-    for k in range(6):
-        A[i, k] += c2b[k]
-    for k in range(5):
-        A[i, k] += -0.5 * xi[i] * c1b[k]
-    A[i, i] += 0.5
-    i = n - 2
-    for k in range(6):
-        A[i, n - 1 - k] += c2b[k]
-    for k in range(5):
-        A[i, n - 1 - k] += 0.5 * xi[i] * c1b[k]
-    A[i, i] += 0.5
     c1e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    for k in range(5):
-        A[0, k] = c1e[k]
-    for k in range(5):
-        A[n - 1, n - 1 - k] = -c1e[k]
-    A[n - 1, n - 1] -= 1.0 / xi[-1]
-    return sp.csr_matrix(A)
+    # interior rows 2..n-3: the 5-point band, one column per offset
+    inner = np.arange(2, n - 2)
+    band = c2 - 0.5 * xi[inner, None] * c1
+    band[:, 2] += 0.5
+    rows = [np.repeat(inner, 5)]
+    cols = [(inner[:, None] + np.arange(-2, 3)).ravel()]
+    vals = [band.ravel()]
+    # rows 1 and n-2: one-sided six-point second and five-point first
+    # derivatives, mirrored at the far end
+    near = c2b.copy()
+    near[:5] += -0.5 * xi[1] * c1b
+    near[1] += 0.5
+    far = c2b.copy()
+    far[:5] += 0.5 * xi[n - 2] * c1b
+    far[1] += 0.5
+    # row 0: V'(0) = 0; row n-1: the Robin row
+    robin = -c1e
+    robin[0] -= 1.0 / xi[-1]
+    k6, k5 = np.arange(6), np.arange(5)
+    edges = ((1, k6, near), (n - 2, n - 1 - k6, far), (0, k5, c1e), (n - 1, n - 1 - k5, robin))
+    for i, c, v in edges:
+        rows.append(np.full(c.size, i))
+        cols.append(c)
+        vals.append(v)
+    A = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    A.eliminate_zeros()
+    return A
 
 
 @dataclass

@@ -179,6 +179,59 @@ def test_main_simulate_and_determinism(tmp_path):
     assert b1 == b2
 
 
+NEGATIVE_DENSITY = """
+[model]
+D = 0.05
+tau = 0.1
+[limiter]
+kind = tanh
+v_max = 5.0
+s0 = 0.2
+[decay]
+kind = constant
+kappa0 = 0.5
+[grid]
+x_lo = -4.0
+x_hi = 4.0
+n = 128
+[solver]
+t_end = 0.1
+output_stride = 320
+[initial]
+kind = uniform
+u0 = 0.0
+v0 = 0.0
+"""
+
+
+def test_simulate_flags_negative_density(tmp_path, monkeypatch, capsys):
+    # the positivity repro, cut to t = 0.1: u0 = 5 on |x| < 0.5, v0 = exp(-x^2)
+    from flks import cli
+
+    def box(cfg, grid):
+        x = grid.nodes()
+        return FieldPair(np.where(np.abs(x) < 0.5, 5.0, 0.0), np.exp(-x * x), 0.0)
+
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(NEGATIVE_DENSITY)
+    monkeypatch.setattr(cli, "build_initial", box)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "neg")]) == 0
+    out, err = capsys.readouterr()
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "negative cell density min_u=" in warnings[0]
+    min_u = json.loads(out.strip().splitlines()[-1])["summary"]["min_u"]
+    assert min_u < -1.0
+    assert float(warnings[0].split("min_u=")[1]) == pytest.approx(min_u, rel=1e-5)
+
+    # a run that stays nonnegative says nothing and keeps its summary keys
+    cfg_path.write_text(MINIMAL)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "pos")]) == 0
+    out, err = capsys.readouterr()
+    assert "warning" not in err
+    assert "min_u" not in json.loads(out.strip().splitlines()[-1])["summary"]
+
+
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "\n[model]\nbogus = 1\n")

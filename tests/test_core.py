@@ -78,6 +78,27 @@ def test_tabulated_cumulative_range():
         DecayLaw().cumulative(0.0, 1.0)
 
 
+_ALL_LAWS = [ConstantDecay(0.5), PowerLawDecay(0.5), ExponentialDecay(0.5, 0.3), _TABULATED]
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda law: law.kappa(float("nan")),
+        lambda law: law.kappa(np.float64("nan")),
+        lambda law: law.kappa(np.array([0.5, np.nan])),
+        lambda law: law.cumulative(0.5, float("nan")),
+        lambda law: law.cumulative(float("nan"), 0.5),
+    ],
+    ids=["kappa", "kappa-np-scalar", "kappa-array", "cumulative-hi", "cumulative-lo"],
+)
+def test_nan_time_raises_domain_error(law, call):
+    with pytest.raises(DomainError):
+        call(law)
+    assert np.isfinite(law.kappa(0.5)) and np.isfinite(law.cumulative(0.5, 1.0))
+
+
 def test_tabulated_validation():
     with pytest.raises(ValidationError):
         TabulatedDecay(times=(0.0, 0.0), values=(1.0, 2.0))

@@ -15,6 +15,7 @@ from flks.errors import (
 )
 from flks.quadrature import (
     CachedLinearSolution,
+    _panel_weights,
     cumulative_integral,
     d1_uniform,
     d2_uniform,
@@ -354,6 +355,18 @@ def test_exp_kernel_matches_brute_force(r):
         ).value
         assert L[i] == pytest.approx(ref_l, abs=60.0 * h**4)
         assert R[i] == pytest.approx(ref_r, abs=60.0 * h**4)
+
+
+def test_panel_weights_cached_read_only_and_unchanged():
+    for z in (-0.3, 0.0, 0.05, 1.7):
+        first = _panel_weights(z)
+        assert _panel_weights(z) is first
+        fresh = _panel_weights.__wrapped__(z)
+        for w, ref in zip(first, fresh):
+            assert not w.flags.writeable
+            assert w.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            first[1][0] = 0.0
 
 
 def test_exp_kernel_fourth_order_refinement():

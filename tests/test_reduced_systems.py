@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from flks.core import (
     ConstantDecay,
@@ -9,7 +10,7 @@ from flks.core import (
     ModelParams,
     PowerLawDecay,
 )
-from flks.errors import BlowupDetected, StepSizeError, ValidationError
+from flks.errors import BlowupDetected, NoConvergence, StepSizeError, ValidationError
 from flks.exact_solutions import (
     case2_travelling_tanh,
     case3_homogeneous,
@@ -18,6 +19,9 @@ from flks.exact_solutions import (
 from flks.limiters import TanhLimiter, TanhLogLimiter
 from flks.reduced_systems import (
     ReducedProblem,
+    _build_similarity_operator,
+    _fd_jacobian,
+    _steady_residual,
     integrate_homogeneous,
     integrate_travelling_wave,
     solve_self_similar,
@@ -147,6 +151,76 @@ def test_steady_state_defect_history_monotone_tail():
     res = solve_steady_state(prob, n=n)
     hist = res.defect_history
     assert all(b <= a * 1.01 for a, b in zip(hist[1:], hist[2:]))
+
+
+def _dense_fd_jacobian(residual, z, R0, eps=1e-7):
+    # oracle: one residual call per column, every entry differenced
+    scale = eps * max(1.0, float(np.max(np.abs(z))))
+    J = np.empty((z.size, z.size))
+    for c in range(z.size):
+        zp = z.copy()
+        zp[c] += scale
+        J[:, c] = (residual(zp) - R0) / scale
+    return J
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("limiter", [TanhLimiter(1.1, 1.4), TanhLogLimiter(1.1, 0.51)],
+                         ids=["tanh", "tanh_log"])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
+    rng = np.random.default_rng(n)
+    dx = 4.0 / n
+    u = 1.0 + 0.3 * rng.standard_normal(n + 1)
+    v = 2.0 + 0.3 * rng.standard_normal(n + 1)
+    w = np.full(n + 1, dx)
+    w[0] = w[-1] = 0.5 * dx
+
+    def residual(z):
+        Ru, Rv = _steady_residual(z[: n + 1], z[n + 1 :], dx, 0.8, 0.5, limiter, bc,
+                                  (1.0, 1.5), (2.0, 3.0), float(np.dot(w, u)))
+        return np.concatenate([Ru, Rv])
+
+    z = np.concatenate([u, v])
+    R0 = residual(z)
+    J = _fd_jacobian(residual, z, R0, w if bc == "neumann" else None)
+    ref = _dense_fd_jacobian(residual, z, R0)
+    assert J.shape == ref.shape
+    assert np.max(np.abs(J.toarray() - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+class _CountingTanh(TanhLimiter):
+    """TanhLimiter counting its F calls: one per steady residual evaluation."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", 0)
+
+    def F(self, s):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().F(s)
+
+
+def test_newton_step_residual_calls_do_not_grow_with_n():
+    counts = []
+    for n in (64, 256):
+        lim = _CountingTanh(1.1, 1.4)
+        x = np.linspace(0.0, 4.0, n + 1)
+        u0 = 1.0 + 1e-3 * np.cos(np.pi * x / 4.0)
+        prob = ReducedProblem(
+            "steady_state",
+            make_params(limiter=lim),
+            constants={"kappa0": 0.5},
+            domain=(0.0, 4.0),
+            data={"u_init": u0, "v_init": u0 / 0.5, "bc": "neumann"},
+        )
+        try:
+            solve_steady_state(prob, n=n, max_iter=1)
+        except NoConvergence:
+            pass
+        counts.append(lim.calls)
+    assert counts[0] == counts[1]
+    assert counts[0] < 16
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +432,49 @@ def test_self_similar_doubled_grid_consistency():
     V_b_on_a = np.interp(res_a.xi, res_b.xi, res_b.V)
     assert np.max(np.abs(res_a.U - U_b_on_a)) < 1e-4
     assert np.max(np.abs(res_a.V - V_b_on_a)) < 1e-4
+
+
+def _reference_similarity_operator(xi, h):
+    # entry-by-entry assembly of V'' - (xi/2) V' + V/2 with the symmetry and
+    # Robin rows; the vectorised operator must reproduce it bit for bit
+    n = xi.size
+    A = sp.lil_matrix((n, n))
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    for i in range(2, n - 2):
+        for k in range(5):
+            A[i, i - 2 + k] += c2[k] - 0.5 * xi[i] * c1[k]
+        A[i, i] += 0.5
+    c2b = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12 * h * h)
+    c1b = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
+    i = 1
+    for k in range(6):
+        A[i, k] += c2b[k]
+    for k in range(5):
+        A[i, k] += -0.5 * xi[i] * c1b[k]
+    A[i, i] += 0.5
+    i = n - 2
+    for k in range(6):
+        A[i, n - 1 - k] += c2b[k]
+    for k in range(5):
+        A[i, n - 1 - k] += 0.5 * xi[i] * c1b[k]
+    A[i, i] += 0.5
+    c1e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    for k in range(5):
+        A[0, k] = c1e[k]
+    for k in range(5):
+        A[n - 1, n - 1 - k] = -c1e[k]
+    A[n - 1, n - 1] -= 1.0 / xi[-1]
+    return sp.csr_matrix(A)
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_similarity_operator_matches_entrywise_assembly(n):
+    xi = np.linspace(0.0, 10.0, n + 1)
+    h = xi[1] - xi[0]
+    A = _build_similarity_operator(xi, h)
+    ref = _reference_similarity_operator(xi, h)
+    assert A.shape == ref.shape
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert A.data.tobytes() == ref.data.tobytes()
