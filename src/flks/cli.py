@@ -11,7 +11,6 @@ with 17 significant digits, which round-trips double precision losslessly.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import json
@@ -853,13 +852,10 @@ def cmd_sweep(cfg, outdir):
         _validate_config(sub)
         subs.append(sub)
 
-    def one(sub, subdir):
+    for sub, subdir in zip(subs, subdirs):
         os.makedirs(subdir, exist_ok=True)
-        return _COMMANDS[base_command](sub, subdir)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(values))) as ex:
-        results = list(ex.map(one, subs, subdirs))
-    return {"runs": len(results)}
+        _COMMANDS[base_command](sub, subdir)
+    return {"runs": len(subs)}
 
 
 _COMMANDS = {

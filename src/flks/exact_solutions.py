@@ -23,6 +23,7 @@ from .quadrature import (
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
+    first_integral,
     picard_iterate,
 )
 
@@ -305,18 +306,13 @@ def case2_travelling_tanh(
     def U_of(s):
         w = (1.0 + alpha * limiter.F(-alpha * s)) / Da2
         E = cumulative_integral(w, h)
-        X = E - E[i0]
-        U = np.exp(X) * U_ref
-        if C1 != 0.0:
-            G = cumulative_integral(np.exp(-X), h)
-            U = np.exp(X) * (U_ref + (C1 / Da2) * (G - G[i0]))
-        return U, w
+        return first_integral(E - E[i0], h, i0, U_ref, C1 / Da2), w
 
-    def s_of(U, w):
-        dU = U * w + C1 / Da2  # exact first-integral derivative
-        lo = exp_kernel_lower(dU, h, r_minus)
-        up = exp_kernel_upper(dU, h, r_plus)
-        return (lo + up) / (alpha * alpha * dr)
+    def green(f):
+        # the bounded solution V of alpha^2 V'' - tau V' - kappa0 V = -f
+        return (exp_kernel_lower(f, h, r_minus) + exp_kernel_upper(f, h, r_plus)) / (
+            alpha * alpha * dr
+        )
 
     s_init = np.zeros(n + 1) if s_profile is None else np.asarray(
         [float(s_profile(yy)) for yy in y]
@@ -331,7 +327,8 @@ def case2_travelling_tanh(
         def g_map(g):
             s = np.arctanh(np.clip(g, -cap, cap)) / k_tanh
             U, w = U_of(s)
-            return np.tanh(k_tanh * s_of(U, w))
+            # s = V' is the kernel applied to U' = U w + C1/Da2 (exact)
+            return np.tanh(k_tanh * green(U * w + C1 / Da2))
 
         result = picard_iterate(
             g_map,
@@ -345,9 +342,7 @@ def case2_travelling_tanh(
         s = s_init
 
     U, w = U_of(s)
-    V = (exp_kernel_lower(U, h, r_minus) + exp_kernel_upper(U, h, r_plus)) / (
-        alpha * alpha * dr
-    )
+    V = green(U)
 
     u_spline = CubicSpline(y, U, extrapolate=False)
     v_spline = CubicSpline(y, V, extrapolate=False)
@@ -406,15 +401,10 @@ def case2_travelling_tanh(
 # ---------------------------------------------------------------------------
 
 def cellfree_roots(alpha, tau, kappa0, lam):
-    """Roots of alpha^2 r^2 - tau r - (kappa0 - tau lam) = 0, (r1, r2)."""
-    disc = tau * tau + 4.0 * alpha * alpha * (kappa0 - tau * lam)
-    if disc < 0.0:
-        raise ComplexRoots(
-            f"discriminant {disc:.3g} < 0: oscillatory fronts are out of scope"
-        )
-    root = math.sqrt(disc)
-    a2 = 2.0 * alpha * alpha
-    return (tau + root) / a2, (tau - root) / a2
+    """Roots of alpha^2 r^2 - tau r - (kappa0 - tau lam) = 0, (r1, r2): the
+    traveling roots at the effective decay kappa0 - tau lam.  Complex roots
+    (oscillatory fronts) are out of scope and raise ComplexRoots."""
+    return travelling_roots(alpha, tau, kappa0 - tau * lam)
 
 
 def case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0):
@@ -538,10 +528,9 @@ def case4_X4_quadrature(
     for j, t in enumerate(ts):
         z = math.exp(lam * t) * dV
         E = cumulative_integral(limiter.F(z), h) / D
-        X = -(E - E[i0])  # log of mu anchored at x0
-        mu[j] = np.exp(X)  # mu(x0, t) = 1 by the anchoring
-        G = cumulative_integral(mu[j], h)
-        U[j] = (U_ref + (C1_fn(t) / D) * (G - G[i0])) / mu[j]
+        X = E - E[i0]  # -log of mu anchored at x0, so mu(x0, t) = 1
+        mu[j] = np.exp(-X)
+        U[j] = first_integral(X, h, i0, U_ref, C1_fn(t) / D)
 
     scaled = np.exp(-lam * ts)[:, None] * U
     diag = float(np.max(scaled.max(axis=0) - scaled.min(axis=0))) if ts.size > 1 else 0.0

@@ -176,8 +176,11 @@ def total_mass(u, grid, bc):
 def run(initial, params, config):
     """Advance to t_end with the adaptive CFL step.
 
-    Frames are recorded every output_stride steps and at t_end.  Failures
-    during stepping propagate with the failing time attached by step().
+    Frames are recorded every output_stride steps and at t_end.  Each
+    frame's min_u entry is the minimum of u over every step since the
+    previous frame (the first entry: the initial state), so a negative
+    density between frames is still reported.  Failures during stepping
+    propagate with the failing time attached by step().
     """
     state = initial.copy()
     if state.u.size != config.grid.n + 1:
@@ -191,18 +194,21 @@ def run(initial, params, config):
     vs = [state.v.copy()]
     mass = [total_mass(state.u, config.grid, config.bc)]
     min_u = [float(np.min(state.u))]
+    low = np.inf  # the minimum of u over the steps since the last frame
     steps = 0
     t_end = float(config.t_end)
     while state.t < t_end - 1e-14:
         dt = min(stable_dt(params, config), t_end - state.t)
         state = step(state, params, config, dt)
         steps += 1
+        low = min(low, float(np.min(state.u)))
         if steps % config.output_stride == 0 or state.t >= t_end - 1e-14:
             times.append(state.t)
             us.append(state.u.copy())
             vs.append(state.v.copy())
             mass.append(total_mass(state.u, config.grid, config.bc))
-            min_u.append(float(np.min(state.u)))
+            min_u.append(low)
+            low = np.inf
     return Trajectory(
         grid=config.grid,
         bc=config.bc,

@@ -3,9 +3,10 @@
 Contains the adaptive Simpson integrator, the integrating-factor solver for
 y' + a(t) y = b with an exactly integrated a and a constant b, the
 exponential integral Ei, the Picard fixed-point engine (one adaptive damping
-policy), and fourth-order uniform-grid helpers (cumulative integrals,
-derivative stencils, exponential-kernel convolutions) used by the solution
-constructors.
+policy), and fourth-order uniform-grid helpers (cumulative integrals, the
+linear first integral, exponential-kernel convolutions, and derivatives from
+one stencil table, applied to arrays or assembled as sparse matrices) used
+by the solution constructors, the reduced solvers and the residual checks.
 """
 
 import functools
@@ -14,6 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expi
 
 from .errors import (
     DivergenceDetected,
@@ -23,9 +26,6 @@ from .errors import (
     NoConvergence,
     OverflowGuard,
 )
-
-_EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399235988
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -191,72 +191,18 @@ class CachedLinearSolution:
         return y
 
 
-def _ei_series(x):
-    s = _EULER_GAMMA + math.log(abs(x))
-    term = 1.0
-    total = 0.0
-    for k in range(1, 6000):
-        term *= x / k
-        inc = term / k
-        total += inc
-        if abs(inc) < 1e-18 * max(1.0, abs(total)) and k > abs(x):
-            break
-    return s + total
-
-
-def _e1_continued_fraction(z):
-    """E1(z) for z > 0 by the modified Lentz continued fraction."""
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 400):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-z)
-
-
-def _ei_asymptotic(x):
-    s = 1.0
-    term = 1.0
-    for k in range(1, 1000):
-        nxt = term * k / x
-        if nxt >= term:
-            break
-        term = nxt
-        s += term
-        if term < 1e-18 * s:
-            break
-    return math.exp(x) / x * s
-
-
 def exp_integral_Ei(x):
-    """Principal-value exponential integral Ei(x), x != 0.
+    """Principal-value exponential integral Ei(x), x != 0 (scipy's expi).
 
-    Branches: power series for moderate arguments, the Lentz continued
-    fraction of E1 for x < -3.5 (where the alternating series loses digits),
-    and the asymptotic expansion for x > 40.  Relative accuracy is about
-    1e-13 across |x| in [1e-300, 709].
+    Raises DomainError at the singularity x = 0 and OverflowGuard above 709,
+    where Ei overflows double precision.
     """
     x = float(x)
     if x == 0.0:
         raise DomainError("Ei is singular at x = 0")
     if x > 709.0:
         raise OverflowGuard("Ei(x) overflows double precision for x > 709")
-    if x < -3.5:
-        return -_e1_continued_fraction(-x)
-    if x > 40.0:
-        return _ei_asymptotic(x)
-    return _ei_series(x)
+    return float(expi(x))
 
 
 @dataclass
@@ -351,37 +297,88 @@ def cumulative_integral(values, h):
     return h * out
 
 
-def d1_uniform(f, h):
-    """First derivative of uniformly sampled values, 4th-order stencils."""
+def first_integral(X, h, i0, base, c):
+    """U = e^X (base + c (G - G[i0])), G the cumulative integral of e^-X: the
+    solution of U' = X' U + c through U[i0] = base e^X[i0], with X sampled
+    on a uniform grid of step h.  c = 0 skips the quadrature."""
+    eX = np.exp(X)
+    if c == 0.0:
+        return eX * base
+    G = cumulative_integral(np.exp(-X), h)
+    return eX * (base + c * (G - G[i0]))
+
+
+# Fourth-order difference rows as integer numerators over 12 (Fornberg,
+# Math. Comp. 51, 1988), keyed by derivative order: the interior row on
+# offsets -2..2, then the one-sided row of node 0 and the near-edge row of
+# node 1, both on nodes 0, 1, ...  Node n-1-i uses row i mirrored, negated
+# for the first derivative.
+_STENCILS = {
+    1: ((1, -8, 0, 8, -1), (-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)),
+    2: ((-1, 16, -30, 16, -1), (45, -154, 214, -156, 61, -10), (10, -15, -4, 14, -6, 1)),
+}
+
+
+def _combine(row, cols):
+    """sum_k row[k] * cols[k] over the nonzero entries, added left to right."""
+    return sum(c * col for c, col in zip(row, cols) if c)
+
+
+def _numerators(f, order):
+    """The table's rows applied to the samples f: 12 h^order times their
+    derivative of the given order."""
     f = np.asarray(f, dtype=float)
     n = f.size
-    if n < 6:
-        raise DomainError("d1_uniform needs at least 6 samples")
+    if n < 5 + order:
+        raise DomainError(f"d{order}_uniform needs at least {5 + order} samples")
+    mid, edge, near = _STENCILS[order]
+    sign = -1 if order == 1 else 1
     out = np.empty(n)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    out[2:-2] = _combine(mid, [f[k : n - 4 + k] for k in range(5)])
+    for i, row in ((0, edge), (1, near)):
+        out[i] = _combine(row, f)
+        out[-1 - i] = _combine([sign * c for c in row], f[::-1])
     return out
+
+
+def central_d1(levels, h):
+    """Fourth-order first derivative at the middle of five samples spaced h
+    apart, by the table's interior row; the samples may be arrays."""
+    return _combine(_STENCILS[1][0], levels) / (12.0 * h)
+
+
+def d1_uniform(f, h):
+    """First derivative of uniformly sampled values, 4th-order stencils."""
+    return _numerators(f, 1) / (12.0 * h)
 
 
 def d2_uniform(f, h):
     """Second derivative of uniformly sampled values, 4th-order stencils."""
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    if n < 7:
-        raise DomainError("d2_uniform needs at least 7 samples")
-    h2 = h * h
-    out = np.empty(n)
-    out[2:-2] = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h2)
-    c0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-    c1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-    out[0] = np.dot(c0, f[:6]) / h2
-    out[1] = np.dot(c1, f[:6]) / h2
-    out[-2] = np.dot(c1, f[-6:][::-1]) / h2
-    out[-1] = np.dot(c0, f[-6:][::-1]) / h2
-    return out
+    return _numerators(f, 2) / (12.0 * (h * h))
+
+
+def difference_matrix(order, n, h):
+    """The n x n CSR matrix of the fourth-order derivative of the given order
+    (1 or 2) on n uniform nodes of step h: the rows of d1_uniform and
+    d2_uniform, with entries numerator / (12 h^order) (12 h h for order 2)."""
+    mid, edge, near = _STENCILS[order]
+    sign = -1 if order == 1 else 1
+    scale = 12.0 * h if order == 1 else 12.0 * h * h
+    inner = np.arange(2, n - 2)
+    rows = [np.repeat(inner, 5)]
+    cols = [(inner[:, None] + np.arange(-2, 3)).ravel()]
+    vals = [np.tile(np.asarray(mid, dtype=float) / scale, inner.size)]
+    for i, row in ((0, edge), (1, near)):
+        k = np.arange(len(row))
+        c = np.asarray(row, dtype=float) / scale
+        rows += [np.full(k.size, i), np.full(k.size, n - 1 - i)]
+        cols += [k, n - 1 - k]
+        vals += [c, sign * c]
+    A = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    A.eliminate_zeros()
+    return A
 
 
 def _poly_exp_moments(z, kmax=3, terms=30):
@@ -391,21 +388,14 @@ def _poly_exp_moments(z, kmax=3, terms=30):
         raise DomainError("panel exponent too large; refine the grid")
     out = np.empty(kmax + 1)
     for k in range(kmax + 1):
-        fact = 1.0
-        for j in range(2, k + 2):
-            fact *= j
-        term = 1.0 / fact  # z^0 / (k+1)!
+        term = 1.0 / math.factorial(k + 1)  # z^0 / (k+1)!
         s = term
         for m in range(1, terms):
             term *= z / (k + 1 + m)
             s += term
             if abs(term) < 1e-18 * abs(s):
                 break
-        # multiply by k!
-        kf = 1.0
-        for j in range(2, k + 1):
-            kf *= j
-        out[k] = s * kf
+        out[k] = s * math.factorial(k)
     return out
 
 

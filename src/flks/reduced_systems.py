@@ -1,7 +1,7 @@
 """Direct numerical integration of the reduced ODE/BVP systems.
 
 These solvers are deliberately independent of the closed-form constructors in
-exact_solutions: RK4 marching for the homogeneous and traveling reductions, a
+exact_solutions: one RK4 march for the homogeneous and traveling reductions, a
 damped Newton iteration for steady states, and a Picard loop around a sparse
 fourth-order boundary-value solve for the self-similar profiles.  They are
 the cross-checks the exact families are validated against.
@@ -21,7 +21,15 @@ from .errors import (
     ValidationError,
 )
 from .limiters import TanhLogLimiter
-from .quadrature import cumulative_integral, d1_uniform, d2_uniform, picard_iterate
+from .pde_solver import _ghost_fill
+from .quadrature import (
+    cumulative_integral,
+    d1_uniform,
+    d2_uniform,
+    difference_matrix,
+    first_integral,
+    picard_iterate,
+)
 
 _KINDS = ("homogeneous", "steady_state", "travelling_wave", "self_similar")
 
@@ -56,6 +64,33 @@ class HomogeneousResult:
     V: np.ndarray
 
 
+def _rk4_march(f, z0, span, h):
+    """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
+
+    The step is adjusted to divide the span evenly.  Returns the nodes and
+    the states, one row per node; any component exceeding 1e12 raises
+    BlowupDetected.
+    """
+    if h <= 0.0:
+        raise StepSizeError(f"step must be positive, got {h!r}")
+    s0, s1 = span
+    n = max(1, int(round((s1 - s0) / h)))
+    h = (s1 - s0) / n
+    ss = s0 + h * np.arange(n + 1)
+    Z = np.empty((n + 1, len(z0)))
+    Z[0] = z0
+    for k in range(n):
+        s, z = ss[k], Z[k]
+        k1 = f(s, z)
+        k2 = f(s + 0.5 * h, z + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, z + 0.5 * h * k2)
+        k4 = f(s + h, z + h * k3)
+        Z[k + 1] = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.max(np.abs(Z[k + 1])) > 1e12:
+            raise BlowupDetected(f"solution exceeded 1e12 at y={ss[k+1]:g}")
+    return ss, Z
+
+
 def integrate_homogeneous(problem, h=1e-3):
     """RK4 integration of U' = 0, tau V' = -kappa(t) V + U over the domain.
 
@@ -63,32 +98,15 @@ def integrate_homogeneous(problem, h=1e-3):
     assumed; its increments vanish identically, keeping it constant to the
     last bit.
     """
-    if h <= 0.0:
-        raise StepSizeError(f"step must be positive, got {h!r}")
-    t0, t1 = problem.domain
     tau = problem.params.tau
     law = problem.params.decay
-    U0 = float(problem.data.get("U0", 1.0))
-    V0 = float(problem.data.get("V0", 0.0))
-    n = max(1, int(round((t1 - t0) / h)))
-    h = (t1 - t0) / n
-    ts = t0 + h * np.arange(n + 1)
-    U = np.empty(n + 1)
-    V = np.empty(n + 1)
-    U[0], V[0] = U0, V0
+    z0 = [float(problem.data.get("U0", 1.0)), float(problem.data.get("V0", 0.0))]
 
-    def dv(t, u, v):
-        return (-law.kappa(t) * v + u) / tau
+    def f(t, z):
+        return np.array([0.0, (-law.kappa(t) * z[1] + z[0]) / tau])
 
-    for k in range(n):
-        t, u, v = ts[k], U[k], V[k]
-        k1u, k1v = 0.0, dv(t, u, v)
-        k2u, k2v = 0.0, dv(t + 0.5 * h, u, v + 0.5 * h * k1v)
-        k3u, k3v = 0.0, dv(t + 0.5 * h, u, v + 0.5 * h * k2v)
-        k4u, k4v = 0.0, dv(t + h, u, v + h * k3v)
-        U[k + 1] = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        V[k + 1] = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return HomogeneousResult(ts, U, V)
+    ts, Z = _rk4_march(f, z0, problem.domain, h)
+    return HomogeneousResult(ts, Z[:, 0], Z[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +137,11 @@ def _steady_residual(u, v, dx, D, kappa0, limiter, bc, u_bc, v_bc, mass_target):
     Ru = D * (ue[2:] - 2.0 * u + ue[:-2]) / dx**2 - (J[1:] - J[:-1]) / dx
     Rv = (ve[2:] - 2.0 * v + ve[:-2]) / dx**2 - kappa0 * v + u
     if bc == "neumann":
-        # zero-flux kills the boundary face fluxes entirely
-        Ru[0] = D * 2.0 * (u[1] - u[0]) / dx**2 - J[1] / dx
-        Ru[-1] = D * 2.0 * (u[-2] - u[-1]) / dx**2 + J[-2] / dx
-        # the u-equation only fixes u up to total mass: pin it
-        w = np.full(n + 1, dx)
-        w[0] = w[-1] = 0.5 * dx
-        Ru[0] = float(np.dot(w, u)) - mass_target
+        # the boundary node owns a half cell with a zero-flux outer face, so
+        # its balance divides the inner face's flux by dx/2
+        Ru[-1] = D * 2.0 * (u[-2] - u[-1]) / dx**2 + 2.0 * J[-2] / dx
+        # the u-equation only fixes u up to total mass: pin it (row 0)
+        Ru[0] = float(np.dot(_ghost_fill(n, dx, bc)[2], u)) - mass_target
     else:
         Ru[0] = u[0] - u_bc[0]
         Ru[-1] = u[-1] - u_bc[1]
@@ -137,9 +153,11 @@ def _steady_residual(u, v, dx, D, kappa0, limiter, bc, u_bc, v_bc, mass_target):
 def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     """Damped Newton solve of 0 = D U'' - (U F(V'))', 0 = V'' - kappa0 V + U.
 
-    Second-order central differences with centered face averages; under
-    zero-flux boundaries the cell mass is a free direction of the u-equation,
-    so one residual row pins the trapezoid mass of the initial guess.  The
+    Second-order central differences with centered face averages.  Under
+    zero-flux boundaries the boundary nodes own half cells, as in the PDE
+    solver, so their rows balance the inner face flux over dx/2; the cell
+    mass is then a free direction of the u-equation, and one residual row
+    pins the trapezoid mass of the initial guess.  The
     Jacobian is a sparse forward difference coloured by the three-point
     stencil (six residual calls per Newton step at any n, see
     ``_fd_jacobian``) and each step is one sparse LU solve; a halving line
@@ -155,8 +173,7 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     v = np.asarray(problem.data.get("v_init", u / max(kappa0, 1e-12)), dtype=float).copy()
     u_bc = problem.data.get("u_bc", (u[0], u[-1]))
     v_bc = problem.data.get("v_bc", (v[0], v[-1]))
-    w = np.full(n + 1, dx)
-    w[0] = w[-1] = 0.5 * dx
+    w = _ghost_fill(n, dx, "neumann")[2]
     mass_target = float(np.dot(w, u))
     mass_row = w if bc == "neumann" else None
     limiter = params.limiter
@@ -251,29 +268,13 @@ def integrate_travelling_wave(problem, h=1e-3):
     equation; s' from the second.  Any component exceeding 1e12 raises
     BlowupDetected.
     """
-    if h <= 0.0:
-        raise StepSizeError(f"step must be positive, got {h!r}")
     params = problem.params
     alpha = float(problem.constants["alpha"])
     kappa0 = float(problem.constants.get("kappa0", getattr(params.decay, "kappa0", 0.0)))
     D, tau = params.D, params.tau
     lim = params.limiter
     Da2 = D * alpha * alpha
-    y0, y1 = problem.domain
-    z0 = np.asarray(
-        [
-            problem.data.get("U0", 0.0),
-            problem.data.get("dU0", 0.0),
-            problem.data.get("V0", 0.0),
-            problem.data.get("s0", 0.0),
-        ],
-        dtype=float,
-    )
-    n = max(1, int(round((y1 - y0) / h)))
-    h = (y1 - y0) / n
-    ys = y0 + h * np.arange(n + 1)
-    Z = np.empty((n + 1, 4))
-    Z[0] = z0
+    z0 = [float(problem.data.get(k, 0.0)) for k in ("U0", "dU0", "V0", "s0")]
 
     def f(y, z):
         U, W, V, S = z
@@ -281,15 +282,7 @@ def integrate_travelling_wave(problem, h=1e-3):
         Upp = (W * (1.0 + alpha * lim.F(-alpha * S)) - alpha * alpha * U * lim.dF(-alpha * S) * Sp) / Da2
         return np.array([W, Upp, S, Sp])
 
-    for k in range(n):
-        y, z = ys[k], Z[k]
-        k1 = f(y, z)
-        k2 = f(y + 0.5 * h, z + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h, z + 0.5 * h * k2)
-        k4 = f(y + h, z + h * k3)
-        Z[k + 1] = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.abs(Z[k + 1])) > 1e12:
-            raise BlowupDetected(f"solution exceeded 1e12 at y={ys[k+1]:g}")
+    ys, Z = _rk4_march(f, z0, problem.domain, h)
     return TravellingWaveResult(ys, Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3])
 
 
@@ -303,40 +296,11 @@ def _build_similarity_operator(xi, h):
     V'(xi_max) - V(xi_max)/xi_max = 0 (admits the linear far field, excludes
     the exponentially growing homogeneous mode)."""
     n = xi.size
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    c2b = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12 * h * h)
-    c1b = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-    c1e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    # interior rows 2..n-3: the 5-point band, one column per offset
-    inner = np.arange(2, n - 2)
-    band = c2 - 0.5 * xi[inner, None] * c1
-    band[:, 2] += 0.5
-    rows = [np.repeat(inner, 5)]
-    cols = [(inner[:, None] + np.arange(-2, 3)).ravel()]
-    vals = [band.ravel()]
-    # rows 1 and n-2: one-sided six-point second and five-point first
-    # derivatives, mirrored at the far end
-    near = c2b.copy()
-    near[:5] += -0.5 * xi[1] * c1b
-    near[1] += 0.5
-    far = c2b.copy()
-    far[:5] += 0.5 * xi[n - 2] * c1b
-    far[1] += 0.5
-    # row 0: V'(0) = 0; row n-1: the Robin row
-    robin = -c1e
-    robin[0] -= 1.0 / xi[-1]
-    k6, k5 = np.arange(6), np.arange(5)
-    edges = ((1, k6, near), (n - 2, n - 1 - k6, far), (0, k5, c1e), (n - 1, n - 1 - k5, robin))
-    for i, c, v in edges:
-        rows.append(np.full(c.size, i))
-        cols.append(c)
-        vals.append(v)
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    A.eliminate_zeros()
-    return A
+    D1 = difference_matrix(1, n, h)
+    D2 = difference_matrix(2, n, h)
+    A = D2 - sp.diags(0.5 * xi) @ D1 + 0.5 * sp.identity(n, format="csr")
+    robin = D1[n - 1] - sp.csr_matrix(([1.0 / xi[-1]], ([0], [n - 1])), shape=(1, n))
+    return sp.vstack([D1[0], A[1 : n - 1], robin], format="csr")
 
 
 @dataclass
@@ -390,21 +354,17 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     lu = spla.splu(A.tocsc())
 
     def U_of(S):
-        E = cumulative_integral(lim.F(S), h) / D
-        X = -(xi * xi) / (4.0 * D) + E
-        U = U0 * np.exp(X)
-        if C1 != 0.0:
-            G = cumulative_integral(np.exp(-X), h)
-            U = np.exp(X) * (U0 + (C1 / D) * G)
-        return U
+        X = -(xi * xi) / (4.0 * D) + cumulative_integral(lim.F(S), h) / D
+        return first_integral(X, h, 0, U0, C1 / D)
 
-    def S_of(S):
-        U = U_of(S)
+    def V_of(U):
         rhs = U.copy()
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        V = lu.solve(rhs)
-        return d1_uniform(V, h)
+        return lu.solve(rhs)
+
+    def S_of(S):
+        return d1_uniform(V_of(U_of(S)), h)
 
     history = []
     converged = True
@@ -418,10 +378,7 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
         converged = False
 
     U = U_of(S)
-    rhs = U.copy()
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    V = lu.solve(rhs)
+    V = V_of(U)
     S = d1_uniform(V, h)
 
     inner = slice(4, -4)

@@ -21,6 +21,7 @@ from .errors import (
     UnsupportedGenerator,
     ValidationError,
 )
+from .quadrature import central_d1, d1_uniform, d2_uniform
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ def _transformed_pair(sol, kind, eps, lam=0.0):
     raise UnsupportedGenerator(f"no finite transform for {kind!r}")
 
 
-_T_STENCIL = (1.0, -8.0, 0.0, 8.0, -1.0)
 _PAD = 4
 
 
@@ -60,8 +60,6 @@ def _residual(samples, params, ht, grid, x_loc):
     on the nodes x_loc padded by _PAD nodes on each side; the residual is
     measured on x_loc only, where the padded 4th-order stencils are central.
     """
-    from .quadrature import d1_uniform, d2_uniform
-
     dx = grid.dx
     D, tau, lim = params.D, params.tau, params.limiter
     sl = slice(_PAD, -_PAD)
@@ -71,8 +69,8 @@ def _residual(samples, params, ht, grid, x_loc):
     count = 0
     ts = []
     for t, levels_u, levels_v in samples:
-        u_t = sum(c * lev for c, lev in zip(_T_STENCIL, levels_u)) / (12.0 * ht)
-        v_t = sum(c * lev for c, lev in zip(_T_STENCIL, levels_v)) / (12.0 * ht)
+        u_t = central_d1(levels_u, ht)
+        v_t = central_d1(levels_v, ht)
         u = levels_u[2]
         v = levels_v[2]
         u_xx = d2_uniform(u, dx)

@@ -283,6 +283,24 @@ def test_main_sweep(tmp_path):
         assert (out / sub / "trajectory.csv").exists()
 
 
+def _csv_body(path):
+    return b"".join(line for line in path.read_bytes().splitlines(True)
+                    if not line.startswith(b"#"))
+
+
+def test_sweep_members_match_solo_runs(tmp_path):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + _sweep("decay.kappa0", "0.4,0.6"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for value in ("0.4", "0.6"):
+        solo = tmp_path / f"solo{value}"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(solo),
+                     "--override", f"decay.kappa0={value}"]) == 0
+        member = out / f"decay.kappa0={value}" / "trajectory.csv"
+        assert _csv_body(member) == _csv_body(solo / "trajectory.csv")
+
+
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 

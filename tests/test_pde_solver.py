@@ -262,3 +262,19 @@ def test_neumann_rhs_is_periodic_rhs_of_even_extension():
     )
     for a, b in zip(neu, per):
         assert np.max(np.abs(a - b[n:])) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_min_u_covers_the_steps_between_frames():
+    # the positivity repro: a box of cells under a steep signal, 256 steps to
+    # t = 0.02; only the last step is a frame at output_stride = 1000
+    p = ModelParams(D=0.05, tau=0.1, limiter=TanhLimiter(5.0, 0.2), decay=ConstantDecay(0.5))
+    grid = Grid1D(-4.0, 4.0, 128)
+    x = grid.nodes()
+    init = FieldPair(np.where(np.abs(x) < 0.5, 5.0, 0.0), np.exp(-x * x), 0.0)
+    sparse = run(init, p, SolverConfig(grid=grid, t_end=0.02, output_stride=1000))
+    dense = run(init, p, SolverConfig(grid=grid, t_end=0.02, output_stride=1))
+    assert sparse.steps_taken == 256 and sparse.times.size == 2
+    assert sparse.min_u[0] == 0.0
+    assert sparse.min_u[1] == np.min(dense.min_u[1:])
+    assert sparse.min_u[1] == pytest.approx(-0.1416, abs=5e-5)
+    assert np.min(sparse.us[-1]) > -0.11  # the last frame alone reads -0.1018

@@ -19,6 +19,7 @@ from flks.quadrature import (
     cumulative_integral,
     d1_uniform,
     d2_uniform,
+    difference_matrix,
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
@@ -236,19 +237,6 @@ def test_ei_domain_and_overflow():
         exp_integral_Ei(710.0)
 
 
-def test_ei_branch_crossovers_agree():
-    # series vs continued fraction near the negative switch
-    from flks.quadrature import _e1_continued_fraction, _ei_series
-
-    for x in (-3.2, -3.5, -3.8, -4.5):
-        assert _ei_series(x) == pytest.approx(-_e1_continued_fraction(-x), rel=2e-13)
-    # series vs asymptotic near the positive switch
-    from flks.quadrature import _ei_asymptotic
-
-    for x in (38.0, 40.0, 42.0):
-        assert _ei_series(x) == pytest.approx(_ei_asymptotic(x), rel=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # picard_iterate
 # ---------------------------------------------------------------------------
@@ -335,6 +323,20 @@ def test_derivative_stencils_fourth_order():
     f = np.sin(4.0 * x)
     assert np.max(np.abs(d1_uniform(f, h) - 4.0 * np.cos(4.0 * x))) < 1e3 * h**4
     assert np.max(np.abs(d2_uniform(f, h) + 16.0 * np.sin(4.0 * x))) < 1e4 * h**4
+
+
+@pytest.mark.parametrize("n", [7, 12, 201])
+def test_difference_matrices_apply_the_stencil_table(n):
+    # the sparse rows and the array stencils come from one table; they differ
+    # only in rounding, measured against each row's magnitude |A| |f|
+    x = np.linspace(-1.0, 2.0, n)
+    h = x[1] - x[0]
+    f = np.exp(x) * np.sin(3.0 * x) + 2.0
+    for order, dense in ((1, d1_uniform), (2, d2_uniform)):
+        A = difference_matrix(order, n, h)
+        ref = dense(f, h)
+        assert A.shape == (n, n)
+        assert np.all(np.abs(A @ f - ref) <= 1e-13 * (abs(A) @ np.abs(f)))
 
 
 @settings(max_examples=15, deadline=None)

@@ -133,6 +133,26 @@ def test_steady_state_recovers_uniform_from_noise():
     assert np.max(np.abs(res.V - c / 0.5)) < 1e-7
 
 
+def test_steady_state_carries_no_net_flux():
+    # a zero-flux steady state has D u_x = u F(v_x) on every face; a boundary
+    # row that balances a full cell against a half cell leaves a net flux
+    # (0.043 at this n) through a spurious boundary aggregate
+    p = make_params()
+    n = 24
+    x = np.linspace(-4.0, 4.0, n + 1)
+    prob = ReducedProblem(
+        "steady_state",
+        p,
+        constants={"kappa0": 0.5},
+        domain=(-4.0, 4.0),
+        data={"u_init": 1.0 + 0.3 * np.exp(-x * x / 0.5), "bc": "neumann"},
+    )
+    res = solve_steady_state(prob, n=n)
+    dx = x[1] - x[0]
+    J = 0.5 * (res.U[1:] + res.U[:-1]) * p.limiter.F(np.diff(res.V) / dx)
+    assert np.max(np.abs(p.D * np.diff(res.U) / dx - J)) < 1e-9
+
+
 def test_steady_state_defect_history_monotone_tail():
     p = make_params()
     rng = np.random.default_rng(5)
