@@ -138,6 +138,12 @@ class TabulatedDecay(DecayLaw):
         # integrals of the interpolant from times[0] to each knot
         seg = np.cumsum(0.5 * np.add(values[1:], values[:-1]) * np.diff(times))
         object.__setattr__(self, "_seg", (0.0, *seg.tolist()))
+        # the knots as read-only arrays, so np.interp does not convert the
+        # tuples on every call
+        for name, knots in (("_t", times), ("_k", values)):
+            arr = np.array(knots)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def kappa(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -145,7 +151,7 @@ class TabulatedDecay(DecayLaw):
             raise DomainError(
                 f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
-        out = np.interp(t_arr, self.times, self.values)
+        out = np.interp(t_arr, self._t, self._k)
         return out if np.ndim(t) else float(out)
 
     def cumulative(self, a, b):

@@ -36,20 +36,23 @@ class PolyExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    self.terms[tuple(int(e) for e in mono)] = (
-                        self.terms.get(tuple(mono), Fraction(0)) + c
-                    )
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
+        self.terms = self._from_pairs(
+            (tuple(int(e) for e in m), Fraction(c)) for m, c in (terms or {}).items()
+        ).terms
+
+    @classmethod
+    def _from_pairs(cls, pairs):
+        """The sum of (monomial, coefficient) pairs, zero coefficients dropped."""
+        sums = {}
+        for m, c in pairs:
+            sums[m] = sums.get(m, 0) + c
+        res = cls.__new__(cls)
+        res.terms = {m: c for m, c in sums.items() if c != 0}
+        return res
 
     @staticmethod
     def constant(c):
-        c = Fraction(c)
-        return PolyExpr({(0, 0, 0, 0): c}) if c != 0 else PolyExpr()
+        return PolyExpr({(0, 0, 0, 0): c})
 
     @staticmethod
     def variable(name):
@@ -70,68 +73,34 @@ class PolyExpr:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        res = PolyExpr()
-        res.terms = out
-        return res
+        return self._from_pairs([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        res = PolyExpr()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return self._from_pairs((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, k):
         k = Fraction(k)
-        res = PolyExpr()
-        if k != 0:
-            res.terms = {m: c * k for m, c in self.terms.items()}
-        return res
+        return self._from_pairs((m, c * k) for m, c in self.terms.items())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        res = PolyExpr()
-        res.terms = out
-        return res
+        return self._from_pairs(
+            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
     def partial(self, name):
         i = _VARS.index(name)
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            mono = list(m)
-            k = mono[i]
-            mono[i] = k - 1
-            mono = tuple(mono)
-            s = out.get(mono, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        res = PolyExpr()
-        res.terms = out
-        return res
+        return self._from_pairs(
+            (m[:i] + (m[i] - 1,) + m[i + 1 :], c * m[i]) for m, c in self.terms.items() if m[i]
+        )
 
     def __repr__(self):
         if not self.terms:

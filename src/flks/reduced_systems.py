@@ -2,18 +2,20 @@
 
 These solvers are deliberately independent of the closed-form constructors in
 exact_solutions: one RK4 march for the homogeneous and traveling reductions, a
-damped Newton iteration for steady states, and a Picard loop around a sparse
-fourth-order boundary-value solve for the self-similar profiles.  They are
-the cross-checks the exact families are validated against.
+damped Newton iteration on the PDE solver's own operator for steady states,
+and a Picard loop around a sparse fourth-order boundary-value solve for the
+self-similar profiles.  They are the cross-checks the exact families are
+validated against.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams
+from .core import ConstantDecay, Grid1D, ModelParams, PowerLawDecay
 from .errors import (
     BlowupDetected,
     NoConvergence,
@@ -21,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .limiters import TanhLogLimiter
-from .pde_solver import _ghost_fill
+from .pde_solver import SolverConfig, _ghost_fill, _rhs
 from .quadrature import (
     cumulative_integral,
     d1_uniform,
@@ -51,6 +53,19 @@ class ReducedProblem:
         if self.kind == "travelling_wave":
             if not self.constants.get("alpha"):
                 raise ValidationError(f"{self.kind} requires a nonzero alpha")
+
+
+def _decay_constant(problem, name, law):
+    """constants[name], else the attribute of the decay law when it is a
+    ``law``; any other law raises ValidationError instead of reading 0."""
+    if name in problem.constants:
+        return float(problem.constants[name])
+    if isinstance(problem.params.decay, law):
+        return float(getattr(problem.params.decay, name))
+    raise ValidationError(
+        f"the {problem.kind} reduction needs constants[{name!r}] or a "
+        f"{law.__name__} law, got {type(problem.params.decay).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,66 +138,43 @@ class SteadyStateResult:
     iterations: int
 
 
-def _steady_residual(u, v, dx, D, kappa0, limiter, bc, u_bc, v_bc, mass_target):
-    n = u.size - 1
-    if bc == "neumann":
-        ue = np.concatenate([u[1:2], u, u[-2:-1]])
-        ve = np.concatenate([v[1:2], v, v[-2:-1]])
-    else:
-        ue = np.concatenate([[2 * u_bc[0] - u[1]], u, [2 * u_bc[1] - u[-2]]])
-        ve = np.concatenate([[2 * v_bc[0] - v[1]], v, [2 * v_bc[1] - v[-2]]])
-    s_face = (ve[1:] - ve[:-1]) / dx          # n+2 faces of the extended grid
-    ubar = 0.5 * (ue[1:] + ue[:-1])
-    J = ubar * limiter.F(s_face)
-    Ru = D * (ue[2:] - 2.0 * u + ue[:-2]) / dx**2 - (J[1:] - J[:-1]) / dx
-    Rv = (ve[2:] - 2.0 * v + ve[:-2]) / dx**2 - kappa0 * v + u
-    if bc == "neumann":
-        # the boundary node owns a half cell with a zero-flux outer face, so
-        # its balance divides the inner face's flux by dx/2
-        Ru[-1] = D * 2.0 * (u[-2] - u[-1]) / dx**2 + 2.0 * J[-2] / dx
-        # the u-equation only fixes u up to total mass: pin it (row 0)
-        Ru[0] = float(np.dot(_ghost_fill(n, dx, bc)[2], u)) - mass_target
-    else:
-        Ru[0] = u[0] - u_bc[0]
-        Ru[-1] = u[-1] - u_bc[1]
-        Rv[0] = v[0] - v_bc[0]
-        Rv[-1] = v[-1] - v_bc[1]
-    return Ru, Rv
+def _steady_residual(u, v, params, config, mass_target):
+    """The PDE solver's right-hand side as the rows (u_t, tau v_t), with row 0
+    pinning the trapezoid mass; zero exactly where ``pde_solver.run`` stops.
+    ``params.decay`` must be constant, so the time argument is immaterial."""
+    du, dv = _rhs(u, v, 0.0, params, config)
+    w = _ghost_fill(u.size - 1, config.grid.dx, config.bc)[2]
+    du[0] = float(np.dot(w, u)) - mass_target
+    return du, params.tau * dv
 
 
 def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
-    """Damped Newton solve of 0 = D U'' - (U F(V'))', 0 = V'' - kappa0 V + U.
+    """Damped Newton solve for a zero-flux steady state under constant decay.
 
-    Second-order central differences with centered face averages.  Under
-    zero-flux boundaries the boundary nodes own half cells, as in the PDE
-    solver, so their rows balance the inner face flux over dx/2; the cell
-    mass is then a free direction of the u-equation, and one residual row
-    pins the trapezoid mass of the initial guess.  The
-    Jacobian is a sparse forward difference coloured by the three-point
-    stencil (six residual calls per Newton step at any n, see
-    ``_fd_jacobian``) and each step is one sparse LU solve; a halving line
-    search keeps the defect monotone.
+    The steady state is a zero of the PDE solver's own semi-discrete operator
+    (``pde_solver._rhs``, Neumann boundaries), so ``simulate`` started from it
+    does not move.  The cell mass is a free direction of the u-equation, and
+    row 0 pins the trapezoid mass of the initial guess.  The Jacobian is a
+    sparse forward difference coloured by the five-point stencil (ten
+    residual calls per Newton step at any n, see ``_fd_jacobian``) and each
+    step is one sparse LU solve; a halving line search keeps the defect
+    monotone.  Only ``bc = "neumann"`` is accepted: periodic node n aliases
+    node 0, which would make the Jacobian singular.
     """
-    params = problem.params
-    kappa0 = float(problem.constants.get("kappa0", getattr(params.decay, "kappa0", 0.0)))
     bc = problem.data.get("bc", "neumann")
-    x0, x1 = problem.domain
-    x = np.linspace(x0, x1, n + 1)
-    dx = x[1] - x[0]
+    if bc != "neumann":
+        raise ValidationError(f"steady states need bc 'neumann', got {bc!r}")
+    kappa0 = _decay_constant(problem, "kappa0", ConstantDecay)
+    params = dataclasses.replace(problem.params, decay=ConstantDecay(kappa0))
+    config = SolverConfig(Grid1D(*problem.domain, n), t_end=0.0, bc=bc)
+    x = config.grid.nodes()
     u = np.asarray(problem.data.get("u_init", np.ones(n + 1)), dtype=float).copy()
     v = np.asarray(problem.data.get("v_init", u / max(kappa0, 1e-12)), dtype=float).copy()
-    u_bc = problem.data.get("u_bc", (u[0], u[-1]))
-    v_bc = problem.data.get("v_bc", (v[0], v[-1]))
-    w = _ghost_fill(n, dx, "neumann")[2]
+    w = _ghost_fill(n, config.grid.dx, bc)[2]
     mass_target = float(np.dot(w, u))
-    mass_row = w if bc == "neumann" else None
-    limiter = params.limiter
-    D = params.D
 
     def residual(z):
-        uu, vv = z[: n + 1], z[n + 1 :]
-        Ru, Rv = _steady_residual(uu, vv, dx, D, kappa0, limiter, bc, u_bc, v_bc, mass_target)
-        return np.concatenate([Ru, Rv])
+        return np.concatenate(_steady_residual(z[: n + 1], z[n + 1 :], params, config, mass_target))
 
     z = np.concatenate([u, v])
     history = []
@@ -192,7 +184,7 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
         history.append(defect)
         if defect < tol:
             return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, it)
-        J = _fd_jacobian(residual, z, R, mass_row)
+        J = _fd_jacobian(residual, z, R, w)
         delta = spla.spsolve(J, -R)
         lam = 1.0
         base = defect
@@ -213,38 +205,38 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, len(history))
 
 
-def _fd_jacobian(residual, z, R0, mass_row=None, eps=1e-7):
+def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
     """Sparse forward-difference Jacobian of the stacked (u, v) residual.
 
-    Row i of either block reads only nodes i-1..i+1 of u and v, so columns
-    three apart never share a row: every third u column is perturbed in one
-    residual call, then every third v column, six calls in all (Curtis,
-    Powell & Reid, J. Inst. Math. Appl. 13, 1974).  ``mass_row`` holds the
-    trapezoid weights of the linear Neumann mass row (row 0), which is filled
-    exactly instead of differenced.  Returns a CSC matrix.
+    Row i of either block reads only nodes i-2..i+2 of u and v (the Fromm
+    face reconstruction), so columns five apart never share a row: every
+    fifth u column is perturbed in one residual call, then every fifth v
+    column, ten calls in all (Curtis, Powell & Reid, J. Inst. Math. Appl. 13,
+    1974).  ``mass_row`` holds the trapezoid weights of the linear mass row
+    (row 0), which is filled exactly instead of differenced.  Returns a CSC
+    matrix.
     """
     N = z.size // 2
     scale = eps * max(1.0, float(np.max(np.abs(z))))
     i = np.arange(N)
     rows, cols, vals = [], [], []
     for block in (0, N):
-        for colour in range(3):
+        for colour in range(5):
             zp = z.copy()
-            zp[block + colour : block + N : 3] += scale
+            zp[block + colour : block + N : 5] += scale
             dR = (residual(zp) - R0) / scale
-            # row i's one perturbed column among i-1..i+1
-            j = i + (colour - i + 1) % 3 - 1
+            # row i's one perturbed column among i-2..i+2
+            j = i + (colour - i + 2) % 5 - 2
             ok = (j >= 0) & (j < N)
             for rblock in (0, N):
                 rows.append(rblock + i[ok])
                 cols.append(block + j[ok])
                 vals.append(dR[rblock + i[ok]])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    if mass_row is not None:
-        keep = rows != 0
-        rows = np.concatenate([rows[keep], np.zeros(N, dtype=rows.dtype)])
-        cols = np.concatenate([cols[keep], i])
-        vals = np.concatenate([vals[keep], mass_row])
+    keep = rows != 0
+    rows = np.concatenate([rows[keep], np.zeros(N, dtype=rows.dtype)])
+    cols = np.concatenate([cols[keep], i])
+    vals = np.concatenate([vals[keep], mass_row])
     return sp.csc_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
 
 
@@ -270,7 +262,7 @@ def integrate_travelling_wave(problem, h=1e-3):
     """
     params = problem.params
     alpha = float(problem.constants["alpha"])
-    kappa0 = float(problem.constants.get("kappa0", getattr(params.decay, "kappa0", 0.0)))
+    kappa0 = _decay_constant(problem, "kappa0", ConstantDecay)
     D, tau = params.D, params.tau
     lim = params.limiter
     Da2 = D * alpha * alpha
@@ -343,7 +335,7 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
         raise ValidationError("the self-similar reduction requires the tanh-log limiter")
     D = params.D
     tau = params.tau
-    mu = float(problem.constants.get("mu", getattr(params.decay, "mu", 0.0)))
+    mu = _decay_constant(problem, "mu", PowerLawDecay)
     U0 = float(problem.data.get("U0", 1.0))
     C1 = float(problem.data.get("C1", 0.0))
     v_max = lim.v_max

@@ -10,6 +10,7 @@ time), wrapped around for periodic ones and with the outer 4 nodes as the
 padding otherwise.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -270,21 +271,15 @@ def group_invariance_check(generator, sol, params, eps, grid=None, t_samples=Non
             raise ValidationError("X1 trajectory shifts need periodic boundaries")
         dx = sol.grid.dx
         k = max(1, int(round(eps / dx)))
-        eps_eff = k * dx
-        import copy
-
-        shifted = copy.copy(sol)
-        shifted.us = np.concatenate(
-            [np.roll(sol.us[:, :-1], k, axis=1), sol.us[:, :1]], axis=1
+        us, vs = (np.roll(f[:, :-1], k, axis=1) for f in (sol.us, sol.vs))
+        shifted = dataclasses.replace(
+            sol,
+            us=np.concatenate([us, us[:, :1]], axis=1),
+            vs=np.concatenate([vs, vs[:, :1]], axis=1),
         )
-        shifted.vs = np.concatenate(
-            [np.roll(sol.vs[:, :-1], k, axis=1), sol.vs[:, :1]], axis=1
-        )
-        shifted.us[:, -1] = shifted.us[:, 0]
-        shifted.vs[:, -1] = shifted.vs[:, 0]
         base = pde_residual(sol, params)
         trans = pde_residual(shifted, params)
-        return InvarianceReport(name, eps_eff, base, trans)
+        return InvarianceReport(name, k * dx, base, trans)
 
     lam = 0.0
     if name == "X4":
@@ -292,11 +287,6 @@ def group_invariance_check(generator, sol, params, eps, grid=None, t_samples=Non
         if lam is None:
             raise ValidationError("X4 needs an exponential decay law")
     eu, ev = _transformed_pair(sol, name, eps, lam)
-
-    class _Wrapper:
-        eval_u = staticmethod(eu)
-        eval_v = staticmethod(ev)
-
     base = pde_residual(sol, params, grid, t_samples, ht)
-    trans = pde_residual(_Wrapper(), params, grid, t_samples, ht)
+    trans = _residual(_callable_samples(eu, ev, grid, t_samples, ht), params, ht, grid, grid.nodes())
     return InvarianceReport(name, eps, base, trans)
