@@ -53,6 +53,21 @@ def test_tabulated_interpolation_and_range():
         law.kappa(-0.1)
 
 
+def test_tabulated_float_path_matches_array_path():
+    knots = np.linspace(0.0, 5.0, 201)
+    law = TabulatedDecay(tuple(knots), tuple(0.5 + 0.2 * np.sin(knots)))
+    ts = np.concatenate([knots, np.random.default_rng(0).uniform(0.0, 5.0, 500)])
+    by_float = [law.kappa(float(t)) for t in ts]
+    assert all(type(k) is float for k in by_float)
+    assert np.array_equal(by_float, law.kappa(ts))
+    assert np.array_equal(by_float, [law.kappa(np.asarray(t)) for t in ts])
+    for bad in (float("nan"), -1e-12, 5.0 + 1e-12):
+        with pytest.raises(DomainError):
+            law.kappa(bad)
+        with pytest.raises(DomainError):
+            law.kappa(np.array([1.0, bad]))
+
+
 @pytest.mark.parametrize(
     "law, a, b",
     [

@@ -424,3 +424,31 @@ def test_case2_nonzero_c1_single_pass(fig_params):
     X = sol.y / (fig_params.D * alpha * alpha)
     expected = np.exp(X) + C1 * (np.exp(X) - 1.0)
     assert np.max(np.abs(sol.U - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+def test_case2_fig1_closure_iteration_count(fig_params):
+    # the Anderson-mixed closure takes 59 iterations; plain damped Picard 286
+    sol = case2_travelling_tanh(fig_params, 1.1, U_ref=1.0, y0=0.0)
+    assert len(sol.residual_history) <= 100
+    assert sol.residual_history[-1] < 1e-10
+
+
+def test_case2_closure_converges_at_alpha_one():
+    # plain damped Picard stopped at its 400-iteration cap here
+    p = make_params(ConstantDecay(0.5))
+    sol = case2_travelling_tanh(p, 1.0, U_ref=1.0, y0=0.0)
+    assert sol.residual_history[-1] < 1e-10
+    r1, r2 = sol.defect(-5.0, 5.0, p.limiter, p.D, p.tau, 1.0, 0.5)
+    assert r1 < 1e-6
+    assert r2 < 1e-6
+
+
+@pytest.mark.parametrize("D, v_max", [(0.5, 1.1), (0.8, 2.0), (0.8, 3.0)],
+                         ids=["D0.5", "vmax2", "vmax3"])
+def test_case2_closure_converges_on_hard_cases(D, v_max):
+    # the loop gain is largest here; a fixed damping of 0.1 fails all three
+    p = make_params(ConstantDecay(0.5), limiter=TanhLimiter(v_max, 1.4), D=D)
+    sol = case2_travelling_tanh(p, 1.1, U_ref=1.0, y0=0.0)
+    assert sol.residual_history[-1] < 1e-10
+    r1, r2 = sol.defect(-5.0, 5.0, p.limiter, p.D, p.tau, 1.1, 0.5)
+    assert max(r1, r2) < 1e-6

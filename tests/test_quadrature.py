@@ -303,6 +303,77 @@ def test_picard_divergence_detected():
     assert len(exc.value.history) >= 6
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+def test_picard_anderson_solves_affine_contraction_in_k_plus_2(k, symmetric):
+    # on an affine map Anderson mixing with depth >= k is a Krylov method:
+    # the k + 1 differences span R^k, so evaluation k + 2 sees the root
+    rng = np.random.default_rng(k)
+    if symmetric:
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        A = Q @ np.diag(rng.uniform(-0.9, 0.9, k)) @ Q.T
+    else:
+        A = rng.standard_normal((k, k))
+        A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
+    b = rng.standard_normal(k)
+    calls = []
+
+    def step(y):
+        calls.append(y)
+        return A @ y + b
+
+    res = picard_iterate(step, np.zeros(k), damping=0.5, tol=1e-10, depth=6)
+    assert len(calls) == res.iterations <= k + 2
+    assert np.allclose(res.profile, np.linalg.solve(np.eye(k) - A, b), atol=1e-9)
+
+
+def test_picard_anderson_no_convergence_keeps_full_history():
+    # dG = 0 for y -> y + 1, so the mixing adds nothing and the defect stays 1
+    with pytest.raises(NoConvergence) as exc:
+        picard_iterate(
+            lambda y: y + 1.0, np.ones(3), damping=1.0, tol=1e-12, max_iter=17, depth=6
+        )
+    assert exc.value.iterations == 17
+    assert exc.value.history == [1.0] * 17
+    assert exc.value.profile is not None
+
+
+def _overshooting(y):
+    # the secant through the first two iterates lands far beyond the root
+    # y = 1.5, where the defect is steep
+    return y + np.where(y < 1.5, np.arctan(1.5 - y), 3.0 * (1.5 - y))
+
+
+def test_picard_anderson_restarts_after_overshoot():
+    calls = []
+
+    def step(y):
+        calls.append(y)
+        return _overshooting(y)
+
+    res = picard_iterate(step, np.zeros(3), damping=0.5, tol=1e-12, depth=3)
+    r = res.residuals
+    # the first extrapolation more than doubles the best defect ...
+    assert r[2] > 2.0 * min(r[:2])
+    # ... so the next iterate is a quarter step from the best one
+    y1 = calls[1]
+    assert np.array_equal(calls[3], y1 + 0.25 * (_overshooting(y1) - y1))
+    assert np.allclose(res.profile, 1.5, atol=1e-12)
+    assert res.iterations < 30
+
+
+def test_picard_anderson_history_is_undamped_defect():
+    calls = []
+
+    def step(y):
+        calls.append(y)
+        return _overshooting(y)
+
+    res = picard_iterate(step, np.zeros(3), damping=0.5, tol=1e-12, depth=3)
+    assert len(calls) == res.iterations
+    assert res.residuals == [float(np.max(np.abs(_overshooting(y) - y))) for y in calls]
+
+
 # ---------------------------------------------------------------------------
 # uniform-grid helpers
 # ---------------------------------------------------------------------------

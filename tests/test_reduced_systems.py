@@ -274,6 +274,20 @@ def test_steady_state_self_convergence_second_order():
     assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.5)
 
 
+def test_steady_state_fine_grids_stop_at_the_roundoff_floor():
+    # the rows grow like 1/dx^2, so the defect stalls above 1e-10 at n = 1024
+    # (1.29e-10) and 2048 (4.77e-10); the solve accepts that floor, and the
+    # profiles keep refining at second order
+    res = [wall_aggregate(n) for n in (512, 1024, 2048)]
+    assert res[1].defect > 1e-10 and res[2].defect > 1e-10
+    assert all(r.defect < 1e-8 for r in res)
+    diffs = [
+        max(np.max(np.abs(fine.U[::2] - coarse.U)), np.max(np.abs(fine.V[::2] - coarse.V)))
+        for coarse, fine in zip(res, res[1:])
+    ]
+    assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
+
+
 def test_steady_state_is_a_fixed_point_of_the_pde_solver():
     # the steady state zeroes the PDE solver's own operator, so simulate from
     # it stays put; a separate discretisation drifted by 1.5e-4 of the spread
