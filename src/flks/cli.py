@@ -13,6 +13,7 @@ with 17 significant digits, which round-trips double precision losslessly.
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -399,6 +400,24 @@ def _lookup(table, what, name, cfg):
 # CSV export / import
 # ---------------------------------------------------------------------------
 
+# rows per `%` call of the CSV body writer: bounds the tuple of values and the
+# string one call holds, so a long trajectory is written in bounded memory
+_BLOCK_ROWS = 8192
+
+
+def _write_rows(f, table):
+    """Write the rows of a 2-D table as CSV lines, every value as "%.17g".
+
+    One `%` call formats a block of rows; the bytes are np.savetxt's with
+    fmt="%.17g" and delimiter=",", which applies the same row format to
+    one row at a time.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        f.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _cell(c):
     return format(float(c), ".17g") if isinstance(c, (int, float, np.floating)) else str(c)
 
@@ -467,37 +486,54 @@ def export_csv(result, path, meta=None, columns=None):
                 for row in sorted(result.items()):
                     f.write(",".join(_cell(c) for c in row) + "\n")
             else:
-                np.savetxt(f, np.column_stack(cols), fmt="%.17g", delimiter=",")
+                _write_rows(f, np.column_stack(cols))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
 def import_csv(path):
-    """Read back an exported CSV: (metadata dict, column-name -> array)."""
+    """Read back an exported CSV: (metadata dict, column-name -> array).
+
+    A column whose cells all parse as floats comes back as a float array,
+    any other (a report's key column) as a string array.  A file without a
+    column header line, a comment line that is not a JSON object, a
+    repeated column name and a body row with more or fewer cells than the
+    header raise IoError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     meta = {}
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
-        meta.update(json.loads(lines[idx][1:].strip()))
-        idx += 1
-    header = lines[idx].split(",")
-    cols = {h: [] for h in header}
-    for line in lines[idx + 1 :]:
-        if not line:
-            continue
-        for h, val in zip(header, line.split(",")):
-            cols[h].append(val)
-    out = {}
-    for h, vals in cols.items():
         try:
-            out[h] = np.asarray([float(v) for v in vals])
+            meta.update(json.loads(lines[idx][1:].strip()))
+        except (ValueError, TypeError) as exc:
+            raise IoError(f"{path}, line {idx + 1}: not a JSON object comment: {exc}") from None
+        idx += 1
+    if idx == len(lines):
+        raise IoError(f"{path} has no column header line")
+    header = lines[idx].split(",")
+    k = len(header)
+    if len(set(header)) < k:
+        raise IoError(f"{path}, line {idx + 1}: a column name repeats: {lines[idx]}")
+    body = list(filter(None, lines[idx + 1 :]))
+    if set(map(str.count, body, itertools.repeat(","))) - {k - 1}:
+        for lineno, line in enumerate(lines[idx + 1 :], start=idx + 2):
+            if line and line.count(",") != k - 1:
+                raise IoError(f"{path}, line {lineno}: {line.count(',') + 1} cells, "
+                              f"the header has {k}")
+    # every row has k cells, so column i is every k-th cell from the i-th
+    cells = ",".join(body).split(",") if body else []
+    out = {}
+    for i, h in enumerate(header):
+        try:
+            out[h] = np.array(cells[i::k], dtype=float)
         except ValueError:
-            out[h] = np.asarray(vals)
+            out[h] = np.array(cells[i::k])
     return meta, out
 
 

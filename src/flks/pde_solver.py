@@ -25,7 +25,11 @@ from .errors import CFLViolation, InvalidState, StepSizeError, ValidationError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, boundary kind, CFL safety, horizon and output cadence."""
+    """Grid, boundary kind, CFL safety, horizon and output cadence.
+
+    The horizon t_end must be finite; 0.0 is valid (a run from t = 0 then
+    takes no step).
+    """
 
     grid: Grid1D
     t_end: float
@@ -36,6 +40,8 @@ class SolverConfig:
     source_v: object = None
 
     def __post_init__(self):
+        if not np.isfinite(self.t_end):
+            raise ValidationError(f"t_end must be finite, got {self.t_end!r}")
         if self.bc not in ("neumann", "periodic"):
             raise ValidationError(f"bc must be 'neumann' or 'periodic', got {self.bc!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -174,17 +180,20 @@ def total_mass(u, grid, bc):
 
 
 def run(initial, params, config):
-    """Advance to t_end with the adaptive CFL step.
+    """Advance from the initial time to t_end with the adaptive CFL step.
 
     Frames are recorded every output_stride steps and at t_end.  Each
     frame's min_u entry is the minimum of u over every step since the
     previous frame (the first entry: the initial state), so a negative
-    density between frames is still reported.  Failures during stepping
-    propagate with the failing time attached by step().
+    density between frames is still reported.  A t_end before the initial
+    time raises ValidationError; failures during stepping propagate with
+    the failing time attached by step().
     """
     state = initial.copy()
     if state.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
+    if config.t_end < state.t:
+        raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={state.t!r}")
     if config.bc == "periodic":
         state.u[-1] = state.u[0]
         state.v[-1] = state.v[0]

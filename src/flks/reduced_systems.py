@@ -50,6 +50,8 @@ class ReducedProblem:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not np.all(np.isfinite(self.domain)):
+            raise ValidationError(f"{self.kind} needs a finite domain, got {self.domain!r}")
         if self.kind == "travelling_wave":
             if not self.constants.get("alpha"):
                 raise ValidationError(f"{self.kind} requires a nonzero alpha")
@@ -86,7 +88,7 @@ def _rk4_march(f, z0, span, h):
     the states, one row per node; any component exceeding 1e12 raises
     BlowupDetected.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise StepSizeError(f"step must be positive, got {h!r}")
     s0, s1 = span
     n = max(1, int(round((s1 - s0) / h)))

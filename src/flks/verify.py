@@ -155,7 +155,7 @@ def pde_residual(sol, params, grid=None, t_samples=None, ht=5e-4):
     """
     if hasattr(sol, "times") and hasattr(sol, "us"):
         return _residual_from_trajectory(sol, params)
-    if grid is None or t_samples is None:
+    if grid is None or t_samples is None or not len(t_samples):
         raise ValidationError("evaluable solutions need an explicit grid and t_samples")
     samples = _callable_samples(sol.eval_u, sol.eval_v, grid, t_samples, ht)
     return _residual(samples, params, ht, grid, grid.nodes())

@@ -1,15 +1,21 @@
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flks.cli import (
+    _BLOCK_ROWS,
+    _SCHEMA,
     apply_overrides,
     build_model,
     emit_plot_script,
@@ -579,3 +585,249 @@ def test_failed_report_write_leaves_no_partial_set(tmp_path, capsys, command, la
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("i/o error:")
     assert os.listdir(out) == [last]
+
+
+# --- the CSV layer against its reference: np.savetxt and the per-line reader
+
+def _reference_body(table):
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _reference_import(path):
+    # one cell at a time: split each line, append each cell, float() each one
+    lines = open(path, encoding="utf-8").read().splitlines()
+    meta, idx = {}, 0
+    while idx < len(lines) and lines[idx].startswith("#"):
+        meta.update(json.loads(lines[idx][1:].strip()))
+        idx += 1
+    header = lines[idx].split(",")
+    cols = {h: [] for h in header}
+    for line in lines[idx + 1 :]:
+        if not line:
+            continue
+        for h, val in zip(header, line.split(",")):
+            cols[h].append(val)
+    out = {}
+    for h, vals in cols.items():
+        try:
+            out[h] = np.asarray([float(v) for v in vals])
+        except ValueError:
+            out[h] = np.asarray(vals)
+    return meta, out
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**-1074 * 3, 1e308,
+                    -1.7976931348623157e308, 1 / 3, 0.1, 1.0, 0.0])
+
+
+def _csv_results():
+    # a trajectory, a profile result and a 2-D table longer than one block
+    # that does not end on a block boundary, each holding the special values
+    from flks.reduced_systems import HomogeneousResult
+
+    p = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1.1, 1.4), decay=ConstantDecay(0.5))
+    rng = np.random.default_rng(3)
+    traj = run(FieldPair(1.0 + 0.1 * rng.random(17), rng.random(17)), p,
+               SolverConfig(grid=Grid1D(0.0, 1.0, 16), t_end=0.02, output_stride=3))
+    traj.us[1, : SPECIAL.size] = SPECIAL
+    ts = np.linspace(0.0, 1.0, 40)
+    profile = HomogeneousResult(ts, np.resize(SPECIAL, 40), rng.standard_normal(40))
+    rows = 2 * _BLOCK_ROWS + 37
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    table[-SPECIAL.size :, 1] = SPECIAL
+    table[: SPECIAL.size, 2] = SPECIAL[::-1]
+    return {
+        "trajectory": (traj, np.column_stack([np.repeat(traj.times, 17), np.tile(traj.grid.nodes(),
+                                              traj.times.size), traj.us.ravel(), traj.vs.ravel()])),
+        "profile": (profile, np.column_stack([ts, profile.U, profile.V])),
+        "table": (table, table),
+    }
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "profile", "table"])
+def test_csv_body_is_byte_identical_to_savetxt(tmp_path, kind):
+    result, table = _csv_results()[kind]
+    path = tmp_path / "r.csv"
+    export_csv(result, str(path))
+    text = path.read_text()
+    # after the JSON line and the column header; compared line by line, so a
+    # failure names its first wrong line instead of diffing megabytes
+    body = text.split("\n", 2)[2].split("\n")
+    ref = _reference_body(table).split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(body, ref)) if a != b), min(len(body), len(ref)))
+    same = body == ref
+    assert same, f"line {first + 3}: {body[first:first + 1]} != {ref[first:first + 1]}"
+    assert len(body) == table.shape[0] + 1
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "profile", "table", "report"])
+def test_import_matches_the_reference_reader(tmp_path, kind):
+    path = tmp_path / "r.csv"
+    if kind == "report":
+        export_csv({"sup_norm": 1e-9, "worst_x": -0.0, "nan_entry": float("nan"), "n": 7},
+                   str(path))
+    else:
+        export_csv(_csv_results()[kind][0], str(path), meta={"note": "a, b"})
+    meta, cols = import_csv(str(path))
+    ref_meta, ref_cols = _reference_import(str(path))
+    assert meta == ref_meta
+    assert list(cols) == list(ref_cols)
+    for name, col in cols.items():
+        assert col.dtype == ref_cols[name].dtype and col.shape == ref_cols[name].shape
+        assert col.tobytes() == ref_cols[name].tobytes()
+    if kind == "report":
+        assert cols["key"].dtype.kind == "U" and cols["value"].dtype == float
+        assert list(cols["key"]) == ["n", "nan_entry", "sup_norm", "worst_x"]
+
+
+@pytest.mark.parametrize("row", ["1,2", "1,2,3,4", "x"])
+def test_import_ragged_row_raises(tmp_path, row):
+    # a short or long row would shift later cells into the wrong columns; the
+    # error counts the skipped blank line 4
+    path = tmp_path / "ragged.csv"
+    path.write_text(f'# {{"kind": "table"}}\na,b,c\n1,2,3\n\n{row}\n4,5,6\n')
+    with pytest.raises(IoError, match="line 5"):
+        import_csv(str(path))
+
+
+@pytest.mark.parametrize("text", ["", '# {"kind": "table"}\n', "# {}\n# {}\n"],
+                         ids=["empty", "one-comment", "two-comments"])
+def test_import_without_column_header_raises_ioerror(tmp_path, text):
+    path = tmp_path / "headless.csv"
+    path.write_text(text)
+    with pytest.raises(IoError, match="headless.csv"):
+        import_csv(str(path))
+
+
+@pytest.mark.parametrize("comment", ["# not json", "# [1, 2]", "# 5", '# {"a": '])
+def test_import_non_json_comment_raises_ioerror(tmp_path, comment):
+    path = tmp_path / "comment.csv"
+    path.write_text(f"{comment}\na,b\n1,2\n")
+    with pytest.raises(IoError, match="comment.csv"):
+        import_csv(str(path))
+
+
+def test_import_non_utf8_file_raises_ioerror(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'# {"kind": "table"}\na,b\n1,\xe9\n')
+    with pytest.raises(IoError, match="latin1.csv"):
+        import_csv(str(path))
+
+
+def test_import_repeated_column_name_raises_ioerror(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("# {}\na,a\n1,2\n")
+    with pytest.raises(IoError, match="twice.csv"):
+        import_csv(str(path))
+
+
+# --- the run horizon
+
+@pytest.mark.parametrize(
+    "decay, t_end",
+    [(CONSTANT, "inf"), (CONSTANT, "-inf"), (CONSTANT, "nan"), (CONSTANT, "-1"),
+     (POWER_LAW, "0.5"), (POWER_LAW, "0")],
+)
+def test_simulate_rejects_a_bad_horizon(tmp_path, capsys, decay, t_end):
+    # an infinite horizon never returned; NaN or a horizon before the start
+    # time (t0 = 1 under power-law decay) exited 0 after zero steps
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, decay).replace("t_end = 0.05", f"t_end = {t_end}"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_zero_horizon_is_a_valid_config():
+    # solve_steady_state builds its operator's config with t_end = 0
+    config = SolverConfig(grid=Grid1D(0.0, 1.0, 8), t_end=0.0)
+    p = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1.1, 1.4), decay=ConstantDecay(0.5))
+    traj = run(FieldPair(np.ones(9), np.zeros(9)), p, config)
+    assert traj.steps_taken == 0 and traj.times.tolist() == [0.0]
+
+
+# --- config fuzzing: any config text exits 0, 2, 3 or 4, never a traceback
+
+def _sections(text):
+    sections, current = {}, None
+    for line in text.strip().splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1], {})
+        else:
+            key, _, value = line.partition(" = ")
+            current[key] = value
+    return sections
+
+
+FUZZ_BASE = _sections(MINIMAL.replace("n = 32", "n = 16").replace("t_end = 0.05", "t_end = 0.001"))
+FUZZ_CONFIGS = {
+    "simulate": FUZZ_BASE,
+    "exact": {**FUZZ_BASE, "exact": {"family": "case1_homogeneous", "t_samples": "0.001"}},
+    "reduce": {**FUZZ_BASE, "reduce": {"kind": "homogeneous", "t_end": "0.001", "h": "0.0001"}},
+    "verify": {**FUZZ_BASE, "verify": {"family": "case1_homogeneous", "t_samples": "0.5"}},
+    "lie": FUZZ_BASE,
+}
+# every schema key of the command's sections, one unknown key and one unknown
+# section
+FUZZ_KEYS = {command: sorted((s, k) for s in sections for k in _SCHEMA[s])
+             + [("model", "bogus"), ("nonsense", "x")]
+             for command, sections in FUZZ_CONFIGS.items()}
+# wrong types, non-finite, zero, negative and integer-valued floats; no huge
+# finite value, so no key that sets the run length makes an example slow
+FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "0", "0.0", "-0.0", "-1", "-2.5", "1", "2.0",
+               "abc", "true", "", "1,2"]
+
+
+@st.composite
+def _mutated_config(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["set", "drop_key", "drop_section"]))
+        if op == "set":
+            section, key = draw(st.sampled_from(FUZZ_KEYS[command]))
+            sections.setdefault(section, {})[key] = draw(st.sampled_from(FUZZ_VALUES))
+        elif sections:
+            section = draw(st.sampled_from(sorted(sections)))
+            if op == "drop_section" or not sections[section]:
+                del sections[section]
+            else:
+                del sections[section][draw(st.sampled_from(sorted(sections[section])))]
+    return command, sections
+
+
+def _main_on(command, sections):
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.ini")
+        with open(cfg_path, "w") as f:
+            f.write(text)
+        return main([command, "--config", cfg_path, "--out", os.path.join(tmp, "o")])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_mutated_config())
+def test_fuzzed_config_exits_with_a_contract_code(case):
+    assert _main_on(*case) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value, code",
+    [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end", "nan", 2),
+     ("reduce", "reduce", "h", "nan", 3), ("reduce", "reduce", "h", "0", 3),
+     ("verify", "verify", "t_samples", "", 2)],
+)
+def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
+    # an infinite or NaN span and a NaN step ended in OverflowError or
+    # ValueError in the RK4 march, no sample time in ZeroDivisionError
+    sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
+    sections[section][key] = value
+    assert _main_on(command, sections) == code
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+def test_fuzz_base_config_runs(command):
+    # the unmutated configs succeed, so a failure comes from a mutation
+    assert _main_on(command, FUZZ_CONFIGS[command]) == 0
