@@ -470,6 +470,12 @@ def export_csv(result, path, meta=None, columns=None):
         cols, defaults = (result.y, result.U, result.dU, result.V, result.s), profiles
     elif isinstance(result, dict):
         header, cols, defaults = ["key", "value"], None, {"kind": "report"}
+        rows = [[_cell(c) for c in row] for row in sorted(result.items())]
+        for key, value in rows:
+            # a comma or a line break would split the row where import_csv
+            # reads it; splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028/9
+            if any("," in c or "".join(c.splitlines()) != c for c in (key, value)):
+                raise ValidationError(f"report entry {key!r} holds a comma or a line break")
     elif isinstance(result, np.ndarray) and result.ndim == 2:
         header = list(columns or (f"c{i}" for i in range(result.shape[1])))
         cols, defaults = result.T, {"kind": "table"}
@@ -483,8 +489,7 @@ def export_csv(result, path, meta=None, columns=None):
             f.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
             f.write(",".join(header) + "\n")
             if cols is None:
-                for row in sorted(result.items()):
-                    f.write(",".join(_cell(c) for c in row) + "\n")
+                f.writelines(",".join(row) + "\n" for row in rows)
             else:
                 _write_rows(f, np.column_stack(cols))
     except OSError as exc:
@@ -803,6 +808,8 @@ def cmd_reduce(cfg, outdir):
     params = build_model(cfg)
     r = cfg.sections.get("reduce", {})
     kind = r.get("kind", "homogeneous")
+    if not r.get("h", 1.0) > 0.0:  # NaN included
+        raise ValidationError(f"reduce.h must be positive, got {r['h']!r}")
     res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
     _write(res, outdir, f"reduce_{kind}", "profiles", _meta_for(cfg))
     out = {"kind": kind}

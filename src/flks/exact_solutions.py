@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import CaseTag, ConstantDecay, FieldPair, classify
 from .errors import ComplexRoots, DomainError, ValidationError
@@ -343,6 +342,8 @@ def case2_travelling_tanh(
 
     U, w = U_of(s)
     V = green(U)
+
+    from scipy.interpolate import CubicSpline
 
     u_spline = CubicSpline(y, U, extrapolate=False)
     v_spline = CubicSpline(y, V, extrapolate=False)

@@ -16,8 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expi
 
 from .errors import (
     DivergenceDetected,
@@ -203,6 +201,8 @@ def exp_integral_Ei(x):
         raise DomainError("Ei is singular at x = 0")
     if x > 709.0:
         raise OverflowGuard("Ei(x) overflows double precision for x > 709")
+    from scipy.special import expi
+
     return float(expi(x))
 
 
@@ -418,6 +418,8 @@ def difference_matrix(order, n, h):
     """The n x n CSR matrix of the fourth-order derivative of the given order
     (1 or 2) on n uniform nodes of step h: the rows of d1_uniform and
     d2_uniform, with entries numerator / (12 h^order) (12 h h for order 2)."""
+    import scipy.sparse as sp
+
     mid, edge, near = _STENCILS[order]
     sign = -1 if order == 1 else 1
     scale = 12.0 * h if order == 1 else 12.0 * h * h

@@ -12,8 +12,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import ConstantDecay, Grid1D, ModelParams, PowerLawDecay
 from .errors import (
@@ -52,6 +50,8 @@ class ReducedProblem:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not np.all(np.isfinite(self.domain)):
             raise ValidationError(f"{self.kind} needs a finite domain, got {self.domain!r}")
+        if self.kind == "homogeneous" and not self.domain[1] > self.domain[0]:
+            raise ValidationError(f"homogeneous needs an end after its start, got {self.domain!r}")
         if self.kind == "travelling_wave":
             if not self.constants.get("alpha"):
                 raise ValidationError(f"{self.kind} requires a nonzero alpha")
@@ -166,6 +166,8 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     is the larger.  Only ``bc = "neumann"`` is accepted: periodic node n
     aliases node 0, which would make the Jacobian singular.
     """
+    import scipy.sparse.linalg as spla
+
     bc = problem.data.get("bc", "neumann")
     if bc != "neumann":
         raise ValidationError(f"steady states need bc 'neumann', got {bc!r}")
@@ -226,6 +228,8 @@ def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
     (row 0), which is filled exactly instead of differenced.  Returns a CSC
     matrix.
     """
+    import scipy.sparse as sp
+
     N = z.size // 2
     scale = eps * max(1.0, float(np.max(np.abs(z))))
     i = np.arange(N)
@@ -297,6 +301,8 @@ def _build_similarity_operator(xi, h):
     with a symmetry row V'(0) = 0 and a no-growth Robin row
     V'(xi_max) - V(xi_max)/xi_max = 0 (admits the linear far field, excludes
     the exponentially growing homogeneous mode)."""
+    import scipy.sparse as sp
+
     n = xi.size
     D1 = difference_matrix(1, n, h)
     D2 = difference_matrix(2, n, h)
@@ -339,6 +345,8 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     satisfied by construction - the two stated forms disagree and both
     defects are surfaced.
     """
+    import scipy.sparse.linalg as spla
+
     params = problem.params
     lim = params.limiter
     if not isinstance(lim, TanhLogLimiter):

@@ -723,6 +723,29 @@ def test_import_repeated_column_name_raises_ioerror(tmp_path):
         import_csv(str(path))
 
 
+@pytest.mark.parametrize("value", ["a,b", "two\nlines", "cr\r", "form\x0cfeed", "ls\u2028"])
+def test_export_rejects_a_report_cell_import_would_split(tmp_path, value):
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValidationError, match="'note'"):
+        export_csv({"note": value, "x": 1.0}, str(path))
+    assert not path.exists()
+
+
+def test_export_import_roundtrip_clean_report(tmp_path):
+    report = {"family": "case1_homogeneous", "sup_norm": 1.2345678901234567e-9,
+              "worst_x": -0.0, "n": 7, "note": "a; b (c)"}
+    path = tmp_path / "report.csv"
+    export_csv(report, str(path))
+    meta, cols = import_csv(str(path))
+    assert meta["kind"] == "report"
+    assert list(cols["key"]) == sorted(report)
+    back = dict(zip(cols["key"], cols["value"]))
+    assert back["family"] == "case1_homogeneous" and back["note"] == "a; b (c)"
+    for key in ("sup_norm", "worst_x", "n"):
+        assert float(back[key]) == report[key]
+    assert str(float(back["worst_x"])) == "-0.0"
+
+
 # --- the run horizon
 
 @pytest.mark.parametrize(
@@ -816,12 +839,14 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
 @pytest.mark.parametrize(
     "command, section, key, value, code",
     [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end", "nan", 2),
-     ("reduce", "reduce", "h", "nan", 3), ("reduce", "reduce", "h", "0", 3),
+     ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
+     ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
      ("verify", "verify", "t_samples", "", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
-    # ValueError in the RK4 march, no sample time in ZeroDivisionError
+    # ValueError in the RK4 march, no sample time in ZeroDivisionError; a
+    # span ending before its start marched one step backwards and exited 0
     sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
     sections[section][key] = value
     assert _main_on(command, sections) == code
@@ -831,3 +856,32 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
 def test_fuzz_base_config_runs(command):
     # the unmutated configs succeed, so a failure comes from a mutation
     assert _main_on(command, FUZZ_CONFIGS[command]) == 0
+
+
+# --- cold start: the numpy-only commands load no scipy
+
+_COLD_START = """
+import json, os, sys
+import flks
+from flks import cli
+config, out = sys.argv[1:3]
+codes = [cli.main([command, "--config", config, "--out", os.path.join(out, command)])
+         for command in ("simulate", "verify", "lie")]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
+    # scipy's import is most of a cold start; simulate, case I verify and lie
+    # never call it
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
+                        + "[verify]\nfamily = case1_homogeneous\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg_path), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
