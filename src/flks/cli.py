@@ -616,13 +616,13 @@ xs = np.unique(cols["x"])
 U = cols["u"].reshape(ts.size, xs.size)
 '''
 
-_TRAJ_PLOT = '''x_slice = {x_slice}
+_TRAJ_PLOT = '''x_slice = 0.7
 j = int(np.argmin(np.abs(xs - x_slice)))
 fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
 ax1.plot(ts, U[:, j])
 ax1.set_xlabel("t")
 ax1.set_ylabel("u")
-ax1.set_title(f"cell density at x = {{xs[j]:.3g}}")
+ax1.set_title(f"cell density at x = {xs[j]:.3g}")
 pc = ax2.pcolormesh(xs, ts, U, shading="auto")
 fig.colorbar(pc, ax=ax2, label="u")
 ax2.set_xlabel("x")
@@ -691,7 +691,7 @@ _PLOT_BODIES = {
 }
 
 
-def emit_plot_script(kind, csv_path, out_path, x_slice=0.7):
+def emit_plot_script(kind, csv_path, out_path):
     """Write a standalone script that plots a CSV to the PNG beside it.
 
     The script draws a two-panel (or bar) matplotlib figure when matplotlib
@@ -711,7 +711,7 @@ def emit_plot_script(kind, csv_path, out_path, x_slice=0.7):
         csv_path=csv_rel,
         png_path=os.path.splitext(csv_rel)[0] + ".png",
         data=data,
-        plot=textwrap.indent(plot.format(x_slice=x_slice), "    "),
+        plot=textwrap.indent(plot, "    "),
         raster=textwrap.indent(raster, "    "),
     )
     try:
@@ -730,33 +730,38 @@ def _meta_for(cfg):
     return {"config": cfg.sections, "command": cfg.command}
 
 
-def _write(result, outdir, stem, plot_kind, meta, **kwargs):
-    """Export result to <stem>.csv in outdir, with plot_<plot_kind>.py beside it."""
-    csv_path = export_csv(result, os.path.join(outdir, stem + ".csv"), meta=meta, **kwargs)
-    emit_plot_script(plot_kind, csv_path, os.path.join(outdir, f"plot_{plot_kind}.py"))
+def _plotted(stem, result, meta, plot_kind, columns=None):
+    """<stem>.csv and the plot_<plot_kind>.py beside it, as _write_set files."""
+    csv = stem + ".csv"
+    return [(csv, (result, meta, columns)), (f"plot_{plot_kind}.py", (plot_kind, csv))]
 
 
-def _write_json(payload, path):
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True, default=str)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+def _write_set(outdir, files):
+    """Write a command's whole output set to outdir, all or nothing.
 
-
-@contextlib.contextmanager
-def _report_set(outdir, *names):
-    """Make the writes of a set of report files in outdir all or nothing.
-
-    When a write inside the block fails with IoError, every file of the set
-    is removed before the error propagates, so no partial set is left
-    behind.
+    files are (name, payload) pairs, written in order; the name's extension
+    picks the writer: export_csv for .csv (payload: result, meta, columns),
+    emit_plot_script for .py (plot kind, CSV name), indented JSON with
+    sorted keys otherwise.  When a write fails with IoError, every regular
+    file of the set is removed before the error propagates.
     """
+    paths = [os.path.join(outdir, name) for name, _ in files]
     try:
-        yield
+        for path, (_, payload) in zip(paths, files):
+            if path.endswith(".csv"):
+                result, meta, columns = payload
+                export_csv(result, path, meta=meta, columns=columns)
+            elif path.endswith(".py"):
+                kind, csv = payload
+                emit_plot_script(kind, os.path.join(outdir, csv), path)
+            else:
+                try:
+                    with open(path, "w", encoding="utf-8") as f:
+                        json.dump(payload, f, indent=2, sort_keys=True, default=str)
+                except OSError as exc:
+                    raise IoError(f"cannot write {path}: {exc}") from exc
     except IoError:
-        for name in names:
-            path = os.path.join(outdir, name)
+        for path in paths:
             if os.path.isfile(path):
                 with contextlib.suppress(OSError):
                     os.remove(path)
@@ -768,7 +773,7 @@ def cmd_simulate(cfg, outdir):
     grid = build_grid(cfg)
     config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
     traj = pde_solver.run(build_initial(cfg, grid), params, config)
-    _write(traj, outdir, "trajectory", "trajectory", _meta_for(cfg))
+    _write_set(outdir, _plotted("trajectory", traj, _meta_for(cfg), "trajectory"))
     summary = {"frames": int(traj.times.size), "steps": traj.steps_taken,
                "mass_drift": float(abs(traj.mass[-1] - traj.mass[0]))}
     min_u = float(np.min(traj.min_u))
@@ -786,8 +791,9 @@ def cmd_exact(cfg, outdir):
     sol = _lookup(_FAMILIES, "exact family", family, cfg)[0](cfg, params, e)
     meta = _meta_for(cfg)
     if isinstance(sol, exact_solutions.TravellingWaveSolution):
-        _write(sol, outdir, family, "profiles", meta)
-        return {"family": family, "converged": sol.converged,
+        _write_set(outdir, _plotted(family, sol, meta, "profiles"))
+        # a closure that misses its tolerance raises, and the run exits 3
+        return {"family": family, "converged": True,
                 "iterations": len(sol.residual_history)}
 
     # sample the field families on the grid at the requested times
@@ -800,7 +806,7 @@ def cmd_exact(cfg, outdir):
     meta["kind"] = "trajectory"
     meta["params"] = {k: str(v) for k, v in sol.params.items()}
     meta["assumptions"] = list(sol.assumptions)
-    _write(table, outdir, family, "trajectory", meta, columns=("t", "x", "u", "v"))
+    _write_set(outdir, _plotted(family, table, meta, "trajectory", ("t", "x", "u", "v")))
     return {"family": family, "samples": len(table)}
 
 
@@ -811,7 +817,7 @@ def cmd_reduce(cfg, outdir):
     if not r.get("h", 1.0) > 0.0:  # NaN included
         raise ValidationError(f"reduce.h must be positive, got {r['h']!r}")
     res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
-    _write(res, outdir, f"reduce_{kind}", "profiles", _meta_for(cfg))
+    _write_set(outdir, _plotted(f"reduce_{kind}", res, _meta_for(cfg), "profiles"))
     out = {"kind": kind}
     if hasattr(res, "defect_u"):
         out.update(defect_u=res.defect_u, defect_v=res.defect_v, converged=res.converged)
@@ -839,9 +845,8 @@ def cmd_verify(cfg, outdir):
         "worst_x": rep.worst_location[0],
         "worst_t": rep.worst_location[1],
     }
-    with _report_set(outdir, "residual_report.csv", "plot_report.py", "residual_report.json"):
-        _write(report, outdir, "residual_report", "report", _meta_for(cfg))
-        _write_json({"family": family, **report}, os.path.join(outdir, "residual_report.json"))
+    _write_set(outdir, _plotted("residual_report", report, _meta_for(cfg), "report")
+               + [("residual_report.json", {"family": family, **report})])
     return report
 
 
@@ -862,9 +867,8 @@ def cmd_lie(cfg, outdir):
     flat = {
         f"optimal_{case}_all_ok": int(rep["all_ok"]) for case, rep in reports.items()
     }
-    with _report_set(outdir, "lie_report.json", "lie_report.csv"):
-        _write_json(payload, os.path.join(outdir, "lie_report.json"))
-        export_csv(flat, os.path.join(outdir, "lie_report.csv"), meta=_meta_for(cfg))
+    _write_set(outdir, [("lie_report.json", payload),
+                        ("lie_report.csv", (flat, _meta_for(cfg), None))])
     return {"all_ok": all(rep["all_ok"] for rep in reports.values())}
 
 
@@ -938,10 +942,6 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    # FLKS_LOG=debug echoes the canonical config; env vars control verbosity only
-    if os.environ.get("FLKS_LOG", "").lower() == "debug":
-        print(cfg.canonical_text(), file=sys.stderr)
-
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -962,11 +962,8 @@ def main(argv=None):
         for attr in ("history", "residual", "iterations"):
             if hasattr(exc, attr):
                 report[attr] = getattr(exc, attr)
-        try:
-            with open(os.path.join(args.out, "failure_report.json"), "w") as f:
-                json.dump(report, f, indent=2, default=str)
-        except OSError:
-            pass
+        with contextlib.suppress(IoError):
+            _write_set(args.out, [("failure_report.json", report)])
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -60,7 +60,7 @@ def _x_independent(fn_t):
     return ev
 
 
-def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, law=None, tol=1e-12):
+def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, tol=1e-12):
     """Spatially uniform solution u = C, tau v' + kappa(t) v = C.
 
     v(t) = mu(t)^-1 [mu(t0) V0 + (C/tau) int_t0^t mu(s) ds] with the
@@ -70,8 +70,7 @@ def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, law=None, tol=1e-12):
     cumulative integral; tol governs the remaining particular-part
     quadrature (a looser value helps tabulated laws with many kinks).
     """
-    law = params.decay if law is None else law
-    tau = params.tau
+    law, tau = params.decay, params.tau
     v_of_t = CachedLinearSolution(
         lambda lo, hi: law.cumulative(lo, hi) / tau, C / tau, t0, V0, tol=tol
     )
@@ -219,7 +218,6 @@ class TravellingWaveSolution(ExactSolution):
     r_plus: float = 0.0
     r_minus: float = 0.0
     residual_history: list = field(default_factory=list)
-    converged: bool = True
 
     def defect(self, y_lo, y_hi, limiter, D, tau, alpha, kappa0):
         """Sup-norm residuals of the two traveling-wave ODEs on [y_lo, y_hi],
@@ -245,7 +243,6 @@ class TravellingWaveSolution(ExactSolution):
 def case2_travelling_tanh(
     params,
     alpha,
-    kappa0=None,
     s_profile=None,
     C1=0.0,
     U_ref=1.0,
@@ -285,11 +282,9 @@ def case2_travelling_tanh(
         raise ValidationError("traveling tanh wave requires the tanh limiter")
     if alpha == 0.0:
         raise ValidationError("alpha must be nonzero")
-    if kappa0 is None:
-        if not isinstance(params.decay, ConstantDecay):
-            raise ValidationError("kappa0 must be given unless decay is constant")
-        kappa0 = params.decay.kappa0
-    D, tau = params.D, params.tau
+    if not isinstance(params.decay, ConstantDecay):
+        raise ValidationError("traveling tanh wave requires constant decay")
+    D, tau, kappa0 = params.D, params.tau, params.decay.kappa0
     r_plus, r_minus = travelling_roots(alpha, tau, kappa0)
     dr = r_plus - r_minus
     Da2 = D * alpha * alpha
@@ -317,7 +312,6 @@ def case2_travelling_tanh(
     )
 
     history = []
-    converged = True
     if self_consistent:
         cap = 1.0 - 1e-12
         k_tanh = alpha / limiter.s0
@@ -343,13 +337,15 @@ def case2_travelling_tanh(
     U, w = U_of(s)
     V = green(U)
 
-    from scipy.interpolate import CubicSpline
+    def make_eval(profile):
+        spline = None
 
-    u_spline = CubicSpline(y, U, extrapolate=False)
-    v_spline = CubicSpline(y, V, extrapolate=False)
-
-    def make_eval(spline):
         def ev(x, t):
+            nonlocal spline
+            if spline is None:  # the first call, which the CLI never makes: no scipy
+                from scipy.interpolate import CubicSpline
+
+                spline = CubicSpline(y, profile, extrapolate=False)
             yy = np.asarray(t, dtype=float) - alpha * np.asarray(x, dtype=float)
             out = spline(yy)
             if np.any(np.isnan(np.atleast_1d(out))):
@@ -363,8 +359,8 @@ def case2_travelling_tanh(
     return TravellingWaveSolution(
         case=CaseTag.II_CONSTANT,
         label="II.travelling_tanh",
-        eval_u=make_eval(u_spline),
-        eval_v=make_eval(v_spline),
+        eval_u=make_eval(U),
+        eval_v=make_eval(V),
         params={
             "alpha": alpha,
             "kappa0": kappa0,
@@ -393,7 +389,6 @@ def case2_travelling_tanh(
         r_plus=r_plus,
         r_minus=r_minus,
         residual_history=history,
-        converged=converged,
     )
 
 

@@ -213,14 +213,15 @@ class PicardResult:
     profile: np.ndarray
     residuals: list
     iterations: int
-    converged: bool = True
 
 
 # picard_iterate gives up when the defect grows by _DIVERGENCE_RATIO over
 # _DIVERGENCE_WINDOW consecutive iterations (depth 0), or when its safeguard
-# restarts _DIVERGENCE_WINDOW times in a row (depth > 0)
+# restarts _DIVERGENCE_WINDOW times in a row (depth > 0); it scales a mixed
+# step back to _STEP_CAP damped steps d*g (inf-norm)
 _DIVERGENCE_RATIO = 10.0
 _DIVERGENCE_WINDOW = 5
+_STEP_CAP = 50.0
 
 
 def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0):
@@ -242,8 +243,11 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0
     with gamma minimising ||g - dG gamma||_2.  The safeguard: when the defect
     exceeds twice its best value, the history is dropped, d halves (down to
     1e-3) and the iteration restarts from the best iterate with a damped
-    step; smaller non-improvements keep the history.  The differences sit in
-    two (depth, N) arrays and their Gram matrix is updated by one
+    step; smaller non-improvements keep the history.  A mixed step longer
+    than _STEP_CAP damped steps d*g (inf-norm) is scaled back to that
+    length: on a flat tail the mixing extrapolates far past the root, and
+    the safeguard would discard every refilled history.  The differences
+    sit in two (depth, N) arrays and their Gram matrix is updated by one
     matrix-vector product per step, so gamma is a depth x depth solve.  Every
     large product has ``depth`` rows: OpenBLAS threads a dot product or an
     N x depth least-squares solve at the closure's N = 16385, and its
@@ -324,6 +328,9 @@ def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0
                 # empty slots are zero rows, so their gamma is 0
                 gamma = np.linalg.lstsq(gram, dG @ g, rcond=None)[0]
                 step -= gamma @ dY + (d * gamma) @ dG
+                size = float(np.max(np.abs(step)))
+                if size > _STEP_CAP * d * res:
+                    step *= _STEP_CAP * d * res / size
             prev = (y, g)
         y = y + step
     raise NoConvergence(max_iter, residuals[-1], residuals, profile=y)

@@ -574,17 +574,48 @@ def test_unwritable_json_report_exits_4(tmp_path, capsys, command, report):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, last", [("verify", "residual_report.json"),
-                                           ("lie", "lie_report.csv")])
+def _listing(root):
+    """Every file and directory under root, as sorted relative paths."""
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, dirs, files in os.walk(root) for name in dirs + files)
+
+
+@pytest.mark.parametrize("command, last", [
+    ("verify", "residual_report.json"), ("lie", "lie_report.csv"),
+    ("simulate", "plot_trajectory.py"), ("exact", "plot_trajectory.py"),
+    ("reduce", "plot_profiles.py"), ("sweep", "decay.kappa0=0.6/plot_trajectory.py"),
+])
 def test_failed_report_write_leaves_no_partial_set(tmp_path, capsys, command, last):
-    # a directory in place of the last file of the set makes its write fail
+    # a directory in place of the last file of the set makes its write fail;
+    # exact samples case1_homogeneous, reduce runs homogeneous, and the
+    # sweep's first member is a whole set of its own, so it stays
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL)
+    cfg_path.write_text(MINIMAL + _sweep("decay.kappa0", "0.4,0.6"))
     out = tmp_path / "o"
     (out / last).mkdir(parents=True)
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("i/o error:")
-    assert os.listdir(out) == [last]
+    kept = ["decay.kappa0=0.4", "decay.kappa0=0.4/plot_trajectory.py",
+            "decay.kappa0=0.4/trajectory.csv", "decay.kappa0=0.6"] if command == "sweep" else []
+    assert _listing(out) == sorted(kept + [last])
+
+
+def test_unwritable_failure_report_still_exits_3(tmp_path, capsys):
+    # kappa0 = 0 puts case IV's Ei argument at its singularity (DomainError)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, "kind = exponential\nkappa0 = 0.0\nlambda = 0.2")
+                        + "[exact]\nfamily = case4_homogeneous\n")
+    out = tmp_path / "o"
+    (out / "failure_report.json").mkdir(parents=True)
+    assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert _listing(out) == ["failure_report.json"]
+    # with the directory gone, the same run leaves its report
+    os.rmdir(out / "failure_report.json")
+    assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "DomainError"
 
 
 # --- the CSV layer against its reference: np.savetxt and the per-line reader
@@ -866,22 +897,23 @@ import flks
 from flks import cli
 config, out = sys.argv[1:3]
 codes = [cli.main([command, "--config", config, "--out", os.path.join(out, command)])
-         for command in ("simulate", "verify", "lie")]
+         for command in ("simulate", "verify", "lie", "exact")]
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
-    # scipy's import is most of a cold start; simulate, case I verify and lie
-    # never call it
+    # scipy's import is most of a cold start; simulate, case I verify, lie
+    # and the case II traveling wave's exact never call it
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
-                        + "[verify]\nfamily = case1_homogeneous\n")
+                        + "[verify]\nfamily = case1_homogeneous\n"
+                        + "[exact]\nfamily = case2_travelling_tanh\nn = 1024\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg_path), str(tmp_path / "o")],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
