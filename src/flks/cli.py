@@ -774,8 +774,12 @@ def cmd_simulate(cfg, outdir):
     config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
     traj = pde_solver.run(build_initial(cfg, grid), params, config)
     _write_set(outdir, _plotted("trajectory", traj, _meta_for(cfg), "trajectory"))
+    # the largest drift over the whole ledger, relative to the initial mass
+    # (absolute when that is zero)
+    drift = np.max(np.abs(traj.mass - traj.mass[0])) / (abs(traj.mass[0]) or 1.0)
     summary = {"frames": int(traj.times.size), "steps": traj.steps_taken,
-               "mass_drift": float(abs(traj.mass[-1] - traj.mass[0]))}
+               "mass_drift": float(drift), "dt": traj.metadata["dt"],
+               "dt_bound": traj.metadata["dt_bound"]}
     min_u = float(np.min(traj.min_u))
     if min_u < 0.0:
         # a negative cell density is unphysical: say so, outside the CSV body

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .limiters import TanhLogLimiter
-from .pde_solver import SolverConfig, _ghost_fill, _rhs
+from .pde_solver import SolverConfig, _rhs, cell_widths
 from .quadrature import (
     cumulative_integral,
     d1_uniform,
@@ -145,7 +145,7 @@ def _steady_residual(u, v, params, config, mass_target):
     pinning the trapezoid mass; zero exactly where ``pde_solver.run`` stops.
     ``params.decay`` must be constant, so the time argument is immaterial."""
     du, dv = _rhs(u, v, 0.0, params, config)
-    w = _ghost_fill(u.size - 1, config.grid.dx, config.bc)[2]
+    w = cell_widths(u.size - 1, config.grid.dx, config.bc)
     du[0] = float(np.dot(w, u)) - mass_target
     return du, params.tau * dv
 
@@ -177,7 +177,7 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     x = config.grid.nodes()
     u = np.asarray(problem.data.get("u_init", np.ones(n + 1)), dtype=float).copy()
     v = np.asarray(problem.data.get("v_init", u / max(kappa0, 1e-12)), dtype=float).copy()
-    w = _ghost_fill(n, config.grid.dx, bc)[2]
+    w = cell_widths(n, config.grid.dx, bc)
     mass_target = float(np.dot(w, u))
 
     def residual(z):

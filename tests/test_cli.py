@@ -238,6 +238,55 @@ def test_simulate_flags_negative_density(tmp_path, monkeypatch, capsys):
     assert "min_u" not in json.loads(out.strip().splitlines()[-1])["summary"]
 
 
+def test_simulate_summary_reports_the_largest_relative_mass_drift(tmp_path, monkeypatch, capsys):
+    # a ledger that peaks between its first and last frames: the drift is
+    # the largest |m - m0| / |m0| over the ledger, not |m[-1] - m[0]|
+    from flks import cli
+
+    real_run = cli.pde_solver.run
+
+    def peaked(*args):
+        traj = real_run(*args)
+        m0 = traj.mass[0]
+        traj.mass = m0 * np.array([1.0, 1.5] + [1.1] * (traj.mass.size - 2))
+        return traj
+
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    monkeypatch.setattr(cli.pde_solver, "run", peaked)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    assert summary["frames"] >= 3
+    assert summary["mass_drift"] == pytest.approx(0.5, rel=1e-12)
+
+    # a cell-free run has no mass to be relative to: its drift reads 0, not NaN
+    monkeypatch.setattr(cli.pde_solver, "run", real_run)
+    cfg_path.write_text(MINIMAL.replace("u0 = 1.0", "u0 = 0.0"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    assert summary["mass_drift"] == 0.0
+
+
+def test_simulate_reports_the_step_and_its_active_bound(tmp_path, capsys):
+    # the fig-1 constants on [-4, 4] with n = 256: the diffusive bound is
+    # ~815x below the advective one and sets dt
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace("x_lo = -2.0", "x_lo = -4.0")
+                        .replace("x_hi = 2.0", "x_hi = 4.0").replace("n = 32", "n = 256")
+                        .replace("t_end = 0.05", "t_end = 0.001"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    dx = 8.0 / 256
+    assert summary["dt_bound"] == "diffusive"
+    assert summary["dt"] == pytest.approx(0.4 * dx * dx / 20.0, rel=1e-12)
+    assert (dx * 1.4 / 1.1) / (dx * dx / 20.0) == pytest.approx(815, rel=1e-3)
+    # the record goes to the CSV header, never to the body
+    meta, cols = import_csv(str(tmp_path / "o" / "trajectory.csv"))
+    assert meta["solver"]["dt"] == summary["dt"]
+    assert meta["solver"]["dt_bound"] == "diffusive"
+    assert set(cols) == {"t", "x", "u", "v"}
+
+
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "\n[model]\nbogus = 1\n")

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flks.core import (
     ConstantDecay,
@@ -12,9 +15,10 @@ from flks.core import (
     PowerLawDecay,
     TabulatedDecay,
 )
-from flks.errors import CFLViolation, InvalidState, StepSizeError
+from flks.errors import CFLViolation, FlksError, InvalidState, StepSizeError, ValidationError
 from flks.exact_solutions import case1_homogeneous, case4_cellfree_front
-from flks.limiters import TanhLimiter
+from flks.limiters import AlgebraicSqrtLimiter, TanhLimiter, TanhLogLimiter
+from flks import pde_solver
 from flks.pde_solver import SolverConfig, Trajectory, _rhs, run, stable_dt, step, total_mass
 
 
@@ -278,3 +282,321 @@ def test_min_u_covers_the_steps_between_frames():
     assert sparse.min_u[1] == np.min(dense.min_u[1:])
     assert sparse.min_u[1] == pytest.approx(-0.1416, abs=5e-5)
     assert np.min(sparse.us[-1]) > -0.11  # the last frame alone reads -0.1018
+
+
+# ---------------------------------------------------------------------------
+# byte identity against the gather-based operator the prepared one replaced
+# ---------------------------------------------------------------------------
+# The reference below is the solver loop as it stood before the operator was
+# prepared once per run: fancy-index ghost gathers, np.append face fluxes, a
+# fresh array per ufunc and per field, and run() calling step().  It is kept
+# verbatim (names prefixed _ref) as the oracle that every output of run()
+# must equal bit for bit.
+
+
+@functools.lru_cache(maxsize=32)
+def _ref_ghost_fill(n, dx, bc):
+    inner = np.arange(n)
+    widths = np.full(n + 1, dx)
+    if bc == "periodic":
+        nodes = np.concatenate([[n - 1], inner, [0, 1]])
+        faces = np.concatenate([[n - 1], inner, [0]])
+    else:
+        nodes = np.concatenate([[1], inner, [n, n - 1]])
+        faces = np.concatenate([[n], inner, [n]])
+        widths[0] = widths[-1] = 0.5 * dx
+    for cached in (nodes, faces, widths):
+        cached.flags.writeable = False
+    return nodes, faces, widths
+
+
+def _ref_stable_dt(params, config):
+    dx = config.grid.dx
+    diffusive = dx * dx / (2.0 * max(params.D, 1.0 / params.tau))
+    lim = params.limiter
+    advective = dx * lim.gradient_scale / lim.v_max
+    return config.cfl_safety * min(diffusive, advective)
+
+
+def _ref_rhs(u, v, t, params, config):
+    dx = config.grid.dx
+    D = params.D
+    tau = params.tau
+    lim = params.limiter
+    kap = params.decay.kappa(t)
+    nodes, faces, w = _ref_ghost_fill(u.size - 1, dx, config.bc)
+    U = u[nodes]
+    V = v[nodes]
+
+    um, u0, up, up2 = U[:-3], U[1:-2], U[2:-1], U[3:]
+    Fv = lim.F((V[2:-1] - V[1:-2]) / dx)
+    ubar_pos = u0 + 0.25 * (up - um)
+    ubar_neg = up - 0.25 * (up2 - u0)
+    ubar = np.where(Fv >= 0.0, ubar_pos, ubar_neg)
+    J = np.append(ubar * Fv, 0.0)[faces]
+    G = np.append(D * (up - u0) / dx, 0.0)[faces]
+    du = (G[1:] - G[:-1]) / w - (J[1:] - J[:-1]) / w
+    vxx = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / (dx * dx)
+    if config.bc == "neumann":
+        vxx[0] = 2.0 * (v[1] - v[0]) / (dx * dx)
+        vxx[-1] = 2.0 * (v[-2] - v[-1]) / (dx * dx)
+    dv = (vxx - kap * V[1:-1] + U[1:-1]) / tau
+
+    if config.source_u is not None:
+        du = du + config.source_u(config.grid.nodes(), t)
+    if config.source_v is not None:
+        dv = dv + config.source_v(config.grid.nodes(), t) / tau
+    return du, dv
+
+
+def _ref_step(state, params, config, dt):
+    if dt <= 0.0:
+        raise StepSizeError(f"dt must be positive, got {dt!r}")
+    bound = _ref_stable_dt(params, config)
+    if dt > bound * (1.0 + 1e-9):
+        raise CFLViolation(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
+    if not state.is_valid():
+        raise InvalidState(f"non-finite state at t={state.t:g}")
+
+    u0, v0, t = state.u, state.v, state.t
+    du, dv = _ref_rhs(u0, v0, t, params, config)
+    u1 = u0 + dt * du
+    v1 = v0 + dt * dv
+    du, dv = _ref_rhs(u1, v1, t + dt, params, config)
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * du)
+    v2 = 0.75 * v0 + 0.25 * (v1 + dt * dv)
+    du, dv = _ref_rhs(u2, v2, t + 0.5 * dt, params, config)
+    out = FieldPair(
+        (u0 + 2.0 * (u2 + dt * du)) / 3.0,
+        (v0 + 2.0 * (v2 + dt * dv)) / 3.0,
+        t + dt,
+    )
+    if not out.is_valid():
+        raise InvalidState(f"solution lost finiteness during the step to t={out.t:g}")
+    return out
+
+
+def _ref_run(initial, params, config):
+    state = initial.copy()
+    if state.u.size != config.grid.n + 1:
+        raise ValidationError("initial state does not match the grid")
+    if config.t_end < state.t:
+        raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={state.t!r}")
+    if config.bc == "periodic":
+        state.u[-1] = state.u[0]
+        state.v[-1] = state.v[0]
+
+    times = [state.t]
+    us = [state.u.copy()]
+    vs = [state.v.copy()]
+    mass = [total_mass(state.u, config.grid, config.bc)]
+    min_u = [float(np.min(state.u))]
+    low = np.inf
+    steps = 0
+    t_end = float(config.t_end)
+    while state.t < t_end - 1e-14:
+        dt = min(_ref_stable_dt(params, config), t_end - state.t)
+        state = _ref_step(state, params, config, dt)
+        steps += 1
+        low = min(low, float(np.min(state.u)))
+        if steps % config.output_stride == 0 or state.t >= t_end - 1e-14:
+            times.append(state.t)
+            us.append(state.u.copy())
+            vs.append(state.v.copy())
+            mass.append(total_mass(state.u, config.grid, config.bc))
+            min_u.append(low)
+            low = np.inf
+    return (np.asarray(times), np.asarray(us), np.asarray(vs), np.asarray(mass),
+            np.asarray(min_u), steps)
+
+
+def _outcome(march, initial, params, config):
+    """The arrays of a run, or the type and text of the error it raised."""
+    try:
+        out = march(initial, params, config)
+    except FlksError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Trajectory):
+        out = (out.times, out.us, out.vs, out.mass, out.min_u, out.steps_taken)
+    return out
+
+
+def assert_same_run(initial, params, config):
+    got = _outcome(run, initial, params, config)
+    want = _outcome(_ref_run, initial, params, config)
+    assert type(got) is type(want)
+    if isinstance(want, tuple) and len(want) == 6:
+        for name, a, b in zip(("times", "us", "vs", "mass", "min_u"), got, want):
+            # byte for byte: signed zeros and NaN payloads included
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got[5] == want[5]
+    else:
+        assert got == want
+
+
+_LIMITERS = {
+    "tanh": lambda vmax, scale: TanhLimiter(vmax, scale),
+    "algebraic_sqrt": lambda vmax, scale: AlgebraicSqrtLimiter(vmax),
+    "tanh_log": lambda vmax, scale: TanhLogLimiter(vmax, scale),
+}
+
+
+def _decay(kind, t0, t_end):
+    if kind == "constant":
+        return ConstantDecay(0.5)
+    if kind == "power_law":
+        return PowerLawDecay(0.3)
+    if kind == "exponential":
+        return ExponentialDecay(0.5, 0.7)
+    # knots cover every stage time of the run
+    return TabulatedDecay((t0 - 1.0, t0 + 0.01, t_end + 1.0), (0.4, 0.9, 0.6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bc=st.sampled_from(["neumann", "periodic"]),
+    limiter=st.sampled_from(sorted(_LIMITERS)),
+    decay=st.sampled_from(["constant", "power_law", "exponential", "tabulated"]),
+    sources=st.booleans(),
+    stride=st.sampled_from([1, 10**6]),
+    n=st.integers(8, 40),
+    steps=st.integers(0, 25),
+    D=st.floats(0.05, 2.0),
+    tau=st.floats(0.1, 2.0),
+    vmax=st.floats(0.5, 5.0),
+    scale=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_is_bit_identical_to_the_reference_march(
+    bc, limiter, decay, sources, stride, n, steps, D, tau, vmax, scale, seed
+):
+    rng = np.random.default_rng(seed)
+    t0 = 1.0 if decay == "power_law" else float(rng.uniform(-0.5, 0.5))
+    grid = Grid1D(-2.0, 2.0, n)
+    lim = _LIMITERS[limiter](vmax, scale)
+    probe = ModelParams(D=D, tau=tau, limiter=lim, decay=ConstantDecay(0.5))
+    t_end = t0 + 0.93 * steps * stable_dt(probe, SolverConfig(grid, t_end=1.0))
+    params = ModelParams(D=D, tau=tau, limiter=lim, decay=_decay(decay, t0, t_end))
+    src = {}
+    if sources:
+        src = {"source_u": lambda x, t: 0.3 * np.sin(2.0 * x + t),
+               "source_v": lambda x, t: 0.2 * np.cos(x - 3.0 * t) + 0.1}
+    config = SolverConfig(grid, t_end=t_end, bc=bc, output_stride=stride, **src)
+    u0 = 1.0 + rng.uniform(-0.9, 2.0, n + 1)
+    v0 = rng.uniform(-1.0, 1.0, n + 1)
+    assert_same_run(FieldPair(u0, v0, t0), params, config)
+
+
+def test_negative_density_repro_is_bit_identical_to_the_reference_march():
+    p = ModelParams(D=0.05, tau=0.1, limiter=TanhLimiter(5.0, 0.2), decay=ConstantDecay(0.5))
+    grid = Grid1D(-4.0, 4.0, 128)
+    x = grid.nodes()
+    init = FieldPair(np.where(np.abs(x) < 0.5, 5.0, 0.0), np.exp(-x * x), 0.0)
+    for stride in (1, 1000):
+        assert_same_run(init, p, SolverConfig(grid=grid, t_end=0.02, output_stride=stride))
+
+
+def test_rhs_and_step_are_bit_identical_to_the_reference():
+    p = make_params(decay=ExponentialDecay(0.5, 0.3))
+    rng = np.random.default_rng(11)
+    for bc in ("neumann", "periodic"):
+        cfg = SolverConfig(grid=Grid1D(-1.0, 1.0, 24), t_end=1.0, bc=bc,
+                           source_u=lambda x, t: np.sin(x + t))
+        # an unaliased periodic end node: step marches it, the stencil reads node 0
+        state = FieldPair(1.0 + rng.random(25), rng.random(25), 0.2)
+        for got, want in zip(_rhs(state.u, state.v, 0.2, p, cfg),
+                             _ref_rhs(state.u, state.v, 0.2, p, cfg)):
+            assert np.array_equal(got, want)
+        dt = stable_dt(p, cfg)
+        got, want = step(state, p, cfg, dt), _ref_step(state, p, cfg, dt)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+        assert got.t == want.t
+
+
+def test_non_finite_runs_fail_like_the_reference():
+    p = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1.1, 1.4), decay=ConstantDecay(0.5))
+    grid = Grid1D(0.0, 1.0, 16)
+    cfg = SolverConfig(grid=grid, t_end=0.001, output_stride=3)
+    bad = FieldPair(np.ones(17), np.ones(17), 0.0)
+    bad.u[4] = np.nan
+    assert_same_run(bad, p, cfg)
+    # a run that takes no step returns the state as it is, finite or not
+    assert_same_run(bad, p, SolverConfig(grid=grid, t_end=0.0))
+    # overflow to inf inside the march
+    huge = FieldPair(np.full(17, 1e305), np.linspace(0.0, 1e306, 17), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_run(huge, p, cfg)
+
+
+def _work_arrays(op):
+    return [a for a in vars(op).values() if isinstance(a, np.ndarray)] + op.states
+
+
+def test_results_share_no_memory_with_the_operator(monkeypatch):
+    made = []
+
+    class Recorded(pde_solver._Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(pde_solver, "_Operator", Recorded)
+    p = make_params()
+    grid = Grid1D(-1.0, 1.0, 16)
+    x = grid.nodes()
+    for bc in ("neumann", "periodic"):
+        cfg = SolverConfig(grid=grid, t_end=0.01, bc=bc, output_stride=2,
+                           source_u=lambda x, t: 0.1 * x)
+        a = FieldPair(1.0 + 0.5 * np.cos(x), np.sin(x), 0.0)
+        b = FieldPair(2.0 - 0.5 * np.cos(x), np.cos(x), 0.0)
+        made.clear()
+        # _fd_jacobian keeps several _rhs results alive at once
+        ra = _rhs(a.u, a.v, 0.0, p, cfg)
+        rb = _rhs(b.u, b.v, 0.0, p, cfg)
+        sa = step(a, p, cfg, stable_dt(p, cfg))
+        traj = run(a, p, cfg)
+        kept = [*ra, *rb, sa.u, sa.v, traj.times, traj.us, traj.vs, traj.mass, traj.min_u]
+        kept += [traj.us[k] for k in range(traj.times.size)]
+        assert len(made) == 4
+        for arr in kept:
+            assert not any(np.shares_memory(arr, w) for op in made for w in _work_arrays(op))
+        before = [arr.copy() for arr in kept]
+        _rhs(b.u, b.v, 0.5, p, cfg)
+        step(b, p, cfg, stable_dt(p, cfg))
+        run(b, p, cfg)
+        for arr, old in zip(kept, before):
+            assert arr.tobytes() == old.tobytes()
+        assert all(np.array_equal(x, y) for x, y in zip(ra, _rhs(a.u, a.v, 0.0, p, cfg)))
+
+
+def test_step_refuses_a_state_of_another_grid():
+    # 33 nodes on a 16-cell grid used to march with that grid's dx, and with
+    # a source term to end in a raw numpy shape error
+    p = make_params()
+    grid = Grid1D(0.0, 1.0, 16)
+    state = FieldPair(np.ones(33), np.ones(33), 0.0)
+    for src in (None, lambda x, t: 0.0 * x):
+        cfg = SolverConfig(grid=grid, t_end=1.0, source_u=src)
+        with pytest.raises(ValidationError, match="does not match the grid"):
+            step(state, p, cfg, stable_dt(p, cfg))
+        with pytest.raises(ValidationError, match="does not match the grid"):
+            _rhs(state.u, state.v, 0.0, p, cfg)
+
+
+def test_run_records_the_step_and_its_active_bound():
+    # fig-1 constants: dx^2/(2/tau) = dx^2/20 against dx s0/v_max = 1.27 dx,
+    # so at n = 256 on [-4, 4] the diffusive bound is ~815x the smaller
+    p = make_params()
+    grid = Grid1D(-4.0, 4.0, 256)
+    cfg = SolverConfig(grid=grid, t_end=0.0)
+    traj = run(FieldPair(np.ones(257), np.zeros(257), 0.0), p, cfg)
+    dx = grid.dx
+    diffusive, advective = dx * dx / 20.0, dx * 1.4 / 1.1
+    assert 800.0 < advective / diffusive < 830.0
+    assert traj.metadata["dt_bound"] == "diffusive"
+    assert traj.metadata["dt"] == stable_dt(p, cfg) == cfg.cfl_safety * diffusive
+    # a steep limiter makes the advective bound the active one
+    steep = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1e4, 1e-3), decay=ConstantDecay(0.5))
+    traj = run(FieldPair(np.ones(257), np.zeros(257), 0.0), steep, cfg)
+    assert traj.metadata["dt_bound"] == "advective"
+    assert traj.metadata["dt"] == stable_dt(steep, cfg)
