@@ -202,13 +202,13 @@ def apply_overrides(cfg, overrides):
     return cfg
 
 
-# decay kind -> (law, its [decay] keys in argument order, start time of the
-# runs under it: kappa = mu / t is defined for t > 0 only)
+# decay kind -> (law, its [decay] keys in argument order); a run under the
+# law starts at its ``start``
 _DECAY_KINDS = {
-    "constant": (ConstantDecay, ("kappa0",), 0.0),
-    "power_law": (PowerLawDecay, ("mu",), 1.0),
-    "exponential": (ExponentialDecay, ("kappa0", "lambda"), 0.0),
-    "tabulated": (TabulatedDecay, ("times", "values"), 0.0),
+    "constant": (ConstantDecay, ("kappa0",)),
+    "power_law": (PowerLawDecay, ("mu",)),
+    "exponential": (ExponentialDecay, ("kappa0", "lambda")),
+    "tabulated": (TabulatedDecay, ("times", "values")),
 }
 
 
@@ -225,7 +225,7 @@ def _decay_kind(cfg):
 def build_decay(cfg):
     d = cfg.sections["decay"]
     kind = _decay_kind(cfg)
-    law, keys, _ = _DECAY_KINDS[kind]
+    law, keys = _DECAY_KINDS[kind]
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValidationError(f"decay kind {kind!r} needs {', '.join(missing)}")
@@ -263,31 +263,30 @@ def build_initial(cfg, grid):
         u = u0 + ini.get("noise", 1e-2) * rng.standard_normal(x.size)
     else:
         raise ValidationError(f"unknown initial kind {kind!r}")
-    t0 = _DECAY_KINDS[_decay_kind(cfg)][2]
-    return FieldPair(u, np.full_like(x, v0), t0)
+    return FieldPair(u, np.full_like(x, v0), build_decay(cfg).start)
 
 
 # ---------------------------------------------------------------------------
 # exact families and reducers
 # ---------------------------------------------------------------------------
 
-def _uniform_args(e, t0):
-    return {"C": e.get("C", 1.0), "V0": e.get("V0", 0.0), "t0": e.get("t0", t0)}
+def _uniform_args(e, law):
+    return {"C": e.get("C", 1.0), "V0": e.get("V0", 0.0), "t0": e.get("t0", law.start)}
 
 
 def _case1(cfg, params, e):
-    return exact_solutions.case1_homogeneous(params, **_uniform_args(e, 0.0))
+    return exact_solutions.case1_homogeneous(params, **_uniform_args(e, params.decay))
 
 
 def _case3(cfg, params, e):
     return exact_solutions.case3_homogeneous(
-        params.decay.mu, params.tau, **_uniform_args(e, 1.0)
+        params.decay.mu, params.tau, **_uniform_args(e, params.decay)
     )
 
 
 def _case4(cfg, params, e):
     return exact_solutions.case4_homogeneous(
-        params.decay.kappa0, params.decay.lam, params.tau, **_uniform_args(e, 0.0)
+        params.decay.kappa0, params.decay.lam, params.tau, **_uniform_args(e, params.decay)
     )
 
 
@@ -336,7 +335,7 @@ _FAMILIES = {
 
 
 def _reduce_homogeneous(cfg, params, r):
-    t0 = _DECAY_KINDS[_decay_kind(cfg)][2]
+    t0 = params.decay.start
     prob = reduced_systems.ReducedProblem(
         "homogeneous", params, domain=(t0, t0 + r.get("t_end", 5.0)),
         data={"U0": r.get("U0", 1.0), "V0": r.get("V0", 0.0)},

@@ -27,8 +27,12 @@ class DecayLaw:
 
     Concrete laws implement ``kappa(t)`` and its exact integral
     ``cumulative(a, b)`` over [a, b], which the integrating factor of the
-    uniform relaxation tau v' + kappa(t) v = C is built from.
+    uniform relaxation tau v' + kappa(t) v = C is built from.  ``start`` is
+    the time a run under the law begins at: 0, unless the law is undefined
+    there.
     """
+
+    start = 0.0
 
     def kappa(self, t):
         raise NotImplementedError
@@ -71,9 +75,10 @@ class ConstantDecay(DecayLaw):
 
 @dataclass(frozen=True)
 class PowerLawDecay(DecayLaw):
-    """kappa(t) = mu / t, defined for t > 0 only."""
+    """kappa(t) = mu / t, defined for t > 0 only; runs start at t = 1."""
 
     mu: float
+    start = 1.0
 
     def __post_init__(self):
         _require_finite("mu", self.mu)
@@ -144,6 +149,11 @@ class TabulatedDecay(DecayLaw):
             arr = np.array(knots)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def start(self):
+        """Runs start at the first sample."""
+        return self.times[0]
 
     def kappa(self, t):
         t_arr = np.asarray(t, dtype=float)

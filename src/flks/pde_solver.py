@@ -16,9 +16,12 @@ is reported per frame, never enforced.
 The operator is prepared once per (params, config): ``_Operator`` binds the
 constants, holds u and v stacked in ghost-padded stage states and writes
 every intermediate into its own work arrays, so a step allocates no array
-memory beyond what the limiter and the source terms return.  ``run``
-marches one prepared operator; ``_rhs`` (the steady-state residual) and
-``step`` are thin entry points that prepare their own.
+memory beyond what the limiter and the source terms return.  ``run`` and
+``step`` march one prepared operator, and ``reduced_systems`` takes the
+steady-state residual from one.  The periodic seam: periodic node n is node
+0, so loading a state copies node 0 into node n and source terms are
+evaluated there at x_0; every stage then keeps node n bitwise equal to
+node 0.
 """
 
 from dataclasses import dataclass, field
@@ -84,12 +87,13 @@ class _Operator:
     """The semi-discrete operator of one (params, config) pair, prepared once.
 
     A state is a (2, n+3) array: row 0 holds u, row 1 holds v, column k+1
-    holds node k and columns 0 and n+2 are the ghosts.  ``rhs`` fills the
-    ghosts of one of the three stage states with column copies (while the
-    stencil reads a periodic state, node n holds node 0's values; its own
-    are put back afterwards) and writes (u_t, v_t) into a (2, n+1) array.
-    ``advance`` takes one SSP-RK3 step of stage state 0 in place.  Callers
-    copy what they keep.
+    holds node k and columns 0 and n+2 are the ghosts.  ``load`` makes a
+    periodic node n a copy of node 0, and periodic sources see x_0 at node
+    n, so node n stays bitwise equal to node 0 through every stage.
+    ``rhs`` fills the ghosts of one of the three stage states with column
+    copies and writes (u_t, v_t) into a (2, n+1) array.  ``advance`` takes
+    one SSP-RK3 step of stage state 0 in place.  Callers copy what they
+    keep.
     """
 
     def __init__(self, params, config):
@@ -107,6 +111,8 @@ class _Operator:
         self.source_v = config.source_v
         if self.source_u is not None or self.source_v is not None:
             self.x = config.grid.nodes()
+            if self.periodic:
+                self.x[-1] = self.x[0]
             self.x.flags.writeable = False
         self.states = [np.zeros((2, n + 3)) for _ in range(3)]
         self.nodes = [X[:, 1:-1] for X in self.states]
@@ -123,7 +129,6 @@ class _Operator:
         self.GJ_wrap = ((GJ[:, 0], GJ[:, n]), (GJ[:, n + 1], GJ[:, 1]))
         self.diffs = np.empty((2, n + 1))
         self.kv = np.empty(n + 1)
-        self.alias = np.empty(2)
         self.flags = np.empty((2, n + 1), dtype=bool)
         self._views = [self._stencil(X) for X in self.states]
 
@@ -134,16 +139,18 @@ class _Operator:
             ghosts = ((X[:, 0], X[:, n]), (X[:, n + 2], X[:, 2]))
         else:
             ghosts = ((X[:, 0], X[:, 2]), (X[:, n + 2], X[:, n]))
-        return (X[:, n + 1], X[:, 1], ghosts, X[:, 2:-1], X[:, 1:-2],
+        return (ghosts, X[:, 2:-1], X[:, 1:-2],
                 U[2:], U[:-2], U[1:-2], U[2:-1], V[:-2], V[1:-1], V[2:], U[1:-1], V)
 
     def load(self, u, v):
-        """Copy (u, v) into stage state 0."""
+        """Copy (u, v) into stage state 0; a periodic node n takes node 0's values."""
         if np.shape(u) != (self.n + 1,) or np.shape(v) != (self.n + 1,):
             raise ValidationError("state does not match the grid")
         X = self.nodes[0]
         X[0] = u
         X[1] = v
+        if self.periodic:
+            X[:, -1] = X[:, 0]
 
     def finite(self):
         """Whether stage state 0 is finite at every node."""
@@ -151,12 +158,8 @@ class _Operator:
 
     def rhs(self, k, t, out):
         """Write the right-hand side of stage state k at time t into out."""
-        (last, first, ghosts, hi, lo, u_hi, u_lo, u0, up,
-         vl, vc, vr, uc, V) = self._views[k]
+        ghosts, hi, lo, u_hi, u_lo, u0, up, vl, vc, vr, uc, V = self._views[k]
         kap = self.kappa(t)
-        if self.periodic:
-            np.copyto(self.alias, last)
-            np.copyto(last, first)
         for dst, src in ghosts:
             np.copyto(dst, src)
         dx, dx2 = self.dx, self.dx2
@@ -189,8 +192,6 @@ class _Operator:
             dv[-1] = 2.0 * (V[-3] - V[-2]) / dx2
         np.subtract(dv, np.multiply(kap, vc, out=self.kv), out=dv)
         np.divide(np.add(dv, uc, out=dv), self.tau, out=dv)
-        if self.periodic:
-            np.copyto(last, self.alias)
 
         if self.source_u is not None:
             np.add(du, self.source_u(self.x, t), out=du)
@@ -212,14 +213,6 @@ class _Operator:
         np.add(X2, np.multiply(dt, dX, out=dX), out=dX)
         np.add(X0, np.multiply(2.0, dX, out=dX), out=dX)
         np.divide(dX, 3.0, out=X0)
-
-
-def _rhs(u, v, t, params, config):
-    """Semi-discrete right-hand side (u_t, v_t) on the grid nodes."""
-    op = _Operator(params, config)
-    op.load(u, v)
-    out = op.rhs(0, t, np.empty((2, op.n + 1)))
-    return out[0], out[1]
 
 
 def step(state, params, config, dt):
@@ -289,10 +282,7 @@ def run(initial, params, config):
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
     op = _Operator(params, config)
     op.load(initial.u, initial.v)
-    X = op.nodes[0]
-    if config.bc == "periodic":
-        X[:, -1] = X[:, 0]
-    u, v = X
+    u, v = op.nodes[0]
 
     t = initial.t
     t_end = float(config.t_end)

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .limiters import TanhLogLimiter
-from .pde_solver import SolverConfig, _rhs, cell_widths
+from .pde_solver import SolverConfig, _Operator, cell_widths
 from .quadrature import (
     cumulative_integral,
     d1_uniform,
@@ -140,31 +140,23 @@ class SteadyStateResult:
     iterations: int
 
 
-def _steady_residual(u, v, params, config, mass_target):
-    """The PDE solver's right-hand side as the rows (u_t, tau v_t), with row 0
-    pinning the trapezoid mass; zero exactly where ``pde_solver.run`` stops.
-    ``params.decay`` must be constant, so the time argument is immaterial."""
-    du, dv = _rhs(u, v, 0.0, params, config)
-    w = cell_widths(u.size - 1, config.grid.dx, config.bc)
-    du[0] = float(np.dot(w, u)) - mass_target
-    return du, params.tau * dv
-
-
 def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     """Damped Newton solve for a zero-flux steady state under constant decay.
 
     The steady state is a zero of the PDE solver's own semi-discrete operator
-    (``pde_solver._rhs``, Neumann boundaries), so ``simulate`` started from it
-    does not move.  The cell mass is a free direction of the u-equation, and
-    row 0 pins the trapezoid mass of the initial guess.  The Jacobian is a
-    sparse forward difference coloured by the five-point stencil (ten
-    residual calls per Newton step at any n, see ``_fd_jacobian``) and each
-    step is one sparse LU solve; a halving line search keeps the defect
-    monotone.  The solve stops when the defect is below ``tol`` or below the
-    rows' round-off floor, eps times the largest row sum of |J_ij z_j|; the
-    rows scale like 1/dx^2, so on fine grids (n >= 1024 on [0, 4]) the floor
-    is the larger.  Only ``bc = "neumann"`` is accepted: periodic node n
-    aliases node 0, which would make the Jacobian singular.
+    (one ``pde_solver._Operator``, prepared once, Neumann boundaries), so
+    ``simulate`` started from it does not move.  The residual is its rows
+    (u_t, tau v_t) at t = 0 (the decay is constant); the cell mass is a free
+    direction of the u-equation, and row 0 pins the trapezoid mass of the
+    initial guess.  The Jacobian is a sparse forward difference coloured by
+    the five-point stencil (ten residual calls per Newton step at any n, see
+    ``_fd_jacobian``) and each step is one sparse LU solve; a halving line
+    search keeps the defect monotone.  The solve stops when the defect is
+    below ``tol`` or below the rows' round-off floor, eps times the largest
+    row sum of |J_ij z_j|; the rows scale like 1/dx^2, so on fine grids
+    (n >= 1024 on [0, 4]) the floor is the larger.  Only ``bc = "neumann"``
+    is accepted: periodic node n is node 0, which would make the Jacobian
+    singular.
     """
     import scipy.sparse.linalg as spla
 
@@ -180,8 +172,14 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     w = cell_widths(n, config.grid.dx, bc)
     mass_target = float(np.dot(w, u))
 
+    op = _Operator(params, config)
+    rows = np.empty((2, n + 1))
+
     def residual(z):
-        return np.concatenate(_steady_residual(z[: n + 1], z[n + 1 :], params, config, mass_target))
+        op.load(z[: n + 1], z[n + 1 :])
+        du, dv = op.rhs(0, 0.0, rows)
+        du[0] = float(np.dot(w, z[: n + 1])) - mass_target
+        return np.concatenate((du, params.tau * dv))
 
     z = np.concatenate([u, v])
     history = []

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFit,
+    EvaluationError,
     GridMismatch,
     UnsupportedGenerator,
     ValidationError,
@@ -60,6 +61,7 @@ def _residual(samples, params, ht, grid, x_loc):
     Each sample holds the fields at the 5 time levels t + k ht, k = -2..2,
     on the nodes x_loc padded by _PAD nodes on each side; the residual is
     measured on x_loc only, where the padded 4th-order stencils are central.
+    A non-finite residual raises EvaluationError naming its (x, t).
     """
     dx = grid.dx
     D, tau, lim = params.D, params.tau, params.limiter
@@ -81,7 +83,9 @@ def _residual(samples, params, ht, grid, x_loc):
         R_u = (u_t - D * u_xx + g_x)[sl]
         R_v = (tau * v_t - v_xx + kap * v - u)[sl]
         both = np.maximum(np.abs(R_u), np.abs(R_v))
-        j = int(np.argmax(both))
+        j = int(np.argmax(both))  # the first NaN, if there is one
+        if not np.isfinite(both[j]):
+            raise EvaluationError(f"non-finite residual at x={float(x_loc[j]):g}, t={float(t):g}")
         if both[j] > sup:
             sup = float(both[j])
             worst = (float(x_loc[j]), float(t))
@@ -150,13 +154,16 @@ def pde_residual(sol, params, grid=None, t_samples=None, ht=5e-4):
     leaves out its 4 outer nodes on each side, which pad the stencils; a
     periodic one is measured at nodes 0..n-1 (node n is node 0).  For
     evaluable solutions the caller chooses the grid, time samples and
-    temporal stencil step ht (the samples, padded by 4 dx and 2 ht, must stay
-    inside the solution's validity domain).
+    temporal stencil step ht, positive and finite (the samples, padded by
+    4 dx and 2 ht, must stay inside the solution's validity domain).  A
+    non-finite residual raises EvaluationError.
     """
     if hasattr(sol, "times") and hasattr(sol, "us"):
         return _residual_from_trajectory(sol, params)
     if grid is None or t_samples is None or not len(t_samples):
         raise ValidationError("evaluable solutions need an explicit grid and t_samples")
+    if not 0.0 < ht < math.inf:  # NaN included
+        raise ValidationError(f"ht must be positive and finite, got {ht!r}")
     samples = _callable_samples(sol.eval_u, sol.eval_v, grid, t_samples, ht)
     return _residual(samples, params, ht, grid, grid.nodes())
 

@@ -440,6 +440,7 @@ def test_plot_script_raster_without_matplotlib(tmp_path):
 CONSTANT = "kind = constant\nkappa0 = 0.5"
 EXPONENTIAL = "kind = exponential\nkappa0 = 0.5\nlambda = 0.2"
 POWER_LAW = "kind = power_law\nmu = 0.5"
+LATE_TABLE = "kind = tabulated\ntimes = 0.5,2.0\nvalues = 0.5,0.7"
 
 
 def _sweep(target, values, command="simulate"):
@@ -480,13 +481,23 @@ def _sweep(target, values, command="simulate"):
                      id="exact-cellfree-constant"),
         pytest.param("sweep", CONSTANT, _sweep("exact.C", "1,2", "exact"), [], 0,
                      id="sweep-section-left-out"),
+        pytest.param("exact", POWER_LAW, "[exact]\nfamily = case1_homogeneous\n", [], 0,
+                     id="exact-case1-power-law"),
+        pytest.param("verify", POWER_LAW, "[verify]\nfamily = case1_homogeneous\n", [], 0,
+                     id="verify-case1-power-law"),
+        pytest.param("simulate", LATE_TABLE, "", ["solver.t_end=0.55"], 0,
+                     id="simulate-tabulated-late-start"),
+        pytest.param("exact", LATE_TABLE, "[exact]\nfamily = case1_homogeneous\n", [], 0,
+                     id="exact-tabulated-late-start"),
     ],
 )
 def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
     # a config error exits 2 with a one-line message, never a traceback; a
     # family or reduction under a decay law that does not admit it is one.
     # The cell-free front under constant decay is its family's lam = 0 member,
-    # and a sweep may target a section the config leaves out.
+    # a sweep may target a section the config leaves out, and a run starts
+    # where its decay law does (t = 1 under power law, the first knot of a
+    # table).
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -921,14 +932,16 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
     [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end", "nan", 2),
      ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
      ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
-     ("verify", "verify", "t_samples", "", 2)],
+     ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
+     ("verify", "exact", "V0", "inf", 3)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
     # ValueError in the RK4 march, no sample time in ZeroDivisionError; a
-    # span ending before its start marched one step backwards and exited 0
+    # span ending before its start marched one step backwards and exited 0;
+    # a zero ht and a NaN residual passed verify with sup_norm = -1
     sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
-    sections[section][key] = value
+    sections.setdefault(section, {})[key] = value
     assert _main_on(command, sections) == code
 
 

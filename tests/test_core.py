@@ -43,6 +43,14 @@ def test_power_law_domain_error():
         PowerLawDecay(2.0).kappa(-1.0)
 
 
+def test_each_law_starts_where_it_is_defined():
+    assert ConstantDecay(0.5).start == ExponentialDecay(0.5, 0.2).start == 0.0
+    assert PowerLawDecay(0.5).start == 1.0
+    law = TabulatedDecay(times=(0.5, 2.0), values=(0.5, 0.7))
+    assert law.start == 0.5
+    assert law.kappa(law.start) == 0.5
+
+
 def test_tabulated_interpolation_and_range():
     law = TabulatedDecay(times=(0.0, 1.0, 2.0), values=(1.0, 3.0, 3.0))
     assert law.kappa(0.5) == 2.0

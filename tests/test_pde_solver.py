@@ -19,7 +19,15 @@ from flks.errors import CFLViolation, FlksError, InvalidState, StepSizeError, Va
 from flks.exact_solutions import case1_homogeneous, case4_cellfree_front
 from flks.limiters import AlgebraicSqrtLimiter, TanhLimiter, TanhLogLimiter
 from flks import pde_solver
-from flks.pde_solver import SolverConfig, Trajectory, _rhs, run, stable_dt, step, total_mass
+from flks.pde_solver import SolverConfig, Trajectory, run, stable_dt, step, total_mass
+
+
+def operator_rhs(u, v, t, params, config):
+    """(u_t, v_t) of (u, v) at t from one prepared operator."""
+    op = pde_solver._Operator(params, config)
+    op.load(u, v)
+    out = op.rhs(0, t, np.empty((2, op.n + 1)))
+    return out[0], out[1]
 
 
 def make_params(decay=None, tau=0.1, D=0.8):
@@ -256,8 +264,8 @@ def test_neumann_rhs_is_periodic_rhs_of_even_extension():
     u = 1.0 + 0.3 * np.cos(np.pi * x / L) - 0.2 * np.cos(3.0 * np.pi * x / L)
     # v has minima at both ends, so the upwind faces there reach into the ghosts
     v = 0.3 * np.cos(np.pi * x / L) - 0.5 * np.cos(2.0 * np.pi * x / L)
-    neu = _rhs(u, v, 0.3, p, SolverConfig(grid=Grid1D(0.0, L, n), t_end=1.0))
-    per = _rhs(
+    neu = operator_rhs(u, v, 0.3, p, SolverConfig(grid=Grid1D(0.0, L, n), t_end=1.0))
+    per = operator_rhs(
         np.concatenate([u[:0:-1], u]),
         np.concatenate([v[:0:-1], v]),
         0.3,
@@ -291,7 +299,9 @@ def test_min_u_covers_the_steps_between_frames():
 # prepared once per run: fancy-index ghost gathers, np.append face fluxes, a
 # fresh array per ufunc and per field, and run() calling step().  It is kept
 # verbatim (names prefixed _ref) as the oracle that every output of run()
-# must equal bit for bit.
+# must equal bit for bit, but for the periodic seam rule: a periodic state's
+# node n is node 0 in _ref_step too, and periodic sources are evaluated at
+# x_0 in node n's place.
 
 
 @functools.lru_cache(maxsize=32)
@@ -342,10 +352,13 @@ def _ref_rhs(u, v, t, params, config):
         vxx[-1] = 2.0 * (v[-2] - v[-1]) / (dx * dx)
     dv = (vxx - kap * V[1:-1] + U[1:-1]) / tau
 
+    x = config.grid.nodes()
+    if config.bc == "periodic":
+        x[-1] = x[0]
     if config.source_u is not None:
-        du = du + config.source_u(config.grid.nodes(), t)
+        du = du + config.source_u(x, t)
     if config.source_v is not None:
-        dv = dv + config.source_v(config.grid.nodes(), t) / tau
+        dv = dv + config.source_v(x, t) / tau
     return du, dv
 
 
@@ -359,6 +372,8 @@ def _ref_step(state, params, config, dt):
         raise InvalidState(f"non-finite state at t={state.t:g}")
 
     u0, v0, t = state.u, state.v, state.t
+    if config.bc == "periodic":
+        u0, v0 = np.append(u0[:-1], u0[0]), np.append(v0[:-1], v0[0])
     du, dv = _ref_rhs(u0, v0, t, params, config)
     u1 = u0 + dt * du
     v1 = v0 + dt * dv
@@ -502,9 +517,9 @@ def test_rhs_and_step_are_bit_identical_to_the_reference():
     for bc in ("neumann", "periodic"):
         cfg = SolverConfig(grid=Grid1D(-1.0, 1.0, 24), t_end=1.0, bc=bc,
                            source_u=lambda x, t: np.sin(x + t))
-        # an unaliased periodic end node: step marches it, the stencil reads node 0
+        # an unaliased periodic end node: both read node 0 in its place
         state = FieldPair(1.0 + rng.random(25), rng.random(25), 0.2)
-        for got, want in zip(_rhs(state.u, state.v, 0.2, p, cfg),
+        for got, want in zip(operator_rhs(state.u, state.v, 0.2, p, cfg),
                              _ref_rhs(state.u, state.v, 0.2, p, cfg)):
             assert np.array_equal(got, want)
         dt = stable_dt(p, cfg)
@@ -550,9 +565,9 @@ def test_results_share_no_memory_with_the_operator(monkeypatch):
         a = FieldPair(1.0 + 0.5 * np.cos(x), np.sin(x), 0.0)
         b = FieldPair(2.0 - 0.5 * np.cos(x), np.cos(x), 0.0)
         made.clear()
-        # _fd_jacobian keeps several _rhs results alive at once
-        ra = _rhs(a.u, a.v, 0.0, p, cfg)
-        rb = _rhs(b.u, b.v, 0.0, p, cfg)
+        # _fd_jacobian keeps several residuals alive at once
+        ra = operator_rhs(a.u, a.v, 0.0, p, cfg)
+        rb = operator_rhs(b.u, b.v, 0.0, p, cfg)
         sa = step(a, p, cfg, stable_dt(p, cfg))
         traj = run(a, p, cfg)
         kept = [*ra, *rb, sa.u, sa.v, traj.times, traj.us, traj.vs, traj.mass, traj.min_u]
@@ -561,12 +576,12 @@ def test_results_share_no_memory_with_the_operator(monkeypatch):
         for arr in kept:
             assert not any(np.shares_memory(arr, w) for op in made for w in _work_arrays(op))
         before = [arr.copy() for arr in kept]
-        _rhs(b.u, b.v, 0.5, p, cfg)
+        operator_rhs(b.u, b.v, 0.5, p, cfg)
         step(b, p, cfg, stable_dt(p, cfg))
         run(b, p, cfg)
         for arr, old in zip(kept, before):
             assert arr.tobytes() == old.tobytes()
-        assert all(np.array_equal(x, y) for x, y in zip(ra, _rhs(a.u, a.v, 0.0, p, cfg)))
+        assert all(np.array_equal(x, y) for x, y in zip(ra, operator_rhs(a.u, a.v, 0.0, p, cfg)))
 
 
 def test_step_refuses_a_state_of_another_grid():
@@ -580,7 +595,7 @@ def test_step_refuses_a_state_of_another_grid():
         with pytest.raises(ValidationError, match="does not match the grid"):
             step(state, p, cfg, stable_dt(p, cfg))
         with pytest.raises(ValidationError, match="does not match the grid"):
-            _rhs(state.u, state.v, 0.0, p, cfg)
+            operator_rhs(state.u, state.v, 0.0, p, cfg)
 
 
 def test_run_records_the_step_and_its_active_bound():
@@ -600,3 +615,90 @@ def test_run_records_the_step_and_its_active_bound():
     traj = run(FieldPair(np.ones(257), np.zeros(257), 0.0), steep, cfg)
     assert traj.metadata["dt_bound"] == "advective"
     assert traj.metadata["dt"] == stable_dt(steep, cfg)
+
+
+def test_periodic_node_n_stays_node_0_under_a_source():
+    # the stencil reads node 0 in node n's place; a source evaluated at x_n
+    # used to march node n 0.002 away from node 0 by t = 0.01
+    p = make_params()
+    grid = Grid1D(-1.0, 1.0, 16)
+    cfg = SolverConfig(grid=grid, t_end=0.01, bc="periodic", output_stride=1,
+                       source_u=lambda x, t: 0.1 * x)
+    x = grid.nodes()
+    init = FieldPair(1.0 + 0.5 * np.cos(np.pi * x), np.sin(np.pi * x), 0.0)
+    traj = run(init, p, cfg)
+    assert traj.steps_taken == 32
+    for frames in (traj.us, traj.vs):
+        assert frames[:, -1].tobytes() == frames[:, 0].tobytes()
+    assert traj.min_u.tobytes() == np.min(traj.us[:, :-1], axis=1).tobytes()
+    # an unaliased state: step reads and returns node 0 in node n's place
+    state = FieldPair(init.u + 0.3 * (x == x[-1]), init.v, 0.0)
+    out = step(state, p, cfg, stable_dt(p, cfg))
+    assert out.u[-1] == out.u[0] and out.v[-1] == out.v[0]
+
+
+def test_steady_residual_and_solve_are_bit_identical_to_the_reference(monkeypatch):
+    # the closure_quadrature bench's n = 256 bump guess
+    from flks import reduced_systems
+    from flks.reduced_systems import ReducedProblem, solve_steady_state
+
+    n = 256
+    p = make_params()
+    x = np.linspace(-4.0, 4.0, n + 1)
+    prob = ReducedProblem("steady_state", p, constants={"kappa0": 0.5}, domain=(-4.0, 4.0),
+                          data={"bc": "neumann", "u_init": 1.0 + 0.3 * np.exp(-x * x / 0.5)})
+    cfg = SolverConfig(Grid1D(-4.0, 4.0, n), t_end=0.0)
+    w = pde_solver.cell_widths(n, cfg.grid.dx, "neumann")
+    mass = float(np.dot(w, prob.data["u_init"]))
+
+    def ref_residual(z):
+        # the steady residual as it was built on a fresh right-hand side
+        du, dv = _ref_rhs(z[: n + 1], z[n + 1 :], 0.0, p, cfg)
+        du[0] = float(np.dot(w, z[: n + 1])) - mass
+        return np.concatenate((du, p.tau * dv))
+
+    made, calls = [], []
+
+    class Recorded(pde_solver._Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    fd_jacobian = reduced_systems._fd_jacobian
+
+    def recorded_jacobian(residual, z, R0, mass_row):
+        calls.append((residual, z.copy(), R0))
+        return fd_jacobian(residual, z, R0, mass_row)
+
+    monkeypatch.setattr(reduced_systems, "_Operator", Recorded)
+    monkeypatch.setattr(reduced_systems, "_fd_jacobian", recorded_jacobian)
+    res = solve_steady_state(prob, n=n)
+    (op,) = made
+    assert len(calls) == res.iterations >= 3
+    kept = [res.U, res.V]
+    for residual, z, R0 in calls:
+        assert R0.tobytes() == ref_residual(z).tobytes()
+        kept.append(residual(z))
+        assert kept[-1].tobytes() == R0.tobytes()
+    for arr in kept:
+        assert not any(np.shares_memory(arr, a) for a in _work_arrays(op))
+
+    class Reference:
+        """The operator interface on the gather-based oracle."""
+
+        def __init__(self, params, config):
+            self.params, self.config = params, config
+
+        def load(self, u, v):
+            self.u, self.v = u.copy(), v.copy()
+
+        def rhs(self, k, t, out):
+            out[0], out[1] = _ref_rhs(self.u, self.v, t, self.params, self.config)
+            return out
+
+    monkeypatch.setattr(reduced_systems, "_Operator", Reference)
+    ref = solve_steady_state(prob, n=n)
+    for name in ("x", "U", "V"):
+        assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert (res.defect, res.defect_history, res.iterations) == \
+        (ref.defect, ref.defect_history, ref.iterations)

@@ -20,12 +20,12 @@ from flks.exact_solutions import (
     case4_cellfree_front,
 )
 from flks.limiters import TanhLimiter, TanhLogLimiter
-from flks.pde_solver import SolverConfig, run
+from flks import reduced_systems
+from flks.pde_solver import SolverConfig, _Operator, run
 from flks.reduced_systems import (
     ReducedProblem,
     _build_similarity_operator,
     _fd_jacobian,
-    _steady_residual,
     integrate_homogeneous,
     integrate_travelling_wave,
     solve_self_similar,
@@ -202,9 +202,13 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
     w = np.full(n + 1, dx)
     w[0] = w[-1] = 0.5 * dx
 
+    op = _Operator(params, config)
+
     def residual(z):
-        Ru, Rv = _steady_residual(z[: n + 1], z[n + 1 :], params, config, float(np.dot(w, u)))
-        return np.concatenate([Ru, Rv])
+        op.load(z[: n + 1], z[n + 1 :])
+        Ru, Rv = op.rhs(0, 0.0, np.empty((2, n + 1)))
+        Ru[0] = float(np.dot(w, z[: n + 1])) - float(np.dot(w, u))
+        return np.concatenate([Ru, params.tau * Rv])
 
     z = np.concatenate([u, v])
     R0 = residual(z)
@@ -246,6 +250,28 @@ def test_newton_step_residual_calls_do_not_grow_with_n():
         counts.append(lim.calls)
     assert counts[0] == counts[1]
     assert counts[0] < 16
+
+
+def test_steady_solve_prepares_one_operator(monkeypatch):
+    # the closure_quadrature bench's n = 256 bump guess; preparing one
+    # operator per residual call made 77
+    made = []
+
+    class Counted(_Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(reduced_systems, "_Operator", Counted)
+    n = 256
+    x = np.linspace(-4.0, 4.0, n + 1)
+    prob = ReducedProblem(
+        "steady_state", make_params(), constants={"kappa0": 0.5}, domain=(-4.0, 4.0),
+        data={"bc": "neumann", "u_init": 1.0 + 0.3 * np.exp(-x * x / 0.5)},
+    )
+    res = solve_steady_state(prob, n=n)
+    assert res.defect < 1e-10
+    assert len(made) == 1
 
 
 

@@ -1,11 +1,11 @@
 """Discrete equivariance of the PDE solver.
 
-``pde_solver._rhs`` is the operator that ``run`` marches and whose zeros are
-the steady states, so it must commute with the grid maps of the symmetries
-it admits: a periodic shift by whole cells (X1), a shift of the start time
-under constant decay (X2), the reflection x -> -x on [-L, L] when the
-limiter is odd, and, with the flux off, the scaling x -> 2x, t -> 4t,
-u -> u/2, v -> 2v under power-law decay (X3).
+``pde_solver._Operator`` is the operator that ``run`` marches and whose
+zeros are the steady states, so it must commute with the grid maps of the
+symmetries it admits: a periodic shift by whole cells (X1), a shift of the
+start time under constant decay (X2), the reflection x -> -x on [-L, L]
+when the limiter is odd, and, with the flux off, the scaling x -> 2x,
+t -> 4t, u -> u/2, v -> 2v under power-law decay (X3).
 """
 
 import numpy as np

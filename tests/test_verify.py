@@ -12,6 +12,7 @@ from flks.core import (
 )
 from flks.errors import (
     DegenerateFit,
+    EvaluationError,
     GridMismatch,
     UnsupportedGenerator,
     ValidationError,
@@ -46,6 +47,26 @@ def test_residual_homogeneous_tiny():
     rep = pde_residual(sol, p, grid, t_samples=(0.5, 1.0, 2.0), ht=5e-4)
     assert rep.sup_norm < 1e-10
     assert rep.l2_norm <= rep.sup_norm
+
+
+def test_non_finite_residual_raises_naming_its_point():
+    # the sup norm used to skip a NaN sample and read -1.0
+    p = make_params()
+    sol = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
+    holed = ExactSolution(
+        case=sol.case,
+        label="holed",
+        eval_u=lambda x, t: np.where(np.asarray(x) == 0.25, np.nan, sol.eval_u(x, t)),
+        eval_v=sol.eval_v,
+        params=sol.params,
+    )
+    grid = Grid1D(-1.0, 1.0, 16)
+    # the hole's stencils reach two nodes back, to x = 0
+    with pytest.raises(EvaluationError, match=r"non-finite residual at x=0, t=1$"):
+        pde_residual(holed, p, grid, t_samples=(1.0,), ht=5e-4)
+    for ht in (0.0, -5e-4, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="ht must be positive and finite"):
+            pde_residual(sol, p, grid, t_samples=(1.0,), ht=ht)
 
 
 def test_residual_cellfree_front():
