@@ -33,7 +33,7 @@ from .core import (
     PowerLawDecay,
     TabulatedDecay,
 )
-from .errors import FlksError, IoError, ParseError, ValidationError
+from .errors import EvaluationError, FlksError, IoError, ParseError, ValidationError
 from .limiters import limiter_from_config
 
 _BOOL = {"true": True, "false": False}
@@ -806,6 +806,10 @@ def cmd_exact(cfg, outdir):
     table = np.column_stack(
         _long_table(ts, grid.nodes(), [f.u for f in frames], [f.v for f in frames])
     )
+    bad = ~np.isfinite(table[:, 2:]).all(axis=1)
+    if bad.any():
+        t, x = table[np.argmax(bad), :2]
+        raise EvaluationError(f"non-finite sample at x={x:g}, t={t:g}")
     meta["kind"] = "trajectory"
     meta["params"] = {k: str(v) for k, v in sol.params.items()}
     meta["assumptions"] = list(sol.assumptions)
@@ -952,7 +956,10 @@ def main(argv=None):
         return 4
 
     try:
-        summary = _COMMANDS[cfg.command](cfg, args.out)
+        # every command refuses non-finite output, so numpy's own warnings
+        # would only put its text on stderr ahead of the diagnostic line
+        with np.errstate(all="ignore"):
+            summary = _COMMANDS[cfg.command](cfg, args.out)
     except IoError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -50,14 +50,12 @@ class NoConvergence(FlksError):
 
 
 class DivergenceDetected(FlksError):
-    """A fixed-point residual grew persistently instead of shrinking."""
+    """A fixed-point iteration ran away; ``cause`` says how."""
 
-    def __init__(self, history, profile=None):
+    def __init__(self, cause, history, profile=None):
         self.history = list(history)
         self.profile = profile
-        super().__init__(
-            f"residual grew 10x over 5 iterations (last residual {history[-1]:.3e})"
-        )
+        super().__init__(f"divergence: {cause} (last residual {history[-1]:.3e})")
 
 
 class StepSizeError(FlksError):

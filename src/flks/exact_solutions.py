@@ -269,13 +269,13 @@ def case2_travelling_tanh(
 
     The closure s = V'[U[s]] is found by a self-consistency loop from s = 0
     (or the supplied initial guess s_profile), iterated in the bounded
-    variable tanh(alpha s / s0) by picard_iterate with damping 0.5 and an
-    Anderson history of six steps; the loop gain of this map is large and
-    negative.  At n = 16384 the closure converges in 59 iterations at the
-    README fig-1 parameters, in 50 at alpha = 1.0, and in 75 to 118 at
-    D = 0.5 and v_max = 2 or 3.  The residual history is recorded on the
-    solution.  With self_consistent=False the supplied s_profile is used
-    as-is (single pass, no closure).
+    variable tanh(alpha s / s0) by picard_iterate, the Anderson-mixed
+    engine that the self-similar profiles also use; the loop gain of this
+    map is large and negative.  At n = 16384 the closure converges in 59
+    iterations at the README fig-1 parameters, in 50 at alpha = 1.0, and in
+    75 to 118 at D = 0.5 and v_max = 2 or 3.  The residual history is
+    recorded on the solution.  With self_consistent=False the supplied
+    s_profile is used as-is (single pass, no closure).
     """
     limiter = params.limiter
     if not isinstance(limiter, TanhLimiter):
@@ -322,13 +322,7 @@ def case2_travelling_tanh(
             # s = V' is the kernel applied to U' = U w + C1/Da2 (exact)
             return np.tanh(k_tanh * green(U * w + C1 / Da2))
 
-        result = picard_iterate(
-            g_map,
-            np.tanh(k_tanh * s_init),
-            tol=tol,
-            max_iter=max_iter,
-            depth=6,
-        )
+        result = picard_iterate(g_map, np.tanh(k_tanh * s_init), tol=tol, max_iter=max_iter)
         history = result.residuals
         s = np.arctanh(np.clip(result.profile, -cap, cap)) / k_tanh
     else:

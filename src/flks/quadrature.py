@@ -2,12 +2,11 @@
 
 Contains the adaptive Simpson integrator, the integrating-factor solver for
 y' + a(t) y = b with an exactly integrated a and a constant b, the
-exponential integral Ei, the Picard fixed-point engine (adaptive damping,
-optionally Anderson-mixed), and fourth-order uniform-grid helpers
-(cumulative integrals, the linear first integral, exponential-kernel
-convolutions, and derivatives from one stencil table, applied to arrays or
-assembled as sparse matrices) used by the solution constructors, the
-reduced solvers and the residual checks.
+exponential integral Ei, the Anderson-mixed fixed-point engine, and
+fourth-order uniform-grid helpers (cumulative integrals, the linear first
+integral, exponential-kernel convolutions, and derivatives from one stencil
+table, applied to arrays or assembled as sparse matrices) used by the
+solution constructors, the reduced solvers and the residual checks.
 """
 
 import functools
@@ -215,123 +214,103 @@ class PicardResult:
     iterations: int
 
 
-# picard_iterate gives up when the defect grows by _DIVERGENCE_RATIO over
-# _DIVERGENCE_WINDOW consecutive iterations (depth 0), or when its safeguard
-# restarts _DIVERGENCE_WINDOW times in a row (depth > 0); it scales a mixed
-# step back to _STEP_CAP damped steps d*g (inf-norm)
-_DIVERGENCE_RATIO = 10.0
+# picard_iterate mixes the last _DEPTH steps, starts at damping _DAMPING,
+# gives up when its safeguard restarts _DIVERGENCE_WINDOW times in a row and
+# scales a mixed step back to _STEP_CAP damped steps d*g (inf-norm)
+_DAMPING = 0.5
+_DEPTH = 6
 _DIVERGENCE_WINDOW = 5
 _STEP_CAP = 50.0
 
 
-def picard_iterate(map_fn, initial, damping=0.5, tol=1e-8, max_iter=200, depth=0):
-    """Damped fixed-point iteration y <- y + d*g, g = map_fn(y) - y, d <= damping,
-    Anderson-mixed over the last ``depth`` steps.
+def picard_iterate(map_fn, initial, tol=1e-8, max_iter=200):
+    """Anderson-mixed damped fixed-point iteration for y = map_fn(y).
 
-    The damping d starts at ``damping`` and recovers by a factor 1.2 (up to
-    ``damping``) after five consecutive improvements of the defect.
-
-    With ``depth = 0`` (plain Picard) d halves, down to 1e-3, whenever the
-    defect fails to improve on its best value; while the defect improves at
-    every step, d stays at ``damping`` and the iterates are the plain damped
-    ones.  Halving lets strongly over-reacting (large negative eigenvalue)
-    maps converge.
-
-    With ``depth > 0`` the step is Anderson's type II mixing (Walker & Ni,
-    SIAM J. Numer. Anal. 49, 2011): y + d*g - sum_k gamma_k (dY_k + d dG_k)
-    over the last ``depth`` differences dY, dG of the iterates and defects,
-    with gamma minimising ||g - dG gamma||_2.  The safeguard: when the defect
+    The step is Anderson's type II mixing (Walker & Ni, SIAM J. Numer.
+    Anal. 49, 2011): y + d*g - sum_k gamma_k (dY_k + d dG_k), g = map_fn(y)
+    - y, over the last _DEPTH differences dY, dG of the iterates and
+    defects, with gamma minimising ||g - dG gamma||_2.  The damping d starts
+    at _DAMPING and recovers by a factor 1.2 (up to _DAMPING) after five
+    consecutive improvements of the defect.  The safeguard: when the defect
     exceeds twice its best value, the history is dropped, d halves (down to
     1e-3) and the iteration restarts from the best iterate with a damped
     step; smaller non-improvements keep the history.  A mixed step longer
     than _STEP_CAP damped steps d*g (inf-norm) is scaled back to that
     length: on a flat tail the mixing extrapolates far past the root, and
     the safeguard would discard every refilled history.  The differences
-    sit in two (depth, N) arrays and their Gram matrix is updated by one
-    matrix-vector product per step, so gamma is a depth x depth solve.  Every
-    large product has ``depth`` rows: OpenBLAS threads a dot product or an
-    N x depth least-squares solve at the closure's N = 16385, and its
+    sit in two (_DEPTH, N) arrays and their Gram matrix is updated by one
+    matrix-vector product per step, so gamma is a _DEPTH x _DEPTH solve.
+    Every large product has _DEPTH rows: OpenBLAS threads a dot product or
+    an N x _DEPTH least-squares solve at the closure's N = 16385, and its
     spinning worker thread doubled the CPU time of the loop.
 
-    The recorded residual is the undamped defect ||map_fn(y) - y||_inf, so
-    the history is comparable across damping values and depths.  Raises
-    NoConvergence after max_iter, and DivergenceDetected when the map
-    returns non-finite values or the iterates run away: at depth 0 when the
-    defect grows tenfold over five consecutive iterations; with history when
-    the safeguard fires five times in a row, i.e. the damped steps from the
-    best iterate at d/2, d/4, d/8 and d/16 all more than double the best
-    defect.  With history no kept iterate has a defect above twice the
-    best, so a spike the safeguard discards is not counted as growth.  Both
-    exceptions carry the history and the last profile.
+    The recorded residual is the undamped defect ||map_fn(y) - y||_inf.
+    Raises NoConvergence after max_iter, and DivergenceDetected when the
+    map returns non-finite values or the safeguard fires five times in a
+    row, i.e. the damped steps from the best iterate at d/2, d/4, d/8 and
+    d/16 all more than double the best defect.  No kept iterate has a
+    defect above twice the best, so a spike the safeguard discards is not
+    counted as growth.  Both exceptions carry the history and the last
+    profile.
     """
-    if not (0.0 < damping <= 1.0):
-        raise DomainError("damping must lie in (0, 1]")
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
     y = np.asarray(initial, dtype=float).copy()
     residuals = []
-    d = damping
+    d = _DAMPING
     best = None
     improve_run = 0
     prev = None
     restarts = 0
-    if depth:
-        dY = np.zeros((depth, y.size))
-        dG = np.zeros((depth, y.size))
-        gram = np.zeros((depth, depth))
+    dY = np.zeros((_DEPTH, y.size))
+    dG = np.zeros((_DEPTH, y.size))
+    gram = np.zeros((_DEPTH, _DEPTH))
     for k in range(max_iter):
         fy = np.asarray(map_fn(y), dtype=float)
         if fy.shape != y.shape:
             raise EvaluationError("map changed the profile shape")
         if not np.all(np.isfinite(fy)):
-            raise DivergenceDetected(residuals + [float("inf")], profile=y)
+            raise DivergenceDetected(
+                "the map returned a non-finite value", residuals + [float("inf")], profile=y
+            )
         g = fy - y
         res = float(np.max(np.abs(g))) if y.size else 0.0
         residuals.append(res)
         if res < tol:
             return PicardResult(fy, residuals, k + 1)
-        if depth:
-            if best is not None and res > 2.0 * best:
-                # restart: drop the history, step from the best iterate
-                restarts += 1
-                if restarts == _DIVERGENCE_WINDOW:
-                    raise DivergenceDetected(residuals, profile=y)
-                d = max(0.5 * d, 1e-3)
-                improve_run = 0
-                dY[:] = dG[:] = gram[:] = 0.0
-                prev = None
-                y = y_best + d * g_best
-                continue
-            restarts = 0
-        elif (
-            len(residuals) > _DIVERGENCE_WINDOW
-            and res > _DIVERGENCE_RATIO * residuals[-1 - _DIVERGENCE_WINDOW]
-        ):
-            raise DivergenceDetected(residuals, profile=y)
+        if best is not None and res > 2.0 * best:
+            # restart: drop the history, step from the best iterate
+            restarts += 1
+            if restarts == _DIVERGENCE_WINDOW:
+                raise DivergenceDetected(
+                    f"{_DIVERGENCE_WINDOW} safeguard restarts in a row", residuals, profile=y
+                )
+            d = max(0.5 * d, 1e-3)
+            improve_run = 0
+            dY[:] = dG[:] = gram[:] = 0.0
+            prev = None
+            y = y_best + d * g_best
+            continue
+        restarts = 0
         if best is None or res < best:
             best, y_best, g_best = res, y, g
             improve_run += 1
-            if improve_run >= 5 and d < damping:
-                d = min(damping, 1.2 * d)
+            if improve_run >= 5 and d < _DAMPING:
+                d = min(_DAMPING, 1.2 * d)
                 improve_run = 0
         else:
-            if not depth:
-                d = max(0.5 * d, 1e-3)
             improve_run = 0
         step = d * g
-        if depth:
-            if prev is not None:
-                slot = k % depth
-                np.subtract(y, prev[0], out=dY[slot])
-                np.subtract(g, prev[1], out=dG[slot])
-                gram[slot] = gram[:, slot] = dG @ dG[slot]
-                # empty slots are zero rows, so their gamma is 0
-                gamma = np.linalg.lstsq(gram, dG @ g, rcond=None)[0]
-                step -= gamma @ dY + (d * gamma) @ dG
-                size = float(np.max(np.abs(step)))
-                if size > _STEP_CAP * d * res:
-                    step *= _STEP_CAP * d * res / size
-            prev = (y, g)
+        if prev is not None:
+            slot = k % _DEPTH
+            np.subtract(y, prev[0], out=dY[slot])
+            np.subtract(g, prev[1], out=dG[slot])
+            gram[slot] = gram[:, slot] = dG @ dG[slot]
+            # empty slots are zero rows, so their gamma is 0
+            gamma = np.linalg.lstsq(gram, dG @ g, rcond=None)[0]
+            step -= gamma @ dY + (d * gamma) @ dG
+            size = float(np.max(np.abs(step)))
+            if size > _STEP_CAP * d * res:
+                step *= _STEP_CAP * d * res / size
+        prev = (y, g)
         y = y + step
     raise NoConvergence(max_iter, residuals[-1], residuals, profile=y)
 

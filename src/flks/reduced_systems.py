@@ -85,8 +85,8 @@ def _rk4_march(f, z0, span, h):
     """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
 
     The step is adjusted to divide the span evenly.  Returns the nodes and
-    the states, one row per node; any component exceeding 1e12 raises
-    BlowupDetected.
+    the states, one row per node; any component that exceeds 1e12 or is
+    not finite raises BlowupDetected.
     """
     if not h > 0.0:
         raise StepSizeError(f"step must be positive, got {h!r}")
@@ -103,8 +103,8 @@ def _rk4_march(f, z0, span, h):
         k3 = f(s + 0.5 * h, z + 0.5 * h * k2)
         k4 = f(s + h, z + h * k3)
         Z[k + 1] = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.abs(Z[k + 1])) > 1e12:
-            raise BlowupDetected(f"solution exceeded 1e12 at y={ss[k+1]:g}")
+        if not np.max(np.abs(Z[k + 1])) <= 1e12:
+            raise BlowupDetected(f"solution exceeded 1e12 or is not finite at y={ss[k+1]:g}")
     return ss, Z
 
 
@@ -169,6 +169,8 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     x = config.grid.nodes()
     u = np.asarray(problem.data.get("u_init", np.ones(n + 1)), dtype=float).copy()
     v = np.asarray(problem.data.get("v_init", u / max(kappa0, 1e-12)), dtype=float).copy()
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValidationError("steady-state guess u_init, v_init must be finite")
     w = cell_widths(n, config.grid.dx, bc)
     mass_target = float(np.dot(w, u))
 
@@ -269,8 +271,8 @@ def integrate_travelling_wave(problem, h=1e-3):
     """RK4 march of the first-order traveling system {U, U', V, s = V'}.
 
     U'' comes from the expanded flux divergence of the first reduced
-    equation; s' from the second.  Any component exceeding 1e12 raises
-    BlowupDetected.
+    equation; s' from the second.  Any component that exceeds 1e12 or is
+    not finite raises BlowupDetected.
     """
     params = problem.params
     alpha = float(problem.constants["alpha"])
@@ -331,8 +333,8 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     e^(xi^2/4D) mu_e(xi) with mu_e = exp(-(1/D) int F(S))), anchored by
     U(0) = U0 with C1 = 0 realizing the even-symmetry condition U'(0) = 0,
     and (b) a fourth-order sparse solve of V'' - (xi/2) V' + V/2 = U with
-    V'(0) = 0 and a no-growth condition at xi_max, inside a damped Picard
-    loop on S = V'.
+    V'(0) = 0 and a no-growth condition at xi_max, inside picard_iterate's
+    Anderson-mixed loop on S = V' (the engine of the case II closure).
 
     Nonconvergence is reported in the result (converged=False plus the
     residual history), never silently discarded.  defect_u / defect_v are

@@ -911,13 +911,16 @@ def _mutated_config(draw):
     return command, sections
 
 
-def _main_on(command, sections):
-    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+def _ini(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
                    for name, body in sections.items())
+
+
+def _main_on(command, sections):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.ini")
         with open(cfg_path, "w") as f:
-            f.write(text)
+            f.write(_ini(sections))
         return main([command, "--config", cfg_path, "--out", os.path.join(tmp, "o")])
 
 
@@ -933,16 +936,38 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
      ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
      ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
-     ("verify", "exact", "V0", "inf", 3)],
+     ("verify", "exact", "V0", "inf", 3), ("reduce", "reduce", "U0", "nan", 3),
+     ("exact", "exact", "V0", "inf", 3)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
     # ValueError in the RK4 march, no sample time in ZeroDivisionError; a
     # span ending before its start marched one step backwards and exited 0;
-    # a zero ht and a NaN residual passed verify with sup_norm = -1
+    # a zero ht and a NaN residual passed verify with sup_norm = -1; a NaN
+    # reduce state and infinite exact samples were written with exit 0
     sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command, sections) == code
+
+
+def test_numerical_failure_prints_one_stderr_line(tmp_path):
+    # no numpy RuntimeWarning text (file:line and the source line) may come
+    # before the diagnostic; pytest captures warnings, so only a fresh
+    # interpreter shows what a user sees
+    sections = {s: dict(body) for s, body in FUZZ_CONFIGS["verify"].items()}
+    sections.setdefault("exact", {})["V0"] = "inf"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(_ini(sections))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flks.cli", "verify", "--config", str(cfg_path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
