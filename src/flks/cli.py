@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import math
 import os
 import sys
 import textwrap
@@ -72,7 +71,6 @@ _SCHEMA = {
         "family": str, "n": int, "t_samples": _as_floats,
         "C": float, "V0": float, "t0": float, "alpha": float, "A": float, "B": float,
         "U_ref": float, "y0": float, "C1": float, "window_lo": float, "window_hi": float,
-        "s_guess_amplitude": float, "s_guess_rate": float,
     },
     "reduce": {
         "kind": str, "n": int, "t_end": float, "h": float, "xi_max": float,
@@ -291,15 +289,9 @@ def _case4(cfg, params, e):
 
 
 def _case2(cfg, params, e):
-    s_profile = None
-    if "s_guess_amplitude" in e:
-        amp = e["s_guess_amplitude"]
-        rate = e.get("s_guess_rate", 0.2)
-        s_profile = lambda y: amp * math.exp(-rate * y * y)
     return exact_solutions.case2_travelling_tanh(
         params,
         alpha=e.get("alpha", 1.1),
-        s_profile=s_profile,
         C1=e.get("C1", 0.0),
         U_ref=e.get("U_ref", 1.0),
         y0=e.get("y0", 0.0),
@@ -316,21 +308,15 @@ def _cellfree_front(cfg, params, e):
     )
 
 
-def _constant_coefficient(params):
-    # every damped front solves tau v_t = v_xx - kappa0 v
-    return dataclasses.replace(params, decay=ConstantDecay(params.decay.kappa0))
-
-
 # family -> (builder(cfg, params, [exact] section), decay kinds that admit it
-# (empty: every kind), the model its PDE residual is measured under as a
-# function of the configured one (None: no residual check)).  The traveling
-# wave, a profile in y = t - alpha x, checks its decay law itself.
+# (empty: every kind)); verify measures every family's PDE residual under the
+# configured model
 _FAMILIES = {
-    "case1_homogeneous": (_case1, (), lambda params: params),
-    "case2_travelling_tanh": (_case2, (), None),
-    "case3_homogeneous": (_case3, ("power_law",), lambda params: params),
-    "case4_homogeneous": (_case4, ("exponential",), lambda params: params),
-    "case4_cellfree_front": (_cellfree_front, ("constant", "exponential"), _constant_coefficient),
+    "case1_homogeneous": (_case1, ()),
+    "case2_travelling_tanh": (_case2, ("constant",)),
+    "case3_homogeneous": (_case3, ("power_law",)),
+    "case4_homogeneous": (_case4, ("exponential",)),
+    "case4_cellfree_front": (_cellfree_front, ("constant", "exponential")),
 }
 
 
@@ -802,6 +788,9 @@ def cmd_exact(cfg, outdir):
     # sample the field families on the grid at the requested times
     grid = build_grid(cfg)
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
+    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
+        # the CSV body and its plot script are one frame per sample time
+        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
     frames = [sol.sample(grid, t) for t in ts]
     table = np.column_stack(
         _long_table(ts, grid.nodes(), [f.u for f in frames], [f.v for f in frames])
@@ -837,11 +826,9 @@ def cmd_verify(cfg, outdir):
     params = build_model(cfg)
     v = cfg.sections.get("verify", {})
     family = v.get("family", "case1_homogeneous")
-    build, _, residual_model = _lookup(_FAMILIES, "verify family", family, cfg)
-    if residual_model is None:
-        raise ValidationError(f"family {family!r} has no PDE residual check")
-    sol = build(cfg, params, cfg.sections.get("exact", {}))
-    params = residual_model(params)
+    sol = _lookup(_FAMILIES, "verify family", family, cfg)[0](
+        cfg, params, cfg.sections.get("exact", {})
+    )
     grid = build_grid(cfg)
     rep = verify.pde_residual(
         sol, params, grid, v.get("t_samples", (0.5, 1.0)), ht=v.get("ht", 5e-4)

@@ -17,8 +17,6 @@ from .limiters import TanhLimiter, WeberFechnerLogLimiter
 from .quadrature import (
     CachedLinearSolution,
     cumulative_integral,
-    d1_uniform,
-    d2_uniform,
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
@@ -207,6 +205,16 @@ def travelling_roots(alpha, tau, kappa0):
     return (tau + root) / a2, (tau - root) / a2
 
 
+def travelling_drift(limiter, D, alpha, s):
+    """The drift w(s) = (1 + alpha F(-alpha s)) / (D alpha^2) of the
+    once-integrated traveling U-equation U' = w(s) U + C1 / (D alpha^2) on
+    y = t - alpha x, s = V'(y): its one statement, read by the case II
+    closure and the reduced traveling march.  The flux sign is that of the
+    repulsive system (F -> -F), see case2_travelling_tanh.
+    """
+    return (1.0 + alpha * limiter.F(-alpha * s)) / (D * alpha * alpha)
+
+
 @dataclass
 class TravellingWaveSolution(ExactSolution):
     """Traveling-wave profiles on y = t - alpha*x plus closure diagnostics."""
@@ -215,29 +223,7 @@ class TravellingWaveSolution(ExactSolution):
     U: np.ndarray = None
     V: np.ndarray = None
     s: np.ndarray = None
-    r_plus: float = 0.0
-    r_minus: float = 0.0
     residual_history: list = field(default_factory=list)
-
-    def defect(self, y_lo, y_hi, limiter, D, tau, alpha, kappa0):
-        """Sup-norm residuals of the two traveling-wave ODEs on [y_lo, y_hi],
-        from 4th-order differences of the stored profiles."""
-        h = self.y[1] - self.y[0]
-        m = (self.y >= y_lo) & (self.y <= y_hi)
-        Vp = d1_uniform(self.V, h)
-        flux = self.U * limiter.F(-alpha * Vp)
-        r1 = (
-            d1_uniform(self.U, h)
-            - D * alpha * alpha * d2_uniform(self.U, h)
-            + alpha * d1_uniform(flux, h)
-        )
-        r2 = (
-            tau * Vp
-            - alpha * alpha * d2_uniform(self.V, h)
-            + kappa0 * self.V
-            - self.U
-        )
-        return float(np.max(np.abs(r1[m]))), float(np.max(np.abs(r2[m])))
 
 
 def case2_travelling_tanh(
@@ -256,16 +242,22 @@ def case2_travelling_tanh(
     """Traveling-wave solution for constant decay with the tanh limiter.
 
     Given the wave gradient s(y) = V'(y), the cell profile follows from the
-    first integral of the U-equation with integrating factor
+    once-integrated U-equation U' = w(s) U + C1/(D alpha^2), with the drift
+    w = travelling_drift(...), through the integrating factor
 
-        mu(y) = exp(-int_y0^y (1 + alpha F(-alpha s)) / (D alpha^2) d eta),
+        mu(y) = exp(-int_y0^y w(s(eta)) d eta),
 
     U(y) = mu^-1 [U_ref mu(y0) + C1/(D alpha^2) int_y0^y mu], and V(y) is the
     bounded particular solution of alpha^2 V'' - tau V' - kappa0 V = -U built
     from the two-sided exponential Green's kernel with roots r+- (r+ from
     above, r- from below; homogeneous amplitudes are 0 because both branches
     grow at one infinity).  Kernel integrals truncate at the window edges,
-    which the window pads far enough to keep below the quadrature error.
+    which imposes V' = r+ V at the left edge and V' = r- V at the right one.
+
+    The drift carries the flux sign of the repulsive system: the profile
+    solves the PDE with F -> -F, and the configured (attractive) system
+    only up to a residual of order 1 (``verify.pde_residual`` measures
+    both).  With C1 = 0, U grows all the way to the window's right edge.
 
     The closure s = V'[U[s]] is found by a self-consistency loop from s = 0
     (or the supplied initial guess s_profile), iterated in the bounded
@@ -297,7 +289,7 @@ def case2_travelling_tanh(
     y0 = y[i0]
 
     def U_of(s):
-        w = (1.0 + alpha * limiter.F(-alpha * s)) / Da2
+        w = travelling_drift(limiter, D, alpha, s)
         E = cumulative_integral(w, h)
         return first_integral(E - E[i0], h, i0, U_ref, C1 / Da2), w
 
@@ -336,7 +328,7 @@ def case2_travelling_tanh(
 
         def ev(x, t):
             nonlocal spline
-            if spline is None:  # the first call, which the CLI never makes: no scipy
+            if spline is None:  # the first call (exact never makes it): scipy only here
                 from scipy.interpolate import CubicSpline
 
                 spline = CubicSpline(y, profile, extrapolate=False)
@@ -380,8 +372,6 @@ def case2_travelling_tanh(
         U=U,
         V=V,
         s=s,
-        r_plus=r_plus,
-        r_minus=r_minus,
         residual_history=history,
     )
 

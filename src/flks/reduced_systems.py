@@ -1,11 +1,11 @@
 """Direct numerical integration of the reduced ODE/BVP systems.
 
-These solvers are deliberately independent of the closed-form constructors in
+These solvers use methods independent of the closed-form constructors in
 exact_solutions: one RK4 march for the homogeneous and traveling reductions, a
 damped Newton iteration on the PDE solver's own operator for steady states,
 and a Picard loop around a sparse fourth-order boundary-value solve for the
-self-similar profiles.  They are the cross-checks the exact families are
-validated against.
+self-similar profiles.  The equations are stated once: the traveling march
+and the case II closure both read exact_solutions.travelling_drift.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
+from .exact_solutions import travelling_drift
 from .limiters import TanhLogLimiter
 from .pde_solver import SolverConfig, _Operator, cell_widths
 from .quadrature import (
@@ -268,28 +269,33 @@ class TravellingWaveResult:
 
 
 def integrate_travelling_wave(problem, h=1e-3):
-    """RK4 march of the first-order traveling system {U, U', V, s = V'}.
+    """RK4 march of the traveling system on the state {U, V, s = V'}.
 
-    U'' comes from the expanded flux divergence of the first reduced
-    equation; s' from the second.  Any component that exceeds 1e12 or is
-    not finite raises BlowupDetected.
+    U follows the once-integrated U-equation U' = w(s) U + c1 with the drift
+    w = exact_solutions.travelling_drift, the one statement the case II
+    closure also reads, and c1 = dU0 - w(s0) U0 fixed by the initial data;
+    s' comes from the second reduced equation.  dU is reported as
+    w(s) U + c1.  Any component that exceeds 1e12 or is not finite raises
+    BlowupDetected.
     """
     params = problem.params
     alpha = float(problem.constants["alpha"])
     kappa0 = _decay_constant(problem, "kappa0", ConstantDecay)
     D, tau = params.D, params.tau
-    lim = params.limiter
-    Da2 = D * alpha * alpha
-    z0 = [float(problem.data.get(k, 0.0)) for k in ("U0", "dU0", "V0", "s0")]
+    U0, dU0, V0, s0 = (float(problem.data.get(k, 0.0)) for k in ("U0", "dU0", "V0", "s0"))
+
+    def drift(S):
+        return travelling_drift(params.limiter, D, alpha, S)
+
+    c1 = dU0 - drift(s0) * U0
 
     def f(y, z):
-        U, W, V, S = z
-        Sp = (tau * S + kappa0 * V - U) / (alpha * alpha)
-        Upp = (W * (1.0 + alpha * lim.F(-alpha * S)) - alpha * alpha * U * lim.dF(-alpha * S) * Sp) / Da2
-        return np.array([W, Upp, S, Sp])
+        U, V, S = z
+        return np.array([drift(S) * U + c1, S, (tau * S + kappa0 * V - U) / (alpha * alpha)])
 
-    ys, Z = _rk4_march(f, z0, problem.domain, h)
-    return TravellingWaveResult(ys, Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3])
+    ys, Z = _rk4_march(f, [U0, V0, s0], problem.domain, h)
+    U, V, S = Z.T
+    return TravellingWaveResult(ys, U, drift(S) * U + c1, V, S)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from flks.core import ConstantDecay, ModelParams
+from flks.core import ConstantDecay, Grid1D, ModelParams
 from flks.limiters import TanhLimiter
+from flks.verify import pde_residual
 
 
 @pytest.fixture
@@ -27,3 +30,21 @@ def rk4_scalar_ode(f, t0, y0, t1, n):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return y
+
+
+class _Negated:
+    """The limiter F -> -F: the repulsive flux of the case II closure."""
+
+    def __init__(self, limiter):
+        self.limiter = limiter
+
+    def F(self, s):
+        return -self.limiter.F(s)
+
+
+def case2_pde_residuals(sol, params):
+    """Sup PDE residuals of a case II wave on x in [-5, 5] (n = 128) at
+    t = 0, 1, 2: under F -> -F, then under the configured limiter."""
+    grid = Grid1D(-5.0, 5.0, 128)
+    repulsive = dataclasses.replace(params, limiter=_Negated(params.limiter))
+    return tuple(pde_residual(sol, p, grid, (0.0, 1.0, 2.0)).sup_norm for p in (repulsive, params))

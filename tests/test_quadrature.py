@@ -469,3 +469,22 @@ def test_exp_kernel_fourth_order_refinement():
         errs.append(abs(L[i] - ref))
     assert errs[0] / errs[1] > 10.0
     assert errs[1] / errs[2] > 10.0
+
+
+def test_two_sided_exp_kernel_imposes_robin_edge_rows():
+    # K = lower(f, r-) + upper(f, r+) has K' = r- lower + r+ upper, so
+    # K' = r+ K at the first node (lower = 0) and K' = r- K at the last
+    # (upper = 0); the one-sided 4th-order d1_uniform residual of both rows
+    # falls at fourth order
+    r_plus, r_minus = 0.7, -0.6
+    f = lambda t: np.exp(-0.5 * t * t) * (1.0 + 0.3 * t)
+    errs = []
+    for n in (161, 321, 641):
+        y = np.linspace(-1.0, 3.0, n)
+        h = y[1] - y[0]
+        K = exp_kernel_lower(f(y), h, r_minus) + exp_kernel_upper(f(y), h, r_plus)
+        dK = d1_uniform(K, h)
+        errs.append(max(abs(dK[0] - r_plus * K[0]), abs(dK[-1] - r_minus * K[-1])))
+    assert errs[0] < 1e-6
+    assert errs[0] / errs[1] > 10.0
+    assert errs[1] / errs[2] > 10.0

@@ -18,6 +18,7 @@ from flks.exact_solutions import (
     case2_travelling_tanh,
     case3_homogeneous,
     case4_cellfree_front,
+    travelling_drift,
 )
 from flks.limiters import TanhLimiter, TanhLogLimiter
 from flks import reduced_systems
@@ -437,8 +438,7 @@ def test_travelling_roundtrip_with_quadrature_profiles(fig_params):
     sol = case2_travelling_tanh(fig_params, alpha, U_ref=1.0, y0=0.0)
     h = sol.y[1] - sol.y[0]
     i_start = int(np.argmin(np.abs(sol.y - (-5.0))))
-    Da2 = fig_params.D * alpha * alpha
-    w = (1.0 + alpha * fig_params.limiter.F(-alpha * sol.s)) / Da2
+    w = travelling_drift(fig_params.limiter, fig_params.D, alpha, sol.s)
     dU = sol.U * w  # exact first-integral derivative, C1 = 0
     prob = ReducedProblem(
         "travelling_wave",
