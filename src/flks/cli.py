@@ -485,34 +485,87 @@ def export_csv(result, path, meta=None, columns=None):
 def import_csv(path):
     """Read back an exported CSV: (metadata dict, column-name -> array).
 
-    A column whose cells all parse as floats comes back as a float array,
-    any other (a report's key column) as a string array.  A file without a
-    column header line, a comment line that is not a JSON object, a
-    repeated column name and a body row with more or fewer cells than the
+    A column whose cells all parse as floats comes back as a contiguous
+    float64 array, any other (a report's key column) as a string array.
+    The comment lines and the column header are read line by line; the body
+    then goes to np.loadtxt's C parser in batches of about 64 KiB of lines,
+    so no list of all its lines or cells is ever built and the peak memory
+    stays near twice the returned arrays.  A body that parser cannot read
+    exactly as float() reads each cell (a text cell, a ragged row, an empty
+    cell, ``1_000``, a non-ASCII digit, a line break only str.splitlines
+    knows, no rows at all) is re-read from the start of the file and split
+    into cells.  Either way every value is float() of its cell.  A file
+    without a column header line, a comment line that is not a JSON object,
+    a repeated column name and a body row with more or fewer cells than the
     header raise IoError.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            numeric = _read_numeric(f, path)
+        return numeric or _read_cells(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+# str.splitlines also ends a line at these; a text file's lines end only at
+# \n, \r or \r\n
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_head(lines, path):
+    """(meta, header, line number of the header) from an iterator of lines."""
     meta = {}
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        if not line.startswith("#"):
+            header = line.split(",")
+            if len(set(header)) < len(header):
+                raise IoError(f"{path}, line {lineno}: a column name repeats: {line}")
+            return meta, header, lineno
         try:
-            meta.update(json.loads(lines[idx][1:].strip()))
+            meta.update(json.loads(line[1:].strip()))
         except (ValueError, TypeError) as exc:
-            raise IoError(f"{path}, line {idx + 1}: not a JSON object comment: {exc}") from None
-        idx += 1
-    if idx == len(lines):
-        raise IoError(f"{path} has no column header line")
-    header = lines[idx].split(",")
+            raise IoError(f"{path}, line {lineno}: not a JSON object comment: {exc}") from None
+    raise IoError(f"{path} has no column header line")
+
+
+def _plain(lines):
+    """A batch of a file's lines, or ValueError if str.splitlines would split one."""
+    text = "".join(lines)
+    if any(c in text for c in _OTHER_BREAKS):
+        raise ValueError("a line holds a break that only str.splitlines ends a line at")
+    return lines
+
+
+def _read_numeric(f, path):
+    """import_csv's result with the body parsed by np.loadtxt, or None when
+    the body has no rows or differs from what _read_cells would read."""
+    lines = itertools.chain.from_iterable(map(_plain, iter(lambda: f.readlines(1 << 16), [])))
+    try:
+        meta, header, _ = _read_head((line.rstrip("\n") for line in lines), path)
+        # an empty body would make loadtxt warn "input contained no data"
+        first = next((line for line in lines if line != "\n"), None)
+        if first is None:
+            return None
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                           dtype=float, ndmin=2)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    if table.shape[1] != len(header):
+        return None
+    return meta, {h: np.array(table[:, i]) for i, h in enumerate(header)}
+
+
+def _read_cells(path):
+    """import_csv's result from the file split into lines and cells."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    meta, header, idx = _read_head(iter(lines), path)
     k = len(header)
-    if len(set(header)) < k:
-        raise IoError(f"{path}, line {idx + 1}: a column name repeats: {lines[idx]}")
-    body = list(filter(None, lines[idx + 1 :]))
+    body = list(filter(None, lines[idx:]))
     if set(map(str.count, body, itertools.repeat(","))) - {k - 1}:
-        for lineno, line in enumerate(lines[idx + 1 :], start=idx + 2):
+        for lineno, line in enumerate(lines[idx:], start=idx + 1):
             if line and line.count(",") != k - 1:
                 raise IoError(f"{path}, line {lineno}: {line.count(',') + 1} cells, "
                               f"the header has {k}")
@@ -544,17 +597,8 @@ CSV = os.path.join(HERE, {csv_path!r})
 PNG = os.path.join(HERE, {png_path!r})
 
 with open(CSV) as f:
-    lines = f.read().splitlines()
-meta = json.loads(lines[0][1:])
-header = lines[1].split(",")
-rows = [ln.split(",") for ln in lines[2:] if ln]
-cols = {{}}
-for i, h in enumerate(header):
-    cells = [r[i] for r in rows]
-    try:
-        cols[h] = np.array([float(c) for c in cells])
-    except ValueError:
-        cols[h] = np.array(cells)
+    meta = json.loads(f.readline()[1:])
+    header = f.readline().rstrip("\n").split(",")
 
 
 def to_pixels(a, size):
@@ -596,7 +640,12 @@ else:
 print("wrote", PNG)
 '''
 
-_TRAJ_DATA = '''ts = np.unique(cols["t"])
+# numeric bodies go to numpy's C reader, without a Python str per cell
+_NUMERIC_BODY = '''body = np.loadtxt(CSV, delimiter=",", comments=None, skiprows=2, ndmin=2)
+cols = dict(zip(header, body.T))
+'''
+
+_TRAJ_DATA = _NUMERIC_BODY + '''ts = np.unique(cols["t"])
 xs = np.unique(cols["x"])
 U = cols["u"].reshape(ts.size, xs.size)
 '''
@@ -622,7 +671,7 @@ img = np.repeat(img, max(1, 256 // img.shape[0]), axis=0)
 img = np.repeat(img, max(1, 256 // img.shape[1]), axis=1)
 '''
 
-_PROFILE_DATA = '''ab = header[0]
+_PROFILE_DATA = _NUMERIC_BODY + '''ab = header[0]
 '''
 
 _PROFILE_PLOT = '''fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
@@ -649,8 +698,11 @@ img = np.full((320, 480), 255, np.uint8)
 img[np.rint(np.interp(s, knots, py)).astype(int), np.rint(np.interp(s, knots, px)).astype(int)] = 0
 '''
 
-_REPORT_DATA = '''keys = [str(k) for k in cols[header[0]]]
-vals = np.asarray(cols[header[1]], dtype=float)
+# a report's key column is text, so its rows are split by hand
+_REPORT_DATA = '''with open(CSV) as f:
+    rows = [ln.split(",") for ln in f.read().splitlines()[2:] if ln]
+keys = [r[0] for r in rows]
+vals = np.array([float(r[1]) for r in rows])
 '''
 
 _REPORT_PLOT = '''fig, ax = plt.subplots(figsize=(7, 4))

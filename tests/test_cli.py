@@ -763,34 +763,101 @@ def test_csv_body_is_byte_identical_to_savetxt(tmp_path, kind):
     assert len(body) == table.shape[0] + 1
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "profile", "table", "report"])
-def test_import_matches_the_reference_reader(tmp_path, kind):
+# hand-written files: name -> (bytes, whether the body is re-read cell by cell)
+_IMPORT_TEXTS = {
+    # cells only float() reads
+    "underscore-and-arabic-indic-digit": ("a,b,c\n1_000,\u0663,1\n2,3,4\n", True),
+    # cells both readers take
+    "spaced-signed-special": ("a,b,c,d,e,f,g\n 7 ,+.5e-3,-Infinity,1e400,nan,-0,-nan\n"
+                              "1,2,3,4,5,6,7\n", False),
+    # str.splitlines ends the line at the form feed, a file does not
+    "form-feed-first-cell": ("a,b\n\x0c8,1\n2,\x0c\n", True),
+    "empty-cell": ("a,b\n1,\n2,3\n", True),
+    "blank-lines": ("a,b\n\n1,2\n\n\n3,4\n\n", False),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", False),
+    "hash-in-report-value": ("key,value\nnote,a # b\nx,1\n", True),
+    "one-row": ("a,b,c\n1,2,3\n", False),
+    "header-only": ("a,b\n", True),
+}
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "profile", "table", "report", *_IMPORT_TEXTS])
+def test_import_matches_the_reference_reader(tmp_path, monkeypatch, kind):
+    from flks import cli
+
     path = tmp_path / "r.csv"
+    cell_reader = kind == "report"
     if kind == "report":
         export_csv({"sup_norm": 1e-9, "worst_x": -0.0, "nan_entry": float("nan"), "n": 7},
                    str(path))
+    elif kind in _IMPORT_TEXTS:
+        text, cell_reader = _IMPORT_TEXTS[kind]
+        path.write_bytes(('# {"kind": "table", "note": "#, #"}\n' + text).encode("utf-8"))
     else:
         export_csv(_csv_results()[kind][0], str(path), meta={"note": "a, b"})
+    # which reader took the body: numpy's C reader, or the cell-by-cell re-read
+    re_reads = []
+    read_cells = cli._read_cells
+    monkeypatch.setattr(cli, "_read_cells", lambda p: re_reads.append(p) or read_cells(p))
     meta, cols = import_csv(str(path))
     ref_meta, ref_cols = _reference_import(str(path))
+    assert bool(re_reads) == cell_reader
     assert meta == ref_meta
     assert list(cols) == list(ref_cols)
     for name, col in cols.items():
         assert col.dtype == ref_cols[name].dtype and col.shape == ref_cols[name].shape
+        assert col.flags.c_contiguous
         assert col.tobytes() == ref_cols[name].tobytes()
     if kind == "report":
         assert cols["key"].dtype.kind == "U" and cols["value"].dtype == float
         assert list(cols["key"]) == ["n", "nan_entry", "sup_norm", "worst_x"]
 
 
-@pytest.mark.parametrize("row", ["1,2", "1,2,3,4", "x"])
-def test_import_ragged_row_raises(tmp_path, row):
+_RAGGED = ["1,2", "1,2,3,4", "x", "1,\x0c2,3", "1,2\u2028,3"]
+
+
+@pytest.mark.parametrize("lead, row", [
+    *(pytest.param(1, row, id=row) for row in _RAGGED[:3]),
+    *(pytest.param(1, row, id=f"{row!r}") for row in _RAGGED[3:]),
+    *(pytest.param(10_000, row, id=f"after-10k-{row!r}") for row in _RAGGED),
+])
+def test_import_ragged_row_raises(tmp_path, lead, row):
     # a short or long row would shift later cells into the wrong columns; the
-    # error counts the skipped blank line 4
+    # error counts the skipped blank line before it.  str.splitlines ends a
+    # line at a form feed or U+2028, so those rows are short too.  After 10k
+    # valid rows the C reader has read rows before it hands over
     path = tmp_path / "ragged.csv"
-    path.write_text(f'# {{"kind": "table"}}\na,b,c\n1,2,3\n\n{row}\n4,5,6\n')
-    with pytest.raises(IoError, match="line 5"):
+    text = '# {"kind": "table"}\na,b,c\n' + "1,2,3\n" * lead + f"\n{row}\n4,5,6\n"
+    path.write_bytes(text.encode("utf-8"))
+    cells = row.splitlines()[0].count(",") + 1
+    message = f"ragged.csv, line {lead + 4}: {cells} cells, the header has 3$"
+    with pytest.raises(IoError, match=message):
         import_csv(str(path))
+
+
+def test_import_peak_memory_stays_near_its_arrays(tmp_path):
+    # a 51,200-row trajectory (100 frames of 512 nodes): the traced peak of
+    # an import stays under 3x the arrays it returns; a reader that holds
+    # every line and cell of the body as a str peaks near 16x
+    import tracemalloc
+
+    rows = 100 * 512
+    rng = np.random.default_rng(5)
+    table = np.column_stack([np.repeat(np.linspace(0.0, 1.0, 100), 512),
+                             np.tile(np.linspace(-5.0, 5.0, 512), 100),
+                             rng.random(rows), rng.standard_normal(rows)])
+    path = tmp_path / "trajectory.csv"
+    export_csv(table, str(path), meta={"kind": "trajectory"}, columns=["t", "x", "u", "v"])
+    import_csv(str(path))  # warm-up, so one-off first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        _, cols = import_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(col.nbytes for col in cols.values())
+    assert nbytes == rows * 4 * 8
+    assert peak < 3 * nbytes, f"peak {peak / nbytes:.1f}x the returned arrays"
 
 
 @pytest.mark.parametrize("text", ["", '# {"kind": "table"}\n', "# {}\n# {}\n"],
