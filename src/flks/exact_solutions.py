@@ -461,11 +461,9 @@ class X4QuadratureResult:
 def case4_X4_quadrature(
     params,
     lam,
-    kappa0,
-    V_profile,
+    dV_profile,
     x_grid,
     t_samples,
-    dV_profile=None,
     C1_fn=None,
     U_ref=1.0,
     x0=0.0,
@@ -476,8 +474,7 @@ def case4_X4_quadrature(
         mu(x,t) = exp(-(v_max/D) int_x0^x ln(1 + e^(2 lam t) V'(s)^2/s0^2) ds)
         U(x,t)  = mu^-1 [U_ref mu(x0,t) + (C1(t)/D) int_x0^x mu(s,t) ds]
 
-    dV_profile may supply V' directly; otherwise a centered difference of
-    V_profile is used.  C1_fn defaults to zero.
+    dV_profile is V' as a function of x.  C1_fn defaults to zero.
     """
     limiter = params.limiter
     if not isinstance(limiter, WeberFechnerLogLimiter):
@@ -495,13 +492,7 @@ def case4_X4_quadrature(
     if C1_fn is None:
         C1_fn = lambda t: 0.0
 
-    if dV_profile is not None:
-        dV = np.asarray([float(dV_profile(xx)) for xx in x])
-    else:
-        eps = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-        dV = np.asarray(
-            [(float(V_profile(xx + eps)) - float(V_profile(xx - eps))) / (2 * eps) for xx in x]
-        )
+    dV = np.asarray([float(dV_profile(xx)) for xx in x])
 
     U = np.empty((ts.size, x.size))
     mu = np.empty_like(U)
@@ -523,7 +514,6 @@ def case4_X4_quadrature(
         compatibility_diagnostic=diag,
         params={
             "lam": lam,
-            "kappa0": kappa0,
             "D": D,
             "v_max": limiter.v_max,
             "s0": limiter.s0,

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    _GENERATORS,
     CaseTag,
     ConstantDecay,
     ExponentialDecay,
@@ -195,9 +196,9 @@ def dilation(p, q):
     )
 
 
-def x3(p=Fraction(-1, 2), q=Fraction(1, 2)):
+def x3():
     """Scaling generator with the similarity weights p = -1/2, q = 1/2."""
-    return dilation(p, q)
+    return dilation(Fraction(-1, 2), Fraction(1, 2))
 
 
 def x4(lam):
@@ -266,20 +267,18 @@ class ClassifyingResidual:
     residual: np.ndarray
 
 
-def classifying_residual(law, c1, c2, lambda_g, t_grid=None):
+def classifying_residual(law, c1, c2, lambda_g):
     """Residual R(t) = (c1 t + c2) kappa'(t) + (c1 - lambda_g) kappa(t).
 
     kappa' is formed analytically per decay variant and the bracket is
     simplified before evaluation, so the admitted (law, c1, c2, lambda_g)
-    combinations vanish identically in floating point as well.  Tabulated
+    combinations vanish identically in floating point as well.  It is
+    sampled at 181 times on [0.1, 5] ([0.5, 5] for a power law).  Tabulated
     laws have no derivative and are rejected.
     """
     if isinstance(law, TabulatedDecay):
         raise DomainError("classifying residual needs a differentiable decay law")
-    if t_grid is None:
-        lo = 0.5 if isinstance(law, PowerLawDecay) else 0.1
-        t_grid = np.linspace(lo, 5.0, 181)
-    t = np.asarray(t_grid, dtype=float)
+    t = np.linspace(0.5 if isinstance(law, PowerLawDecay) else 0.1, 5.0, 181)
     c1 = float(c1)
     c2 = float(c2)
     lg = float(lambda_g)
@@ -289,8 +288,6 @@ def classifying_residual(law, c1, c2, lambda_g, t_grid=None):
     elif isinstance(law, PowerLawDecay):
         # (c1 t + c2)(-mu/t^2) + (c1 - lg) mu/t = mu (-c2/t^2 - lg/t)
         res = law.mu * (-c2 / (t * t) - lg / t)
-        if np.any(t <= 0.0):
-            raise DomainError("power-law residual needs t > 0")
     elif isinstance(law, ExponentialDecay):
         # kappa' = lam kappa: bracket = (c1 t + c2) lam + c1 - lg
         res = law.kappa(t) * ((c1 * t + c2) * law.lam + (c1 - lg))
@@ -342,32 +339,38 @@ def _proportional(X, Y):
     return True
 
 
-def verify_optimal_system(case, lam=Fraction(1, 5), sample_coeffs=(Fraction(5), Fraction(-3, 2))):
+def verify_optimal_system(case):
     """Check the one-dimensional optimal system of the case's algebra.
 
+    The basis is the case's row of ``core._GENERATORS``, each generator taken
+    from ``catalog()`` (X4 at its default lam; the checks hold for any lam).
     For each case the report records (a) that the listed representatives are
     pairwise non-conjugate under the computed adjoint action and scalings,
     and (b) that a generic element reduces to a listed representative by the
     stated normalizations.  Discrepancies become failing entries, never
     exceptions.
     """
+    if case not in _GENERATORS:
+        raise ValidationError(f"unknown case {case!r}")
+    fields = catalog()
+    X1 = fields["X1"]
+    a, b = Fraction(5), Fraction(-3, 2)  # the generic element a X1 + b X_B
     checks = []
-    X1, X2, X3, X4 = x1(), x2(), x3(), x4(lam)
 
-    if case is CaseTag.I_ARBITRARY:
+    if len(_GENERATORS[case]) == 1:
         reps = ["<X1>"]
         checks.append(
             CheckEntry(
                 "single_subalgebra",
-                _proportional(X1.scaled(sample_coeffs[0]), X1),
+                _proportional(X1.scaled(a), X1),
                 "a X1 rescales to X1 for any a != 0",
             )
         )
         return OptimalSystemReport(case, reps, checks)
 
-    if case in (CaseTag.II_CONSTANT, CaseTag.IV_EXPONENTIAL):
-        XB = X2 if case is CaseTag.II_CONSTANT else X4
-        name = "X2" if case is CaseTag.II_CONSTANT else "X4"
+    name = _GENERATORS[case][1]
+    XB = fields[name]
+    if case is not CaseTag.III_POWER_LAW:
         reps = ["<X1>", f"<{name}>", f"<X1 + alpha {name}>"]
         com = commutator(X1, XB)
         checks.append(
@@ -387,12 +390,11 @@ def verify_optimal_system(case, lam=Fraction(1, 5), sample_coeffs=(Fraction(5), 
             CheckEntry(
                 "representatives_inequivalent",
                 not _proportional(X1, XB)
-                and not _proportional(X1, X1 + XB.scaled(sample_coeffs[0]))
-                and not _proportional(XB, X1 + XB.scaled(sample_coeffs[0])),
+                and not _proportional(X1, X1 + XB.scaled(a))
+                and not _proportional(XB, X1 + XB.scaled(a)),
                 "X1, the time generator, and a mixed direction are pairwise non-proportional",
             )
         )
-        a, b = sample_coeffs
         generic = X1.scaled(a) + XB.scaled(b)
         reduced = generic.scaled(Fraction(1, 1) / a)
         checks.append(
@@ -404,63 +406,60 @@ def verify_optimal_system(case, lam=Fraction(1, 5), sample_coeffs=(Fraction(5), 
         )
         return OptimalSystemReport(case, reps, checks)
 
-    if case is CaseTag.III_POWER_LAW:
-        reps = ["<X1>", "<X3>"]
-        checks.append(
-            CheckEntry(
-                "bracket_halves_x1",
-                commutator(X1, X3) == X1.scaled(Fraction(1, 2)),
-                "[X1, X3] = X1/2 drives the adjoint scaling of X1",
-            )
+    # case III: X1 and the scaling generator XB = X3
+    reps = ["<X1>", "<X3>"]
+    checks.append(
+        CheckEntry(
+            "bracket_halves_x1",
+            commutator(X1, XB) == X1.scaled(Fraction(1, 2)),
+            "[X1, X3] = X1/2 drives the adjoint scaling of X1",
         )
-        # orbit structure: ad_X3^n(X1) = (-1/2)^n X1, so the series sums to
-        # exp(-eps/2) X1; verify the pattern exactly through order 8
-        pattern_ok = True
-        cur = x1()
-        for n in range(1, 9):
-            cur = commutator(X3, cur)
-            if cur != x1().scaled(Fraction(-1, 2) ** n):
-                pattern_ok = False
-                break
-        checks.append(
-            CheckEntry(
-                "adjoint_orbit_geometric",
-                pattern_ok,
-                "ad_X3^n(X1) = (-1/2)^n X1, hence Ad(exp(eps X3))X1 = e^(-eps/2) X1",
-            )
+    )
+    # orbit structure: ad_X3^n(X1) = (-1/2)^n X1, so the series sums to
+    # exp(-eps/2) X1; verify the pattern exactly through order 8
+    pattern_ok = True
+    cur = X1
+    for n in range(1, 9):
+        cur = commutator(XB, cur)
+        if cur != X1.scaled(Fraction(-1, 2) ** n):
+            pattern_ok = False
+            break
+    checks.append(
+        CheckEntry(
+            "adjoint_orbit_geometric",
+            pattern_ok,
+            "ad_X3^n(X1) = (-1/2)^n X1, hence Ad(exp(eps X3))X1 = e^(-eps/2) X1",
         )
-        c = sample_coeffs[0]
-        # numeric eps = 2 ln|c| sends the X1 coefficient of X3 + c X1 to sign(c)
-        eps = 2.0 * math.log(abs(float(c)))
-        coeff = float(c) * math.exp(-eps / 2.0)
-        checks.append(
-            CheckEntry(
-                "eps_map_normalizes_coefficient",
-                abs(coeff - math.copysign(1.0, float(c))) < 1e-14,
-                "eps = 2 ln|c| maps X3 + c X1 to X3 + sign(c) X1",
-            )
+    )
+    # numeric eps = 2 ln|a| sends the X1 coefficient of X3 + a X1 to sign(a)
+    eps = 2.0 * math.log(abs(float(a)))
+    coeff = float(a) * math.exp(-eps / 2.0)
+    checks.append(
+        CheckEntry(
+            "eps_map_normalizes_coefficient",
+            abs(coeff - math.copysign(1.0, float(a))) < 1e-14,
+            "eps = 2 ln|c| maps X3 + c X1 to X3 + sign(c) X1",
         )
-        # exact elimination: Ad(exp(delta X1)) shifts the X1 coefficient by
-        # delta/2 (nilpotent series), so delta = -2c removes it entirely
-        Y = X3 + X1.scaled(c)
-        elim = adjoint(X1, Y, -2 * c, order=5)
-        checks.append(
-            CheckEntry(
-                "x1_flow_eliminates",
-                elim.exact and elim.field == X3,
-                "Ad(exp(-2c X1))(X3 + c X1) = X3 exactly (nilpotent bracket)",
-            )
+    )
+    # exact elimination: Ad(exp(delta X1)) shifts the X1 coefficient by
+    # delta/2 (nilpotent series), so delta = -2a removes it entirely
+    Y = XB + X1.scaled(a)
+    elim = adjoint(X1, Y, -2 * a, order=5)
+    checks.append(
+        CheckEntry(
+            "x1_flow_eliminates",
+            elim.exact and elim.field == XB,
+            "Ad(exp(-2c X1))(X3 + c X1) = X3 exactly (nilpotent bracket)",
         )
-        checks.append(
-            CheckEntry(
-                "representatives_inequivalent",
-                not _proportional(X1, X3),
-                "adjoint orbits keep span{X1} invariant and X3 is not in it",
-            )
+    )
+    checks.append(
+        CheckEntry(
+            "representatives_inequivalent",
+            not _proportional(X1, XB),
+            "adjoint orbits keep span{X1} invariant and X3 is not in it",
         )
-        return OptimalSystemReport(case, reps, checks)
-
-    raise ValidationError(f"unknown case {case!r}")
+    )
+    return OptimalSystemReport(case, reps, checks)
 
 
 def table_rows():

@@ -155,9 +155,11 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     search keeps the defect monotone.  The solve stops when the defect is
     below ``tol`` or below the rows' round-off floor, eps times the largest
     row sum of |J_ij z_j|; the rows scale like 1/dx^2, so on fine grids
-    (n >= 1024 on [0, 4]) the floor is the larger.  Only ``bc = "neumann"``
-    is accepted: periodic node n is node 0, which would make the Jacobian
-    singular.
+    (n >= 1024 on [0, 4]) the floor is the larger.  ``iterations``, in the
+    result and in ``NoConvergence``, counts the Newton steps taken, at most
+    ``max_iter``; a step whose line search fails ends the solve and counts.
+    Only ``bc = "neumann"`` is accepted: periodic node n is node 0, which
+    would make the Jacobian singular.
     """
     import scipy.sparse.linalg as spla
 
@@ -187,35 +189,34 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     z = np.concatenate([u, v])
     history = []
     accept = tol
-    for it in range(max_iter):
+    steps = 0
+    while True:
         R = residual(z)
         defect = float(np.max(np.abs(R)))
         history.append(defect)
-        if defect >= accept:
-            J = _fd_jacobian(residual, z, R, w)
-            # the round-off floor of the rows: one eps of each row's absolute
-            # terms |J_ij z_j|, which grow like 1/dx^2
-            accept = max(tol, np.finfo(float).eps * float(np.max(abs(J) @ np.abs(z))))
+        if defect < accept or steps == max_iter:
+            break
+        J = _fd_jacobian(residual, z, R, w)
+        # the round-off floor of the rows: one eps of each row's absolute
+        # terms |J_ij z_j|, which grow like 1/dx^2
+        accept = max(tol, np.finfo(float).eps * float(np.max(abs(J) @ np.abs(z))))
         if defect < accept:
-            return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, it)
+            break
         delta = spla.spsolve(J, -R)
+        steps += 1
         lam = 1.0
-        base = defect
         while lam > 1e-4:
             trial = z + lam * delta
             d_trial = float(np.max(np.abs(residual(trial))))
-            if d_trial < base * (1.0 - 0.25 * lam) or d_trial < accept:
+            if d_trial < defect * (1.0 - 0.25 * lam) or d_trial < accept:
                 z = trial
                 break
             lam *= 0.5
         else:
             break
-    R = residual(z)
-    defect = float(np.max(np.abs(R)))
-    history.append(defect)
     if defect >= accept:
-        raise NoConvergence(len(history), defect, history, profile=z)
-    return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, len(history))
+        raise NoConvergence(steps, defect, history, profile=z)
+    return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, steps)
 
 
 def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):

@@ -37,21 +37,6 @@ class ResidualReport:
     worst_location: tuple
 
 
-def _transformed_pair(sol, kind, eps, lam=0.0):
-    """Finite symmetry transform applied to an evaluable solution."""
-    if kind == "X1":
-        return (lambda x, t: sol.eval_u(np.asarray(x) - eps, t),
-                lambda x, t: sol.eval_v(np.asarray(x) - eps, t))
-    if kind == "X2":
-        return (lambda x, t: sol.eval_u(x, t - eps),
-                lambda x, t: sol.eval_v(x, t - eps))
-    if kind == "X4":
-        scale = math.exp(-lam * eps)
-        return (lambda x, t: sol.eval_u(x, t - eps),
-                lambda x, t: scale * np.asarray(sol.eval_v(x, t - eps)))
-    raise UnsupportedGenerator(f"no finite transform for {kind!r}")
-
-
 _PAD = 4
 
 
@@ -232,52 +217,62 @@ class InvarianceReport:
         return self.transformed.sup_norm / self.baseline.sup_norm
 
 
-def _generator_name(generator):
-    if isinstance(generator, str):
-        return generator
-    # match a lie_toolkit VectorField against the catalog shapes
-    from .lie_toolkit import x1, x2
+_FLOW_MONOMIALS = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-    if generator == x1():
-        return "X1"
-    if generator == x2():
-        return "X2"
-    comps = generator.components()
-    if (
-        not comps[0].is_zero()
-        and comps[1].is_zero()
-        and comps[2].is_zero()
-        and not comps[3].is_zero()
-    ):
-        return "X4"
-    raise UnsupportedGenerator(f"unsupported generator {generator!r}")
+
+def _flow_rates(field):
+    """(a, b, c, d) of a field a d/dt + b d/dx + c u d/du + d v d/dv with
+    constant a, b, c, d; any other field has no grid-compatible flow."""
+    rates = []
+    for comp, mono in zip(field.components(), _FLOW_MONOMIALS):
+        if set(comp.terms) - {mono}:
+            raise UnsupportedGenerator(
+                f"{field!r} rescales the grid or mixes variables; only t/x translations "
+                "with constant u, v rescaling have a finite transform here"
+            )
+        rates.append(float(comp.terms.get(mono, 0)))
+    return rates
 
 
 def group_invariance_check(generator, sol, params, eps, grid=None, t_samples=None, ht=5e-4):
-    """Apply a finite transform of X1/X2/X4 to a solution and re-measure the
-    PDE residual; the transformed field of an admitted symmetry must remain a
-    solution (residual comparable to baseline).
+    """Apply the finite transform of a generator to a solution and re-measure
+    the PDE residual; the transformed field of an admitted symmetry must
+    remain a solution (residual comparable to baseline).
 
-    X1 on a periodic trajectory shifts by whole cells; the evaluable path
-    supports all three generators.  X3 has no grid-compatible finite
-    transform here and is rejected.  X4 requires an exponential decay law
-    (its rescaling rate is the law's lam).
+    ``generator`` is a ``lie_toolkit.VectorField`` or a name in
+    ``lie_toolkit.catalog(lam)``, lam being the decay law's rate ("X4" needs
+    an exponential law).  The transform is the field's flow: for
+    a d/dt + b d/dx + c u d/du + d v d/dv with constant a, b, c, d it maps
+    (u, v)(x, t) to (e^(c eps) u, e^(d eps) v)(x - b eps, t - a eps).  Any
+    other field, X3 and XD included, rescales the grid and is rejected.  On a
+    periodic trajectory only x-shifts apply, rounded to whole cells.  The
+    report names the catalog entry the field equals, else the field's repr.
     """
-    name = _generator_name(generator)
-    if name == "X3":
-        raise UnsupportedGenerator("X3 rescales the grid; use the reduced solvers")
-    if name not in ("X1", "X2", "X4"):
-        raise UnsupportedGenerator(f"unsupported generator {name!r}")
+    from .lie_toolkit import catalog
+
+    lam = getattr(params.decay, "lam", None)
+    named = catalog(lam or 0)
+    if isinstance(generator, str):
+        if generator == "X4" and lam is None:
+            raise ValidationError("X4 needs an exponential decay law")
+        if generator not in named:
+            raise UnsupportedGenerator(f"unsupported generator {generator!r}")
+        field, name = named[generator], generator
+    else:
+        field = generator
+        name = next((k for k, f in named.items() if f == field), repr(field))
+    a, b, c, d = _flow_rates(field)
 
     if hasattr(sol, "times") and hasattr(sol, "us"):
-        if name != "X1":
+        if a or c or d or not b:
             raise UnsupportedGenerator(
-                "trajectory transforms support X1 only; pass an evaluable solution"
+                "trajectory transforms support x-shifts only; pass an evaluable solution"
             )
         if sol.bc != "periodic":
-            raise ValidationError("X1 trajectory shifts need periodic boundaries")
+            raise ValidationError("trajectory x-shifts need periodic boundaries")
         dx = sol.grid.dx
-        k = max(1, int(round(eps / dx)))
+        shift = b * eps
+        k = int(math.copysign(max(1, round(abs(shift) / dx)), shift))
         us, vs = (np.roll(f[:, :-1], k, axis=1) for f in (sol.us, sol.vs))
         shifted = dataclasses.replace(
             sol,
@@ -286,14 +281,16 @@ def group_invariance_check(generator, sol, params, eps, grid=None, t_samples=Non
         )
         base = pde_residual(sol, params)
         trans = pde_residual(shifted, params)
-        return InvarianceReport(name, k * dx, base, trans)
+        return InvarianceReport(name, k * dx / b, base, trans)
 
-    lam = 0.0
-    if name == "X4":
-        lam = getattr(params.decay, "lam", None)
-        if lam is None:
-            raise ValidationError("X4 needs an exponential decay law")
-    eu, ev = _transformed_pair(sol, name, eps, lam)
+    su, sv = math.exp(c * eps), math.exp(d * eps)
+
+    def eu(x, t):
+        return su * np.asarray(sol.eval_u(np.asarray(x) - b * eps, t - a * eps))
+
+    def ev(x, t):
+        return sv * np.asarray(sol.eval_v(np.asarray(x) - b * eps, t - a * eps))
+
     base = pde_residual(sol, params, grid, t_samples, ht)
     trans = _residual(_callable_samples(eu, ev, grid, t_samples, ht), params, ht, grid, grid.nodes())
     return InvarianceReport(name, eps, base, trans)

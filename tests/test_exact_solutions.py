@@ -370,7 +370,7 @@ def test_x4_quadrature_inert_limiter():
     p = wf_params()
     x = np.linspace(-2.0, 2.0, 101)
     res = case4_X4_quadrature(
-        p, lam=0.2, kappa0=0.5, V_profile=lambda x: 1.0, dV_profile=lambda x: 0.0,
+        p, lam=0.2, dV_profile=lambda x: 0.0,
         x_grid=x, t_samples=[0.0, 1.0], C1_fn=lambda t: 0.4, U_ref=1.0, x0=0.0,
     )
     assert np.allclose(res.mu, 1.0, atol=1e-14)
@@ -385,7 +385,7 @@ def test_x4_quadrature_constant_gradient_closed_form():
     x = np.linspace(0.0, 3.0, 301)
     c = 0.9
     res = case4_X4_quadrature(
-        p, lam=0.0, kappa0=0.5, V_profile=lambda x: c * x, dV_profile=lambda x: c,
+        p, lam=0.0, dV_profile=lambda x: c,
         x_grid=x, t_samples=[0.7], U_ref=1.0, x0=0.0,
     )
     k = (p.limiter.v_max / p.D) * math.log1p((c / p.limiter.s0) ** 2)
@@ -400,7 +400,7 @@ def test_x4_quadrature_compatibility_diagnostic_positive():
     p = wf_params()
     x = np.linspace(0.0, math.pi, 201)
     res = case4_X4_quadrature(
-        p, lam=0.2, kappa0=0.5, V_profile=math.sin, dV_profile=math.cos,
+        p, lam=0.2, dV_profile=math.cos,
         x_grid=x, t_samples=[0.0, 1.0, 2.0], U_ref=1.0, x0=0.0,
     )
     assert res.compatibility_diagnostic > 1e-2
@@ -409,7 +409,7 @@ def test_x4_quadrature_compatibility_diagnostic_positive():
 def test_x4_quadrature_requires_wf_limiter(fig_params):
     with pytest.raises(ValidationError):
         case4_X4_quadrature(
-            fig_params, 0.2, 0.5, V_profile=lambda x: 0.0,
+            fig_params, 0.2, dV_profile=lambda x: 0.0,
             x_grid=np.linspace(0, 1, 32), t_samples=[0.0],
         )
 

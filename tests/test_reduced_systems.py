@@ -253,6 +253,22 @@ def test_newton_step_residual_calls_do_not_grow_with_n():
     assert counts[0] < 16
 
 
+def test_steady_iterations_count_newton_steps_on_every_exit():
+    # a converged exit at the cap counted one residual evaluation per step
+    # plus one (4), and a capped failure after one step reported 2
+    n = 64
+    x = np.linspace(-4.0, 4.0, n + 1)
+    prob = ReducedProblem(
+        "steady_state", make_params(), constants={"kappa0": 0.5}, domain=(-4.0, 4.0),
+        data={"bc": "neumann", "u_init": 1.0 + 0.05 * np.exp(-x * x)},
+    )
+    assert [solve_steady_state(prob, n=n, max_iter=m).iterations for m in (3, 4, 60)] == [3, 3, 3]
+    with pytest.raises(NoConvergence) as exc:
+        solve_steady_state(prob, n=n, max_iter=1)
+    assert exc.value.iterations == 1
+    assert "after 1 iterations" in str(exc.value)
+
+
 def test_steady_solve_prepares_one_operator(monkeypatch):
     # the closure_quadrature bench's n = 256 bump guess; preparing one
     # operator per residual call made 77

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from flks.exact_solutions import (
     case4_cellfree_front,
     case4_homogeneous,
 )
-from flks.lie_toolkit import x1, x2, x3
+from flks.lie_toolkit import PolyExpr, VectorField, x1, x2, x3, x4
 from flks.limiters import TanhLimiter
 from flks.pde_solver import SolverConfig, run
 from flks.verify import (
@@ -149,6 +150,23 @@ def test_convergence_order_guards():
         convergence_order([(0.1, 1e-15), (0.05, 1e-15), (0.025, 1e-15)])
 
 
+def test_residual_of_neumann_trajectories():
+    # a Neumann trajectory is measured inside its 4 outer nodes: the uniform
+    # relaxation is exact in x, and a bump's residual falls at second order
+    p = make_params()
+
+    def residual(n, u0, v0):
+        grid = Grid1D(-4.0, 4.0, n)
+        x = grid.nodes()
+        cfg = SolverConfig(grid=grid, t_end=0.02, bc="neumann", output_stride=1)
+        return pde_residual(run(FieldPair(u0(x), v0(x), 0.0), p, cfg), p).sup_norm
+
+    assert residual(64, np.ones_like, np.zeros_like) < 1e-8
+    bump = [residual(n, lambda x: 1.0 + 0.5 * np.exp(-x * x / 0.72), lambda x: np.exp(-x * x))
+            for n in (64, 128)]
+    assert 3.0 <= bump[0] / bump[1] <= 5.0
+
+
 def test_invariance_x1_on_periodic_trajectory():
     p = make_params()
     grid = Grid1D(0.0, 2.0 * math.pi, 64)
@@ -203,6 +221,39 @@ def test_invariance_rejects_x3():
         group_invariance_check(x3(), sol, p, eps=0.1, grid=Grid1D(-1, 1, 16), t_samples=(1.0,))
     with pytest.raises(UnsupportedGenerator):
         group_invariance_check("X3", sol, p, eps=0.1, grid=Grid1D(-1, 1, 16), t_samples=(1.0,))
+
+
+def test_invariance_mixed_translation_keeps_the_front():
+    # X1 + alpha X2, the traveling reduction's generator, fixes y = t - alpha x:
+    # its flow is read off the field, which has no catalog name
+    front = case4_cellfree_front(1.1, 0.1, 0.5, 0.0)
+    p = make_params(decay=ConstantDecay(0.5), tau=0.1)
+    field = x1() + x2().scaled(Fraction(11, 10))
+    rep = group_invariance_check(
+        field, front, p, eps=0.3, grid=Grid1D(-2.0, 2.0, 128), t_samples=(0.5, 1.0)
+    )
+    assert rep.generator == repr(field)
+    assert 0.5 <= rep.ratio <= 2.0
+
+
+def test_invariance_rejects_time_scaling_with_signal_growth():
+    # t d/dt + v d/dv rescales time: it has no grid-compatible flow
+    p = make_params(decay=ExponentialDecay(0.5, 0.2))
+    sol = case4_homogeneous(0.5, 0.2, p.tau, C=1.0, V0=0.0, t0=0.0)
+    field = VectorField(PolyExpr.variable("t"), PolyExpr(), PolyExpr(), PolyExpr.variable("v"))
+    with pytest.raises(UnsupportedGenerator):
+        group_invariance_check(field, sol, p, eps=0.25, grid=Grid1D(-1, 1, 16), t_samples=(2.0,))
+
+
+def test_invariance_x4_rescales_v_at_the_fields_own_rate():
+    # under lam = 0.2, x4(7/10) is not the law's X4 and breaks the solution
+    p = make_params(decay=ExponentialDecay(0.5, 0.2))
+    sol = case4_homogeneous(0.5, 0.2, p.tau, C=1.0, V0=0.0, t0=0.0)
+    kw = dict(eps=0.25, grid=Grid1D(-1.0, 1.0, 16), t_samples=(2.0, 2.5), ht=0.05)
+    law = group_invariance_check("X4", sol, p, **kw)
+    other = group_invariance_check(x4(Fraction(7, 10)), sol, p, **kw)
+    assert law.generator == "X4" and other.generator == repr(x4(Fraction(7, 10)))
+    assert other.transformed.sup_norm > 10.0 * law.transformed.sup_norm
 
 
 def test_residual_refinement_order_on_front():
