@@ -815,8 +815,7 @@ def cmd_simulate(cfg, outdir):
     # (absolute when that is zero)
     drift = np.max(np.abs(traj.mass - traj.mass[0])) / (abs(traj.mass[0]) or 1.0)
     summary = {"frames": int(traj.times.size), "steps": traj.steps_taken,
-               "mass_drift": float(drift), "dt": traj.metadata["dt"],
-               "dt_bound": traj.metadata["dt_bound"]}
+               "mass_drift": float(drift), "dt": traj.metadata["dt"]}
     min_u = float(np.min(traj.min_u))
     if min_u < 0.0:
         # a negative cell density is unphysical: say so, outside the CSV body

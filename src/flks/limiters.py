@@ -20,7 +20,7 @@ class FluxLimiter:
     parity = None
     #: whether |F| <= v_max holds for all s
     bounded = None
-    #: gradient scale entering the advective CFL heuristic
+    #: the gradient scale of F (its s0 where it has one); not a step bound
     gradient_scale = 1.0
 
     def F(self, s):

@@ -247,10 +247,10 @@ def test_criterion_07_pde_solver_validation():
     errors = [(2.0 * math.pi / n, manufactured_error(n)) for n in (32, 64, 128)]
     order, _ = convergence_order(errors)
     assert 1.8 <= order <= 2.2, (order, errors)
-    # mass drift over >= 1e4 steps
+    # mass drift over >= 1e4 steps: 10,120 steps of the IMEX march to t = 230
     p = _params()
     grid = Grid1D(-4.0, 4.0, 64)
-    cfg = SolverConfig(grid=grid, t_end=10.0, output_stride=1000)
+    cfg = SolverConfig(grid=grid, t_end=230.0, output_stride=1000)
     x = grid.nodes()
     traj = run(FieldPair(1.0 + 1.5 * np.exp(-4.0 * x**2), np.zeros_like(x), 0.0), p, cfg)
     assert traj.steps_taken >= 10**4
@@ -275,7 +275,7 @@ def test_criterion_08_symmetry_behavior():
     # X1 on a periodic solver trajectory
     p = _params()
     grid = Grid1D(0.0, 2.0 * math.pi, 64)
-    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=20)
+    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=2)
     xg = grid.nodes()
     traj = run(FieldPair(1.0 + 0.3 * np.sin(xg), 0.1 * np.cos(xg), 0.0), p, cfg)
     rep_x1 = group_invariance_check("X1", traj, p, eps=5 * grid.dx)

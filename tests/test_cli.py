@@ -254,7 +254,8 @@ def test_simulate_summary_reports_the_largest_relative_mass_drift(tmp_path, monk
         return traj
 
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL)
+    # 3 steps to t = 0.05; every step a frame gives the 4 the ledger needs
+    cfg_path.write_text(MINIMAL.replace("output_stride = 10", "output_stride = 1"))
     monkeypatch.setattr(cli.pde_solver, "run", peaked)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
@@ -270,22 +271,22 @@ def test_simulate_summary_reports_the_largest_relative_mass_drift(tmp_path, monk
 
 
 def test_simulate_reports_the_step_and_its_active_bound(tmp_path, capsys):
-    # the fig-1 constants on [-4, 4] with n = 256: the diffusive bound is
-    # ~815x below the advective one and sets dt
+    # the fig-1 constants on [-4, 4] with n = 256: the one bound is the flux
+    # speed's, dt = cfl dx/(2 v_max), 36 steps to t = 0.2
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("x_lo = -2.0", "x_lo = -4.0")
                         .replace("x_hi = 2.0", "x_hi = 4.0").replace("n = 32", "n = 256")
-                        .replace("t_end = 0.05", "t_end = 0.001"))
+                        .replace("t_end = 0.05", "t_end = 0.2"))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
     dx = 8.0 / 256
-    assert summary["dt_bound"] == "diffusive"
-    assert summary["dt"] == pytest.approx(0.4 * dx * dx / 20.0, rel=1e-12)
-    assert (dx * 1.4 / 1.1) / (dx * dx / 20.0) == pytest.approx(815, rel=1e-3)
+    assert "dt_bound" not in summary
+    assert summary["dt"] == pytest.approx(0.4 * dx / 2.2, rel=1e-12)
+    assert summary["steps"] == 36
     # the record goes to the CSV header, never to the body
     meta, cols = import_csv(str(tmp_path / "o" / "trajectory.csv"))
     assert meta["solver"]["dt"] == summary["dt"]
-    assert meta["solver"]["dt_bound"] == "diffusive"
+    assert "dt_bound" not in meta["solver"]
     assert set(cols) == {"t", "x", "u", "v"}
 
 

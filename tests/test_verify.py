@@ -125,15 +125,21 @@ def test_compare_identical_and_mismatch():
 
 
 def test_compare_solver_vs_exact_uniform():
+    # the uniform relaxation's error is the march's time error: 3.8e-6 at
+    # the default cfl 0.4, falling as dt^2
     p = make_params()
     grid = Grid1D(0.0, 4.0, 8)
-    cfg = SolverConfig(grid=grid, t_end=2.0, output_stride=10**9)
-    traj = run(FieldPair(np.full(9, 1.0), np.zeros(9), 0.0), p, cfg)
     exact = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
-    ref = exact.sample(grid, float(traj.times[-1]))
-    out = compare(traj.frame(traj.times.size - 1), ref)
-    assert out["v"]["relative"] < 1e-6
-    assert out["u"]["sup"] < 1e-12
+    errors = []
+    for cfl in (0.2, 0.1):
+        cfg = SolverConfig(grid=grid, t_end=2.0, cfl_safety=cfl, output_stride=10**9)
+        traj = run(FieldPair(np.full(9, 1.0), np.zeros(9), 0.0), p, cfg)
+        ref = exact.sample(grid, float(traj.times[-1]))
+        out = compare(traj.frame(traj.times.size - 1), ref)
+        errors.append(out["v"]["relative"])
+        assert out["u"]["sup"] < 1e-12
+    assert errors[1] < 1e-6
+    assert 3.5 < errors[0] / errors[1] < 4.5, errors
 
 
 def test_convergence_order_exact_quadratic():
@@ -152,25 +158,31 @@ def test_convergence_order_guards():
 
 def test_residual_of_neumann_trajectories():
     # a Neumann trajectory is measured inside its 4 outer nodes: the uniform
-    # relaxation is exact in x, and a bump's residual falls at second order
+    # relaxation is exact in x, so its residual is the march's time error
+    # (4.2e-4 at the default cfl 0.4), falling as dt^2; at cfl 0.001 a
+    # bump's residual falls at second order in dx
     p = make_params()
 
-    def residual(n, u0, v0):
+    def residual(n, u0, v0, cfl=0.001):
         grid = Grid1D(-4.0, 4.0, n)
         x = grid.nodes()
-        cfg = SolverConfig(grid=grid, t_end=0.02, bc="neumann", output_stride=1)
+        cfg = SolverConfig(grid=grid, t_end=0.02, bc="neumann", cfl_safety=cfl,
+                           output_stride=1)
         return pde_residual(run(FieldPair(u0(x), v0(x), 0.0), p, cfg), p).sup_norm
 
-    assert residual(64, np.ones_like, np.zeros_like) < 1e-8
+    uniform = [residual(64, np.ones_like, np.zeros_like, cfl) for cfl in (0.002, 0.001)]
+    assert uniform[1] < 1e-8
+    assert 3.5 < uniform[0] / uniform[1] < 4.5, uniform
     bump = [residual(n, lambda x: 1.0 + 0.5 * np.exp(-x * x / 0.72), lambda x: np.exp(-x * x))
             for n in (64, 128)]
     assert 3.0 <= bump[0] / bump[1] <= 5.0
 
 
 def test_invariance_x1_on_periodic_trajectory():
+    # 12 steps to t = 0.2: every other step a frame gives 6 uniform frames
     p = make_params()
     grid = Grid1D(0.0, 2.0 * math.pi, 64)
-    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=20)
+    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=2)
     x = grid.nodes()
     traj = run(FieldPair(1.0 + 0.3 * np.sin(x), 0.1 * np.cos(x), 0.0), p, cfg)
     rep = group_invariance_check("X1", traj, p, eps=5 * grid.dx)
@@ -180,7 +192,7 @@ def test_invariance_x1_on_periodic_trajectory():
 def test_invariance_x1_accepts_vector_field():
     p = make_params()
     grid = Grid1D(0.0, 2.0 * math.pi, 64)
-    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=20)
+    cfg = SolverConfig(grid=grid, t_end=0.2, bc="periodic", output_stride=2)
     x = grid.nodes()
     traj = run(FieldPair(1.0 + 0.3 * np.sin(x), 0.1 * np.cos(x), 0.0), p, cfg)
     rep = group_invariance_check(x1(), traj, p, eps=3 * grid.dx)
