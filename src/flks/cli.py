@@ -11,6 +11,7 @@ with 17 significant digits, which round-trips double precision losslessly.
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -385,7 +386,7 @@ def _lookup(table, what, name, cfg):
 # CSV export / import
 # ---------------------------------------------------------------------------
 
-# rows per `%` call of the CSV body writer: bounds the tuple of values and the
+# rows per `%` call of the CSV body writers: bounds the tuple of values and the
 # string one call holds, so a long trajectory is written in bounded memory
 _BLOCK_ROWS = 8192
 
@@ -407,16 +408,36 @@ def _cell(c):
     return format(float(c), ".17g") if isinstance(c, (int, float, np.floating)) else str(c)
 
 
-def _long_table(times, x, us, vs):
-    """t, x, u, v columns, frame after frame, of fields sampled on nodes x."""
-    return np.repeat(times, x.size), np.tile(x, len(times)), np.ravel(us), np.ravel(vs)
+# fields sampled on nodes x at each of times, frame after frame: the body of a
+# long-format (t, x, u, v) CSV
+_Frames = collections.namedtuple("_Frames", "times x us vs")
+
+
+def _write_long(f, frames):
+    """Write _write_rows' bytes of the long table of frames, never built.
+
+    Each node's x cell is formatted once, into a row template per block of
+    nodes where "\\0" holds the t cell, and each frame's t cell once; one
+    `%` call per frame and block then formats its (u, v) pairs.
+    """
+    x = frames.x.tolist()
+    blocks = []
+    for start in range(0, len(x), _BLOCK_ROWS):
+        cells = x[start : start + _BLOCK_ROWS]
+        template = ("\0,%.17g,%%.17g,%%.17g\n" * len(cells)) % tuple(cells)
+        blocks.append((slice(start, start + _BLOCK_ROWS), template))
+    for t, u, v in zip(frames.times, frames.us, frames.vs):
+        t_cell = "%.17g" % t
+        for nodes, template in blocks:
+            pairs = np.column_stack((u[nodes], v[nodes])).ravel().tolist()
+            f.write(template.replace("\0", t_cell) % tuple(pairs))
 
 
 def export_csv(result, path, meta=None, columns=None):
     """Write a result as CSV with a JSON metadata header comment block.
 
-    Column layout per result kind: trajectories go long-format (t, x, u, v),
-    profile results carry their abscissa plus profile columns, a 2-D array
+    Column layout per result kind: trajectories and sampled _Frames go
+    long-format (t, x, u, v), profile results carry their abscissa plus profile columns, a 2-D array
     is a table with the given column names (c0, c1, ... by default), and
     report dicts flatten to key,value rows.  Numbers are written with 17
     significant digits.
@@ -425,13 +446,15 @@ def export_csv(result, path, meta=None, columns=None):
     profiles = {"kind": "profiles"}
     if isinstance(result, pde_solver.Trajectory):
         header = ["t", "x", "u", "v"]
-        cols = _long_table(result.times, result.grid.nodes(), result.us, result.vs)
+        cols = _Frames(result.times, result.grid.nodes(), result.us, result.vs)
         defaults = {
             "kind": "trajectory",
             "mass_ledger": [float(m) for m in result.mass],
             "min_u": [float(m) for m in result.min_u],
             "solver": result.metadata,
         }
+    elif isinstance(result, _Frames):
+        header, cols, defaults = ["t", "x", "u", "v"], result, {"kind": "trajectory"}
     elif isinstance(result, reduced_systems.SelfSimilarResult):
         header, cols = ["xi", "U", "V", "S"], (result.xi, result.U, result.V, result.S)
         defaults = dict(
@@ -475,6 +498,8 @@ def export_csv(result, path, meta=None, columns=None):
             f.write(",".join(header) + "\n")
             if cols is None:
                 f.writelines(",".join(row) + "\n" for row in rows)
+            elif isinstance(cols, _Frames):
+                _write_long(f, cols)
             else:
                 _write_rows(f, np.column_stack(cols))
     except OSError as exc:
@@ -842,19 +867,17 @@ def cmd_exact(cfg, outdir):
     if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
         # the CSV body and its plot script are one frame per sample time
         raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
+    x = grid.nodes()
     frames = [sol.sample(grid, t) for t in ts]
-    table = np.column_stack(
-        _long_table(ts, grid.nodes(), [f.u for f in frames], [f.v for f in frames])
-    )
-    bad = ~np.isfinite(table[:, 2:]).all(axis=1)
-    if bad.any():
-        t, x = table[np.argmax(bad), :2]
-        raise EvaluationError(f"non-finite sample at x={x:g}, t={t:g}")
-    meta["kind"] = "trajectory"
+    for f in frames:
+        bad = ~(np.isfinite(f.u) & np.isfinite(f.v))
+        if bad.any():
+            raise EvaluationError(f"non-finite sample at x={x[np.argmax(bad)]:g}, t={f.t:g}")
     meta["params"] = {k: str(v) for k, v in sol.params.items()}
     meta["assumptions"] = list(sol.assumptions)
-    _write_set(outdir, _plotted(family, table, meta, "trajectory", ("t", "x", "u", "v")))
-    return {"family": family, "samples": len(table)}
+    body = _Frames(ts, x, [f.u for f in frames], [f.v for f in frames])
+    _write_set(outdir, _plotted(family, body, meta, "trajectory"))
+    return {"family": family, "samples": len(ts) * x.size}
 
 
 def cmd_reduce(cfg, outdir):

@@ -689,6 +689,31 @@ def test_unwritable_failure_report_still_exits_3(tmp_path, capsys):
     assert report["error"] == "DomainError"
 
 
+def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, capsys, monkeypatch):
+    # the second of three frames is non-finite at two interior nodes, v at
+    # x = 0.5 before u at x = 1.25, and the third frame at x = -1, earlier
+    # in x but later in row order: the first frame and every edge are finite
+    from flks import cli
+    from flks.core import CaseTag
+    from flks.exact_solutions import ExactSolution
+
+    def u(x, t):
+        bad = (np.isclose(x, 1.25) & (t >= 1.0)) | (np.isclose(x, -1.0) & (t == 2.0))
+        return np.where(bad, np.nan, 1.0)
+
+    def v(x, t):
+        return np.where(np.isclose(x, 0.5) & (t == 1.0), -np.inf, 0.0)
+
+    sol = ExactSolution(CaseTag.I_ARBITRARY, "non-finite inside", u, v, {})
+    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")
+    out = tmp_path / "o"
+    assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite sample at x=0.5, t=1\n"
+    assert _listing(out) == ["failure_report.json"]
+
+
 # --- the CSV layer against its reference: np.savetxt and the per-line reader
 
 def _reference_body(table):
@@ -724,9 +749,26 @@ SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**-1074 * 3, 1e308
                     -1.7976931348623157e308, 1 / 3, 0.1, 1.0, 0.0])
 
 
+def _long_trajectory(frames, nodes, rng):
+    # a trajectory built directly, without a march
+    from flks.pde_solver import Trajectory
+
+    us, vs = (rng.standard_normal((frames, nodes)) * 10.0 ** rng.integers(-300, 300, (frames, nodes))
+              for _ in range(2))
+    return Trajectory(Grid1D(-1.0, 2.0, nodes - 1), "neumann", np.linspace(0.0, 1.0, frames) / 3.0,
+                      us, vs, np.zeros(frames), np.zeros(frames), 0)
+
+
+def _reference_long_table(times, x, us, vs):
+    return np.column_stack([np.repeat(times, x.size), np.tile(x, len(times)),
+                            np.ravel(us), np.ravel(vs)])
+
+
 def _csv_results():
     # a trajectory, a profile result and a 2-D table longer than one block
-    # that does not end on a block boundary, each holding the special values
+    # that does not end on a block boundary, each holding the special values;
+    # the long trajectory's frames span three blocks of nodes, the special
+    # values in the first and last frame straddling a block boundary
     from flks.reduced_systems import HomogeneousResult
 
     p = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1.1, 1.4), decay=ConstantDecay(0.5))
@@ -740,19 +782,48 @@ def _csv_results():
     table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
     table[-SPECIAL.size :, 1] = SPECIAL
     table[: SPECIAL.size, 2] = SPECIAL[::-1]
+    long_traj = _long_trajectory(3, 2 * _BLOCK_ROWS + 37, rng)
+    edge = slice(_BLOCK_ROWS - SPECIAL.size // 2, _BLOCK_ROWS + SPECIAL.size // 2)
+    long_traj.us[0, edge] = long_traj.vs[2, edge] = SPECIAL
+    long_traj.vs[1, -SPECIAL.size :] = long_traj.us[1, : SPECIAL.size] = SPECIAL
+
+    def with_table(t):
+        return t, _reference_long_table(t.times, t.grid.nodes(), t.us, t.vs)
+
     return {
-        "trajectory": (traj, np.column_stack([np.repeat(traj.times, 17), np.tile(traj.grid.nodes(),
-                                              traj.times.size), traj.us.ravel(), traj.vs.ravel()])),
+        "trajectory": with_table(traj),
+        "long_trajectory": with_table(long_traj),
         "profile": (profile, np.column_stack([ts, profile.U, profile.V])),
         "table": (table, table),
     }
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "profile", "table"])
+def _exact_samples(tmp_path):
+    # exact's own output (the cell-free front, x-dependent, at three times)
+    # and the long table of its family sampled on the grid
+    from flks.cli import _FAMILIES, build_grid
+
+    extra = "[exact]\nfamily = case4_cellfree_front\nt_samples = 0.5,1,2.25\n"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + extra)
+    assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    cfg = parse_config(MINIMAL + extra, command="exact")
+    sol = _FAMILIES["case4_cellfree_front"][0](cfg, build_model(cfg), cfg.sections["exact"])
+    grid = build_grid(cfg)
+    frames = [sol.sample(grid, t) for t in (0.5, 1.0, 2.25)]
+    table = _reference_long_table([f.t for f in frames], grid.nodes(),
+                                  [f.u for f in frames], [f.v for f in frames])
+    return tmp_path / "o" / "case4_cellfree_front.csv", table
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "long_trajectory", "profile", "table", "exact"])
 def test_csv_body_is_byte_identical_to_savetxt(tmp_path, kind):
-    result, table = _csv_results()[kind]
-    path = tmp_path / "r.csv"
-    export_csv(result, str(path))
+    if kind == "exact":
+        path, table = _exact_samples(tmp_path)
+    else:
+        result, table = _csv_results()[kind]
+        path = tmp_path / "r.csv"
+        export_csv(result, str(path))
     text = path.read_text()
     # after the JSON line and the column header; compared line by line, so a
     # failure names its first wrong line instead of diffing megabytes
@@ -859,6 +930,25 @@ def test_import_peak_memory_stays_near_its_arrays(tmp_path):
     nbytes = sum(col.nbytes for col in cols.values())
     assert nbytes == rows * 4 * 8
     assert peak < 3 * nbytes, f"peak {peak / nbytes:.1f}x the returned arrays"
+
+
+def test_export_peak_memory_stays_below_its_arrays(tmp_path):
+    # a 37,925-row trajectory (37 frames of 1,025 nodes): the traced peak of
+    # an export stays under the nbytes of its u and v arrays; writing through
+    # the long (t, x, u, v) table and its column_stack peaks near 6x
+    import tracemalloc
+
+    traj = _long_trajectory(37, 1025, np.random.default_rng(7))
+    path = tmp_path / "trajectory.csv"
+    export_csv(traj, str(path))  # warm-up, so one-off first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        export_csv(traj, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = traj.us.nbytes + traj.vs.nbytes
+    assert peak < nbytes, f"peak {peak / nbytes:.2f}x the u and v arrays"
 
 
 @pytest.mark.parametrize("text", ["", '# {"kind": "table"}\n', "# {}\n# {}\n"],
