@@ -32,7 +32,6 @@ from .exact_solutions import (
     case1_homogeneous,
     case2_travelling_tanh,
     case3_homogeneous,
-    case4_X4_quadrature,
     case4_cellfree_front,
     case4_homogeneous,
 )
@@ -51,7 +50,6 @@ from .quadrature import (
 )
 from .reduced_systems import (
     ReducedProblem,
-    integrate_homogeneous,
     integrate_travelling_wave,
     solve_self_similar,
     solve_steady_state,
@@ -73,7 +71,6 @@ __all__ = [
     "case1_homogeneous",
     "case2_travelling_tanh",
     "case3_homogeneous",
-    "case4_X4_quadrature",
     "case4_cellfree_front",
     "case4_homogeneous",
     "AlgebraicSqrtLimiter",
@@ -89,7 +86,6 @@ __all__ = [
     "integrate_adaptive",
     "picard_iterate",
     "ReducedProblem",
-    "integrate_homogeneous",
     "integrate_travelling_wave",
     "solve_self_similar",
     "solve_steady_state",

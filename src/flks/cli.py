@@ -322,12 +322,24 @@ _FAMILIES = {
 
 
 def _reduce_homogeneous(cfg, params, r):
+    """case1_homogeneous with C = U0 sampled at n + 1 even times over
+    [start, start + t_end], n the nearest whole number of steps h (at least
+    1), as a (t, U, V) table; a non-finite sample is a numerical failure."""
+    t_end = r.get("t_end", 5.0)
     t0 = params.decay.start
-    prob = reduced_systems.ReducedProblem(
-        "homogeneous", params, domain=(t0, t0 + r.get("t_end", 5.0)),
-        data={"U0": r.get("U0", 1.0), "V0": r.get("V0", 0.0)},
+    t1 = t0 + t_end
+    if not (np.isfinite(t1) and t1 > t0):  # NaN included
+        raise ValidationError(f"reduce.t_end must be positive and finite, got {t_end!r}")
+    n = max(1, int(round((t1 - t0) / r.get("h", 1e-3))))
+    ts = t0 + (t1 - t0) / n * np.arange(n + 1)
+    sol = exact_solutions.case1_homogeneous(
+        params, C=r.get("U0", 1.0), V0=r.get("V0", 0.0), t0=t0
     )
-    return reduced_systems.integrate_homogeneous(prob, h=r.get("h", 1e-3))
+    table = np.column_stack([ts, sol.eval_u(0.0, ts), sol.eval_v(0.0, ts)])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise EvaluationError(f"non-finite sample at t={ts[np.argmax(bad)]:g}")
+    return table
 
 
 def _reduce_steady_state(cfg, params, r):
@@ -468,8 +480,6 @@ def export_csv(result, path, meta=None, columns=None):
         header, cols = ["y", "U", "V", "s"], (result.y, result.U, result.V, result.s)
         defaults = dict(profiles, params=result.params,
                         residual_history=[float(r) for r in result.residual_history])
-    elif isinstance(result, reduced_systems.HomogeneousResult):
-        header, cols, defaults = ["t", "U", "V"], (result.ts, result.U, result.V), profiles
     elif isinstance(result, reduced_systems.SteadyStateResult):
         header, cols = ["x", "U", "V"], (result.x, result.U, result.V)
         defaults = dict(profiles, defect=result.defect)
@@ -887,7 +897,10 @@ def cmd_reduce(cfg, outdir):
     if not r.get("h", 1.0) > 0.0:  # NaN included
         raise ValidationError(f"reduce.h must be positive, got {r['h']!r}")
     res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
-    _write_set(outdir, _plotted(f"reduce_{kind}", res, _meta_for(cfg), "profiles"))
+    # every reduction writes profiles; the uniform one is its (t, U, V) table
+    columns = ("t", "U", "V") if isinstance(res, np.ndarray) else None
+    meta = dict(_meta_for(cfg), kind="profiles")
+    _write_set(outdir, _plotted(f"reduce_{kind}", res, meta, "profiles", columns))
     out = {"kind": kind}
     if hasattr(res, "defect_u"):
         out.update(defect_u=res.defect_u, defect_v=res.defect_v, converged=res.converged)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import CaseTag, ConstantDecay, FieldPair, classify
 from .errors import ComplexRoots, DomainError, ValidationError
-from .limiters import TanhLimiter, WeberFechnerLogLimiter
+from .limiters import TanhLimiter
 from .quadrature import (
     CachedLinearSolution,
     cumulative_integral,
@@ -434,90 +434,4 @@ def case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0):
             "exact for the constant-coefficient signal equation "
             "tau v_t = v_xx - kappa0 v",
         ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# case IV X4-invariant quadrature (Weber-Fechner sensing)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class X4QuadratureResult:
-    """Cell profiles U(x, t) for the signal ansatz v = e^(lam t) V(x).
-
-    compatibility_diagnostic is the t-variation (max over x of the spread
-    across the sampled t) of e^(-lam t) U(x, t), which must vanish for the
-    closure to be exactly time-consistent; it is measured, never assumed.
-    """
-
-    x: np.ndarray
-    t_samples: np.ndarray
-    U: np.ndarray
-    mu: np.ndarray
-    compatibility_diagnostic: float
-    params: dict
-
-
-def case4_X4_quadrature(
-    params,
-    lam,
-    dV_profile,
-    x_grid,
-    t_samples,
-    C1_fn=None,
-    U_ref=1.0,
-    x0=0.0,
-):
-    """Quadrature cell profile for Weber-Fechner sensing under the ansatz
-    v(x,t) = e^(lam t) V(x):
-
-        mu(x,t) = exp(-(v_max/D) int_x0^x ln(1 + e^(2 lam t) V'(s)^2/s0^2) ds)
-        U(x,t)  = mu^-1 [U_ref mu(x0,t) + (C1(t)/D) int_x0^x mu(s,t) ds]
-
-    dV_profile is V' as a function of x.  C1_fn defaults to zero.
-    """
-    limiter = params.limiter
-    if not isinstance(limiter, WeberFechnerLogLimiter):
-        raise ValidationError("the X4 quadrature requires Weber-Fechner sensing")
-    D = params.D
-    x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or x.size < 4:
-        raise ValidationError("x_grid must be a 1D array with at least 4 nodes")
-    hs = np.diff(x)
-    if not np.allclose(hs, hs[0], rtol=1e-12, atol=0.0):
-        raise ValidationError("x_grid must be uniform")
-    h = float(hs[0])
-    i0 = int(np.argmin(np.abs(x - x0)))
-    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if C1_fn is None:
-        C1_fn = lambda t: 0.0
-
-    dV = np.asarray([float(dV_profile(xx)) for xx in x])
-
-    U = np.empty((ts.size, x.size))
-    mu = np.empty_like(U)
-    for j, t in enumerate(ts):
-        z = math.exp(lam * t) * dV
-        E = cumulative_integral(limiter.F(z), h) / D
-        X = E - E[i0]  # -log of mu anchored at x0, so mu(x0, t) = 1
-        mu[j] = np.exp(-X)
-        U[j] = first_integral(X, h, i0, U_ref, C1_fn(t) / D)
-
-    scaled = np.exp(-lam * ts)[:, None] * U
-    diag = float(np.max(scaled.max(axis=0) - scaled.min(axis=0))) if ts.size > 1 else 0.0
-
-    return X4QuadratureResult(
-        x=x,
-        t_samples=ts,
-        U=U,
-        mu=mu,
-        compatibility_diagnostic=diag,
-        params={
-            "lam": lam,
-            "D": D,
-            "v_max": limiter.v_max,
-            "s0": limiter.s0,
-            "U_ref": U_ref,
-            "x0": float(x[i0]),
-        },
     )

@@ -1,9 +1,9 @@
 """Direct numerical integration of the reduced ODE/BVP systems.
 
 These solvers use methods independent of the closed-form constructors in
-exact_solutions: one RK4 march for the homogeneous and traveling reductions, a
-damped Newton iteration on the PDE solver's own operator for steady states,
-and a Picard loop around a sparse fourth-order boundary-value solve for the
+exact_solutions: an RK4 march for the traveling reduction, a damped Newton
+iteration on the PDE solver's own operator for steady states, and a Picard
+loop around a sparse fourth-order boundary-value solve for the
 self-similar profiles.  The equations are stated once: the traveling march
 and the case II closure both read exact_solutions.travelling_drift.
 """
@@ -32,7 +32,7 @@ from .quadrature import (
     picard_iterate,
 )
 
-_KINDS = ("homogeneous", "steady_state", "travelling_wave", "self_similar")
+_KINDS = ("steady_state", "travelling_wave", "self_similar")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class ReducedProblem:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not np.all(np.isfinite(self.domain)):
             raise ValidationError(f"{self.kind} needs a finite domain, got {self.domain!r}")
-        if self.kind == "homogeneous" and not self.domain[1] > self.domain[0]:
-            raise ValidationError(f"homogeneous needs an end after its start, got {self.domain!r}")
         if self.kind == "travelling_wave":
             if not self.constants.get("alpha"):
                 raise ValidationError(f"{self.kind} requires a nonzero alpha")
@@ -69,62 +67,6 @@ def _decay_constant(problem, name, law):
         f"the {problem.kind} reduction needs constants[{name!r}] or a "
         f"{law.__name__} law, got {type(problem.params.decay).__name__}"
     )
-
-
-# ---------------------------------------------------------------------------
-# homogeneous reductions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HomogeneousResult:
-    ts: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-
-
-def _rk4_march(f, z0, span, h):
-    """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
-
-    The step is adjusted to divide the span evenly.  Returns the nodes and
-    the states, one row per node; any component that exceeds 1e12 or is
-    not finite raises BlowupDetected.
-    """
-    if not h > 0.0:
-        raise StepSizeError(f"step must be positive, got {h!r}")
-    s0, s1 = span
-    n = max(1, int(round((s1 - s0) / h)))
-    h = (s1 - s0) / n
-    ss = s0 + h * np.arange(n + 1)
-    Z = np.empty((n + 1, len(z0)))
-    Z[0] = z0
-    for k in range(n):
-        s, z = ss[k], Z[k]
-        k1 = f(s, z)
-        k2 = f(s + 0.5 * h, z + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, z + 0.5 * h * k2)
-        k4 = f(s + h, z + h * k3)
-        Z[k + 1] = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.max(np.abs(Z[k + 1])) <= 1e12:
-            raise BlowupDetected(f"solution exceeded 1e12 or is not finite at y={ss[k+1]:g}")
-    return ss, Z
-
-
-def integrate_homogeneous(problem, h=1e-3):
-    """RK4 integration of U' = 0, tau V' = -kappa(t) V + U over the domain.
-
-    U is advanced with the same scheme so conservation is checked, not
-    assumed; its increments vanish identically, keeping it constant to the
-    last bit.
-    """
-    tau = problem.params.tau
-    law = problem.params.decay
-    z0 = [float(problem.data.get("U0", 1.0)), float(problem.data.get("V0", 0.0))]
-
-    def f(t, z):
-        return np.array([0.0, (-law.kappa(t) * z[1] + z[0]) / tau])
-
-    ts, Z = _rk4_march(f, z0, problem.domain, h)
-    return HomogeneousResult(ts, Z[:, 0], Z[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +201,33 @@ def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
 # ---------------------------------------------------------------------------
 # traveling waves
 # ---------------------------------------------------------------------------
+
+def _rk4_march(f, z0, span, h):
+    """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
+
+    The step is adjusted to divide the span evenly.  Returns the nodes and
+    the states, one row per node; any component that exceeds 1e12 or is
+    not finite raises BlowupDetected.
+    """
+    if not h > 0.0:
+        raise StepSizeError(f"step must be positive, got {h!r}")
+    s0, s1 = span
+    n = max(1, int(round((s1 - s0) / h)))
+    h = (s1 - s0) / n
+    ss = s0 + h * np.arange(n + 1)
+    Z = np.empty((n + 1, len(z0)))
+    Z[0] = z0
+    for k in range(n):
+        s, z = ss[k], Z[k]
+        k1 = f(s, z)
+        k2 = f(s + 0.5 * h, z + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, z + 0.5 * h * k2)
+        k4 = f(s + h, z + h * k3)
+        Z[k + 1] = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.max(np.abs(Z[k + 1])) <= 1e12:
+            raise BlowupDetected(f"solution exceeded 1e12 or is not finite at y={ss[k+1]:g}")
+    return ss, Z
+
 
 @dataclass
 class TravellingWaveResult:

@@ -769,15 +769,15 @@ def _csv_results():
     # that does not end on a block boundary, each holding the special values;
     # the long trajectory's frames span three blocks of nodes, the special
     # values in the first and last frame straddling a block boundary
-    from flks.reduced_systems import HomogeneousResult
+    from flks.reduced_systems import SteadyStateResult
 
     p = ModelParams(D=0.8, tau=0.1, limiter=TanhLimiter(1.1, 1.4), decay=ConstantDecay(0.5))
     rng = np.random.default_rng(3)
     traj = run(FieldPair(1.0 + 0.1 * rng.random(17), rng.random(17)), p,
                SolverConfig(grid=Grid1D(0.0, 1.0, 16), t_end=0.02, output_stride=3))
     traj.us[1, : SPECIAL.size] = SPECIAL
-    ts = np.linspace(0.0, 1.0, 40)
-    profile = HomogeneousResult(ts, np.resize(SPECIAL, 40), rng.standard_normal(40))
+    xs = np.linspace(0.0, 1.0, 40)
+    profile = SteadyStateResult(xs, np.resize(SPECIAL, 40), rng.standard_normal(40), 0.0, [], 0)
     rows = 2 * _BLOCK_ROWS + 37
     table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
     table[-SPECIAL.size :, 1] = SPECIAL
@@ -793,7 +793,7 @@ def _csv_results():
     return {
         "trajectory": with_table(traj),
         "long_trajectory": with_table(long_traj),
-        "profile": (profile, np.column_stack([ts, profile.U, profile.V])),
+        "profile": (profile, np.column_stack([xs, profile.U, profile.V])),
         "table": (table, table),
     }
 
@@ -1153,8 +1153,10 @@ import json, os, sys
 import flks
 from flks import cli
 config, out = sys.argv[1:3]
-codes = [cli.main([command, "--config", config, "--out", os.path.join(out, command)])
-         for command in ("simulate", "verify", "lie", "exact", "reduce")]
+runs = [[command] for command in ("simulate", "verify", "lie", "exact")] + [
+    ["reduce", "--override", "reduce.kind=" + kind] for kind in ("travelling_wave", "homogeneous")]
+codes = [cli.main(argv + ["--config", config, "--out", os.path.join(out, str(i))])
+         for i, argv in enumerate(runs)]
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
@@ -1162,7 +1164,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # scipy's import is most of a cold start; simulate, case I verify, lie,
-    # the case II traveling wave's exact and the traveling reduce never call it
+    # the case II traveling wave's exact and the traveling and homogeneous
+    # reduce never call it
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
                         + "[verify]\nfamily = case1_homogeneous\n"
@@ -1174,4 +1177,10 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 5, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}
+
+
+def test_every_exported_name_resolves():
+    import flks
+
+    assert [name for name in flks.__all__ if not hasattr(flks, name)] == []

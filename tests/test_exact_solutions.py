@@ -7,7 +7,6 @@ from conftest import case2_pde_residuals, rk4_scalar_ode
 from flks.core import (
     CaseTag,
     ConstantDecay,
-    ExponentialDecay,
     ModelParams,
     PowerLawDecay,
     TabulatedDecay,
@@ -17,7 +16,6 @@ from flks.exact_solutions import (
     case1_homogeneous,
     case2_travelling_tanh,
     case3_homogeneous,
-    case4_X4_quadrature,
     case4_cellfree_front,
     case4_homogeneous,
     cellfree_roots,
@@ -350,68 +348,6 @@ def test_cellfree_front_residual_analytic():
 def test_cellfree_complex_roots_error():
     with pytest.raises(ComplexRoots):
         case4_cellfree_front(alpha=1.0, tau=0.1, kappa0=-1.0, lam=0.0)
-
-
-# ---------------------------------------------------------------------------
-# case IV X4 quadrature (Weber-Fechner)
-# ---------------------------------------------------------------------------
-
-def wf_params():
-    return ModelParams(
-        D=0.8,
-        tau=0.1,
-        limiter=WeberFechnerLogLimiter(v_max=1.1, s0=1.4),
-        decay=ExponentialDecay(0.5, 0.2),
-    )
-
-
-def test_x4_quadrature_inert_limiter():
-    # V' = 0: mu = 1, U = U_ref + (C1/D)(x - x0)
-    p = wf_params()
-    x = np.linspace(-2.0, 2.0, 101)
-    res = case4_X4_quadrature(
-        p, lam=0.2, dV_profile=lambda x: 0.0,
-        x_grid=x, t_samples=[0.0, 1.0], C1_fn=lambda t: 0.4, U_ref=1.0, x0=0.0,
-    )
-    assert np.allclose(res.mu, 1.0, atol=1e-14)
-    expected = 1.0 + (0.4 / p.D) * x
-    for row in res.U:
-        assert np.max(np.abs(row - expected)) < 1e-10
-
-
-def test_x4_quadrature_constant_gradient_closed_form():
-    # lam = 0, V' = const: mu = e^(-k (x - x0)), k = (v_max/D) ln(1 + V'^2/s0^2)
-    p = wf_params()
-    x = np.linspace(0.0, 3.0, 301)
-    c = 0.9
-    res = case4_X4_quadrature(
-        p, lam=0.0, dV_profile=lambda x: c,
-        x_grid=x, t_samples=[0.7], U_ref=1.0, x0=0.0,
-    )
-    k = (p.limiter.v_max / p.D) * math.log1p((c / p.limiter.s0) ** 2)
-    assert np.max(np.abs(res.mu[0] - np.exp(-k * x))) < 1e-10
-    assert np.max(np.abs(res.U[0] - np.exp(k * x))) < 1e-9 * np.max(res.U[0])
-    assert res.compatibility_diagnostic == 0.0
-
-
-def test_x4_quadrature_compatibility_diagnostic_positive():
-    # generic data cannot satisfy the time-consistency closure; the
-    # diagnostic must report that, not hide it
-    p = wf_params()
-    x = np.linspace(0.0, math.pi, 201)
-    res = case4_X4_quadrature(
-        p, lam=0.2, dV_profile=math.cos,
-        x_grid=x, t_samples=[0.0, 1.0, 2.0], U_ref=1.0, x0=0.0,
-    )
-    assert res.compatibility_diagnostic > 1e-2
-
-
-def test_x4_quadrature_requires_wf_limiter(fig_params):
-    with pytest.raises(ValidationError):
-        case4_X4_quadrature(
-            fig_params, 0.2, dV_profile=lambda x: 0.0,
-            x_grid=np.linspace(0, 1, 32), t_samples=[0.0],
-        )
 
 
 def test_case2_nonzero_c1_single_pass(fig_params):

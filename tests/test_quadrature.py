@@ -23,6 +23,7 @@ from flks.quadrature import (
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
+    first_integral,
     integrate_adaptive,
     picard_iterate,
 )
@@ -398,6 +399,25 @@ def test_cumulative_integral_fourth_order():
         exact = (np.exp(x) * (np.sin(3.0 * x) - 3.0 * np.cos(3.0 * x)) + 3.0) / 10.0
         err = np.max(np.abs(got - exact))
         assert err < 30.0 * h**4
+
+
+def test_first_integral_with_zero_exponent_is_linear():
+    # X = 0: U' = c through U(x0) = base, so U = base + c (x - x0)
+    x = np.linspace(-2.0, 2.0, 101)
+    U = first_integral(np.zeros_like(x), x[1] - x[0], 50, 1.0, 0.5)
+    assert np.max(np.abs(U - (1.0 + 0.5 * x))) < 1e-10
+
+
+def test_first_integral_with_linear_exponent_is_exponential():
+    # X = k (x - x0): U' = k U + c, so U = base e^X + (c/k)(e^X - 1); c = 0
+    # skips the quadrature, c != 0 integrates e^-X from an interior anchor
+    x = np.linspace(0.0, 3.0, 301)
+    k = 0.5
+    for i0, c in ((0, 0.0), (100, 0.5)):
+        X = k * (x - x[i0])
+        U = first_integral(X, x[1] - x[0], i0, 1.0, c)
+        expected = np.exp(X) + (c / k) * np.expm1(X)
+        assert np.max(np.abs(U - expected)) < 1e-9 * np.max(expected)
 
 
 def test_derivative_stencils_fourth_order():

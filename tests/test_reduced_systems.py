@@ -21,13 +21,13 @@ from flks.exact_solutions import (
     travelling_drift,
 )
 from flks.limiters import TanhLimiter, TanhLogLimiter
-from flks import reduced_systems
+from flks import cli, reduced_systems
 from flks.pde_solver import SolverConfig, _Operator, run
 from flks.reduced_systems import (
     ReducedProblem,
     _build_similarity_operator,
     _fd_jacobian,
-    integrate_homogeneous,
+    _rk4_march,
     integrate_travelling_wave,
     solve_self_similar,
     solve_steady_state,
@@ -41,46 +41,59 @@ def make_params(decay=None, limiter=None, tau=0.1, D=0.8):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous
+# homogeneous: reduce samples case1_homogeneous
 # ---------------------------------------------------------------------------
 
+def _reduce_homogeneous(params, t_end, h, U0=1.0, V0=0.0):
+    """The (t, U, V) table `reduce homogeneous` writes."""
+    return cli._reduce_homogeneous(None, params, {"t_end": t_end, "h": h, "U0": U0, "V0": V0})
+
+
+def _rk4_homogeneous(params, span, h, U0=1.0, V0=0.0):
+    """RK4 of U' = 0, tau V' = -kappa(t) V + U: the march `reduce
+    homogeneous` took before it sampled the exact family, kept as its
+    reference.  Returns the nodes and the (U, V) states."""
+    def f(t, z):
+        return np.array([0.0, (-params.decay.kappa(t) * z[1] + z[0]) / params.tau])
+
+    return _rk4_march(f, [U0, V0], span, h)
+
+
 def test_homogeneous_constant_decay_closed_form():
-    p = make_params()
-    prob = ReducedProblem("homogeneous", p, domain=(0.0, 2.0), data={"U0": 1.0, "V0": 0.0})
-    res = integrate_homogeneous(prob, h=1e-3)
+    t, U, V = _reduce_homogeneous(make_params(), t_end=2.0, h=1e-3).T
     expected = 2.0 * (1.0 - math.exp(-10.0))
-    assert res.V[-1] == pytest.approx(expected, rel=1e-9)
+    assert t[-1] == 2.0
+    assert V[-1] == pytest.approx(expected, rel=1e-9)
     # mass invariance: U constant to the last bit
-    assert np.max(np.abs(res.U - 1.0)) == 0.0
+    assert np.max(np.abs(U - 1.0)) == 0.0
 
 
 def test_homogeneous_power_law_matches_exact():
-    p = make_params(decay=PowerLawDecay(0.2))
-    prob = ReducedProblem("homogeneous", p, domain=(1.0, 10.0), data={"U0": 1.0, "V0": 0.0})
-    res = integrate_homogeneous(prob, h=5e-4)
+    # the power law starts at t = 1
+    t, _, V = _reduce_homogeneous(make_params(decay=PowerLawDecay(0.2)), t_end=9.0, h=5e-4).T
+    assert t[0] == 1.0 and t[-1] == 10.0
     exact = case3_homogeneous(0.2, 0.1, C=1.0, V0=0.0, t0=1.0)
-    for k in range(0, res.ts.size, 1500):
-        assert res.V[k] == pytest.approx(exact.eval_v(0.0, float(res.ts[k])), rel=1e-8)
+    for k in range(0, t.size, 1500):
+        assert V[k] == pytest.approx(exact.eval_v(0.0, float(t[k])), rel=1e-8)
 
 
 def test_homogeneous_negative_lambda_grows_monotonically():
     # weakening degradation: long-lived signal keeps accumulating
     p = make_params(decay=ExponentialDecay(0.5, -0.3))
-    prob = ReducedProblem("homogeneous", p, domain=(0.0, 12.0), data={"U0": 1.0, "V0": 0.0})
-    res = integrate_homogeneous(prob, h=1e-3)
-    tail = res.V[res.ts > 2.0]
+    t, _, V = _reduce_homogeneous(p, t_end=12.0, h=1e-3).T
+    tail = V[t > 2.0]
     assert np.all(np.diff(tail) > 0.0)
-    assert res.V[-1] > 2.0  # beyond the constant-decay plateau C/kappa0
+    assert V[-1] > 2.0  # beyond the constant-decay plateau C/kappa0
 
 
 def test_homogeneous_rk4_order():
+    # the reference march, and with it _rk4_march, is fourth order
     p = make_params()
-    prob = ReducedProblem("homogeneous", p, domain=(0.0, 1.0), data={"U0": 1.0, "V0": 0.0})
     exact = 2.0 * (1.0 - math.exp(-5.0))
     errs = []
     for h in (2e-3, 1e-3, 5e-4):
-        res = integrate_homogeneous(prob, h=h)
-        errs.append(abs(res.V[-1] - exact))
+        _, Z = _rk4_homogeneous(p, (0.0, 1.0), h)
+        errs.append(abs(Z[-1, 1] - exact))
     order1 = math.log(errs[0] / errs[1]) / math.log(2.0)
     order2 = math.log(errs[1] / errs[2]) / math.log(2.0)
     assert 3.7 <= order1 <= 4.3
@@ -88,10 +101,51 @@ def test_homogeneous_rk4_order():
 
 
 def test_homogeneous_step_guard():
-    p = make_params()
-    prob = ReducedProblem("homogeneous", p, domain=(0.0, 1.0))
     with pytest.raises(StepSizeError):
-        integrate_homogeneous(prob, h=0.0)
+        _rk4_homogeneous(make_params(), (0.0, 1.0), 0.0)
+
+
+HOMOGENEOUS_DECAYS = {
+    "constant": "kind = constant\nkappa0 = 0.5",
+    "power_law": "kind = power_law\nmu = 0.2",
+    "exponential": "kind = exponential\nkappa0 = 0.5\nlambda = -0.3",
+    "tabulated": "kind = tabulated\ntimes = 0.0,1.0,3.0\nvalues = 0.5,0.7,0.6",
+}
+
+
+@pytest.mark.parametrize("decay", sorted(HOMOGENEOUS_DECAYS))
+def test_reduce_homogeneous_is_the_exact_family(tmp_path, decay):
+    # the uniform reduction is stated once: `reduce homogeneous` writes the
+    # samples `exact case1_homogeneous` writes at the same times, bit for
+    # bit, and they stay within 1e-10 of the RK4 march it used to take
+    cfg = (f"[model]\nD = 0.8\ntau = 0.1\n[limiter]\nkind = tanh\nv_max = 1.1\ns0 = 1.4\n"
+           f"[decay]\n{HOMOGENEOUS_DECAYS[decay]}\n[grid]\nx_lo = -1.0\nx_hi = 1.0\nn = 8\n"
+           f"[reduce]\nkind = homogeneous\nt_end = 2.0\nh = 1e-3\nU0 = 1.5\nV0 = 0.25\n"
+           f"[exact]\nfamily = case1_homogeneous\nC = 1.5\nV0 = 0.25\n")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(cfg)
+    assert cli.main(["reduce", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+    meta, reduced = cli.import_csv(str(tmp_path / "r" / "reduce_homogeneous.csv"))
+    assert meta["kind"] == "profiles" and list(reduced) == ["t", "U", "V"]
+    t = reduced["t"]
+    assert t.size == 2001
+
+    samples = "exact.t_samples=" + ",".join(map(repr, t.tolist()))
+    assert cli.main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                     "--override", samples]) == 0
+    _, exact = cli.import_csv(str(tmp_path / "e" / "case1_homogeneous.csv"))
+    nodes = 9
+    np.testing.assert_array_equal(exact["t"][::nodes], t)
+    for name, column in (("u", "U"), ("v", "V")):
+        frames = exact[name].reshape(t.size, nodes)
+        assert (frames == frames[:, :1]).all()
+        np.testing.assert_array_equal(frames[:, 0], reduced[column])
+
+    ts, Z = _rk4_homogeneous(cli.build_model(cli.parse_config(cfg)), (t[0], t[0] + 2.0), 1e-3,
+                             U0=1.5, V0=0.25)
+    np.testing.assert_array_equal(ts, t)
+    np.testing.assert_array_equal(Z[:, 0], reduced["U"])
+    assert np.max(np.abs(Z[:, 1] - reduced["V"])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
