@@ -323,14 +323,12 @@ _FAMILIES = {
 
 def _reduce_homogeneous(cfg, params, r):
     """case1_homogeneous with C = U0 sampled at n + 1 even times over
-    [start, start + t_end], n the nearest whole number of steps h (at least
-    1), as a (t, U, V) table; a non-finite sample is a numerical failure."""
-    t_end = r.get("t_end", 5.0)
+    [start, start + t_end], n = reduced_systems.step_count of the span at
+    step h, as a (t, U, V) table; a non-finite sample is a numerical
+    failure."""
     t0 = params.decay.start
-    t1 = t0 + t_end
-    if not (np.isfinite(t1) and t1 > t0):  # NaN included
-        raise ValidationError(f"reduce.t_end must be positive and finite, got {t_end!r}")
-    n = max(1, int(round((t1 - t0) / r.get("h", 1e-3))))
+    t1 = t0 + r.get("t_end", 5.0)
+    n = reduced_systems.step_count((t0, t1), r.get("h", 1e-3))
     ts = t0 + (t1 - t0) / n * np.arange(n + 1)
     sol = exact_solutions.case1_homogeneous(
         params, C=r.get("U0", 1.0), V0=r.get("V0", 0.0), t0=t0
@@ -421,7 +419,8 @@ def _cell(c):
 
 
 # fields sampled on nodes x at each of times, frame after frame: the body of a
-# long-format (t, x, u, v) CSV
+# long-format (t, x, u, v) CSV; each frame's u and v is a node array or, for a
+# field the solution states x-independent, one value
 _Frames = collections.namedtuple("_Frames", "times x us vs")
 
 
@@ -429,20 +428,26 @@ def _write_long(f, frames):
     """Write _write_rows' bytes of the long table of frames, never built.
 
     Each node's x cell is formatted once, into a row template per block of
-    nodes where "\\0" holds the t cell, and each frame's t cell once; one
-    `%` call per frame and block then formats its (u, v) pairs.
+    nodes where "\\0" holds the t cell and "\\1" the (u, v) cells.  Each
+    frame's t cell is formatted once per frame, and so is a field that is
+    one value for the frame; one `%` call per frame and block then formats
+    the node arrays' cells, and none is made when both fields are values.
     """
     x = frames.x.tolist()
     blocks = []
     for start in range(0, len(x), _BLOCK_ROWS):
         cells = x[start : start + _BLOCK_ROWS]
-        template = ("\0,%.17g,%%.17g,%%.17g\n" * len(cells)) % tuple(cells)
+        template = ("\0,%.17g,\1\n" * len(cells)) % tuple(cells)
         blocks.append((slice(start, start + _BLOCK_ROWS), template))
     for t, u, v in zip(frames.times, frames.us, frames.vs):
         t_cell = "%.17g" % t
+        nodal = [a for a in (u, v) if np.ndim(a)]
+        uv_cells = ",".join("%.17g" if np.ndim(a) else "%.17g" % a for a in (u, v))
         for nodes, template in blocks:
-            pairs = np.column_stack((u[nodes], v[nodes])).ravel().tolist()
-            f.write(template.replace("\0", t_cell) % tuple(pairs))
+            rows = template.replace("\0", t_cell).replace("\1", uv_cells)
+            if nodal:
+                rows %= tuple(np.column_stack([a[nodes] for a in nodal]).ravel().tolist())
+            f.write(rows)
 
 
 def export_csv(result, path, meta=None, columns=None):
@@ -878,14 +883,18 @@ def cmd_exact(cfg, outdir):
         # the CSV body and its plot script are one frame per sample time
         raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
     x = grid.nodes()
-    frames = [sol.sample(grid, t) for t in ts]
-    for f in frames:
-        bad = ~(np.isfinite(f.u) & np.isfinite(f.v))
+    us, vs = [], []
+    for t in ts:
+        # an x-independent field is one value, so its first bad node is x_lo
+        u, v = sol.frame(x, t)
+        bad = np.broadcast_to(~(np.isfinite(u) & np.isfinite(v)), x.shape)
         if bad.any():
-            raise EvaluationError(f"non-finite sample at x={x[np.argmax(bad)]:g}, t={f.t:g}")
+            raise EvaluationError(f"non-finite sample at x={x[np.argmax(bad)]:g}, t={t:g}")
+        us.append(u)
+        vs.append(v)
     meta["params"] = {k: str(v) for k, v in sol.params.items()}
     meta["assumptions"] = list(sol.assumptions)
-    body = _Frames(ts, x, [f.u for f in frames], [f.v for f in frames])
+    body = _Frames(ts, x, us, vs)
     _write_set(outdir, _plotted(family, body, meta, "trajectory"))
     return {"family": family, "samples": len(ts) * x.size}
 

@@ -2,7 +2,9 @@
 
 Every constructor returns an ExactSolution whose (eval_u, eval_v) callables
 accept scalar or array x and t, carry the full parameter record, and document
-their validity assumptions.  The homogeneous families are x-independent; the
+their validity assumptions.  The homogeneous families are x-independent and
+say so: their evaluators carry the time function they lift (``of_t``), and
+ExactSolution.frame samples such a field as one value per time.  The
 traveling families live on y = t - alpha*x.
 """
 
@@ -36,6 +38,16 @@ class ExactSolution:
     params: dict
     assumptions: tuple = ()
 
+    def frame(self, x, t):
+        """(u, v) on the nodes x at time t.  A field stated x-independent
+        (its evaluator carries ``of_t``) is one float, its time function
+        called once; any other is a read-only broadcast array over x."""
+        return tuple(
+            float(ev.of_t(float(t))) if hasattr(ev, "of_t")
+            else np.broadcast_to(np.asarray(ev(x, t), dtype=float), np.shape(x))
+            for ev in (self.eval_u, self.eval_v)
+        )
+
     def sample(self, grid, t):
         """Sample both fields on the nodes of a Grid1D at time t."""
         x = grid.nodes()
@@ -45,7 +57,9 @@ class ExactSolution:
 
 
 def _x_independent(fn_t):
-    """Lift a scalar function of time to an (x, t) field evaluator."""
+    """Lift a scalar function of time to an (x, t) field evaluator; the
+    evaluator keeps fn_t as ``of_t``, its statement that the field is
+    x-independent."""
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
@@ -55,6 +69,7 @@ def _x_independent(fn_t):
         vals = np.array([fn_t(float(tt)) for tt in tv.ravel()]).reshape(tv.shape)
         return np.broadcast_to(vals, np.broadcast_shapes(x.shape, tv.shape)).copy()
 
+    ev.of_t = fn_t
     return ev
 
 

@@ -202,17 +202,41 @@ def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
 # traveling waves
 # ---------------------------------------------------------------------------
 
-def _rk4_march(f, z0, span, h):
-    """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
+# the most even steps a reduction takes over its span; each node is a CSV row,
+# so a span/step ratio above it is refused rather than allocated
+MAX_STEPS = 10**7
 
-    The step is adjusted to divide the span evenly.  Returns the nodes and
-    the states, one row per node; any component that exceeds 1e12 or is
-    not finite raises BlowupDetected.
+
+def step_count(span, h):
+    """The n = max(1, round((s1 - s0)/h)) even steps that cover span = (s0, s1).
+
+    A step h that is not positive raises StepSizeError; a span that is not
+    finite and increasing, or n above MAX_STEPS, raises ValidationError,
+    before anything is allocated.
     """
     if not h > 0.0:
         raise StepSizeError(f"step must be positive, got {h!r}")
     s0, s1 = span
-    n = max(1, int(round((s1 - s0) / h)))
+    if not (np.isfinite(s1 - s0) and s1 > s0):  # NaN included
+        raise ValidationError(f"the span from {s0!r} to {s1!r} must be finite and increasing")
+    n = (s1 - s0) / h
+    if not n <= MAX_STEPS:
+        raise ValidationError(
+            f"the span from {s0!r} to {s1!r} at step {h!r} takes {n:.3g} steps, "
+            f"more than {MAX_STEPS}"
+        )
+    return max(1, int(round(n)))
+
+
+def _rk4_march(f, z0, span, h):
+    """Classical fixed-step RK4 of z' = f(s, z) over span = (s0, s1).
+
+    The step is adjusted to divide the span evenly into step_count(span, h)
+    steps.  Returns the nodes and the states, one row per node; any
+    component that exceeds 1e12 or is not finite raises BlowupDetected.
+    """
+    n = step_count(span, h)
+    s0, s1 = span
     h = (s1 - s0) / n
     ss = s0 + h * np.arange(n + 1)
     Z = np.empty((n + 1, len(z0)))

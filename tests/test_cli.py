@@ -17,6 +17,7 @@ from flks.cli import (
     _BLOCK_ROWS,
     _DECAY_KINDS,
     _FAMILIES,
+    _Frames,
     _SCHEMA,
     apply_overrides,
     build_model,
@@ -558,6 +559,41 @@ def test_verify_every_sampled_family(tmp_path, decay, family):
         assert rep["sup_norm"] < 1e-6
 
 
+# the families that state their fields x-independent (``of_t`` evaluators)
+UNIFORM_FAMILIES = ("case1_homogeneous", "case3_homogeneous", "case4_homogeneous")
+
+
+@pytest.mark.parametrize(
+    "decay, family",
+    [(kind, family) for family, (_, kinds) in _FAMILIES.items()
+     for kind in kinds or _DECAY_KINDS],
+)
+def test_declared_uniform_values_are_the_evaluators(decay, family):
+    # exact writes a declared field as one value per frame: that value is
+    # eval_u / eval_v at every node, bit for bit, each side on a fresh
+    # instance sampled at the same times in the same order
+    from flks.cli import build_decay, build_grid
+
+    cfg = parse_config(MINIMAL.replace(CONSTANT, DECAY_TEXT[decay]) + "[exact]\nn = 2048\n",
+                       command="exact")
+
+    def build():
+        return _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
+
+    sol, ref = build(), build()
+    declared = [hasattr(ev, "of_t") for ev in (sol.eval_u, sol.eval_v)]
+    assert declared == [family in UNIFORM_FAMILIES] * 2
+    if family not in UNIFORM_FAMILIES:
+        return
+    x = build_grid(cfg).nodes()
+    for t in build_decay(cfg).start + np.array([0.5, 1.0, 2.0]):
+        for value, ev in zip(sol.frame(x, t), (ref.eval_u, ref.eval_v)):
+            assert isinstance(value, float)
+            np.testing.assert_array_equal(
+                np.full(x.shape, value).view(np.int64),
+                np.asarray(ev(x, t), dtype=float).view(np.int64))
+
+
 def test_sweep_converts_values_per_key(tmp_path):
     # an int key receives ints, and subdirectories are named by repr(value)
     cfg = MINIMAL + "\n[sweep]\nsection = grid\nkey = n\nvalues = 16,32\n"
@@ -714,6 +750,18 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
     assert _listing(out) == ["failure_report.json"]
 
 
+def test_exact_uniform_family_names_x_lo_when_non_finite(tmp_path, capsys):
+    # an x-independent v is one value per frame: V0 = inf makes every frame
+    # non-finite, and the first (x, t) in row order is x_lo at the first time
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, EXPONENTIAL)
+                        + "[exact]\nfamily = case4_homogeneous\nV0 = inf\nt_samples = 0.5,1,2\n")
+    out = tmp_path / "o"
+    assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite sample at x=-2, t=0.5\n"
+    assert _listing(out) == ["failure_report.json"]
+
+
 # --- the CSV layer against its reference: np.savetxt and the per-line reader
 
 def _reference_body(table):
@@ -798,30 +846,53 @@ def _csv_results():
     }
 
 
-def _exact_samples(tmp_path):
-    # exact's own output (the cell-free front, x-dependent, at three times)
-    # and the long table of its family sampled on the grid
-    from flks.cli import _FAMILIES, build_grid
+def _uniform_frames(nodes, rng):
+    # frames whose u, v or both are one value, each special value once as u
+    # and once as v, the rest random node arrays
+    x = np.linspace(-1.0, 2.0, nodes)
+    count = 2 * SPECIAL.size + 1
+    times = np.linspace(0.0, 1.0, count) / 3.0
+    us, vs = (list(rng.standard_normal((count, nodes))
+                   * 10.0 ** rng.integers(-300, 300, (count, nodes))) for _ in range(2))
+    for k, value in enumerate(SPECIAL):
+        us[k], vs[SPECIAL.size + k] = value, value
+    us[-1], vs[-1] = 1 / 3, -0.0
+    return _Frames(times, x, us, vs), _reference_long_table(
+        times, x, *([np.broadcast_to(a, x.shape) for a in f] for f in (us, vs)))
 
-    extra = "[exact]\nfamily = case4_cellfree_front\nt_samples = 0.5,1,2.25\n"
+
+def _exact_samples(tmp_path, family, decay=CONSTANT, n=32):
+    # exact's own output at three times and the long table of its family
+    # sampled on the grid, a fresh instance evaluating x and t as arrays
+    from flks.cli import build_grid
+
+    text = (MINIMAL.replace(CONSTANT, decay).replace("n = 32", f"n = {n}")
+            + f"[exact]\nfamily = {family}\nt_samples = 0.5,1,2.25\n")
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL + extra)
+    cfg_path.write_text(text)
     assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    cfg = parse_config(MINIMAL + extra, command="exact")
-    sol = _FAMILIES["case4_cellfree_front"][0](cfg, build_model(cfg), cfg.sections["exact"])
+    cfg = parse_config(text, command="exact")
+    sol = _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
     grid = build_grid(cfg)
     frames = [sol.sample(grid, t) for t in (0.5, 1.0, 2.25)]
     table = _reference_long_table([f.t for f in frames], grid.nodes(),
                                   [f.u for f in frames], [f.v for f in frames])
-    return tmp_path / "o" / "case4_cellfree_front.csv", table
+    return tmp_path / "o" / f"{family}.csv", table
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "long_trajectory", "profile", "table", "exact"])
+@pytest.mark.parametrize("kind", ["trajectory", "long_trajectory", "profile", "table", "exact",
+                                  "exact_uniform", "uniform_frames"])
 def test_csv_body_is_byte_identical_to_savetxt(tmp_path, kind):
+    # exact: the cell-free front, x-dependent; exact_uniform: the
+    # x-independent case IV family on three blocks of nodes
     if kind == "exact":
-        path, table = _exact_samples(tmp_path)
+        path, table = _exact_samples(tmp_path, "case4_cellfree_front")
+    elif kind == "exact_uniform":
+        path, table = _exact_samples(tmp_path, "case4_homogeneous", EXPONENTIAL,
+                                     2 * _BLOCK_ROWS + 36)
     else:
-        result, table = _csv_results()[kind]
+        result, table = (_uniform_frames(_BLOCK_ROWS + 3, np.random.default_rng(5))
+                         if kind == "uniform_frames" else _csv_results()[kind])
         path = tmp_path / "r.csv"
         export_csv(result, str(path))
     text = path.read_text()
@@ -1050,6 +1121,9 @@ FUZZ_CONFIGS = {
     "verify": {**FUZZ_BASE, "verify": {"family": "case1_homogeneous", "t_samples": "0.5"}},
     "lie": FUZZ_BASE,
 }
+# the findings' base configs: the fuzzed ones and the traveling reduction
+FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{"reduce travelling_wave": {
+    **FUZZ_BASE, "reduce": {"kind": "travelling_wave", "y_hi": "0.01", "h": "0.001"}}})
 # every schema key of the command's sections, one unknown key and one unknown
 # section
 FUZZ_KEYS = {command: sorted((s, k) for s in sections for k in _SCHEMA[s])
@@ -1106,7 +1180,10 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
      ("verify", "exact", "V0", "inf", 3), ("reduce", "reduce", "U0", "nan", 3),
      ("exact", "exact", "V0", "inf", 3), ("exact", "exact", "t_samples", "", 2),
-     ("exact", "exact", "t_samples", "0.5,0.5", 2)],
+     ("exact", "exact", "t_samples", "0.5,0.5", 2), ("reduce", "reduce", "t_end", "1e300", 2),
+     ("reduce travelling_wave", "reduce", "y_hi", "-1", 2),
+     ("reduce travelling_wave", "reduce", "y_hi", "0", 2),
+     ("reduce travelling_wave", "reduce", "y_hi", "1e300", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1114,10 +1191,12 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # span ending before its start marched one step backwards and exited 0;
     # a zero ht and a NaN residual passed verify with sup_norm = -1; a NaN
     # reduce state and infinite exact samples were written with exit 0; no
-    # exact sample time or a repeated one wrote a CSV its plot script died on
-    sections = {s: dict(body) for s, body in FUZZ_CONFIGS[command].items()}
+    # exact sample time or a repeated one wrote a CSV its plot script died on;
+    # a span of 1e300 ended in np.arange's ValueError, and a traveling span
+    # ending at or before y_lo = 0 was marched backwards and exited 0
+    sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
-    assert _main_on(command, sections) == code
+    assert _main_on(command.split()[0], sections) == code
 
 
 def test_numerical_failure_prints_one_stderr_line(tmp_path):

@@ -105,6 +105,25 @@ def test_homogeneous_step_guard():
         _rk4_homogeneous(make_params(), (0.0, 1.0), 0.0)
 
 
+def test_step_count_refuses_spans_it_cannot_march():
+    # the count rounds to the nearest whole step, at least one; a span that
+    # is empty, backwards or not finite, or one of more than MAX_STEPS steps,
+    # is refused by the count alone, so nothing is allocated for it
+    from flks.reduced_systems import MAX_STEPS, step_count
+
+    assert step_count((0.0, 1.0), 0.3) == 3
+    assert step_count((2.0, 2.1), 1.0) == 1
+    assert step_count((0.0, MAX_STEPS * 0.5), 0.5) == MAX_STEPS
+    for span in ((0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValidationError, match="finite and increasing"):
+            step_count(span, 1e-3)
+    for span, h in (((0.0, MAX_STEPS * 0.5), 0.4999), ((0.0, 1e300), 1e-3), ((0.0, 1.0), 5e-324)):
+        with pytest.raises(ValidationError, match=f"more than {MAX_STEPS}"):
+            step_count(span, h)
+    with pytest.raises(StepSizeError):
+        step_count((0.0, 1.0), math.nan)
+
+
 HOMOGENEOUS_DECAYS = {
     "constant": "kind = constant\nkappa0 = 0.5",
     "power_law": "kind = power_law\nmu = 0.2",
