@@ -9,7 +9,9 @@ Library layout:
 - ``exact_solutions``: closed-form / quadrature solution families
 - ``reduced_systems``: direct numerical integration of the reduced systems
 - ``pde_solver``: method-of-lines solver for the full system
-- ``lie_toolkit``: exact vector-field algebra for the generator catalog
+- ``lie_toolkit``: exact vector-field algebra for the generator catalog:
+  affine fields with rational coefficients; the bracket is the
+  augmented-matrix commutator
 - ``verify``: residual, comparison and invariance checks
 - ``cli``: config-driven command line front end
 """

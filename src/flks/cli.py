@@ -476,7 +476,7 @@ def export_csv(result, path, meta=None, columns=None):
         header, cols = ["xi", "U", "V", "S"], (result.xi, result.U, result.V, result.S)
         defaults = dict(
             profiles,
-            defects={"u": result.defect_u, "v": result.defect_v, "s_form": result.s_form_defect},
+            defects={"u": result.defect_u, "v": result.defect_v},
             converged=result.converged,
             residual_history=[float(r) for r in result.residual_history],
             metadata=result.metadata,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CaseTag, ConstantDecay, FieldPair, classify
-from .errors import ComplexRoots, DomainError, ValidationError
+from .errors import ComplexRoots, DomainError, OverflowGuard, ValidationError
 from .limiters import TanhLimiter
 from .quadrature import (
     CachedLinearSolution,
@@ -56,10 +56,24 @@ class ExactSolution:
         return FieldPair(u, v, t)
 
 
+def _no_overflow(fn_t):
+    """fn_t with a float overflow raised as OverflowGuard, a numerical
+    failure, instead of Python's OverflowError."""
+
+    def guarded(t):
+        try:
+            return fn_t(t)
+        except OverflowError:
+            raise OverflowGuard(f"closed form overflows double precision at t = {t:g}") from None
+
+    return guarded
+
+
 def _x_independent(fn_t):
     """Lift a scalar function of time to an (x, t) field evaluator; the
-    evaluator keeps fn_t as ``of_t``, its statement that the field is
-    x-independent."""
+    evaluator keeps fn_t, guarded against overflow, as ``of_t``, its
+    statement that the field is x-independent."""
+    fn_t = _no_overflow(fn_t)
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
@@ -175,11 +189,12 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
         if kappa0 == 0.0:
             raise DomainError("kappa0 = 0 puts the Ei argument at its singularity")
         a = kappa0 / (tau * lam)
-        w0 = a * math.exp(lam * t0)
+        w_of_t = _no_overflow(lambda t: a * math.exp(lam * t))
+        w0 = w_of_t(t0)
         ei0 = exp_integral_Ei(w0)
 
         def v_of_t(t):
-            w = a * math.exp(lam * t)
+            w = w_of_t(t)
             # e^(w0-w) keeps the homogeneous part a pure difference of
             # exponents; the particular part pairs e^(-w) with Ei(w)
             return math.exp(w0 - w) * V0 + (C / (tau * lam)) * (
@@ -291,6 +306,8 @@ def case2_travelling_tanh(
         raise ValidationError("alpha must be nonzero")
     if not isinstance(params.decay, ConstantDecay):
         raise ValidationError("traveling tanh wave requires constant decay")
+    if n < 3:
+        raise ValidationError(f"traveling tanh wave needs n >= 3 intervals, got {n}")
     D, tau, kappa0 = params.D, params.tau, params.decay.kappa0
     r_plus, r_minus = travelling_roots(alpha, tau, kappa0)
     dr = r_plus - r_minus

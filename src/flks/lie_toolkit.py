@@ -1,15 +1,17 @@
 """Exact vector-field algebra for the symmetry-generator catalog.
 
-Fields live on (t, x, u, v) with polynomial coefficients over the rationals,
-so commutators, adjoint series and the classifying residual carry no floating
-tolerance at all.  The adjoint convention is Ad(exp(eps*X))Y = exp(eps*ad_X)Y
-with ad_X(Y) = [X, Y], which sends X1 to exp(-eps/2)*X1 under the flow of the
-scaling generator X3.
+Fields live on (t, x, u, v) and are affine with rational coefficients; the
+bracket is the augmented-matrix commutator, so commutators, adjoint series and
+the classifying residual carry no floating tolerance at all.  The adjoint
+convention is Ad(exp(eps*X))Y = exp(eps*ad_X)Y with ad_X(Y) = [X, Y], which
+sends X1 to exp(-eps/2)*X1 under the flow of the scaling generator X3.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 
 import numpy as np
 
@@ -24,176 +26,78 @@ from .core import (
 )
 from .errors import DomainError, ValidationError
 
-_VARS = ("t", "x", "u", "v")
-
-
-class PolyExpr:
-    """Polynomial in (t, x, u, v) with Fraction coefficients.
-
-    Stored as a dict mapping exponent 4-tuples to nonzero Fractions;
-    canonical form is maintained by every operation.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = self._from_pairs(
-            (tuple(int(e) for e in m), Fraction(c)) for m, c in (terms or {}).items()
-        ).terms
-
-    @classmethod
-    def _from_pairs(cls, pairs):
-        """The sum of (monomial, coefficient) pairs, zero coefficients dropped."""
-        sums = {}
-        for m, c in pairs:
-            sums[m] = sums.get(m, 0) + c
-        res = cls.__new__(cls)
-        res.terms = {m: c for m, c in sums.items() if c != 0}
-        return res
-
-    @staticmethod
-    def constant(c):
-        return PolyExpr({(0, 0, 0, 0): c})
-
-    @staticmethod
-    def variable(name):
-        i = _VARS.index(name)
-        mono = [0, 0, 0, 0]
-        mono[i] = 1
-        return PolyExpr({tuple(mono): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return self._from_pairs([*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return self._from_pairs((m, -c) for m, c in self.terms.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, k):
-        k = Fraction(k)
-        return self._from_pairs((m, c * k) for m, c in self.terms.items())
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return self._from_pairs(
-            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        )
-
-    __rmul__ = __mul__
-
-    def partial(self, name):
-        i = _VARS.index(name)
-        return self._from_pairs(
-            (m[:i] + (m[i] - 1,) + m[i + 1 :], c * m[i]) for m, c in self.terms.items() if m[i]
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(self.terms.items()):
-            body = "".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(_VARS, mono)
-                if e > 0
-            )
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-_ZERO = PolyExpr()
+_RATIONAL = (int, Fraction)
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Generator xi_t d/dt + xi_x d/dx + eta_u d/du + eta_v d/dv."""
+    """Affine generator xi_t d/dt + xi_x d/dx + eta_u d/du + eta_v d/dv.
 
-    xi_t: PolyExpr
-    xi_x: PolyExpr
-    eta_u: PolyExpr
-    eta_v: PolyExpr
+    ``rows[i]`` holds the coefficients of t, x, u and v in the i-th component
+    (d/dt, d/dx, d/du, d/dv), followed by its constant.  Entries are exact
+    rationals, ints or Fractions; anything else is converted with Fraction.
+    The default is the zero field.
+    """
 
-    def components(self):
-        return (self.xi_t, self.xi_x, self.eta_u, self.eta_v)
+    rows: tuple = ((0,) * 5,) * 4
 
-    def apply(self, f):
-        """Directional derivative X(f) of a PolyExpr."""
-        out = PolyExpr()
-        for comp, var in zip(self.components(), _VARS):
-            if not comp.is_zero():
-                out = out + comp * f.partial(var)
-        return out
+    def __post_init__(self):
+        rows = tuple(
+            tuple(c if type(c) in _RATIONAL else Fraction(c) for c in row)
+            for row in self.rows
+        )
+        if len(rows) != 4 or any(len(row) != 5 for row in rows):
+            raise ValidationError("an affine field needs 4 rows of 5 coefficients")
+        object.__setattr__(self, "rows", rows)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components())
+        return not any(map(any, self.rows))
 
     def __add__(self, other):
-        return VectorField(*(a + b for a, b in zip(self.components(), other.components())))
-
-    def __sub__(self, other):
-        return VectorField(*(a - b for a, b in zip(self.components(), other.components())))
+        return VectorField(tuple(map(add, r, s)) for r, s in zip(self.rows, other.rows))
 
     def scaled(self, k):
-        return VectorField(*(c.scaled(k) for c in self.components()))
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.components(), other.components()))
+        k = Fraction(k)
+        return VectorField(tuple(c * k if c else 0 for c in row) for row in self.rows)
 
     def __repr__(self):
         names = ("d/dt", "d/dx", "d/du", "d/dv")
-        parts = [
-            f"({c!r}) {n}" for c, n in zip(self.components(), names) if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
+        parts = [f"({_affine_repr(row)}) {n}" for row, n in zip(self.rows, names) if any(row)]
+        return " + ".join(parts) or "0"
 
 
-def zero_field():
-    return VectorField(_ZERO, _ZERO, _ZERO, _ZERO)
+def _affine_repr(row):
+    """One component's text: its constant, then its v, u, x and t terms, with
+    unit coefficients elided."""
+    terms = [
+        ({1: "", -1: "-"}.get(c, f"{c}*") if z else str(c)) + z
+        for c, z in zip(reversed(row), ("", "v", "u", "x", "t"))
+        if c
+    ]
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _diagonal(scale=(0, 0, 0, 0), shift=(0, 0, 0, 0)):
+    """The field sum_i (scale_i z_i + shift_i) d/dz_i over z = (t, x, u, v)."""
+    return VectorField(
+        tuple(a if i == j else 0 for j in range(4)) + (b,)
+        for i, (a, b) in enumerate(zip(scale, shift))
+    )
 
 
 def x1():
     """Space translation d/dx."""
-    return VectorField(_ZERO, PolyExpr.constant(1), _ZERO, _ZERO)
+    return _diagonal(shift=(0, 1, 0, 0))
 
 
 def x2():
     """Time translation d/dt."""
-    return VectorField(PolyExpr.constant(1), _ZERO, _ZERO, _ZERO)
+    return _diagonal(shift=(1, 0, 0, 0))
 
 
 def dilation(p, q):
     """t d/dt + x/2 d/dx + p u d/du + q v d/dv with rational weights."""
-    return VectorField(
-        PolyExpr.variable("t"),
-        PolyExpr.variable("x").scaled(Fraction(1, 2)),
-        PolyExpr.variable("u").scaled(Fraction(p)),
-        PolyExpr.variable("v").scaled(Fraction(q)),
-    )
+    return _diagonal((1, Fraction(1, 2), p, q))
 
 
 def x3():
@@ -203,12 +107,7 @@ def x3():
 
 def x4(lam):
     """Time translation with signal rescaling: d/dt - lam v d/dv."""
-    return VectorField(
-        PolyExpr.constant(1),
-        _ZERO,
-        _ZERO,
-        PolyExpr.variable("v").scaled(-Fraction(lam)),
-    )
+    return _diagonal((0, 0, 0, -Fraction(lam)), (1, 0, 0, 0))
 
 
 def catalog(lam=Fraction(1, 5)):
@@ -216,11 +115,28 @@ def catalog(lam=Fraction(1, 5)):
     return {"X1": x1(), "X2": x2(), "X3": x3(), "X4": x4(lam), "XD": dilation(0, 0)}
 
 
+def _product(P, Q):
+    """Rows of the augmented product [[A, b], [0, 0]] of P and Q, zero
+    entries skipped; Q's zero last row drops out of every sum."""
+    out = [[0] * 5 for _ in range(4)]
+    for row, p_row in zip(out, P):
+        for p, q_row in zip(p_row, Q):
+            if p:
+                for j, q in enumerate(q_row):
+                    if q:
+                        row[j] += p * q
+    return out
+
+
 def commutator(X, Y):
-    """[X, Y] = X(Y-coefficients) - Y(X-coefficients), exact."""
-    return VectorField(
-        *(X.apply(yc) - Y.apply(xc) for xc, yc in zip(X.components(), Y.components()))
-    )
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), exact.
+
+    For affine fields with augmented matrices M = [[A, b], [0, 0]] this is
+    M_[X,Y] = M_Y M_X - M_X M_Y.
+    """
+    yx = _product(Y.rows, X.rows)
+    xy = _product(X.rows, Y.rows)
+    return VectorField(tuple(map(sub, r, s)) for r, s in zip(yx, xy))
 
 
 @dataclass
@@ -322,21 +238,8 @@ def _proportional(X, Y):
     """True when Y = k X for some rational k (or both vanish)."""
     if X.is_zero() or Y.is_zero():
         return X.is_zero() and Y.is_zero()
-    ratio = None
-    for cx, cy in zip(X.components(), Y.components()):
-        if cx.is_zero() != cy.is_zero():
-            return False
-        if cx.is_zero():
-            continue
-        if set(cx.terms) != set(cy.terms):
-            return False
-        for mono, c in cx.terms.items():
-            r = cy.terms[mono] / c
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
+    cx, cy = next((a, b) for a, b in zip(chain(*X.rows), chain(*Y.rows)) if a)
+    return X.scaled(Fraction(cy) / cx) == Y
 
 
 def verify_optimal_system(case):

@@ -319,7 +319,6 @@ class SelfSimilarResult:
     S: np.ndarray
     defect_u: float
     defect_v: float
-    s_form_defect: float
     residual_history: list
     converged: bool
     metadata: dict
@@ -339,14 +338,15 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     Nonconvergence is reported in the result (converged=False plus the
     residual history), never silently discarded.  defect_u / defect_v are
     sup-norm residuals of the two similarity equations from fourth-order
-    differences of the returned profiles; s_form_defect is the residual of
-    the differentiated gradient form tau (S/2 - (xi/2) S')' = S'' - mu S + U'
-    which carries the decay weight mu and the time scale tau and is NOT
-    satisfied by construction - the two stated forms disagree and both
-    defects are surfaced.
+    differences of the returned profiles.
     """
     import scipy.sparse.linalg as spla
 
+    if not (xi_max > 0.0 and n >= 8):
+        # the fourth-order stencils and the defects' interior need 9 nodes
+        raise ValidationError(
+            f"the self-similar solve needs xi_max > 0 and n >= 8, got xi_max = {xi_max}, n = {n}"
+        )
     params = problem.params
     lim = params.limiter
     if not isinstance(lim, TanhLogLimiter):
@@ -395,10 +395,6 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     flux = U * lim.F(S)
     RU = D * d2_uniform(U, h) - d1_uniform(flux, h) + 0.5 * xi * d1_uniform(U, h) + 0.5 * U
     RV = d2_uniform(V, h) - 0.5 * xi * d1_uniform(V, h) + 0.5 * V - U
-    Sp = d1_uniform(S, h)
-    lhs_s = tau * d1_uniform(0.5 * S - 0.5 * xi * Sp, h)
-    rhs_s = d2_uniform(S, h) - mu * S + d1_uniform(U, h)
-    RS = lhs_s - rhs_s
 
     return SelfSimilarResult(
         xi=xi,
@@ -407,7 +403,6 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
         S=S,
         defect_u=float(np.max(np.abs(RU[inner]))),
         defect_v=float(np.max(np.abs(RV[inner]))),
-        s_form_defect=float(np.max(np.abs(RS[inner]))),
         residual_history=history,
         converged=converged,
         metadata={

@@ -217,21 +217,17 @@ class InvarianceReport:
         return self.transformed.sup_norm / self.baseline.sup_norm
 
 
-_FLOW_MONOMIALS = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 def _flow_rates(field):
     """(a, b, c, d) of a field a d/dt + b d/dx + c u d/du + d v d/dv with
     constant a, b, c, d; any other field has no grid-compatible flow."""
-    rates = []
-    for comp, mono in zip(field.components(), _FLOW_MONOMIALS):
-        if set(comp.terms) - {mono}:
-            raise UnsupportedGenerator(
-                f"{field!r} rescales the grid or mixes variables; only t/x translations "
-                "with constant u, v rescaling have a finite transform here"
-            )
-        rates.append(float(comp.terms.get(mono, 0)))
-    return rates
+    m = field.rows
+    at = ((0, 4), (1, 4), (2, 2), (3, 3))  # the entries holding a, b, c, d
+    if any(c for i, row in enumerate(m) for j, c in enumerate(row) if (i, j) not in at):
+        raise UnsupportedGenerator(
+            f"{field!r} rescales the grid or mixes variables; only t/x translations "
+            "with constant u, v rescaling have a finite transform here"
+        )
+    return [float(m[i][j]) for i, j in at]
 
 
 def group_invariance_check(generator, sol, params, eps, grid=None, t_samples=None, ht=5e-4):

@@ -224,7 +224,7 @@ def test_criterion_06_lie_algebra_suite():
         assert s.is_zero()
     # adjoint series reproduces exp(-eps/2) through order 30 at eps = 1
     res = adjoint(x3(), x1(), Fraction(1), order=30)
-    coeff = float(res.field.xi_x.terms[(0, 0, 0, 0)])
+    coeff = float(res.field.rows[1][4])
     assert abs(coeff - math.exp(-0.5)) < 1e-12
     # classifying residual: exactly zero on the admitted rows, visibly
     # nonzero under a 1e-2 perturbation of the group rate

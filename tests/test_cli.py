@@ -493,6 +493,16 @@ def _sweep(target, values, command="simulate"):
                      id="simulate-tabulated-late-start"),
         pytest.param("exact", LATE_TABLE, "[exact]\nfamily = case1_homogeneous\n", [], 0,
                      id="exact-tabulated-late-start"),
+        pytest.param("exact", EXPONENTIAL,
+                     "[exact]\nfamily = case4_homogeneous\nt_samples = 1,10000\n", [], 3,
+                     id="exact-case4-overflows-at-a-late-sample"),
+        pytest.param("exact", EXPONENTIAL, "[exact]\nfamily = case4_homogeneous\n",
+                     ["exact.t0=5000"], 3, id="exact-case4-overflows-at-t0"),
+        pytest.param("verify", EXPONENTIAL, "[verify]\nfamily = case4_homogeneous\n",
+                     ["verify.t_samples=4000"], 3, id="verify-case4-overflows"),
+        pytest.param("exact", POWER_LAW,
+                     "[exact]\nfamily = case3_homogeneous\nt_samples = 1e-300\n", [], 3,
+                     id="exact-case3-power-overflows"),
     ],
 )
 def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
@@ -501,7 +511,8 @@ def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, c
     # The cell-free front under constant decay is its family's lam = 0 member,
     # a sweep may target a section the config leaves out, and a run starts
     # where its decay law does (t = 1 under power law, the first knot of a
-    # table).
+    # table).  A closed form that overflows double precision is a numerical
+    # failure with its one diagnostic line.
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -511,6 +522,8 @@ def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, c
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("config error:")
+    elif code == 3:
+        assert err.startswith("numerical failure:") and err.count("\n") == 1, err
     else:
         assert err == ""
 
@@ -1121,9 +1134,17 @@ FUZZ_CONFIGS = {
     "verify": {**FUZZ_BASE, "verify": {"family": "case1_homogeneous", "t_samples": "0.5"}},
     "lie": FUZZ_BASE,
 }
-# the findings' base configs: the fuzzed ones and the traveling reduction
-FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{"reduce travelling_wave": {
-    **FUZZ_BASE, "reduce": {"kind": "travelling_wave", "y_hi": "0.01", "h": "0.001"}}})
+# the findings' base configs: the fuzzed ones, the traveling and self-similar
+# reductions and the traveling wave
+FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
+    "reduce travelling_wave": {
+        **FUZZ_BASE, "reduce": {"kind": "travelling_wave", "y_hi": "0.01", "h": "0.001"}},
+    "reduce self_similar": {
+        **FUZZ_BASE, "limiter": {"kind": "tanh_log", "v_max": "1.1", "a": "0.51"},
+        "decay": {"kind": "power_law", "mu": "0.5"}, "reduce": {"kind": "self_similar"}},
+    "exact case2_travelling_tanh": {
+        **FUZZ_BASE, "exact": {"family": "case2_travelling_tanh", "t_samples": "0.5"}},
+})
 # every schema key of the command's sections, one unknown key and one unknown
 # section
 FUZZ_KEYS = {command: sorted((s, k) for s in sections for k in _SCHEMA[s])
@@ -1183,7 +1204,14 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("exact", "exact", "t_samples", "0.5,0.5", 2), ("reduce", "reduce", "t_end", "1e300", 2),
      ("reduce travelling_wave", "reduce", "y_hi", "-1", 2),
      ("reduce travelling_wave", "reduce", "y_hi", "0", 2),
-     ("reduce travelling_wave", "reduce", "y_hi", "1e300", 2)],
+     ("reduce travelling_wave", "reduce", "y_hi", "1e300", 2),
+     ("reduce self_similar", "reduce", "xi_max", "0", 2),
+     ("reduce self_similar", "reduce", "xi_max", "-3", 2),
+     ("reduce self_similar", "reduce", "n", "0", 2), ("reduce self_similar", "reduce", "n", "3", 2),
+     ("reduce self_similar", "reduce", "n", "6", 2), ("reduce self_similar", "reduce", "n", "7", 2),
+     ("reduce self_similar", "reduce", "n", "8", 0),
+     ("exact case2_travelling_tanh", "exact", "n", "0", 2),
+     ("exact case2_travelling_tanh", "exact", "n", "2", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1193,7 +1221,10 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # reduce state and infinite exact samples were written with exit 0; no
     # exact sample time or a repeated one wrote a CSV its plot script died on;
     # a span of 1e300 ended in np.arange's ValueError, and a traveling span
-    # ending at or before y_lo = 0 was marched backwards and exited 0
+    # ending at or before y_lo = 0 was marched backwards and exited 0; a
+    # self-similar half-line of length 0 or fewer than 8 intervals ended in a
+    # traceback and a reversed one exited 0, and a traveling wave on fewer
+    # than 3 intervals ended in a traceback or exited 3
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code

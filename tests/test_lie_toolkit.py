@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flks.core import (
     CaseTag,
@@ -12,9 +14,9 @@ from flks.core import (
     PowerLawDecay,
     TabulatedDecay,
 )
-from flks.errors import DomainError
+from flks.errors import DomainError, ValidationError
 from flks.lie_toolkit import (
-    PolyExpr,
+    VectorField,
     adjoint,
     catalog,
     classifying_residual,
@@ -25,18 +27,7 @@ from flks.lie_toolkit import (
     x2,
     x3,
     x4,
-    zero_field,
 )
-
-
-def test_polyexpr_arithmetic_is_exact():
-    t = PolyExpr.variable("t")
-    x = PolyExpr.variable("x")
-    p = (t + x.scaled(Fraction(1, 3))) * (t - x.scaled(Fraction(1, 3)))
-    q = t * t - (x * x).scaled(Fraction(1, 9))
-    assert p == q
-    assert (p - q).is_zero()
-    assert p.partial("t") == t.scaled(2)
 
 
 def test_commutator_table_relations():
@@ -49,6 +40,36 @@ def test_commutator_antisymmetry_exact():
     fields = list(catalog(Fraction(2, 7)).values())
     for X, Y in permutations(fields, 2):
         assert commutator(X, Y) == commutator(Y, X).scaled(-1)
+
+
+def _at(field, z):
+    """The field's components at the point z = (t, x, u, v)."""
+    return [sum(c * w for c, w in zip(row, (*z, 1))) for row in field.rows]
+
+
+def _bracket_by_definition(X, Y, z):
+    """[X, Y]^i(z) = sum_j (X^j d_j Y^i - Y^j d_j X^i)(z); an affine
+    component's d_j is its exact difference along the j-th unit step."""
+    def d(F, j):
+        step = [w + (k == j) for k, w in enumerate(z)]
+        return [a - b for a, b in zip(_at(F, step), _at(F, z))]
+
+    xz, yz = _at(X, z), _at(Y, z)
+    return [sum(xz[j] * d(Y, j)[i] - yz[j] * d(X, j)[i] for j in range(4)) for i in range(4)]
+
+
+_RATIONALS = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+_FIELDS = st.lists(_RATIONALS, min_size=20, max_size=20).map(
+    lambda e: VectorField(tuple(e[i : i + 5]) for i in range(0, 20, 5))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FIELDS, _FIELDS, st.lists(st.tuples(*[_RATIONALS] * 4), min_size=1, max_size=5))
+def test_commutator_is_the_bracket_by_definition(X, Y, points):
+    bracket = commutator(X, Y)
+    for z in points:
+        assert _at(bracket, z) == _bracket_by_definition(X, Y, z)
 
 
 def test_jacobi_identity_exact():
@@ -79,11 +100,11 @@ def test_adjoint_x3_scales_x1_like_exp_minus_half_eps():
     # partial sums of the exponential series, exact rationals
     for order in (1, 3, 8, 30):
         res = adjoint(x3(), x1(), Fraction(1), order=order)
-        coeff = res.field.xi_x.terms[(0, 0, 0, 0)]
+        coeff = res.field.rows[1][4]
         expected = sum(Fraction(-1, 2) ** n / math.factorial(n) for n in range(order + 1))
         assert coeff == expected
     res30 = adjoint(x3(), x1(), Fraction(1), order=30)
-    assert abs(float(res30.field.xi_x.terms[(0, 0, 0, 0)]) - math.exp(-0.5)) < 1e-12
+    assert abs(float(res30.field.rows[1][4]) - math.exp(-0.5)) < 1e-12
 
 
 def test_adjoint_eps_map_sends_coefficient_to_sign():
@@ -142,5 +163,7 @@ def test_verify_optimal_system_case3_entries():
 
 
 def test_zero_field_and_repr():
-    assert zero_field().is_zero()
+    assert VectorField().is_zero()
+    with pytest.raises(ValidationError):
+        VectorField(((0, 0, 0, 1),) * 4)  # a constant column is missing
     assert "d/dx" in repr(x1())
