@@ -360,12 +360,11 @@ def _reduce_travelling_wave(cfg, params, r):
 
 
 def _reduce_self_similar(cfg, params, r):
-    xi_max = r.get("xi_max", 10.0)
     prob = reduced_systems.ReducedProblem(
-        "self_similar", params, domain=(0.0, xi_max),
+        "self_similar", params, domain=(0.0, r.get("xi_max", 10.0)),
         data={"U0": r.get("U0", 1.0), "C1": r.get("C1", 0.0)},
     )
-    return reduced_systems.solve_self_similar(prob, n=r.get("n", 2000), xi_max=xi_max)
+    return reduced_systems.solve_self_similar(prob, n=r.get("n", 2000))
 
 
 # reduce kind -> (solver(cfg, params, [reduce] section), decay kinds that admit
@@ -866,6 +865,7 @@ def cmd_simulate(cfg, outdir):
 
 def cmd_exact(cfg, outdir):
     params = build_model(cfg)
+    grid = build_grid(cfg)  # checked even where the family samples its own window
     e = cfg.sections.get("exact", {})
     family = e.get("family", "case1_homogeneous")
     sol = _lookup(_FAMILIES, "exact family", family, cfg)[0](cfg, params, e)
@@ -877,7 +877,6 @@ def cmd_exact(cfg, outdir):
                 "iterations": len(sol.residual_history)}
 
     # sample the field families on the grid at the requested times
-    grid = build_grid(cfg)
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
     if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
         # the CSV body and its plot script are one frame per sample time

@@ -32,7 +32,6 @@ class ExactSolution:
     """An evaluable (u, v) pair with its case tag and parameter record."""
 
     case: CaseTag
-    label: str
     eval_u: object
     eval_v: object
     params: dict
@@ -104,7 +103,6 @@ def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, tol=1e-12):
     tag = classify(law)[0]
     return ExactSolution(
         case=tag,
-        label=f"{tag.value}.homogeneous",
         eval_u=_x_independent(lambda t: C),
         eval_v=_x_independent(v_of_t),
         params={"C": C, "V0": V0, "t0": t0, "tau": tau, "decay": repr(law)},
@@ -149,7 +147,6 @@ def case3_homogeneous(mu, tau, C=1.0, V0=0.0, t0=1.0):
 
     return ExactSolution(
         case=CaseTag.III_POWER_LAW,
-        label="III.homogeneous",
         eval_u=_x_independent(lambda t: C),
         eval_v=_x_independent(v_of_t),
         params={"mu": mu, "tau": tau, "C": C, "V0": V0, "t0": t0, "branch": branch},
@@ -205,7 +202,6 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
 
     return ExactSolution(
         case=CaseTag.IV_EXPONENTIAL,
-        label="IV.homogeneous",
         eval_u=_x_independent(lambda t: C),
         eval_v=_x_independent(v_of_t),
         params={
@@ -376,7 +372,6 @@ def case2_travelling_tanh(
 
     return TravellingWaveSolution(
         case=CaseTag.II_CONSTANT,
-        label="II.travelling_tanh",
         eval_u=make_eval(U),
         eval_v=make_eval(V),
         params={
@@ -448,7 +443,6 @@ def case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0):
 
     return ExactSolution(
         case=CaseTag.IV_EXPONENTIAL,
-        label="IV.cellfree_front",
         eval_u=ev_u,
         eval_v=ev_v,
         params={

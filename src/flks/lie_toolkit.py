@@ -145,7 +145,6 @@ class AdjointResult:
 
     field: VectorField
     exact: bool
-    terms_used: int
 
 
 def adjoint(X, Y, eps, order=30):
@@ -162,7 +161,6 @@ def adjoint(X, Y, eps, order=30):
     current = Y
     coeff = Fraction(1)
     exact = False
-    used = 0
     for n in range(1, order + 1):
         current = commutator(X, current)
         if current.is_zero():
@@ -170,8 +168,7 @@ def adjoint(X, Y, eps, order=30):
             break
         coeff = coeff * eps / n
         total = total + current.scaled(coeff)
-        used = n
-    return AdjointResult(total, exact, used)
+    return AdjointResult(total, exact)
 
 
 @dataclass

@@ -23,12 +23,12 @@ and cfl_safety sets the time error, which falls as dt^2.  A flux-off run
 frame, never enforced.
 
 The operator is prepared once per (params, config): ``_Operator`` binds the
-constants, holds u and v stacked in ghost-padded stage states and writes
-the flux terms into its own work arrays.  ``run`` and ``step`` march one
-prepared operator, and ``reduced_systems`` takes the steady-state residual
-from one.  The periodic seam: periodic node n is node 0, so loading a
-state copies node 0 into node n and source terms are evaluated there at
-x_0; every stage then keeps node n bitwise equal to node 0.
+constants and maps a (2, n+1) array of u and v to new arrays, filling the
+ghosts per evaluation.  ``run`` and ``step`` march one prepared operator,
+and ``reduced_systems`` takes the steady-state residual from one.  The
+periodic seam: periodic node n is node 0, so loading a state copies node 0
+into node n and source terms are evaluated there at x_0; every stage then
+keeps node n bitwise equal to node 0.
 """
 
 import math
@@ -121,15 +121,13 @@ _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 class _Operator:
     """The semi-discrete operator of one (params, config) pair, prepared once.
 
-    A state is a (2, n+3) array: row 0 holds u, row 1 holds v, column k+1
-    holds node k and columns 0 and n+2 are the ghosts.  ``load`` makes a
-    periodic node n a copy of node 0, and periodic sources see x_0 at node
-    n, so node n stays bitwise equal to node 0 through every stage.
-    ``rhs`` fills the ghosts of one of the two stage states with column
-    copies and writes (u_t, v_t) into a (2, n+1) array; ``explicit`` writes
-    only the explicit part of it, and ``solve`` inverts the implicit part.
-    ``advance`` takes one ARS(2,2,2) step of stage state 0 in place.
-    Callers copy what they keep.
+    A state is a (2, n+1) array: row 0 holds u, row 1 holds v, column k
+    holds node k.  ``load`` sets the state ``X``; a periodic node n takes
+    node 0's values, and periodic sources see x_0 at node n, so node n stays
+    bitwise equal to node 0 through every stage.  ``rhs`` returns (u_t, v_t)
+    of a state, ``explicit`` only its explicit part, and ``solve`` inverts
+    the implicit part; each returns a new array and writes into none it was
+    given.  ``advance`` replaces X by one ARS(2,2,2) step.
     """
 
     def __init__(self, params, config):
@@ -150,117 +148,88 @@ class _Operator:
             if self.periodic:
                 self.x[-1] = self.x[0]
             self.x.flags.writeable = False
-        self.states = [np.zeros((2, n + 3)) for _ in range(2)]
-        self.nodes = [X[:, 1:-1] for X in self.states]
-        self.F1, self.F2, self.B = (np.empty((2, n + 1)) for _ in range(3))
+        # the ghosts' source nodes: wrapped n-1 and 1, or mirrored 1 and n-1
+        self.ghosts = (n - 1, 1) if self.periodic else (1, n - 1)
         # the implicit solve's nodes: n periodic ones, or the even extension
-        self.m = m = n if self.periodic else 2 * n
-        self.W, self.T = np.empty((2, 2 * m)), np.empty(m)
+        self.m = n if self.periodic else 2 * n
         # the implicit coupling per unit step: D/dx^2 for u, 1/(tau dx^2) for v
         self.coupling = (self.D / self.dx2, 1.0 / (self.tau * self.dx2))
-        self.fd = np.empty((2, n))  # first differences across the faces
-        self.q = np.empty(n + 1)
-        self.a, self.b = np.empty(n), np.empty(n)
-        self.mask = np.empty(n, dtype=bool)
-        # face fluxes (G, J) on the n+2 faces; the Neumann boundary faces
-        # are never written, so they carry no flux
-        self.GJ = GJ = np.zeros((2, n + 2))
-        self.G, self.J = GJ[0, 1:-1], GJ[1, 1:-1]
-        self.GJ_hi, self.GJ_lo = GJ[:, 1:], GJ[:, :-1]
-        self.GJ_wrap = ((GJ[:, 0], GJ[:, n]), (GJ[:, n + 1], GJ[:, 1]))
-        self.diffs = np.empty((2, n + 1))
-        self.kv = np.empty(n + 1)
-        self.flags = np.empty((2, n + 1), dtype=bool)
-        self._views = [self._stencil(X) for X in self.states]
-
-    def _stencil(self, X):
-        """The slice views of stage state X that rhs reads and writes."""
-        n, U, V = self.n, X[0], X[1]
-        if self.periodic:
-            ghosts = ((X[:, 0], X[:, n]), (X[:, n + 2], X[:, 2]))
-        else:
-            ghosts = ((X[:, 0], X[:, 2]), (X[:, n + 2], X[:, n]))
-        return (ghosts, X[:, 2:-1], X[:, 1:-2],
-                U[2:], U[:-2], U[1:-2], U[2:-1], V[:-2], V[1:-1], V[2:], U[1:-1], V)
 
     def load(self, u, v):
-        """Copy (u, v) into stage state 0; a periodic node n takes node 0's values."""
+        """Set the state to (u, v); a periodic node n takes node 0's values."""
         if np.shape(u) != (self.n + 1,) or np.shape(v) != (self.n + 1,):
             raise ValidationError("state does not match the grid")
-        X = self.nodes[0]
-        X[0] = u
-        X[1] = v
+        self.X = np.array((u, v), dtype=float)
         if self.periodic:
-            X[:, -1] = X[:, 0]
+            self.X[:, -1] = self.X[:, 0]
 
     def finite(self):
-        """Whether stage state 0 is finite at every node."""
-        return bool(np.isfinite(self.nodes[0], out=self.flags).all())
+        """Whether the state is finite at every node."""
+        return bool(np.isfinite(self.X).all())
 
-    def _flux_differences(self, k):
-        """Fill the ghosts of stage state k and return the differences of the
-        diffusive (row 0) and chemotactic (row 1) face fluxes per cell width."""
-        ghosts, hi, lo, u_hi, u_lo, u0, up = self._views[k][:7]
-        for dst, src in ghosts:
-            np.copyto(dst, src)
-        dx = self.dx
-        a, b, q, G, J = self.a, self.b, self.q, self.G, self.J
+    def _ghosted(self, w):
+        """Nodes 0..n of w with one ghost node each side, wrapped when
+        periodic, mirrored for Neumann."""
+        g = np.empty(self.n + 3)
+        g[1:-1] = w
+        g[0], g[-1] = w[self.ghosts[0]], w[self.ghosts[1]]
+        return g
 
-        # face i+1/2 between nodes i and i+1, i = 0..n-1
-        fd = np.subtract(hi, lo, out=self.fd)
-        Fv = self.F(np.divide(fd[1], dx, out=fd[1]))
-        # Fromm reconstruction at the faces (donor biased by flux sign):
-        # u_i + q_i and u_{i+1} - q_{i+1} with q_k = (u_{k+1} - u_{k-1})/4
-        np.multiply(0.25, np.subtract(u_hi, u_lo, out=q), out=q)
-        np.add(u0, q[:-1], out=a)
-        np.subtract(up, q[1:], out=b)
-        np.copyto(b, a, where=np.greater_equal(Fv, 0.0, out=self.mask))
-        np.multiply(b, Fv, out=J)
-        np.divide(np.multiply(self.D, fd[0], out=G), dx, out=G)
+    def _divergence(self, flux):
+        """(flux_{i+1/2} - flux_{i-1/2}) / width_i at nodes 0..n, given the
+        fluxes on the n inner faces; the boundary faces carry the wrapped
+        fluxes, or none (Neumann)."""
+        faces = np.zeros(self.n + 2)
+        faces[1:-1] = flux
         if self.periodic:
-            for dst, src in self.GJ_wrap:
-                np.copyto(dst, src)
-        diffs = np.subtract(self.GJ_hi, self.GJ_lo, out=self.diffs)
-        return np.divide(diffs, self.widths, out=diffs)
+            faces[0], faces[-1] = flux[-1], flux[0]
+        return (faces[1:] - faces[:-1]) / self.widths
 
-    def _add_sources(self, t, du, dv):
+    def _flux(self, X):
+        """The chemotactic fluxes u F(v_x) on the n inner faces, u taken by
+        Fromm reconstruction biased to the donor by the flux sign: u_i + q_i
+        or u_{i+1} - q_{i+1}, with q_k = (u_{k+1} - u_{k-1})/4."""
+        u, v = X
+        Fv = self.F((v[1:] - v[:-1]) / self.dx)
+        U = self._ghosted(u)
+        q = 0.25 * (U[2:] - U[:-2])
+        face_u = u[1:] - q[1:]
+        np.copyto(face_u, u[:-1] + q[:-1], where=Fv >= 0.0)
+        return face_u * Fv
+
+    def _add_sources(self, t, R):
         if self.source_u is not None:
-            np.add(du, self.source_u(self.x, t), out=du)
+            R[0] += self.source_u(self.x, t)
         if self.source_v is not None:
-            np.add(dv, self.source_v(self.x, t) / self.tau, out=dv)
+            R[1] += self.source_v(self.x, t) / self.tau
+        return R
 
-    def rhs(self, k, t, out):
-        """Write the right-hand side of stage state k at time t into out."""
-        vl, vc, vr, uc, V = self._views[k][7:]
-        kap = self.kappa(t)
-        diffs = self._flux_differences(k)
-        dx2 = self.dx2
-        du, dv = out[0], out[1]
-        np.subtract(diffs[0], diffs[1], out=du)
-
-        np.subtract(vr, np.multiply(2.0, vc, out=dv), out=dv)
-        np.divide(np.add(dv, vl, out=dv), dx2, out=dv)
+    def rhs(self, X, t):
+        """The right-hand side (u_t, v_t) of state X at time t."""
+        u, v = X
+        R = np.empty_like(X)
+        G = self.D * (u[1:] - u[:-1]) / self.dx
+        np.subtract(self._divergence(G), self._divergence(self._flux(X)), out=R[0])
+        V = self._ghosted(v)
+        v_xx = ((V[2:] - 2.0 * v) + V[:-2]) / self.dx2
         if not self.periodic:
             # the mirrored three-point form rounds differently from 2(v1 - v0)
-            dv[0] = 2.0 * (V[2] - V[1]) / dx2
-            dv[-1] = 2.0 * (V[-3] - V[-2]) / dx2
-        np.subtract(dv, np.multiply(kap, vc, out=self.kv), out=dv)
-        np.divide(np.add(dv, uc, out=dv), self.tau, out=dv)
-        self._add_sources(t, du, dv)
-        return out
+            v_xx[0] = 2.0 * (v[1] - v[0]) / self.dx2
+            v_xx[-1] = 2.0 * (v[-2] - v[-1]) / self.dx2
+        np.divide(v_xx - self.kappa(t) * v + u, self.tau, out=R[1])
+        return self._add_sources(t, R)
 
-    def explicit(self, k, t, out):
-        """Write the explicit part of the right-hand side of stage state k at
-        time t into out: -(u F(v_x))_x + S_u and (u + S_v)/tau."""
-        diffs = self._flux_differences(k)
-        np.negative(diffs[1], out=out[0])
-        np.divide(self.nodes[k][0], self.tau, out=out[1])
-        self._add_sources(t, out[0], out[1])
+    def explicit(self, X, t):
+        """The explicit part of the right-hand side of state X at time t:
+        -(u F(v_x))_x + S_u and (u + S_v)/tau."""
+        E = np.empty_like(X)
+        np.negative(self._divergence(self._flux(X)), out=E[0])
+        np.divide(X[0], self.tau, out=E[1])
+        return self._add_sources(t, E)
 
-    def solve(self, t, h, rhs, out):
-        """Write the X with X - h L(t) X = rhs into out, both (2, n+1) node
-        arrays, where L(t) is the implicit part: D u_xx and
-        (v_xx - kappa(t) v)/tau.
+    def solve(self, t, h, b):
+        """The X with X - h L(t) X = b, both (2, n+1) node arrays, where
+        L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
 
         Each row is solved by ``_cyclic_reduction`` on the n periodic nodes,
         or on the 2n-node even extension for Neumann.  Raises StepSizeError
@@ -268,6 +237,8 @@ class _Operator:
         negative decay).
         """
         n, m = self.n, self.m
+        X = np.empty_like(b)
+        W, T = np.empty(2 * m), np.empty(m)
         shifts = (1.0, 1.0 + h * self.kappa(t) / self.tau)
         for row, (shift, coupling) in enumerate(zip(shifts, self.coupling)):
             c = h * coupling
@@ -276,18 +247,18 @@ class _Operator:
             if not (shift > 0.0 and sigma > 0.0):
                 raise StepSizeError(
                     f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
-            W, b = self.W[row], rhs[row]
             if self.periodic:
-                np.divide(b[:-1], diag, out=W[:n])
+                np.divide(b[row, :-1], diag, out=W[:n])
             else:
-                np.divide(b, diag, out=W[:n + 1])
-                np.divide(b[-2:0:-1], diag, out=W[n + 1:m])
-            _cyclic_reduction(W, self.T, c / diag, sigma)
-            out[row, :n] = W[:n]
-            out[row, n] = W[0] if self.periodic else W[n]
+                np.divide(b[row], diag, out=W[:n + 1])
+                np.divide(b[row, -2:0:-1], diag, out=W[n + 1:m])
+            _cyclic_reduction(W, T, c / diag, sigma)
+            X[row, :n] = W[:n]
+            X[row, n] = W[0] if self.periodic else W[n]
+        return X
 
     def advance(self, t, dt):
-        """One ARS(2,2,2) step of stage state 0 from t to t + dt, in place.
+        """Replace the state X by one ARS(2,2,2) step from t to t + dt.
 
         Stage 2 solves Y - h L Y = X + h E(X), h = _GAMMA dt; the last stage
         solves X' - h L X' = X + dt (_DELTA E(X) + (1 - _DELTA) E(Y))
@@ -295,18 +266,14 @@ class _Operator:
         L are the explicit and implicit parts, taken at the stage times
         t, t + h and t + dt.
         """
-        X0, X1 = self.nodes
-        F1, F2, B = self.F1, self.F2, self.B
+        X = self.X
         h = _GAMMA * dt
-        self.explicit(0, t, F1)
-        np.add(X0, np.multiply(h, F1, out=B), out=B)
-        self.solve(t + h, h, B, X1)
-        self.explicit(1, t + h, F2)
-        np.multiply((1.0 - _GAMMA) / _GAMMA, np.subtract(X1, B, out=B), out=B)
-        np.multiply(_DELTA, F1, out=F1)
-        np.add(F1, np.multiply(1.0 - _DELTA, F2, out=F2), out=F1)
-        np.add(B, np.multiply(dt, F1, out=F1), out=B)
-        self.solve(t + dt, h, np.add(X0, B, out=B), X0)
+        E1 = self.explicit(X, t)
+        B = X + h * E1
+        Y = self.solve(t + h, h, B)
+        E2 = self.explicit(Y, t + h)
+        B = (1.0 - _GAMMA) / _GAMMA * (Y - B) + dt * (_DELTA * E1 + (1.0 - _DELTA) * E2)
+        self.X = self.solve(t + dt, h, X + B)
 
 
 def step(state, params, config, dt):
@@ -330,7 +297,7 @@ def step(state, params, config, dt):
     t = state.t + dt
     if not op.finite():
         raise InvalidState(f"solution lost finiteness during the step to t={t:g}")
-    return FieldPair(*op.nodes[0], t)
+    return FieldPair(*op.X, t)
 
 
 @dataclass
@@ -376,7 +343,6 @@ def run(initial, params, config):
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
     op = _Operator(params, config)
     op.load(initial.u, initial.v)
-    u, v = op.nodes[0]
 
     t = initial.t
     t_end = float(config.t_end)
@@ -387,12 +353,12 @@ def run(initial, params, config):
 
     def record(low):
         times.append(t)
-        us.append(u.copy())
-        vs.append(v.copy())
+        us.append(op.X[0])
+        vs.append(op.X[1])
         mass.append(total_mass(us[-1], config.grid, config.bc))
         min_u.append(low)
 
-    record(float(np.min(u)))
+    record(float(np.min(op.X[0])))
     low = np.inf  # the minimum of u over the steps since the last frame
     steps = 0
     while t < t_end - 1e-14:
@@ -402,7 +368,7 @@ def run(initial, params, config):
         if not op.finite():
             raise InvalidState(f"solution lost finiteness during the step to t={t:g}")
         steps += 1
-        low = min(low, float(np.min(u)))
+        low = min(low, float(np.min(op.X[0])))
         if steps % config.output_stride == 0 or t >= t_end - 1e-14:
             record(low)
             low = np.inf

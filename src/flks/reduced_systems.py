@@ -120,11 +120,9 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     mass_target = float(np.dot(w, u))
 
     op = _Operator(params, config)
-    rows = np.empty((2, n + 1))
 
     def residual(z):
-        op.load(z[: n + 1], z[n + 1 :])
-        du, dv = op.rhs(0, 0.0, rows)
+        du, dv = op.rhs(z.reshape(2, n + 1), 0.0)
         du[0] = float(np.dot(w, z[: n + 1])) - mass_target
         return np.concatenate((du, params.tau * dv))
 
@@ -324,8 +322,8 @@ class SelfSimilarResult:
     metadata: dict
 
 
-def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
-    """Coupled similarity profiles on the half line [0, xi_max].
+def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
+    """Coupled similarity profiles on the half line problem.domain = [0, xi_max].
 
     Alternates (a) the exact quadrature of the U-equation's local first
     integral D U' + (xi/2) U - U F(S) = C1 (integrating factor
@@ -342,6 +340,11 @@ def solve_self_similar(problem, n=2000, xi_max=10.0, tol=1e-10, max_iter=200):
     """
     import scipy.sparse.linalg as spla
 
+    xi_lo, xi_max = map(float, problem.domain)
+    if xi_lo != 0.0:
+        raise ValidationError(
+            f"the self-similar half line starts at the symmetry point 0, got domain {problem.domain!r}"
+        )
     if not (xi_max > 0.0 and n >= 8):
         # the fourth-order stencils and the defects' interior need 9 nodes
         raise ValidationError(

@@ -466,6 +466,8 @@ def _sweep(target, values, command="simulate"):
                      id="exact-case4-constant"),
         pytest.param("exact", CONSTANT, "[exact]\nfamily = nonsense\n", [], 2,
                      id="exact-unknown-family"),
+        pytest.param("exact", CONSTANT, "[exact]\nfamily = case2_travelling_tanh\n",
+                     ["grid.n=0"], 2, id="exact-travelling-wave-invalid-grid"),
         pytest.param("verify", POWER_LAW, "[verify]\nfamily = case4_cellfree_front\n", [], 2,
                      id="verify-cellfree-power-law"),
         pytest.param("verify", CONSTANT, "[verify]\nfamily = case2_travelling_tanh\n", [], 0,
@@ -753,7 +755,7 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
     def v(x, t):
         return np.where(np.isclose(x, 0.5) & (t == 1.0), -np.inf, 0.0)
 
-    sol = ExactSolution(CaseTag.I_ARBITRARY, "non-finite inside", u, v, {})
+    sol = ExactSolution(CaseTag.I_ARBITRARY, u, v, {})
     monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")

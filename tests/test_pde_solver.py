@@ -26,7 +26,7 @@ def operator_rhs(u, v, t, params, config):
     """(u_t, v_t) of (u, v) at t from one prepared operator."""
     op = pde_solver._Operator(params, config)
     op.load(u, v)
-    out = op.rhs(0, t, np.empty((2, op.n + 1)))
+    out = op.rhs(op.X, t)
     return out[0], out[1]
 
 
@@ -327,8 +327,7 @@ def test_implicit_solve_matches_a_dense_solve(bc):
             b = rng.standard_normal((2, n + 1))
             if bc == "periodic":
                 b[:, -1] = b[:, 0]
-            x = np.empty_like(b)
-            op.solve(0.0, c, b, x)
+            x = op.solve(0.0, c, b)
             for row, shift in enumerate((1.0, 1.0 + kappa0 * c)):
                 ref = _refined_solve(shift * np.eye(m) - c * lap, b[row, :m])
                 tol = 1e-13 + (1.0 + 4.0 * c / shift) * np.finfo(np.longdouble).eps
@@ -336,12 +335,36 @@ def test_implicit_solve_matches_a_dense_solve(bc):
             if bc == "periodic":
                 assert x[:, -1].tobytes() == x[:, 0].tobytes()
                 k = int(rng.integers(1, n))
-                rolled = np.empty_like(b)
-                op.solve(0.0, c, np.roll(b[:, :-1], k, axis=1)[:, np.r_[:n, 0]], rolled)
+                rolled = op.solve(0.0, c, np.roll(b[:, :-1], k, axis=1)[:, np.r_[:n, 0]])
                 assert rolled.tobytes() == np.roll(x[:, :-1], k, axis=1)[:, np.r_[:n, 0]].tobytes()
-            mirrored = np.empty_like(b)
-            op.solve(0.0, c, b[:, ::-1].copy(), mirrored)
+            mirrored = op.solve(0.0, c, b[:, ::-1].copy())
             assert mirrored.tobytes() == x[:, ::-1].tobytes()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_explicit_and_implicit_parts_add_up_to_the_rhs(bc):
+    # the march takes explicit + the implicit part, a steady state is a zero
+    # of rhs: simulate started from one stays put only if the two agree
+    p = make_params(decay=ExponentialDecay(0.5, 0.3))
+    n = 64
+    grid = Grid1D(-2.0, 2.0, n)
+    x = grid.nodes()
+    cfg = SolverConfig(grid, t_end=1.0, bc=bc,
+                       source_u=lambda x, t: 0.1 * np.sin(np.pi * x / 2.0 + t),
+                       source_v=lambda x, t: 0.2 * t * np.cos(np.pi * x / 2.0))
+    op = pde_solver._Operator(p, cfg)
+    op.load(1.0 + 0.3 * np.cos(np.pi * x / 2.0) + 0.1 * x * x,
+            0.5 + 0.4 * np.sin(np.pi * x / 2.0) - 0.2 * np.cos(np.pi * x))
+    lap = _ref_laplacian(n, grid.dx, bc)
+    m = lap.shape[0]
+    for t in (0.0, 0.7):
+        u, v = op.X[:, :m]
+        implicit = np.array([p.D * (lap @ u), (lap @ v - p.decay.kappa(t) * v) / p.tau])
+        if bc == "periodic":
+            implicit = np.append(implicit, implicit[:, :1], axis=1)
+        R = op.rhs(op.X, t)
+        split = op.explicit(op.X, t) + implicit
+        assert np.max(np.abs(split - R)) <= 1e-12 * np.max(np.abs(R)), t
 
 
 def test_min_u_covers_the_steps_between_frames():
@@ -687,7 +710,7 @@ def test_non_finite_runs_fail_like_the_reference():
 
 
 def _work_arrays(op):
-    return [a for a in vars(op).values() if isinstance(a, np.ndarray)] + op.states
+    return [a for a in vars(op).values() if isinstance(a, np.ndarray)]
 
 
 def test_results_share_no_memory_with_the_operator(monkeypatch):
@@ -852,12 +875,8 @@ def test_steady_residual_and_solve_are_bit_identical_to_the_reference(monkeypatc
         def __init__(self, params, config):
             self.params, self.config = params, config
 
-        def load(self, u, v):
-            self.u, self.v = u.copy(), v.copy()
-
-        def rhs(self, k, t, out):
-            out[0], out[1] = _ref_rhs(self.u, self.v, t, self.params, self.config)
-            return out
+        def rhs(self, X, t):
+            return np.array(_ref_rhs(X[0], X[1], t, self.params, self.config))
 
     monkeypatch.setattr(reduced_systems, "_Operator", Reference)
     ref = solve_steady_state(prob, n=n)

@@ -279,8 +279,7 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
     op = _Operator(params, config)
 
     def residual(z):
-        op.load(z[: n + 1], z[n + 1 :])
-        Ru, Rv = op.rhs(0, 0.0, np.empty((2, n + 1)))
+        Ru, Rv = op.rhs(z.reshape(2, n + 1), 0.0)
         Ru[0] = float(np.dot(w, z[: n + 1])) - float(np.dot(w, u))
         return np.concatenate([Ru, params.tau * Rv])
 
@@ -643,6 +642,15 @@ def test_self_similar_requires_tanh_log():
     prob = ReducedProblem("self_similar", p, constants={"mu": 0.5}, domain=(0.0, 10.0))
     with pytest.raises(ValidationError):
         solve_self_similar(prob)
+
+
+def test_self_similar_solves_on_the_problem_domain():
+    # the half line is the problem's domain; both used to solve on [0, 10]
+    prob = ss_problem(v_max=1e-300)
+    res = solve_self_similar(dataclasses.replace(prob, domain=(0.0, 5.0)), n=200)
+    assert res.xi[0] == 0.0 and res.xi[-1] == 5.0 and res.metadata["xi_max"] == 5.0
+    with pytest.raises(ValidationError, match="symmetry point"):
+        solve_self_similar(dataclasses.replace(prob, domain=(2.0, 3.0)), n=200)
 
 
 def test_self_similar_doubled_grid_consistency():
