@@ -341,11 +341,15 @@ def _reduce_homogeneous(cfg, params, r):
 
 
 def _reduce_steady_state(cfg, params, r):
-    grid = cfg.sections["grid"]
+    """Newton from the [initial] profile's u sampled on the reduce grid, so
+    the steady state keeps its trapezoid mass; v starts at u/kappa0."""
+    g = cfg.sections["grid"]
+    grid = Grid1D(g["x_lo"], g["x_hi"], r.get("n", 128))
     prob = reduced_systems.ReducedProblem(
-        "steady_state", params, domain=(grid["x_lo"], grid["x_hi"]), data={"bc": "neumann"},
+        "steady_state", params, domain=(grid.x_lo, grid.x_hi),
+        data={"bc": "neumann", "u_init": build_initial(cfg, grid).u},
     )
-    return reduced_systems.solve_steady_state(prob, n=r.get("n", 128))
+    return reduced_systems.solve_steady_state(prob, n=grid.n)
 
 
 def _reduce_travelling_wave(cfg, params, r):

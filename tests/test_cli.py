@@ -330,6 +330,24 @@ def test_main_reduce_self_similar(tmp_path):
     assert cols["xi"].size == 601
 
 
+def test_reduce_steady_state_starts_from_the_initial_profile(tmp_path, capsys):
+    # Newton starts at [initial]'s u on the reduce grid and row 0 pins its
+    # trapezoid mass; from u = 1 it would start at, and write, U = 1
+    cfg = MINIMAL.replace("D = 0.8", "D = 0.3").replace(
+        "kind = uniform", "kind = gaussian\namplitude = 0.5\nwidth = 0.5")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(cfg + "[reduce]\nkind = steady_state\nn = 64\n")
+    out = tmp_path / "red"
+    assert main(["reduce", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    meta, cols = import_csv(str(out / "reduce_steady_state.csv"))
+    x, U = cols["x"], cols["U"]
+    u0 = 1.0 + 0.5 * np.exp(-x**2 / 0.5)
+    assert x.size == 65 and summary["defect"] < 1e-10
+    assert U.max() - U.min() > 0.5
+    assert abs(np.trapezoid(U, x) - np.trapezoid(u0, x)) <= 1e-10 * np.trapezoid(u0, x)
+
+
 def test_main_sweep(tmp_path):
     cfg = MINIMAL + "\n[sweep]\nsection = decay\nkey = kappa0\nvalues = 0.4,0.6\ncommand = simulate\n"
     cfg_path = tmp_path / "cfg.ini"
@@ -1267,6 +1285,10 @@ from flks import cli
 config, out = sys.argv[1:3]
 runs = [[command] for command in ("simulate", "verify", "lie", "exact")] + [
     ["reduce", "--override", "reduce.kind=" + kind] for kind in ("travelling_wave", "homogeneous")]
+# case IV under exponential decay: lambda > 0 puts Ei's argument above 0, lambda < 0 below
+runs += [[command, "--override", "decay.kind=exponential", "--override", "decay.lambda=" + lam,
+          "--override", command + ".family=case4_homogeneous"]
+         for command in ("exact", "verify") for lam in ("0.2", "-0.2")]
 codes = [cli.main(argv + ["--config", config, "--out", os.path.join(out, str(i))])
          for i, argv in enumerate(runs)]
 print(json.dumps({"codes": codes, "scipy": sorted(
@@ -1276,8 +1298,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # scipy's import is most of a cold start; simulate, case I verify, lie,
-    # the case II traveling wave's exact and the traveling and homogeneous
-    # reduce never call it
+    # the case II traveling wave's exact, the traveling and homogeneous
+    # reduce and case IV's exact and verify never call it
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
                         + "[verify]\nfamily = case1_homogeneous\n"
@@ -1289,7 +1311,7 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 10, "scipy": []}
 
 
 def test_every_exported_name_resolves():

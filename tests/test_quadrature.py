@@ -215,6 +215,33 @@ def test_ei_matches_scipy_wide_range():
         assert exp_integral_Ei(float(x)) == pytest.approx(float(expi(x)), rel=5e-13), x
 
 
+def _ulp_walk(x, toward, steps=4):
+    out = []
+    for _ in range(steps):
+        x = math.nextafter(x, toward)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("seam", [-1.0, 1.0, 40.0])
+def test_ei_at_its_branch_switches(seam):
+    # a few ulps either side of each switch between series, continued
+    # fraction and asymptotic series; just above 40 the 20-term asymptotic
+    # series leaves its truncation error, 2.8e-14 (the same bits as scipy's)
+    for x in [seam] + _ulp_walk(seam, math.inf) + _ulp_walk(seam, -math.inf):
+        want = ei_series_oracle(x)
+        bound = 4e-14 if x > 40.0 else 2e-14
+        assert abs(exp_integral_Ei(x) - want) <= bound * abs(want), x
+        if x < 0.0:
+            assert abs(exp_integral_Ei(x) + e1_lentz_oracle(-x)) <= 2e-14 * abs(want), x
+
+
+def test_ei_near_its_root_is_absolutely_accurate():
+    x0 = 0.37250741078136663
+    for x in x0 + np.linspace(-1e-3, 1e-3, 50):
+        assert abs(exp_integral_Ei(float(x)) - ei_series_oracle(float(x))) <= 1e-15, x
+
+
 def test_ei_small_x_limit():
     for x in (1e-3, 1e-5, 1e-8):
         assert exp_integral_Ei(x) - math.log(x) == pytest.approx(
