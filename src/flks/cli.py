@@ -302,10 +302,8 @@ def _case2(cfg, params, e):
 
 
 def _cellfree_front(cfg, params, e):
-    # constant decay is the lam = 0 member of the family
     return exact_solutions.case4_cellfree_front(
-        alpha=e.get("alpha", 1.1), tau=params.tau, kappa0=params.decay.kappa0,
-        lam=getattr(params.decay, "lam", 0.0), A=e.get("A", 1.0), B=e.get("B", 0.0),
+        e.get("alpha", 1.1), params.tau, params.decay, A=e.get("A", 1.0), B=e.get("B", 0.0)
     )
 
 
@@ -317,7 +315,7 @@ _FAMILIES = {
     "case2_travelling_tanh": (_case2, ("constant",)),
     "case3_homogeneous": (_case3, ("power_law",)),
     "case4_homogeneous": (_case4, ("exponential",)),
-    "case4_cellfree_front": (_cellfree_front, ("constant", "exponential")),
+    "case4_cellfree_front": (_cellfree_front, ()),
 }
 
 

@@ -13,6 +13,12 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 
+#: The most intervals a grid, a reduction or a run takes: each is at least one
+#: array entry, and often a CSV row, so a larger count is refused before
+#: anything is allocated.
+MAX_STEPS = 10**7
+
+
 class CaseTag(Enum):
     """Symmetry-classification case of a decay law."""
 
@@ -225,6 +231,8 @@ class Grid1D:
             raise ValidationError("grid needs x_lo < x_hi")
         if self.n < 8:
             raise ValidationError("grid needs at least 8 cells")
+        if self.n > MAX_STEPS:
+            raise ValidationError(f"grid has {self.n} cells, more than {MAX_STEPS}")
 
     @property
     def dx(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CaseTag, ConstantDecay, FieldPair, classify
+from .core import MAX_STEPS, CaseTag, ConstantDecay, FieldPair, classify
 from .errors import ComplexRoots, DomainError, OverflowGuard, ValidationError
 from .limiters import TanhLimiter
 from .quadrature import (
@@ -302,8 +302,8 @@ def case2_travelling_tanh(
         raise ValidationError("alpha must be nonzero")
     if not isinstance(params.decay, ConstantDecay):
         raise ValidationError("traveling tanh wave requires constant decay")
-    if n < 3:
-        raise ValidationError(f"traveling tanh wave needs n >= 3 intervals, got {n}")
+    if not 3 <= n <= MAX_STEPS:
+        raise ValidationError(f"traveling tanh wave needs 3 to {MAX_STEPS} intervals, got {n}")
     D, tau, kappa0 = params.D, params.tau, params.decay.kappa0
     r_plus, r_minus = travelling_roots(alpha, tau, kappa0)
     dr = r_plus - r_minus
@@ -404,60 +404,51 @@ def case2_travelling_tanh(
 
 
 # ---------------------------------------------------------------------------
-# cell-free fronts (case IV traveling reduction)
+# cell-free fronts
 # ---------------------------------------------------------------------------
 
-def cellfree_roots(alpha, tau, kappa0, lam):
-    """Roots of alpha^2 r^2 - tau r - (kappa0 - tau lam) = 0, (r1, r2): the
-    traveling roots at the effective decay kappa0 - tau lam.  Complex roots
-    (oscillatory fronts) are out of scope and raise ComplexRoots."""
-    return travelling_roots(alpha, tau, kappa0 - tau * lam)
+def case4_cellfree_front(alpha, tau, law, A=1.0, B=0.0):
+    """Cell-free front under any decay law:
 
+        u = 0,  v(x,t) = psi(t) (A e^(r1 y) + B e^(r2 y)),  y = t - alpha x,
+        psi(t) = exp(-(int_t0^t kappa - kappa0 (t - t0))/tau),
 
-def case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0):
-    """Cell-free exponential front:
-
-        u = 0,  v(x,t) = e^(-lam t) (A e^(r1 (t - alpha x)) + B e^(r2 ...)),
-        r_{1,2} = (tau +- sqrt(tau^2 + 4 alpha^2 (kappa0 - tau lam)))/(2 alpha^2).
-
-    Substituting shows the damped front satisfies the constant-coefficient
-    signal equation tau v_t = v_xx - kappa0 v exactly: each branch obeys
-    tau (r - lam) = alpha^2 r^2 - kappa0, which is the root equation.  The
-    e^(-lam t) modulation therefore trades the exponential decay law against
-    a constant effective decay kappa0; residual checks run against that
-    constant-coefficient equation.
+    with t0 = law.start, kappa0 = kappa(t0) and r1, r2 the traveling roots
+    at kappa0.  The bracket is the constant-rate front, which solves
+    tau v_t = v_xx - kappa0 v; psi is the kernel factor phi(t) =
+    exp(-int kappa/tau) of the generator phi d/dv, relative to its
+    constant-rate value, and carries the front to tau v_t = v_xx - kappa(t) v
+    exactly.  Under constant decay psi is 1.0 exactly; under any other law
+    the front is not a traveling wave.  A psi that overflows double
+    precision raises OverflowGuard.
     """
     if alpha == 0.0:
         raise ValidationError("alpha must be nonzero")
-    r1, r2 = cellfree_roots(alpha, tau, kappa0, lam)
+    t0 = law.start
+    kappa0 = float(law.kappa(t0))
+    r1, r2 = travelling_roots(alpha, tau, kappa0)
+    psi = _no_overflow(
+        lambda t: math.exp(-(law.cumulative(t0, t) - kappa0 * (t - t0)) / tau)
+    )
 
     def ev_v(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         yy = t - alpha * x
-        return np.exp(-lam * t) * (A * np.exp(r1 * yy) + B * np.exp(r2 * yy))
+        # the laws' cumulative integrals take scalar times
+        factor = np.vectorize(psi, otypes=[float])(t) if t.ndim else psi(float(t))
+        return factor * (A * np.exp(r1 * yy) + B * np.exp(r2 * yy))
 
     def ev_u(x, t):
         shape = np.broadcast_shapes(np.shape(x), np.shape(t))
         return np.zeros(shape) if shape else 0.0
 
     return ExactSolution(
-        case=CaseTag.IV_EXPONENTIAL,
+        case=classify(law)[0],
         eval_u=ev_u,
         eval_v=ev_v,
-        params={
-            "alpha": alpha,
-            "tau": tau,
-            "kappa0": kappa0,
-            "lam": lam,
-            "A": A,
-            "B": B,
-            "r1": r1,
-            "r2": r2,
-        },
-        assumptions=(
-            "cell-free (u = 0)",
-            "exact for the constant-coefficient signal equation "
-            "tau v_t = v_xx - kappa0 v",
-        ),
+        params={"alpha": alpha, "tau": tau, "t0": t0, "kappa0": kappa0, "A": A, "B": B,
+                "r1": r1, "r2": r2},
+        assumptions=("cell-free (u = 0)",
+                     "constant-rate front times the kernel factor psi(t)"),
     )

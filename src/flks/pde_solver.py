@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldPair, Grid1D
+from .core import MAX_STEPS, FieldPair, Grid1D
 from .errors import CFLViolation, InvalidState, StepSizeError, ValidationError
 
 
@@ -334,19 +334,23 @@ def run(initial, params, config):
     frame's min_u entry is the minimum of u over every step since the
     previous frame (the first entry: the initial state), so a negative
     density between frames is still reported.  A t_end before the initial
-    time raises ValidationError; a non-finite state raises InvalidState with
-    the failing time.  The metadata records the step dt.
+    time, or more than MAX_STEPS steps after it, raises ValidationError
+    before anything is allocated; a non-finite state raises InvalidState
+    with the failing time.  The metadata records the step dt.
     """
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
     if config.t_end < initial.t:
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
-    op = _Operator(params, config)
-    op.load(initial.u, initial.v)
-
     t = initial.t
     t_end = float(config.t_end)
     dt_max = stable_dt(params, config)
+    if (t_end - t) / dt_max > MAX_STEPS:
+        raise ValidationError(f"the run to t_end={t_end:g} takes more than {MAX_STEPS} steps "
+                              f"of dt={dt_max:.3g}")
+    op = _Operator(params, config)
+    op.load(initial.u, initial.v)
+
     if t < t_end - 1e-14 and not op.finite():
         raise InvalidState(f"non-finite state at t={t:g}")
     times, us, vs, mass, min_u = [], [], [], [], []

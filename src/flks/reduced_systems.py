@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConstantDecay, Grid1D, ModelParams, PowerLawDecay
+from .core import MAX_STEPS, ConstantDecay, Grid1D, ModelParams, PowerLawDecay
 from .errors import (
     BlowupDetected,
     NoConvergence,
@@ -200,11 +200,6 @@ def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
 # traveling waves
 # ---------------------------------------------------------------------------
 
-# the most even steps a reduction takes over its span; each node is a CSV row,
-# so a span/step ratio above it is refused rather than allocated
-MAX_STEPS = 10**7
-
-
 def step_count(span, h):
     """The n = max(1, round((s1 - s0)/h)) even steps that cover span = (s0, s1).
 
@@ -345,10 +340,11 @@ def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
         raise ValidationError(
             f"the self-similar half line starts at the symmetry point 0, got domain {problem.domain!r}"
         )
-    if not (xi_max > 0.0 and n >= 8):
+    if not (xi_max > 0.0 and 8 <= n <= MAX_STEPS):
         # the fourth-order stencils and the defects' interior need 9 nodes
         raise ValidationError(
-            f"the self-similar solve needs xi_max > 0 and n >= 8, got xi_max = {xi_max}, n = {n}"
+            f"the self-similar solve needs xi_max > 0 and 8 <= n <= {MAX_STEPS}, "
+            f"got xi_max = {xi_max}, n = {n}"
         )
     params = problem.params
     lim = params.limiter

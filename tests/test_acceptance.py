@@ -27,7 +27,6 @@ from flks.exact_solutions import (
     case3_homogeneous,
     case4_cellfree_front,
     case4_homogeneous,
-    cellfree_roots,
     travelling_roots,
 )
 from flks.lie_toolkit import (
@@ -167,22 +166,23 @@ def test_criterion_04_travelling_wave_consistency():
 def test_criterion_05_cellfree_fronts():
     t0 = time.perf_counter()
     rng = np.random.default_rng(17)
-    # residual at 1000 random points with analytic derivatives; the damped
-    # front satisfies the constant-coefficient signal equation
+    # residual of tau v_t - v_xx + kappa(t) v at 1000 random points with
+    # analytic derivatives: the constant-rate front times the kernel factor
+    # psi(t) = exp(-(int_0^t kappa - kappa0 t)/tau) solves the exponential-
+    # decay signal equation
     alpha, tau, kappa0, lam, A, B = 1.1, 0.1, 0.5, 0.2, 0.8, 0.3
-    front = case4_cellfree_front(alpha, tau, kappa0, lam, A=A, B=B)
+    law = ExponentialDecay(kappa0, lam)
+    front = case4_cellfree_front(alpha, tau, law, A=A, B=B)
     r1, r2 = front.params["r1"], front.params["r2"]
     xs = rng.uniform(-2.0, 2.0, 1000)
     ts = rng.uniform(0.0, 2.0, 1000)
     y = ts - alpha * xs
-    v = np.exp(-lam * ts) * (A * np.exp(r1 * y) + B * np.exp(r2 * y))
-    v_t = np.exp(-lam * ts) * (
-        A * (r1 - lam) * np.exp(r1 * y) + B * (r2 - lam) * np.exp(r2 * y)
-    )
-    v_xx = np.exp(-lam * ts) * (
-        A * (alpha * r1) ** 2 * np.exp(r1 * y) + B * (alpha * r2) ** 2 * np.exp(r2 * y)
-    )
-    res = tau * v_t - v_xx + kappa0 * v
+    kap = kappa0 * np.exp(lam * ts)
+    psi = np.exp(-(kappa0 * np.expm1(lam * ts) / lam - kappa0 * ts) / tau)
+    v = psi * (A * np.exp(r1 * y) + B * np.exp(r2 * y))
+    v_t = psi * (A * r1 * np.exp(r1 * y) + B * r2 * np.exp(r2 * y)) - (kap - kappa0) / tau * v
+    v_xx = psi * (A * (alpha * r1) ** 2 * np.exp(r1 * y) + B * (alpha * r2) ** 2 * np.exp(r2 * y))
+    res = tau * v_t - v_xx + kap * v
     assert np.max(np.abs(res)) < 1e-8
     assert np.max(np.abs(v - np.asarray(front.eval_v(xs, ts)))) < 1e-12
     # root formula against the polynomial oracle, 20 random admissible draws
@@ -194,7 +194,7 @@ def test_criterion_05_cellfree_fronts():
         l_ = rng.uniform(-1.0, 1.0)
         if t_ * t_ + 4 * a_ * a_ * (k_ - t_ * l_) < 0.0:
             continue
-        rr1, rr2 = cellfree_roots(a_, t_, k_, l_)
+        rr1, rr2 = travelling_roots(a_, t_, k_ - t_ * l_)
         pol = np.sort(np.roots([a_ * a_, -t_, -(k_ - t_ * l_)]))
         assert abs(rr2 - float(pol[0])) < 1e-12
         assert abs(rr1 - float(pol[1])) < 1e-12

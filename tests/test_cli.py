@@ -486,8 +486,8 @@ def _sweep(target, values, command="simulate"):
                      id="exact-unknown-family"),
         pytest.param("exact", CONSTANT, "[exact]\nfamily = case2_travelling_tanh\n",
                      ["grid.n=0"], 2, id="exact-travelling-wave-invalid-grid"),
-        pytest.param("verify", POWER_LAW, "[verify]\nfamily = case4_cellfree_front\n", [], 2,
-                     id="verify-cellfree-power-law"),
+        pytest.param("verify", POWER_LAW, "[verify]\nfamily = case2_travelling_tanh\n", [], 2,
+                     id="verify-travelling-wave-power-law"),
         pytest.param("verify", CONSTANT, "[verify]\nfamily = case2_travelling_tanh\n", [], 0,
                      id="verify-travelling-wave"),
         pytest.param("reduce", EXPONENTIAL, "[reduce]\nkind = travelling_wave\n", [], 2,
@@ -528,8 +528,7 @@ def _sweep(target, values, command="simulate"):
 def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
     # a config error exits 2 with a one-line message, never a traceback; a
     # family or reduction under a decay law that does not admit it is one.
-    # The cell-free front under constant decay is its family's lam = 0 member,
-    # a sweep may target a section the config leaves out, and a run starts
+    # The cell-free front runs under any decay law, a sweep may target a section the config leaves out, and a run starts
     # where its decay law does (t = 1 under power law, the first knot of a
     # table).  A closed form that overflows double precision is a numerical
     # failure with its one diagnostic line.
@@ -563,11 +562,9 @@ def test_exact_cellfree_front_constant_decay_is_lam_zero(tmp_path):
 
 DECAY_TEXT = {"constant": CONSTANT, "power_law": POWER_LAW, "exponential": EXPONENTIAL,
               "tabulated": "kind = tabulated\ntimes = 0.0,2.0\nvalues = 0.5,0.7"}
-# the two measured mismatches with the configured system: the case II wave
-# solves the PDE with F -> -F, and the damped cell-free front solves
-# tau v_t = v_xx - kappa0 v, not the exponential-decay equation
-MISMATCH = {("constant", "case2_travelling_tanh"): 0.3,
-            ("exponential", "case4_cellfree_front"): 0.5}
+# the measured mismatch with the configured system: the case II wave solves
+# the PDE with F -> -F
+MISMATCH = {("constant", "case2_travelling_tanh"): 0.3}
 
 
 @pytest.mark.parametrize(
@@ -1154,8 +1151,8 @@ FUZZ_CONFIGS = {
     "verify": {**FUZZ_BASE, "verify": {"family": "case1_homogeneous", "t_samples": "0.5"}},
     "lie": FUZZ_BASE,
 }
-# the findings' base configs: the fuzzed ones, the traveling and self-similar
-# reductions and the traveling wave
+# the findings' base configs: the fuzzed ones, the traveling, self-similar
+# and steady reductions and the traveling wave
 FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "reduce travelling_wave": {
         **FUZZ_BASE, "reduce": {"kind": "travelling_wave", "y_hi": "0.01", "h": "0.001"}},
@@ -1164,6 +1161,7 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
         "decay": {"kind": "power_law", "mu": "0.5"}, "reduce": {"kind": "self_similar"}},
     "exact case2_travelling_tanh": {
         **FUZZ_BASE, "exact": {"family": "case2_travelling_tanh", "t_samples": "0.5"}},
+    "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
 })
 # every schema key of the command's sections, one unknown key and one unknown
 # section
@@ -1231,7 +1229,12 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("reduce self_similar", "reduce", "n", "6", 2), ("reduce self_similar", "reduce", "n", "7", 2),
      ("reduce self_similar", "reduce", "n", "8", 0),
      ("exact case2_travelling_tanh", "exact", "n", "0", 2),
-     ("exact case2_travelling_tanh", "exact", "n", "2", 2)],
+     ("exact case2_travelling_tanh", "exact", "n", "2", 2),
+     ("exact", "grid", "n", "1000000000000", 2),
+     ("reduce steady_state", "reduce", "n", "1000000000000", 2),
+     ("reduce self_similar", "reduce", "n", "1000000000000", 2),
+     ("exact case2_travelling_tanh", "exact", "n", "1000000000000", 2),
+     ("simulate", "solver", "t_end", "1e300", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1244,7 +1247,9 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # ending at or before y_lo = 0 was marched backwards and exited 0; a
     # self-similar half-line of length 0 or fewer than 8 intervals ended in a
     # traceback and a reversed one exited 0, and a traveling wave on fewer
-    # than 3 intervals ended in a traceback or exited 3
+    # than 3 intervals ended in a traceback or exited 3.  A size of 1e12 no
+    # machine can allocate ended in numpy's MemoryError, and a run to
+    # t_end = 1e300 never ended: each is refused before any allocation
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
@@ -1289,6 +1294,11 @@ runs = [[command] for command in ("simulate", "verify", "lie", "exact")] + [
 runs += [[command, "--override", "decay.kind=exponential", "--override", "decay.lambda=" + lam,
           "--override", command + ".family=case4_homogeneous"]
          for command in ("exact", "verify") for lam in ("0.2", "-0.2")]
+# the cell-free front's kernel factor under the power law and a table
+runs += [["exact", "--override", "exact.family=case4_cellfree_front"] + decay
+         for decay in (["--override", "decay.kind=power_law", "--override", "decay.mu=0.5"],
+                       ["--override", "decay.kind=tabulated", "--override", "decay.times=0,3",
+                        "--override", "decay.values=0.5,0.7"])]
 codes = [cli.main(argv + ["--config", config, "--out", os.path.join(out, str(i))])
          for i, argv in enumerate(runs)]
 print(json.dumps({"codes": codes, "scipy": sorted(
@@ -1299,7 +1309,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # scipy's import is most of a cold start; simulate, case I verify, lie,
     # the case II traveling wave's exact, the traveling and homogeneous
-    # reduce and case IV's exact and verify never call it
+    # reduce, case IV's exact and verify and the cell-free front's exact
+    # never call it
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
                         + "[verify]\nfamily = case1_homogeneous\n"
@@ -1311,7 +1322,7 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 10, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 12, "scipy": []}
 
 
 def test_every_exported_name_resolves():

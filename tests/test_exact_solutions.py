@@ -18,7 +18,6 @@ from flks.exact_solutions import (
     case3_homogeneous,
     case4_cellfree_front,
     case4_homogeneous,
-    cellfree_roots,
     travelling_roots,
 )
 from flks.limiters import TanhLimiter, WeberFechnerLogLimiter
@@ -287,28 +286,10 @@ def test_case2_eval_maps_y_to_xt(fig_params):
 # cell-free fronts
 # ---------------------------------------------------------------------------
 
-def test_cellfree_roots_against_oracle():
-    rng = np.random.default_rng(42)
-    checked = 0
-    while checked < 20:
-        alpha = rng.uniform(0.3, 2.0)
-        tau = rng.uniform(0.05, 1.0)
-        kappa0 = rng.uniform(0.05, 1.5)
-        lam = rng.uniform(-1.0, 1.0)
-        disc = tau * tau + 4 * alpha * alpha * (kappa0 - tau * lam)
-        if disc < 0.0:
-            continue
-        r1, r2 = cellfree_roots(alpha, tau, kappa0, lam)
-        oracle = np.sort(np.roots([alpha * alpha, -tau, -(kappa0 - tau * lam)]))
-        assert r2 == pytest.approx(float(oracle[0]), abs=1e-12)
-        assert r1 == pytest.approx(float(oracle[1]), abs=1e-12)
-        checked += 1
-
-
 def test_cellfree_front_lambda_zero_is_case2_front():
     alpha, tau, kappa0 = 1.1, 0.1, 0.5
-    sol = case4_cellfree_front(alpha, tau, kappa0, lam=0.0, A=1.0, B=0.0)
-    r1, _ = cellfree_roots(alpha, tau, kappa0, 0.0)
+    sol = case4_cellfree_front(alpha, tau, ConstantDecay(kappa0), A=1.0, B=0.0)
+    r1 = sol.params["r1"]
     rp, _ = travelling_roots(alpha, tau, kappa0)
     assert r1 == pytest.approx(rp, rel=1e-15)
     x, t = 0.3, 0.7
@@ -317,37 +298,45 @@ def test_cellfree_front_lambda_zero_is_case2_front():
 
 
 def test_cellfree_discriminant_collapse():
-    # kappa0 = tau lam: r1 = tau/alpha^2, r2 = 0, B branch is pure e^(-lam t)
-    alpha, tau, lam = 1.3, 0.2, 0.5
-    kappa0 = tau * lam
-    r1, r2 = cellfree_roots(alpha, tau, kappa0, lam)
-    assert r1 == pytest.approx(tau / alpha**2, rel=1e-14)
-    assert r2 == 0.0
-    sol = case4_cellfree_front(alpha, tau, kappa0, lam, A=0.0, B=2.0)
+    # kappa(t0) = 0: r1 = tau/alpha^2, r2 = 0, and the B branch is B phi(t),
+    # phi = exp(-int_0^t kappa/tau) = exp(-t^2/(4 tau)) for kappa = t/2
+    alpha, tau = 1.3, 0.2
+    sol = case4_cellfree_front(alpha, tau, TabulatedDecay((0.0, 4.0), (0.0, 2.0)), A=0.0, B=2.0)
+    assert sol.params["r1"] == pytest.approx(tau / alpha**2, rel=1e-14)
+    assert sol.params["r2"] == 0.0
     for x, t in ((0.0, 1.0), (2.0, 3.0)):
-        assert sol.eval_v(x, t) == pytest.approx(2.0 * math.exp(-lam * t), rel=1e-14)
+        assert sol.eval_v(x, t) == pytest.approx(2.0 * math.exp(-t * t / (4.0 * tau)), rel=1e-14)
 
 
 def test_cellfree_front_residual_analytic():
-    # residual of tau v_t - v_xx + kappa0 v at 1000 random points, computed
-    # with analytic derivatives of the closed form
+    # residual of tau v_t - v_xx + kappa(t) v at 1000 random points under
+    # the power law and a tabulated law, computed with analytic derivatives
+    # of each branch psi(t) e^(r y): v_t = (r - (kappa - kappa0)/tau) v and
+    # v_xx = (alpha r)^2 v
     rng = np.random.default_rng(3)
-    alpha, tau, kappa0, lam, A, B = 1.1, 0.1, 0.5, 0.2, 0.7, 0.4
-    r1, r2 = cellfree_roots(alpha, tau, kappa0, lam)
-    xs = rng.uniform(-2.0, 2.0, 1000)
-    ts = rng.uniform(0.0, 2.0, 1000)
-    for branch_amp, r in ((A, r1), (B, r2)):
+    alpha, tau, A, B = 1.1, 0.1, 0.7, 0.4
+    for law in (PowerLawDecay(0.5), TabulatedDecay((0.0, 1.0, 3.0), (0.5, 0.9, 0.2))):
+        sol = case4_cellfree_front(alpha, tau, law, A=A, B=B)
+        t0, kappa0 = law.start, sol.params["kappa0"]
+        xs = rng.uniform(-2.0, 2.0, 1000)
+        ts = rng.uniform(t0, t0 + 2.0, 1000)
+        kap = law.kappa(ts)
+        psi = np.array([math.exp(-(law.cumulative(t0, t) - kappa0 * (t - t0)) / tau) for t in ts])
         y = ts - alpha * xs
-        v = branch_amp * np.exp(-lam * ts + r * y)
-        v_t = (r - lam) * v
-        v_xx = (alpha * r) ** 2 * v
-        res = tau * v_t - v_xx + kappa0 * v
-        assert np.max(np.abs(res)) < 1e-9 * max(1.0, np.max(np.abs(v)))
+        total = np.zeros_like(xs)
+        for branch_amp, r in ((A, sol.params["r1"]), (B, sol.params["r2"])):
+            v = branch_amp * psi * np.exp(r * y)
+            v_t = (r - (kap - kappa0) / tau) * v
+            v_xx = (alpha * r) ** 2 * v
+            res = tau * v_t - v_xx + kap * v
+            assert np.max(np.abs(res)) < 1e-9 * max(1.0, np.max(np.abs(v)))
+            total += v
+        np.testing.assert_allclose(sol.eval_v(xs, ts), total, rtol=1e-13)
 
 
 def test_cellfree_complex_roots_error():
     with pytest.raises(ComplexRoots):
-        case4_cellfree_front(alpha=1.0, tau=0.1, kappa0=-1.0, lam=0.0)
+        case4_cellfree_front(alpha=1.0, tau=0.1, law=ConstantDecay(-1.0))
 
 
 def test_case2_nonzero_c1_single_pass(fig_params):

@@ -36,6 +36,15 @@ def make_params(decay=None, tau=0.1, D=0.8):
     )
 
 
+# one law of each kind, every one defined on [start, start + 2]
+DECAY_LAWS = (
+    ConstantDecay(0.5),
+    PowerLawDecay(0.2),
+    ExponentialDecay(0.5, 0.2),
+    TabulatedDecay((0.0, 2.0, 4.0, 6.0), (0.5, 0.65, 0.8, 1.0)),
+)
+
+
 def test_uniform_steady_state_is_fixed_point():
     # u = c, v = c/kappa0 zeroes every term; state unchanged to round-off
     p = make_params()
@@ -215,7 +224,7 @@ def test_cellfree_front_tracking():
     # u = 0 band with the analytic front as v; exponential decay law with
     # lam = 0 keeps the front exact while exercising the case-IV plumbing
     alpha, tau, kappa0 = 1.1, 1.0, 0.5
-    front = case4_cellfree_front(alpha, tau, kappa0, lam=0.0, A=1.0, B=0.0)
+    front = case4_cellfree_front(alpha, tau, ExponentialDecay(kappa0, 0.0), A=1.0, B=0.0)
     r1 = front.params["r1"]
     p = ModelParams(
         D=0.8, tau=tau, limiter=TanhLimiter(1.1, 1.4), decay=ExponentialDecay(kappa0, 0.0)
@@ -234,24 +243,49 @@ def test_cellfree_front_tracking():
     assert np.max(np.abs(traj.vs[-1][inner] - v_ref[inner])) < 1e-4
 
 
-def test_cellfree_front_nonzero_lambda_vs_constant_kappa_run():
-    # the damped front solves the constant-coefficient signal equation, so a
-    # constant-decay solver run must track it for lam != 0 as well
-    alpha, tau, kappa0, lam = 1.1, 1.0, 0.5, 0.4
-    front = case4_cellfree_front(alpha, tau, kappa0, lam=lam, A=1.0, B=0.0)
-    r1 = front.params["r1"]
-    p = make_params(decay=ConstantDecay(kappa0), tau=tau)
+def test_cellfree_front_run_tracks_it_under_each_decay_law():
+    # the front solves the signal equation under its own decay law, so a run
+    # under that law from the front at t0 must track it to t0 + 0.3
+    alpha, tau = 1.1, 1.0
     grid = Grid1D(-8.0, 8.0, 1024)
     x = grid.nodes()
-    scale = math.exp(-r1 * (0.0 - alpha * (-8.0)))
-    cfg = SolverConfig(grid=grid, t_end=0.3, output_stride=10**9)
-    traj = run(
-        FieldPair(np.zeros_like(x), scale * np.asarray(front.eval_v(x, 0.0)), 0.0), p, cfg
-    )
-    t = traj.times[-1]
-    v_ref = scale * np.asarray(front.eval_v(x, t))
     inner = (x > -5.0) & (x < 5.0)
-    assert np.max(np.abs(traj.vs[-1][inner] - v_ref[inner])) < 1e-4
+    for law in DECAY_LAWS:
+        front = case4_cellfree_front(alpha, tau, law, A=1.0, B=0.0)
+        t0 = law.start
+        scale = math.exp(-front.params["r1"] * (t0 - alpha * (-8.0)))
+        cfg = SolverConfig(grid=grid, t_end=t0 + 0.3, output_stride=10**9)
+        v0 = scale * np.asarray(front.eval_v(x, t0))
+        traj = run(FieldPair(np.zeros_like(x), v0, t0), make_params(decay=law, tau=tau), cfg)
+        v_ref = scale * np.asarray(front.eval_v(x, traj.times[-1]))
+        assert np.max(np.abs(traj.vs[-1][inner] - v_ref[inner])) < 1e-4, law
+
+
+@pytest.mark.parametrize(
+    "law, bc",
+    [(law, "neumann") for law in DECAY_LAWS] + [(DECAY_LAWS[2], "periodic")],
+    ids=["constant", "power_law", "exponential", "tabulated", "exponential-periodic"],
+)
+def test_kernel_generator_shifts_v_by_phi(law, bc):
+    # phi(t) d/dv with tau phi' = -kappa(t) phi is a symmetry for every decay
+    # law and limiter: the u-equation sees only v_x and the v-equation is
+    # linear.  So marching (u0, v0 + 1) leaves u as it is and shifts v by a
+    # uniform phi(t) = exp(-int_t0^t kappa / tau); what remains of the
+    # shift's gap to phi is the time error of the uniform mode's decay
+    p = make_params(decay=law)
+    grid = Grid1D(-4.0, 4.0, 256)
+    x = grid.nodes()
+    t0 = law.start
+    cfg = SolverConfig(grid=grid, t_end=t0 + 2.0, bc=bc, output_stride=10**9)
+    u0 = 1.0 + np.exp(-((x - 0.2) ** 2) / 0.72)
+    base, shifted = (run(FieldPair(u0, v0, t0), p, cfg) for v0 in (np.zeros_like(x), np.ones_like(x)))
+    assert shifted.steps_taken == 352
+    du = shifted.us[-1] - base.us[-1]
+    dv = shifted.vs[-1] - base.vs[-1]
+    phi = math.exp(-law.cumulative(t0, t0 + 2.0) / p.tau)
+    assert np.max(np.abs(du)) <= 1e-13
+    assert np.ptp(dv) <= 5e-14
+    assert abs(np.mean(dv) / phi - 1.0) <= 1e-3
 
 
 def test_trajectory_frames_and_mass_helper():

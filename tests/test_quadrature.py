@@ -37,8 +37,10 @@ _GAMMA = Decimal("0.577215664901532860606512090082402431042159335939923598805767
 
 
 def ei_series_oracle(x):
-    """High-precision decimal evaluation of gamma + ln|x| + sum x^k/(k k!)."""
-    xd = Decimal(repr(float(x)))
+    """High-precision decimal evaluation of gamma + ln|x| + sum x^k/(k k!)
+    at the exact binary value of x (its shortest repr is off by up to half
+    an ulp, which moves Ei by about that much relative for large x)."""
+    xd = Decimal(float(x))
     s = _GAMMA + abs(xd).ln()
     term = Decimal(1)
     k = 0
@@ -226,14 +228,20 @@ def _ulp_walk(x, toward, steps=4):
 @pytest.mark.parametrize("seam", [-1.0, 1.0, 40.0])
 def test_ei_at_its_branch_switches(seam):
     # a few ulps either side of each switch between series, continued
-    # fraction and asymptotic series; just above 40 the 20-term asymptotic
-    # series leaves its truncation error, 2.8e-14 (the same bits as scipy's)
+    # fraction and asymptotic series
     for x in [seam] + _ulp_walk(seam, math.inf) + _ulp_walk(seam, -math.inf):
         want = ei_series_oracle(x)
-        bound = 4e-14 if x > 40.0 else 2e-14
-        assert abs(exp_integral_Ei(x) - want) <= bound * abs(want), x
+        assert abs(exp_integral_Ei(x) - want) <= 2e-14 * abs(want), x
         if x < 0.0:
             assert abs(exp_integral_Ei(x) + e1_lentz_oracle(-x)) <= 2e-14 * abs(want), x
+
+
+def test_ei_just_above_its_asymptotic_switch():
+    # summed to its smallest term, the asymptotic series is as accurate on
+    # (40, 45] as the power series below 40 (20 terms left 2.8e-14 there)
+    for x in np.random.default_rng(9).uniform(40.0, 45.0, 200):
+        want = ei_series_oracle(float(x))
+        assert abs(exp_integral_Ei(float(x)) - want) <= 4e-15 * abs(want), x
 
 
 def test_ei_near_its_root_is_absolutely_accurate():

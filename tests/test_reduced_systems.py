@@ -502,10 +502,10 @@ def test_travelling_cellfree_matches_exponential_fit():
 
 
 def test_travelling_cellfree_matches_front_solution():
-    # lam = 0 front specialization against the marched reduction
+    # the constant-decay front against the marched reduction
     p = make_params(tau=0.1)
     alpha, kappa0 = 1.1, 0.5
-    front = case4_cellfree_front(alpha, p.tau, kappa0, lam=0.0, A=1.0, B=0.0)
+    front = case4_cellfree_front(alpha, p.tau, ConstantDecay(kappa0), A=1.0, B=0.0)
     r1 = front.params["r1"]
     prob = ReducedProblem(
         "travelling_wave",

@@ -70,11 +70,11 @@ def test_non_finite_residual_raises_naming_its_point():
 
 
 def test_residual_cellfree_front():
-    # the damped front solves the constant-coefficient equation exactly;
+    # the front solves the signal equation under its own decay law exactly;
     # the 4th-order stencil error is all that remains
-    alpha, tau, kappa0, lam = 1.1, 0.1, 0.5, 0.2
-    front = case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0)
-    p = make_params(decay=ConstantDecay(kappa0), tau=tau)
+    law = ExponentialDecay(0.5, 0.2)
+    front = case4_cellfree_front(1.1, 0.1, law, A=1.0, B=0.0)
+    p = make_params(decay=law, tau=0.1)
     grid = Grid1D(-2.0, 2.0, 400)  # dx = 1e-2
     rep = pde_residual(front, p, grid, t_samples=(0.2, 0.5), ht=2e-4)
     assert rep.sup_norm < 1e-8
@@ -235,7 +235,7 @@ def test_invariance_rejects_x3():
 def test_invariance_mixed_translation_keeps_the_front():
     # X1 + alpha X2, the traveling reduction's generator, fixes y = t - alpha x:
     # its flow is read off the field, which has no catalog name
-    front = case4_cellfree_front(1.1, 0.1, 0.5, 0.0)
+    front = case4_cellfree_front(1.1, 0.1, ConstantDecay(0.5))
     p = make_params(decay=ConstantDecay(0.5), tau=0.1)
     field = x1() + x2().scaled(Fraction(11, 10))
     rep = group_invariance_check(
@@ -268,9 +268,9 @@ def test_invariance_x4_rescales_v_at_the_fields_own_rate():
 def test_residual_refinement_order_on_front():
     # an exact non-uniform family: the measured residual is pure stencil
     # truncation and must fall at least second order as dx shrinks
-    alpha, tau, kappa0, lam = 1.1, 0.1, 0.5, 0.2
-    front = case4_cellfree_front(alpha, tau, kappa0, lam, A=1.0, B=0.0)
-    p = make_params(decay=ConstantDecay(kappa0), tau=tau)
+    law = ExponentialDecay(0.5, 0.2)
+    front = case4_cellfree_front(1.1, 0.1, law, A=1.0, B=0.0)
+    p = make_params(decay=law, tau=0.1)
     pairs = []
     for n in (50, 100, 200):
         grid = Grid1D(-2.0, 2.0, n)
