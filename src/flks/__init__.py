@@ -6,6 +6,7 @@ Library layout:
 - ``limiters``: flux-limiter catalog F(s) = f(s)*s
 - ``quadrature``: adaptive integration, the integrating factor of exactly
   integrated decay laws, Ei, the Picard fixed-point engine
+- ``banded``: banded linear solves in numpy (cyclic reduction by QR)
 - ``exact_solutions``: closed-form / quadrature solution families
 - ``reduced_systems``: direct numerical integration of the reduced systems
 - ``pde_solver``: method-of-lines solver for the full system

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import exact_solutions, lie_toolkit, pde_solver, reduced_systems, verify
 from .core import (
+    MAX_STEPS,
     CaseTag,
     ConstantDecay,
     ExponentialDecay,
@@ -883,6 +884,9 @@ def cmd_exact(cfg, outdir):
     if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
         # the CSV body and its plot script are one frame per sample time
         raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
+    if len(ts) * (grid.n + 1) > MAX_STEPS:
+        raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
+                              f"{MAX_STEPS} values")
     x = grid.nodes()
     us, vs = [], []
     for t in ts:

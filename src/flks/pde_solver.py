@@ -334,9 +334,10 @@ def run(initial, params, config):
     frame's min_u entry is the minimum of u over every step since the
     previous frame (the first entry: the initial state), so a negative
     density between frames is still reported.  A t_end before the initial
-    time, or more than MAX_STEPS steps after it, raises ValidationError
-    before anything is allocated; a non-finite state raises InvalidState
-    with the failing time.  The metadata records the step dt.
+    time, more than MAX_STEPS steps after it, or more than MAX_STEPS
+    recorded values (frames times nodes) raises ValidationError before
+    anything is allocated; a non-finite state raises InvalidState with the
+    failing time.  The metadata records the step dt.
     """
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
@@ -345,9 +346,14 @@ def run(initial, params, config):
     t = initial.t
     t_end = float(config.t_end)
     dt_max = stable_dt(params, config)
-    if (t_end - t) / dt_max > MAX_STEPS:
+    needed = (t_end - t) / dt_max
+    if not needed <= MAX_STEPS:  # NaN included
         raise ValidationError(f"the run to t_end={t_end:g} takes more than {MAX_STEPS} steps "
                               f"of dt={dt_max:.3g}")
+    frames = 1 + math.ceil(math.ceil(needed) / config.output_stride)
+    if frames * (config.grid.n + 1) > MAX_STEPS:
+        raise ValidationError(f"the run to t_end={t_end:g} records {frames} frames of "
+                              f"{config.grid.n + 1} nodes, more than {MAX_STEPS} values")
     op = _Operator(params, config)
     op.load(initial.u, initial.v)
 

@@ -6,7 +6,7 @@ exponential integral Ei (evaluated here, so case IV needs no scipy), the
 Anderson-mixed fixed-point engine, and
 fourth-order uniform-grid helpers (cumulative integrals, the linear first
 integral, exponential-kernel convolutions, and derivatives from one stencil
-table, applied to arrays or assembled as sparse matrices) used by the
+table, applied to arrays or assembled as band rows) used by the
 solution constructors, the reduced solvers and the residual checks.
 """
 
@@ -435,29 +435,21 @@ def d2_uniform(f, h):
 
 
 def difference_matrix(order, n, h):
-    """The n x n CSR matrix of the fourth-order derivative of the given order
-    (1 or 2) on n uniform nodes of step h: the rows of d1_uniform and
-    d2_uniform, with entries numerator / (12 h^order) (12 h h for order 2)."""
-    import scipy.sparse as sp
-
+    """The fourth-order derivative of the given order (1 or 2) on n uniform
+    nodes of step h as band rows (see ``banded``): the rows of d1_uniform
+    and d2_uniform, with entries numerator / (12 h^order) (12 h h for order
+    2) on the offsets -K..K, K = 4 for order 1 and 5 for order 2."""
     mid, edge, near = _STENCILS[order]
     sign = -1 if order == 1 else 1
     scale = 12.0 * h if order == 1 else 12.0 * h * h
-    inner = np.arange(2, n - 2)
-    rows = [np.repeat(inner, 5)]
-    cols = [(inner[:, None] + np.arange(-2, 3)).ravel()]
-    vals = [np.tile(np.asarray(mid, dtype=float) / scale, inner.size)]
+    K = len(edge) - 1
+    rows = np.zeros((n, 2 * K + 1))
+    rows[2 : n - 2, K - 2 : K + 3] = np.asarray(mid, dtype=float) / scale
     for i, row in ((0, edge), (1, near)):
-        k = np.arange(len(row))
         c = np.asarray(row, dtype=float) / scale
-        rows += [np.full(k.size, i), np.full(k.size, n - 1 - i)]
-        cols += [k, n - 1 - k]
-        vals += [c, sign * c]
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    A.eliminate_zeros()
-    return A
+        rows[i, K - i : K - i + c.size] = c
+        rows[n - 1 - i, K + i - c.size + 1 : K + i + 1] = sign * c[::-1]
+    return rows
 
 
 def _poly_exp_moments(z, kmax=3, terms=30):

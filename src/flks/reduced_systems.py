@@ -3,8 +3,9 @@
 These solvers use methods independent of the closed-form constructors in
 exact_solutions: an RK4 march for the traveling reduction, a damped Newton
 iteration on the PDE solver's own operator for steady states, and a Picard
-loop around a sparse fourth-order boundary-value solve for the
-self-similar profiles.  The equations are stated once: the traveling march
+loop around a fourth-order boundary-value solve for the self-similar
+profiles.  Both linear systems are banded and solved in numpy by
+``banded.band_solver``.  The equations are stated once: the traveling march
 and the case II closure both read exact_solutions.travelling_drift.
 """
 
@@ -13,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .banded import band_matvec, band_solver
 from .core import MAX_STEPS, ConstantDecay, Grid1D, ModelParams, PowerLawDecay
 from .errors import (
     BlowupDetected,
+    DomainError,
     NoConvergence,
     StepSizeError,
     ValidationError,
@@ -91,20 +94,20 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     ``simulate`` started from it does not move.  The residual is its rows
     (u_t, tau v_t) at t = 0 (the decay is constant); the cell mass is a free
     direction of the u-equation, and row 0 pins the trapezoid mass of the
-    initial guess.  The Jacobian is a sparse forward difference coloured by
-    the five-point stencil (ten residual calls per Newton step at any n, see
-    ``_fd_jacobian``) and each step is one sparse LU solve; a halving line
-    search keeps the defect monotone.  The solve stops when the defect is
+    initial guess.  The Jacobian is a forward difference coloured by the
+    five-point stencil (ten residual calls per Newton step at any n, see
+    ``_fd_jacobian``), banded node by node with the rest of the mass row as
+    a border, and each step is one ``banded.band_solver`` solve; a halving
+    line search keeps the defect monotone.  The solve stops when the defect is
     below ``tol`` or below the rows' round-off floor, eps times the largest
     row sum of |J_ij z_j|; the rows scale like 1/dx^2, so on fine grids
     (n >= 1024 on [0, 4]) the floor is the larger.  ``iterations``, in the
     result and in ``NoConvergence``, counts the Newton steps taken, at most
-    ``max_iter``; a step whose line search fails ends the solve and counts.
-    Only ``bc = "neumann"`` is accepted: periodic node n is node 0, which
-    would make the Jacobian singular.
+    ``max_iter``; a step whose line search fails, or whose Jacobian the
+    banded solve refuses as singular, ends the solve and counts as not
+    converged.  Only ``bc = "neumann"`` is accepted: periodic node n is node
+    0, which would make the Jacobian singular.
     """
-    import scipy.sparse.linalg as spla
-
     bc = problem.data.get("bc", "neumann")
     if bc != "neumann":
         raise ValidationError(f"steady states need bc 'neumann', got {bc!r}")
@@ -136,13 +139,19 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
         history.append(defect)
         if defect < accept or steps == max_iter:
             break
-        J = _fd_jacobian(residual, z, R, w)
+        rows, border = _fd_jacobian(residual, z, R, w)
         # the round-off floor of the rows: one eps of each row's absolute
         # terms |J_ij z_j|, which grow like 1/dx^2
-        accept = max(tol, np.finfo(float).eps * float(np.max(abs(J) @ np.abs(z))))
+        za = np.abs(_by_node(z))
+        floor = band_matvec(np.abs(rows), 4, za)
+        floor[0] += np.abs(border) @ za
+        accept = max(tol, np.finfo(float).eps * float(np.max(floor)))
         if defect < accept:
             break
-        delta = spla.spsolve(J, -R)
+        try:
+            delta = band_solver(rows, 4, border)(-_by_node(R)).reshape(n + 1, 2).T.ravel()
+        except DomainError:  # a singular Jacobian: NoConvergence below
+            break
         steps += 1
         lam = 1.0
         while lam > 1e-4:
@@ -159,41 +168,46 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, steps)
 
 
+def _by_node(z):
+    """The stacked (u, v) vector in the node-by-node order u_0, v_0, u_1, ..."""
+    return z.reshape(2, -1).T.ravel()
+
+
 def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
-    """Sparse forward-difference Jacobian of the stacked (u, v) residual.
+    """Forward-difference Jacobian of the stacked (u, v) residual, as band
+    rows in the node-by-node order of ``_by_node`` plus a border row.
 
     Row i of either block reads only nodes i-2..i+2 of u and v (the Fromm
     face reconstruction), so columns five apart never share a row: every
     fifth u column is perturbed in one residual call, then every fifth v
     column, ten calls in all (Curtis, Powell & Reid, J. Inst. Math. Appl. 13,
-    1974).  ``mass_row`` holds the trapezoid weights of the linear mass row
-    (row 0), which is filled exactly instead of differenced.  Returns a CSC
-    matrix.
+    1974).  Node by node, the u-row of node i reads u_(i-2..i+2) and
+    v_(i-1..i+1) and the v-row u_i and v_(i-1..i+1), so every entry lies
+    within 4 places of the diagonal.  ``mass_row`` holds the trapezoid
+    weights of the linear mass row (row 0), which is filled exactly instead
+    of differenced: its u_0..u_2 entries in the band, the rest as the
+    border.  Returns (rows, border) for ``band_solver(rows, 4, border)``.
     """
-    import scipy.sparse as sp
-
     N = z.size // 2
     scale = eps * max(1.0, float(np.max(np.abs(z))))
     i = np.arange(N)
-    rows, cols, vals = [], [], []
-    for block in (0, N):
+    rows = np.zeros((2 * N, 9))
+    for block in (0, 1):
         for colour in range(5):
             zp = z.copy()
-            zp[block + colour : block + N : 5] += scale
-            dR = (residual(zp) - R0) / scale
+            zp[block * N + colour : (block + 1) * N : 5] += scale
+            dR = ((residual(zp) - R0) / scale).reshape(2, N)
             # row i's one perturbed column among i-2..i+2
             j = i + (colour - i + 2) % 5 - 2
-            ok = (j >= 0) & (j < N)
-            for rblock in (0, N):
-                rows.append(rblock + i[ok])
-                cols.append(block + j[ok])
-                vals.append(dR[rblock + i[ok]])
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    keep = rows != 0
-    rows = np.concatenate([rows[keep], np.zeros(N, dtype=rows.dtype)])
-    cols = np.concatenate([cols[keep], i])
-    vals = np.concatenate([vals[keep], mass_row])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
+            for rblock in (0, 1):
+                k = 4 + 2 * (j - i) + block - rblock
+                ok = (j >= 0) & (j < N) & (k >= 0) & (k <= 8)
+                rows[2 * i[ok] + rblock, k[ok]] = dR[rblock, i[ok]]
+    rows[0] = 0.0
+    rows[0, 4::2] = mass_row[:3]
+    border = np.zeros(2 * N)
+    border[6::2] = mass_row[3:]
+    return rows, border
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +307,14 @@ def _build_similarity_operator(xi, h):
     """Fourth-order discretization of V'' - (xi/2) V' + V/2 on [0, xi_max]
     with a symmetry row V'(0) = 0 and a no-growth Robin row
     V'(xi_max) - V(xi_max)/xi_max = 0 (admits the linear far field, excludes
-    the exponentially growing homogeneous mode)."""
-    import scipy.sparse as sp
-
-    n = xi.size
-    D1 = difference_matrix(1, n, h)
-    D2 = difference_matrix(2, n, h)
-    A = D2 - sp.diags(0.5 * xi) @ D1 + 0.5 * sp.identity(n, format="csr")
-    robin = D1[n - 1] - sp.csr_matrix(([1.0 / xi[-1]], ([0], [n - 1])), shape=(1, n))
-    return sp.vstack([D1[0], A[1 : n - 1], robin], format="csr")
+    the exponentially growing homogeneous mode), as band rows with 4
+    subdiagonals."""
+    D1 = difference_matrix(1, xi.size, h)
+    A = difference_matrix(2, xi.size, h)[:, 1:-1] - (0.5 * xi)[:, None] * D1
+    A[:, 4] += 0.5
+    A[0], A[-1] = D1[0], D1[-1]
+    A[-1, 4] -= 1.0 / xi[-1]
+    return A
 
 
 @dataclass
@@ -324,7 +337,7 @@ def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
     integral D U' + (xi/2) U - U F(S) = C1 (integrating factor
     e^(xi^2/4D) mu_e(xi) with mu_e = exp(-(1/D) int F(S))), anchored by
     U(0) = U0 with C1 = 0 realizing the even-symmetry condition U'(0) = 0,
-    and (b) a fourth-order sparse solve of V'' - (xi/2) V' + V/2 = U with
+    and (b) a fourth-order banded solve of V'' - (xi/2) V' + V/2 = U with
     V'(0) = 0 and a no-growth condition at xi_max, inside picard_iterate's
     Anderson-mixed loop on S = V' (the engine of the case II closure).
 
@@ -333,8 +346,6 @@ def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
     sup-norm residuals of the two similarity equations from fourth-order
     differences of the returned profiles.
     """
-    import scipy.sparse.linalg as spla
-
     xi_lo, xi_max = map(float, problem.domain)
     if xi_lo != 0.0:
         raise ValidationError(
@@ -359,8 +370,7 @@ def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
 
     xi = np.linspace(0.0, xi_max, n + 1)
     h = xi[1] - xi[0]
-    A = _build_similarity_operator(xi, h)
-    lu = spla.splu(A.tocsc())
+    solve = band_solver(_build_similarity_operator(xi, h), 4)
 
     def U_of(S):
         X = -(xi * xi) / (4.0 * D) + cumulative_integral(lim.F(S), h) / D
@@ -370,7 +380,7 @@ def solve_self_similar(problem, n=2000, tol=1e-10, max_iter=200):
         rhs = U.copy()
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        return lu.solve(rhs)
+        return solve(rhs)
 
     def S_of(S):
         return d1_uniform(V_of(U_of(S)), h)

@@ -1162,6 +1162,11 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "exact case2_travelling_tanh": {
         **FUZZ_BASE, "exact": {"family": "case2_travelling_tanh", "t_samples": "0.5"}},
     "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
+    # frames x nodes: a run or a sampling whose recorded values no machine holds
+    "simulate frames": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "n": "100000"},
+                        "solver": {"t_end": "0.05", "output_stride": "10"}},
+    "exact frames": {**FUZZ_BASE, "exact": {"family": "case1_homogeneous",
+                                            "t_samples": "0.5,1,2"}},
 })
 # every schema key of the command's sections, one unknown key and one unknown
 # section
@@ -1234,7 +1239,10 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("reduce steady_state", "reduce", "n", "1000000000000", 2),
      ("reduce self_similar", "reduce", "n", "1000000000000", 2),
      ("exact case2_travelling_tanh", "exact", "n", "1000000000000", 2),
-     ("simulate", "solver", "t_end", "1e300", 2)],
+     ("simulate", "solver", "t_end", "1e300", 2),
+     ("simulate frames", "solver", "output_stride", "1", 2),
+     ("simulate frames", "solver", "output_stride", "50", 2),
+     ("exact frames", "grid", "n", "5000000", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1249,7 +1257,10 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # traceback and a reversed one exited 0, and a traveling wave on fewer
     # than 3 intervals ended in a traceback or exited 3.  A size of 1e12 no
     # machine can allocate ended in numpy's MemoryError, and a run to
-    # t_end = 1e300 never ended: each is refused before any allocation
+    # t_end = 1e300 never ended: each is refused before any allocation.  So
+    # are more recorded values than MAX_STEPS, frames times nodes: simulate
+    # at n = 100000 asked for ~11 GB of frames and ended in numpy's
+    # _ArrayMemoryError
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
@@ -1287,9 +1298,11 @@ _COLD_START = """
 import json, os, sys
 import flks
 from flks import cli
-config, out = sys.argv[1:3]
+config, out, self_similar = sys.argv[1:4]
 runs = [[command] for command in ("simulate", "verify", "lie", "exact")] + [
     ["reduce", "--override", "reduce.kind=" + kind] for kind in ("travelling_wave", "homogeneous")]
+# a Gaussian [initial] makes the steady state take Newton steps
+runs += [["reduce", "--override", "reduce.kind=steady_state", "--override", "initial.kind=gaussian"]]
 # case IV under exponential decay: lambda > 0 puts Ei's argument above 0, lambda < 0 below
 runs += [[command, "--override", "decay.kind=exponential", "--override", "decay.lambda=" + lam,
           "--override", command + ".family=case4_homogeneous"]
@@ -1301,6 +1314,7 @@ runs += [["exact", "--override", "exact.family=case4_cellfree_front"] + decay
                         "--override", "decay.values=0.5,0.7"])]
 codes = [cli.main(argv + ["--config", config, "--out", os.path.join(out, str(i))])
          for i, argv in enumerate(runs)]
+codes.append(cli.main(["reduce", "--config", self_similar, "--out", os.path.join(out, "ss")]))
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
@@ -1308,21 +1322,26 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # scipy's import is most of a cold start; simulate, case I verify, lie,
-    # the case II traveling wave's exact, the traveling and homogeneous
-    # reduce, case IV's exact and verify and the cell-free front's exact
-    # never call it
+    # the case II traveling wave's exact, every reduce kind (self_similar on
+    # a config of its own), case IV's exact and verify and the cell-free
+    # front's exact never call it
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
                         + "[verify]\nfamily = case1_homogeneous\n"
                         + "[exact]\nfamily = case2_travelling_tanh\nn = 1024\n"
                         + "[reduce]\nkind = travelling_wave\n")
+    ss_path = tmp_path / "self_similar.ini"
+    ss_path.write_text(MINIMAL.replace("kind = tanh\nv_max = 1.1\ns0 = 1.4", "kind = tanh_log\nv_max = 1.1\na = 0.51")
+                       .replace("kind = constant\nkappa0 = 0.5", "kind = power_law\nmu = 0.5")
+                       + "[reduce]\nkind = self_similar\nn = 400\nxi_max = 10.0\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg_path), str(tmp_path / "o")],
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg_path), str(tmp_path / "o"),
+                           str(ss_path)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 12, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 14, "scipy": []}
 
 
 def test_every_exported_name_resolves():

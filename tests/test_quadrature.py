@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flks.banded import band_matvec
 from flks.errors import (
     DivergenceDetected,
     DomainError,
@@ -465,16 +466,16 @@ def test_derivative_stencils_fourth_order():
 
 @pytest.mark.parametrize("n", [7, 12, 201])
 def test_difference_matrices_apply_the_stencil_table(n):
-    # the sparse rows and the array stencils come from one table; they differ
+    # the band rows and the array stencils come from one table; they differ
     # only in rounding, measured against each row's magnitude |A| |f|
     x = np.linspace(-1.0, 2.0, n)
     h = x[1] - x[0]
     f = np.exp(x) * np.sin(3.0 * x) + 2.0
-    for order, dense in ((1, d1_uniform), (2, d2_uniform)):
+    for order, dense, K in ((1, d1_uniform, 4), (2, d2_uniform, 5)):
         A = difference_matrix(order, n, h)
         ref = dense(f, h)
-        assert A.shape == (n, n)
-        assert np.all(np.abs(A @ f - ref) <= 1e-13 * (abs(A) @ np.abs(f)))
+        assert A.shape == (n, 2 * K + 1)
+        assert np.all(np.abs(band_matvec(A, K, f) - ref) <= 1e-13 * band_matvec(abs(A), K, np.abs(f)))
 
 
 @settings(max_examples=15, deadline=None)

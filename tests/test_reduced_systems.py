@@ -1,9 +1,9 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from flks.core import (
     ConstantDecay,
@@ -285,10 +285,18 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
 
     z = np.concatenate([u, v])
     R0 = residual(z)
-    J = _fd_jacobian(residual, z, R0, w)
+    rows, border = _fd_jacobian(residual, z, R0, w)
     ref = _dense_fd_jacobian(residual, z, R0)
-    assert J.shape == ref.shape
-    assert np.max(np.abs(J.toarray() - ref)) <= 1e-6 * np.max(np.abs(ref))
+    assert rows.shape == (z.size, 9) and border.shape == (z.size,)
+    # the band rows and the border, node by node, back in the stacked order
+    J = np.zeros((z.size, z.size + 8))
+    for k in range(9):
+        J[np.arange(z.size), np.arange(z.size) + k] = rows[:, k]
+    J = J[:, 4:-4]
+    J[0] += border
+    stacked = np.concatenate([np.arange(0, z.size, 2), np.arange(1, z.size, 2)])
+    J = J[np.ix_(stacked, stacked)]
+    assert np.max(np.abs(J - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 class _CountingTanh(TanhLimiter):
@@ -401,6 +409,27 @@ def test_steady_state_fine_grids_stop_at_the_roundoff_floor():
         for coarse, fine in zip(res, res[1:])
     ]
     assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
+
+
+def test_steady_state_on_2048_cells_needs_no_dense_jacobian():
+    # the Jacobian of the 4,098 unknowns is band rows and a border: dense,
+    # it alone would take 134 MB.  The whole solve's traced peak is 4.3 MB
+    # (16.3 MB with the sparse LU this solve replaced)
+    tracemalloc.start()
+    try:
+        res = wall_aggregate(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 12 and res.defect < 1e-8
+    assert peak < 30e6
+    # nodes of the state the sparse LU reached
+    for i, u, v in ((0, 3.326423130259365, 3.1211926743340093),
+                    (512, 0.8865336643842345, 2.5822787549829203),
+                    (1024, 0.36138583954370074, 2.226016737666528),
+                    (2048, 3.326423130272884, 3.1211926744527556)):
+        assert res.U[i] == pytest.approx(u, rel=1e-10, abs=0)
+        assert res.V[i] == pytest.approx(v, rel=1e-10, abs=0)
 
 
 def test_steady_state_is_a_fixed_point_of_the_pde_solver():
@@ -686,7 +715,7 @@ def _reference_similarity_operator(xi, h):
     # entry-by-entry assembly of V'' - (xi/2) V' + V/2 with the symmetry and
     # Robin rows; the vectorised operator must reproduce it bit for bit
     n = xi.size
-    A = sp.lil_matrix((n, n))
+    A = np.zeros((n, n))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
     for i in range(2, n - 2):
@@ -713,7 +742,7 @@ def _reference_similarity_operator(xi, h):
     for k in range(5):
         A[n - 1, n - 1 - k] = -c1e[k]
     A[n - 1, n - 1] -= 1.0 / xi[-1]
-    return sp.csr_matrix(A)
+    return A
 
 
 @pytest.mark.parametrize("n", [40, 1000])
@@ -722,7 +751,10 @@ def test_similarity_operator_matches_entrywise_assembly(n):
     h = xi[1] - xi[0]
     A = _build_similarity_operator(xi, h)
     ref = _reference_similarity_operator(xi, h)
-    assert A.shape == ref.shape
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    assert A.data.tobytes() == ref.data.tobytes()
+    # the dense reference in band rows with 4 subdiagonals: nothing outside
+    i, j = np.nonzero(ref)
+    assert np.max(np.abs(j - i)) == 4
+    band = np.zeros((n + 1, 9))
+    band[i, j - i + 4] = ref[i, j]
+    assert A.shape == band.shape
+    assert A.tobytes() == band.tobytes()
