@@ -40,8 +40,9 @@ def band_solver(rows, kl, border=None):
     step of iterative refinement, its residual summed in np.longdouble
     (Moler, J. ACM 14, 1967; Skeel's fixed-precision step, Math. Comp. 35,
     1980, where longdouble is double).  A singular band, a Sherman-Morrison
-    denominator below 1e-8 of its terms, or a solution whose normwise
-    backward error exceeds 1e-12 raises DomainError.
+    denominator below 1e-8 of its terms, a solution whose normwise backward
+    error exceeds 1e-12, or one with ||A|| ||x|| > ||f|| / (n eps) (infinity
+    norms: the matrix is singular to working precision) raises DomainError.
     """
     rows = np.asarray(rows, dtype=float)
     n, w = rows.shape
@@ -129,9 +130,14 @@ def band_solver(rows, kl, border=None):
             x = base(f)
             x = x + base(residual(x, f, *wide))
             error = np.max(np.abs(residual(x, f, rows, c)))
+            size, scale = norm * np.max(np.abs(x)), np.max(np.abs(f))
         # the normwise backward error: a wrong solution is refused, never returned
-        if not error <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(f))):
+        if not error <= 1e-12 * (size + scale):
             raise DomainError("the banded solve lost its accuracy: the matrix is near singular")
+        # |A| |x| / |f| bounds the condition number from below; past 1/(n eps)
+        # the matrix is singular to working precision, however small the error
+        if not size <= scale / (n * np.finfo(float).eps):
+            raise DomainError("the banded matrix is singular to working precision")
         return x
 
     return solve

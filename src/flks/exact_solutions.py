@@ -294,6 +294,10 @@ def case2_travelling_tanh(
     75 to 118 at D = 0.5 and v_max = 2 or 3.  The residual history is
     recorded on the solution.  With self_consistent=False the supplied
     s_profile is used as-is (single pass, no closure).
+
+    The evaluators interpolate U and V by cubic Hermite on the profile
+    grid, with the nodal slopes U' of the first integral and V' = the kernel
+    applied to U'; a sample outside the window raises DomainError.
     """
     limiter = params.limiter
     if not isinstance(limiter, TanhLimiter):
@@ -350,30 +354,30 @@ def case2_travelling_tanh(
 
     U, w = U_of(s)
     V = green(U)
+    dU = U * w + C1 / Da2
+    dV = green(dU)
 
-    def make_eval(profile):
-        spline = None
-
+    def make_eval(f, df):
+        # cubic Hermite on the profile grid, with the nodal slopes f' = df
         def ev(x, t):
-            nonlocal spline
-            if spline is None:  # the first call (exact never makes it): scipy only here
-                from scipy.interpolate import CubicSpline
-
-                spline = CubicSpline(y, profile, extrapolate=False)
             yy = np.asarray(t, dtype=float) - alpha * np.asarray(x, dtype=float)
-            out = spline(yy)
-            if np.any(np.isnan(np.atleast_1d(out))):
+            if not np.all((y[0] <= yy) & (yy <= y[-1])):
                 raise DomainError(
                     f"evaluation leaves the computed window y in [{y[0]}, {y[-1]}]"
                 )
-            return out
+            q = (yy - y[0]) / h
+            i = np.minimum(q.astype(int), n - 1)
+            r = q - i
+            return ((1 + 2 * r) * f[i] + r * h * df[i]) * (1 - r) ** 2 + (
+                (3 - 2 * r) * f[i + 1] - (1 - r) * h * df[i + 1]
+            ) * r * r
 
         return ev
 
     return TravellingWaveSolution(
         case=CaseTag.II_CONSTANT,
-        eval_u=make_eval(U),
-        eval_v=make_eval(V),
+        eval_u=make_eval(U, dU),
+        eval_v=make_eval(V, dV),
         params={
             "alpha": alpha,
             "kappa0": kappa0,

@@ -81,6 +81,23 @@ def test_band_solver_refuses_a_singular_matrix():
         band_solver(rows, 3)
 
 
+def test_band_solver_refuses_an_exactly_singular_band():
+    # the Neumann Laplacian annihilates constants; its computed solution,
+    # about -3.5e16 everywhere, has a normwise backward error of ~7e-17
+    rows = np.tile([1.0, -2.0, 1.0], (20, 1))
+    rows[0, :2] = [0.0, -1.0]
+    rows[-1, 1:] = [-1.0, 0.0]
+    with pytest.raises(DomainError, match="singular to working precision"):
+        band_solver(rows, 1)(np.arange(20.0))
+
+
+def test_band_solver_refuses_a_solution_that_misses_its_equations():
+    # x = 1e10 / 1e-300 overflows, so its residual is not finite
+    solve = band_solver(np.full((5, 1), 1e-300), 0)
+    with pytest.raises(DomainError, match="lost its accuracy"):
+        solve(np.full(5, 1e10))
+
+
 def test_band_solver_keeps_its_factors_across_solves():
     rng = np.random.default_rng(3)
     rows = _band_rows(rng, 50, 2, 2, "zero")

@@ -755,6 +755,31 @@ def test_unwritable_failure_report_still_exits_3(tmp_path, capsys):
     assert report["error"] == "DomainError"
 
 
+def test_stalled_newton_leaves_its_history_in_the_failure_report(tmp_path, capsys):
+    # the fig-1 model on [-4, 4] from this Gaussian stalls in the line search
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(
+        MINIMAL.replace("x_lo = -2.0\nx_hi = 2.0", "x_lo = -4.0\nx_hi = 4.0")
+        .replace("kind = uniform", "kind = gaussian\namplitude = 0.371305088247709\n"
+                 "center = 0.3222399271663715\nwidth = 0.5")
+        + "[reduce]\nkind = steady_state\nn = 256\n")
+    out = tmp_path / "o"
+    assert main(["reduce", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "NoConvergence" and report["iterations"] == 10
+    assert report["residual"] == report["history"][-1] > 1e-10
+    assert err == f"numerical failure: {report['message']}\n"
+
+
+def test_out_below_a_regular_file_exits_4(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    (tmp_path / "file").write_text("")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "file" / "o")]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot create output directory:")
+
+
 def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, capsys, monkeypatch):
     # the second of three frames is non-finite at two interior nodes, v at
     # x = 0.5 before u at x = 1.25, and the third frame at x = -1, earlier
@@ -1005,6 +1030,14 @@ def test_import_ragged_row_raises(tmp_path, lead, row):
     cells = row.splitlines()[0].count(",") + 1
     message = f"ragged.csv, line {lead + 4}: {cells} cells, the header has 3$"
     with pytest.raises(IoError, match=message):
+        import_csv(str(path))
+
+
+def test_import_rows_all_narrower_than_the_header_raises(tmp_path):
+    # the C reader reads a table of uniform width 2 and hands it over
+    path = tmp_path / "narrow.csv"
+    path.write_text('# {"kind": "table"}\na,b,c\n1,2\n3,4\n')
+    with pytest.raises(IoError, match="narrow.csv, line 3: 2 cells, the header has 3$"):
         import_csv(str(path))
 
 
@@ -1292,7 +1325,7 @@ def test_fuzz_base_config_runs(command):
     assert _main_on(command, FUZZ_CONFIGS[command]) == 0
 
 
-# --- cold start: the numpy-only commands load no scipy
+# --- cold start: no command loads scipy
 
 _COLD_START = """
 import json, os, sys
@@ -1301,6 +1334,8 @@ from flks import cli
 config, out, self_similar = sys.argv[1:4]
 runs = [[command] for command in ("simulate", "verify", "lie", "exact")] + [
     ["reduce", "--override", "reduce.kind=" + kind] for kind in ("travelling_wave", "homogeneous")]
+# the case II wave sampled off its profile grid
+runs += [["verify", "--override", "verify.family=case2_travelling_tanh"]]
 # a Gaussian [initial] makes the steady state take Newton steps
 runs += [["reduce", "--override", "reduce.kind=steady_state", "--override", "initial.kind=gaussian"]]
 # case IV under exponential decay: lambda > 0 puts Ei's argument above 0, lambda < 0 below
@@ -1321,10 +1356,10 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 
 def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
-    # scipy's import is most of a cold start; simulate, case I verify, lie,
-    # the case II traveling wave's exact, every reduce kind (self_similar on
+    # no command loads scipy: simulate, case I verify, lie, the case II
+    # traveling wave's exact and verify, every reduce kind (self_similar on
     # a config of its own), case IV's exact and verify and the cell-free
-    # front's exact never call it
+    # front's exact
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("n = 32", "n = 16")
                         + "[verify]\nfamily = case1_homogeneous\n"
@@ -1341,7 +1376,7 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 14, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0] * 15, "scipy": []}
 
 
 def test_every_exported_name_resolves():

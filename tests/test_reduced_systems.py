@@ -658,12 +658,19 @@ def test_self_similar_needs_mu_under_other_decay():
 
 
 def test_self_similar_grid_refinement_second_order_or_better():
-    errs = []
+    errs, defects_u, defects_v = [], [], []
     for n in (500, 1000, 2000):
         res = solve_self_similar(ss_problem(v_max=1.1), n=n)
         errs.append(max(res.defect_u, res.defect_v))
+        defects_u.append(res.defect_u)
+        defects_v.append(res.defect_v)
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+    # defect_u carries the truncation error (each doubling divides it by
+    # ~16); defect_v sits at the residual's round-off floor, growing like n^2
+    assert defects_u[0] / defects_u[1] > 12.0
+    assert defects_u[1] / defects_u[2] > 12.0
+    assert max(defects_v) < 1e-9
 
 
 def test_self_similar_requires_tanh_log():

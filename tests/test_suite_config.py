@@ -1,8 +1,13 @@
-"""The suite's own pytest configuration (pyproject.toml)."""
+"""The project's own configuration (pyproject.toml): the suite's pytest
+settings and the runtime dependencies it declares."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,3 +39,32 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def test_the_runtime_imports_only_the_standard_library_and_numpy():
+    # every import statement, those inside functions too, so an import on a
+    # path no command reaches in a test cannot bring scipy back
+    found = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "flks", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["flks" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], os.path.basename(path))
+    assert "numpy" in found and "flks" in found
+    foreign = {m: p for m, p in found.items()
+               if m not in sys.stdlib_module_names and m not in ("numpy", "flks")}
+    assert foreign == {}
+
+
+def test_pyproject_declares_numpy_as_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
