@@ -486,7 +486,8 @@ def export_csv(result, path, meta=None, columns=None):
     elif isinstance(result, exact_solutions.TravellingWaveSolution):
         header, cols = ["y", "U", "V", "s"], (result.y, result.U, result.V, result.s)
         defaults = dict(profiles, params=result.params,
-                        residual_history=[float(r) for r in result.residual_history])
+                        residual_history=[float(r) for r in result.residual_history],
+                        levels=result.levels)
     elif isinstance(result, reduced_systems.SteadyStateResult):
         header, cols = ["x", "U", "V"], (result.x, result.U, result.V)
         defaults = dict(profiles, defect=result.defect)
@@ -877,7 +878,8 @@ def cmd_exact(cfg, outdir):
         _write_set(outdir, _plotted(family, sol, meta, "profiles"))
         # a closure that misses its tolerance raises, and the run exits 3
         return {"family": family, "converged": True,
-                "iterations": len(sol.residual_history)}
+                "iterations": len(sol.residual_history),
+                "levels": sol.levels}
 
     # sample the field families on the grid at the requested times
     ts = e.get("t_samples", (0.5, 1.0, 2.0))

@@ -14,11 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_STEPS, CaseTag, ConstantDecay, FieldPair, classify
-from .errors import ComplexRoots, DomainError, OverflowGuard, ValidationError
+from .errors import (
+    ComplexRoots,
+    DivergenceDetected,
+    DomainError,
+    NoConvergence,
+    OverflowGuard,
+    ValidationError,
+)
 from .limiters import TanhLimiter
 from .quadrature import (
     CachedLinearSolution,
     cumulative_integral,
+    d1_uniform,
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
@@ -222,13 +230,18 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
 # ---------------------------------------------------------------------------
 
 def travelling_roots(alpha, tau, kappa0):
-    """Roots r+- of alpha^2 r^2 - tau r - kappa0 = 0, ordered (r+, r-)."""
+    """Roots r+- of alpha^2 r^2 - tau r - kappa0 = 0, ordered (r+, r-).
+    Roots beyond double precision (alpha^2 underflowing, say) raise
+    ValidationError."""
     disc = tau * tau + 4.0 * alpha * alpha * kappa0
     if disc < 0.0:
         raise ComplexRoots(f"discriminant {disc:.3g} < 0: no real wave roots")
     root = math.sqrt(disc)
     a2 = 2.0 * alpha * alpha
-    return (tau + root) / a2, (tau - root) / a2
+    roots = ((tau + root) / a2, (tau - root) / a2) if a2 else (math.inf, math.inf)
+    if not all(map(math.isfinite, roots)):
+        raise ValidationError(f"alpha = {alpha:g} puts the wave roots beyond double precision")
+    return roots
 
 
 def travelling_drift(limiter, D, alpha, s):
@@ -243,13 +256,32 @@ def travelling_drift(limiter, D, alpha, s):
 
 @dataclass
 class TravellingWaveSolution(ExactSolution):
-    """Traveling-wave profiles on y = t - alpha*x plus closure diagnostics."""
+    """Traveling-wave profiles on y = t - alpha*x plus closure diagnostics:
+    the finest level's residual history and one (n, iterations) entry per
+    closure level that ran, coarsest first."""
 
     y: np.ndarray = None
     U: np.ndarray = None
     V: np.ndarray = None
     s: np.ndarray = None
     residual_history: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
+
+
+# the case II closure starts from its solution on _REFINE times fewer
+# intervals while that coarser level has at least _COARSEST_N
+_COARSEST_N = 1024
+_REFINE = 4
+
+
+def _hermite(f, df, h, q):
+    """The cubic Hermite interpolant of the nodal values f and slopes df on a
+    uniform grid of step h, at the node coordinates q in [0, f.size - 1]."""
+    i = np.minimum(q.astype(int), f.size - 2)
+    r = q - i
+    return ((1 + 2 * r) * f[i] + r * h * df[i]) * (1 - r) ** 2 + (
+        (3 - 2 * r) * f[i + 1] - (1 - r) * h * df[i + 1]
+    ) * r * r
 
 
 def case2_travelling_tanh(
@@ -285,15 +317,27 @@ def case2_travelling_tanh(
     only up to a residual of order 1 (``verify.pde_residual`` measures
     both).  With C1 = 0, U grows all the way to the window's right edge.
 
-    The closure s = V'[U[s]] is found by a self-consistency loop from s = 0
-    (or the supplied initial guess s_profile), iterated in the bounded
-    variable tanh(alpha s / s0) by picard_iterate, the Anderson-mixed
-    engine that the self-similar profiles also use; the loop gain of this
-    map is large and negative.  At n = 16384 the closure converges in 59
-    iterations at the README fig-1 parameters, in 50 at alpha = 1.0, and in
-    75 to 118 at D = 0.5 and v_max = 2 or 3.  The residual history is
-    recorded on the solution.  With self_consistent=False the supplied
-    s_profile is used as-is (single pass, no closure).
+    The closure s = V'[U[s]] is found by a self-consistency loop, iterated
+    in the bounded variable tanh(alpha s / s0) by picard_iterate, the
+    Anderson-mixed engine that the self-similar profiles also use; the loop
+    gain of this map is large and negative.  From s = 0 the loop takes as
+    many iterations on a coarse grid as on a fine one (59 at the README
+    fig-1 parameters at n = 1024, 4096 and 16384), so it starts from a
+    coarser solution (nested iteration): while n is a multiple of _REFINE =
+    4 and n/4 >= _COARSEST_N = 1024, the same closure is first solved on
+    n/4 intervals of the same window, and its s, carried to this grid by
+    cubic Hermite interpolation with fourth-order nodal slopes, starts this
+    level's loop.  A coarse level only supplies a start: the coarsest level
+    starts from s = 0 or the supplied guess s_profile, and so does a level
+    whose coarser level failed (NoConvergence, DivergenceDetected or
+    DomainError) or that fails from its carried start, so every level
+    converges where its single-level solve does.  At the default n = 16384
+    the levels are 1024, 4096 and 16384, and the finest takes 17 iterations
+    at fig-1, 16 at alpha = 1.0 and 22 to 24 at D = 0.5 and v_max = 2 or 3.
+    ``levels`` records (n, iterations) for each level that ran, a failed one
+    included, coarsest first; ``residual_history`` is the finest level's.
+    With self_consistent=False the supplied s_profile is used as-is (single
+    pass, no closure).
 
     The evaluators interpolate U and V by cubic Hermite on the profile
     grid, with the nodal slopes U' of the first integral and V' = the kernel
@@ -308,37 +352,49 @@ def case2_travelling_tanh(
         raise ValidationError("traveling tanh wave requires constant decay")
     if not 3 <= n <= MAX_STEPS:
         raise ValidationError(f"traveling tanh wave needs 3 to {MAX_STEPS} intervals, got {n}")
+    if not 0.0 < (window[1] - window[0]) / n < math.inf:
+        raise ValidationError(f"the wave window needs finite ends lo < hi, got {tuple(window)}")
+    if not (window[0] <= y0 <= window[1]):
+        raise ValidationError("y0 must lie inside the window")
     D, tau, kappa0 = params.D, params.tau, params.decay.kappa0
     r_plus, r_minus = travelling_roots(alpha, tau, kappa0)
     dr = r_plus - r_minus
     Da2 = D * alpha * alpha
+    cap = 1.0 - 1e-12
+    k_tanh = alpha / limiter.s0
 
-    y = np.linspace(window[0], window[1], n + 1)
-    h = y[1] - y[0]
-    if not (window[0] <= y0 <= window[1]):
-        raise ValidationError("y0 must lie inside the window")
-    i0 = int(round((y0 - window[0]) / h))
-    y0 = y[i0]
+    def level(m):
+        """The profile grid of m intervals on the window, its node nearest
+        y0, and U[s] and the kernel on it."""
+        y = np.linspace(window[0], window[1], m + 1)
+        h = y[1] - y[0]
+        i0 = int(round((y0 - window[0]) / h))
 
-    def U_of(s):
-        w = travelling_drift(limiter, D, alpha, s)
-        E = cumulative_integral(w, h)
-        return first_integral(E - E[i0], h, i0, U_ref, C1 / Da2), w
+        def U_of(s):
+            w = travelling_drift(limiter, D, alpha, s)
+            E = cumulative_integral(w, h)
+            return first_integral(E - E[i0], h, i0, U_ref, C1 / Da2), w
 
-    def green(f):
-        # the bounded solution V of alpha^2 V'' - tau V' - kappa0 V = -f
-        return (exp_kernel_lower(f, h, r_minus) + exp_kernel_upper(f, h, r_plus)) / (
-            alpha * alpha * dr
-        )
+        def green(f):
+            # the bounded solution V of alpha^2 V'' - tau V' - kappa0 V = -f
+            return (exp_kernel_lower(f, h, r_minus) + exp_kernel_upper(f, h, r_plus)) / (
+                alpha * alpha * dr
+            )
 
-    s_init = np.zeros(n + 1) if s_profile is None else np.asarray(
-        [float(s_profile(yy)) for yy in y]
-    )
+        return y, h, i0, U_of, green
 
-    history = []
-    if self_consistent:
-        cap = 1.0 - 1e-12
-        k_tanh = alpha / limiter.s0
+    def start(y, h, coarse):
+        """The loop's start on y: the coarser level's s carried to y, else
+        s_profile, else 0."""
+        if coarse is not None:
+            H = _REFINE * h
+            return _hermite(coarse, d1_uniform(coarse, H), H, np.arange(y.size) / _REFINE)
+        if s_profile is None:
+            return np.zeros(y.size)
+        return np.asarray([float(s_profile(yy)) for yy in y])
+
+    def closure(U_of, green, s):
+        """The closure's s from the start s, and its residual history."""
 
         def g_map(g):
             s = np.arctanh(np.clip(g, -cap, cap)) / k_tanh
@@ -346,12 +402,33 @@ def case2_travelling_tanh(
             # s = V' is the kernel applied to U' = U w + C1/Da2 (exact)
             return np.tanh(k_tanh * green(U * w + C1 / Da2))
 
-        result = picard_iterate(g_map, np.tanh(k_tanh * s_init), tol=tol, max_iter=max_iter)
-        history = result.residuals
-        s = np.arctanh(np.clip(result.profile, -cap, cap)) / k_tanh
-    else:
-        s = s_init
+        result = picard_iterate(g_map, np.tanh(k_tanh * s), tol=tol, max_iter=max_iter)
+        return np.arctanh(np.clip(result.profile, -cap, cap)) / k_tanh, result.residuals
 
+    sizes = [n]
+    while self_consistent and sizes[0] % _REFINE == 0 and sizes[0] // _REFINE >= _COARSEST_N:
+        sizes.insert(0, sizes[0] // _REFINE)
+    s, history, levels = None, [], []
+    for m in sizes:
+        y, h, i0, U_of, green = level(m)
+        if not self_consistent:
+            s = start(y, h, None)
+            break
+        # a coarser level's s is only a start: a level that fails from it
+        # runs again from the fresh start, and a coarse level that fails
+        # from that leaves the next level the fresh start
+        for coarse in (None,) if s is None else (s, None):
+            try:
+                s, history = closure(U_of, green, start(y, h, coarse))
+            except (NoConvergence, DivergenceDetected, DomainError) as exc:
+                if m == n and coarse is None:
+                    raise
+                s, history = None, getattr(exc, "history", [])
+            levels.append((m, len(history)))
+            if s is not None:
+                break
+
+    # the loop ends on the finest level: its grid, U[s] and kernel
     U, w = U_of(s)
     V = green(U)
     dU = U * w + C1 / Da2
@@ -365,12 +442,7 @@ def case2_travelling_tanh(
                 raise DomainError(
                     f"evaluation leaves the computed window y in [{y[0]}, {y[-1]}]"
                 )
-            q = (yy - y[0]) / h
-            i = np.minimum(q.astype(int), n - 1)
-            r = q - i
-            return ((1 + 2 * r) * f[i] + r * h * df[i]) * (1 - r) ** 2 + (
-                (3 - 2 * r) * f[i + 1] - (1 - r) * h * df[i + 1]
-            ) * r * r
+            return _hermite(f, df, h, (yy - y[0]) / h)
 
         return ev
 
@@ -387,7 +459,7 @@ def case2_travelling_tanh(
             "s0": limiter.s0,
             "C1": C1,
             "U_ref": U_ref,
-            "y0": y0,
+            "y0": y[i0],
             "V0": 0.0,
             "r_plus": r_plus,
             "r_minus": r_minus,
@@ -404,6 +476,7 @@ def case2_travelling_tanh(
         V=V,
         s=s,
         residual_history=history,
+        levels=levels,
     )
 
 

@@ -470,6 +470,10 @@ def _poly_exp_moments(z, kmax=3, terms=30):
     return out
 
 
+# ln of the largest double
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 @functools.lru_cache(maxsize=64)
 def _panel_weights(z):
     """Nodal weights for int_0^1 f(theta) exp(z(1-theta)) dtheta with f the
@@ -505,18 +509,21 @@ def exp_kernel_lower(f, h, r):
     p[-1] = h * np.dot(w_right, f[-4:])
     out = np.empty(n)
     out[0] = 0.0
-    if z <= 0.0 and abs(z) * (n - 1) < 600.0:
-        # L[m] = e^(z m) * sum_{i<m} p_i e^(-z(i+1)); safe for z <= 0 because
-        # the rescaling only damps contributions the true kernel damps too
-        idx = np.arange(1, n)
-        q = p * np.exp(-z * idx)
-        out[1:] = np.exp(z * idx) * np.cumsum(q)
-    else:
-        g = math.exp(z)
-        acc = 0.0
-        for i in range(n - 1):
-            acc = g * acc + p[i]
-            out[i + 1] = acc
+    # L[s+j] = e^(z j) (L[s] + sum_{k<=j} p_{s+k-1} e^(-z k)) over blocks of
+    # panels from node s.  Each block keeps |z| k <= room, the ln of the
+    # largest double over n max|p|, so no rescaled sum overflows; a kernel
+    # with that room for all n - 1 panels is one block
+    room = _LOG_MAX - math.log(n * max(float(np.max(np.abs(p))), 1.0))
+    block = n - 1
+    if 0.0 < room < abs(z) * (n - 1):
+        block = max(1, int(room / abs(z)))
+    idx = np.arange(1, block + 1)
+    for s in range(0, n - 1, block):
+        k = idx[: n - 1 - s]
+        acc = np.cumsum(p[s : s + k.size] * np.exp(-z * k))
+        if s:
+            acc += out[s]
+        out[s + 1 : s + 1 + k.size] = np.exp(z * k) * acc
     return out
 
 

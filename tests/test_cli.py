@@ -291,6 +291,21 @@ def test_simulate_reports_the_step_and_its_active_bound(tmp_path, capsys):
     assert set(cols) == {"t", "x", "u", "v"}
 
 
+def test_exact_travelling_wave_records_its_closure_levels(tmp_path, capsys):
+    # n = 4096 solves at 1024 first; the levels go to the summary and the
+    # CSV header, never to the body
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(FIG1 + "n = 4096\n")
+    assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    (m1, k1), (m2, k2) = summary["levels"]
+    assert (m1, m2) == (1024, 4096) and summary["iterations"] == k2
+    meta, cols = import_csv(str(tmp_path / "o" / "case2_travelling_tanh.csv"))
+    assert meta["levels"] == summary["levels"]
+    assert len(meta["residual_history"]) == k2
+    assert set(cols) == {"y", "U", "V", "s"}
+
+
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "\n[model]\nbogus = 1\n")
@@ -1194,6 +1209,8 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
         "decay": {"kind": "power_law", "mu": "0.5"}, "reduce": {"kind": "self_similar"}},
     "exact case2_travelling_tanh": {
         **FUZZ_BASE, "exact": {"family": "case2_travelling_tanh", "t_samples": "0.5"}},
+    "exact case4_cellfree_front": {
+        **FUZZ_BASE, "exact": {"family": "case4_cellfree_front", "t_samples": "0.5"}},
     "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
     # frames x nodes: a run or a sampling whose recorded values no machine holds
     "simulate frames": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "n": "100000"},
@@ -1272,6 +1289,9 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("reduce steady_state", "reduce", "n", "1000000000000", 2),
      ("reduce self_similar", "reduce", "n", "1000000000000", 2),
      ("exact case2_travelling_tanh", "exact", "n", "1000000000000", 2),
+     ("exact case2_travelling_tanh", "exact", "window_hi", "inf", 2),
+     ("exact case2_travelling_tanh", "exact", "alpha", "1e-200", 2),
+     ("exact case4_cellfree_front", "exact", "alpha", "1e-200", 2),
      ("simulate", "solver", "t_end", "1e300", 2),
      ("simulate frames", "solver", "output_stride", "1", 2),
      ("simulate frames", "solver", "output_stride", "50", 2),
@@ -1293,10 +1313,18 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # t_end = 1e300 never ended: each is refused before any allocation.  So
     # are more recorded values than MAX_STEPS, frames times nodes: simulate
     # at n = 100000 asked for ~11 GB of frames and ended in numpy's
-    # _ArrayMemoryError
+    # _ArrayMemoryError.  An alpha whose square underflows ended in
+    # ZeroDivisionError, and an infinite wave window in ValueError
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
+
+
+def test_travelling_wave_of_zero_width_exits_2():
+    # window_lo = window_hi = y0 = 0 ended in ValueError (NaN node index)
+    sections = {s: dict(body) for s, body in FINDING_CONFIGS["exact case2_travelling_tanh"].items()}
+    sections["exact"].update(window_lo="0", window_hi="0")
+    assert _main_on("exact", sections) == 2
 
 
 def test_numerical_failure_prints_one_stderr_line(tmp_path):

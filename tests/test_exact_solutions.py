@@ -11,7 +11,14 @@ from flks.core import (
     PowerLawDecay,
     TabulatedDecay,
 )
-from flks.errors import ComplexRoots, DomainError, ValidationError
+from flks import exact_solutions
+from flks.errors import (
+    ComplexRoots,
+    DivergenceDetected,
+    DomainError,
+    NoConvergence,
+    ValidationError,
+)
 from flks.exact_solutions import (
     case1_homogeneous,
     case2_travelling_tanh,
@@ -353,10 +360,59 @@ def test_case2_nonzero_c1_single_pass(fig_params):
 
 
 def test_case2_fig1_closure_iteration_count(fig_params):
-    # the Anderson-mixed closure takes 59 iterations; plain damped Picard 286
+    # from s = 0 the Anderson-mixed closure takes 59 iterations at n = 1024,
+    # 4096 and 16384 alike (plain damped Picard 286); started from the
+    # n = 4096 profile, the n = 16384 level takes 17
     sol = case2_travelling_tanh(fig_params, 1.1, U_ref=1.0, y0=0.0)
     assert len(sol.residual_history) <= 100
     assert sol.residual_history[-1] < 1e-10
+    assert [m for m, _ in sol.levels] == [1024, 4096, 16384]
+    assert sol.levels[-1] == (16384, len(sol.residual_history))
+    assert len(sol.residual_history) <= 25
+
+
+def test_case2_coarse_to_fine_start_matches_a_single_level_solve(fig_params, monkeypatch):
+    sol = case2_travelling_tanh(fig_params, 1.1, U_ref=1.0, y0=0.0)
+    monkeypatch.setattr(exact_solutions, "_COARSEST_N", 16385)
+    single = case2_travelling_tanh(fig_params, 1.1, U_ref=1.0, y0=0.0)
+    assert single.levels == [(16384, len(single.residual_history))]
+    for a, b in ((sol.U, single.U), (sol.V, single.V)):
+        assert np.max(np.abs(a - b) / np.abs(b)) < 2e-9
+
+
+@pytest.mark.parametrize("fails", ["coarse", "carried"])
+def test_case2_failed_level_leaves_the_fresh_start(fig_params, monkeypatch, fails):
+    # a coarse level that fails hands on no start, and a level that fails
+    # from its carried start runs again from s = 0: either way the n = 4096
+    # level is the single-level solve, bit for bit
+    monkeypatch.setattr(exact_solutions, "_COARSEST_N", 4097)
+    single = case2_travelling_tanh(fig_params, 1.1, n=4096)
+    monkeypatch.setattr(exact_solutions, "_COARSEST_N", 1024)
+    real = exact_solutions.picard_iterate
+
+    def failing(map_fn, initial, **kw):
+        if fails == "coarse" and initial.size == 1025:
+            raise NoConvergence(7, 1.0, [1.0] * 7)
+        if fails == "carried" and initial.size == 4097 and np.any(initial):
+            raise DivergenceDetected("injected", [1.0, 3.0])
+        return real(map_fn, initial, **kw)
+
+    monkeypatch.setattr(exact_solutions, "picard_iterate", failing)
+    sol = case2_travelling_tanh(fig_params, 1.1, n=4096)
+    k = len(single.residual_history)
+    first = [(1024, 7)] if fails == "coarse" else [(1024, sol.levels[0][1]), (4096, 2)]
+    assert sol.levels == first + [(4096, k)]
+    assert sol.residual_history == single.residual_history
+    assert np.array_equal(sol.U, single.U) and np.array_equal(sol.V, single.V)
+
+
+def test_case2_closure_converges_where_its_coarse_start_fails():
+    # a marginal closure: from s = 0 it converges in 335 of its 400
+    # iterations; from the carried n = 1024 profile it ended in NoConvergence
+    p = make_params(ConstantDecay(0.5), limiter=TanhLimiter(3.0, 1.4), D=0.3)
+    sol = case2_travelling_tanh(p, 0.6, n=4096)
+    assert sol.residual_history[-1] < 1e-10
+    assert sol.levels[-1] == (4096, len(sol.residual_history))
 
 
 def test_case2_closure_converges_at_alpha_one():

@@ -544,3 +544,17 @@ def test_two_sided_exp_kernel_imposes_robin_edge_rows():
     assert errs[0] < 1e-6
     assert errs[0] / errs[1] > 10.0
     assert errs[1] / errs[2] > 10.0
+
+
+@pytest.mark.parametrize("f0, r", [(1e200, -0.6), (1.0, 0.6)], ids=["huge-decaying", "growing"])
+def test_exp_kernel_of_a_constant_is_finite_and_exact(f0, r):
+    # |z|(n - 1) = 540: rescaled by e^540 in one scan, f = 1e200 overflowed
+    # at 8,837 nodes where the kernel is ~1.7e200; a growing kernel (z > 0)
+    # took a per-node Python loop, 1.0e-12 off
+    n, h = 16385, 900.0 / 16384
+    y = h * np.arange(n)
+    L = exp_kernel_lower(np.full(n, f0), h, r)
+    ref = f0 * (np.exp(r * y) - 1.0) / r
+    assert np.all(np.isfinite(L))
+    assert L[0] == 0.0
+    assert np.max(np.abs(L[1:] - ref[1:]) / ref[1:]) < 1e-12
