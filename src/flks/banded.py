@@ -36,8 +36,11 @@ def band_solver(rows, kl, border=None):
     (Wright, SIAM J. Sci. Stat. Comput. 13, 1992): rotations pivot across
     rows, and a nonsingular A leaves every R nonsingular.  Identity rows pad
     the block count to 2^L times at most 8, and those last rows are solved
-    densely.  The border enters by Sherman-Morrison.  Each solve takes one
-    step of iterative refinement, its residual summed in np.longdouble
+    densely.  The border's entries in row 0's band, columns 0..ku, are band
+    entries, added to row 0 before the factorization; only the rest enters
+    by Sherman-Morrison (none when n <= ku + 1), so no cancellation through
+    a tiny band diagonal loses digits.  Each solve takes one step of
+    iterative refinement, its residual summed in np.longdouble
     (Moler, J. ACM 14, 1967; Skeel's fixed-precision step, Math. Comp. 35,
     1980, where longdouble is double).  A singular band, a Sherman-Morrison
     denominator below 1e-8 of its terms, a solution whose normwise backward
@@ -48,6 +51,12 @@ def band_solver(rows, kl, border=None):
     n, w = rows.shape
     if not 0 <= kl < w:
         raise DomainError(f"band rows of width {w} cannot have {kl} subdiagonals")
+    c = np.zeros(n)
+    if border is not None:
+        inband = min(w - kl, n)
+        rows = rows.copy()
+        rows[0, kl : kl + inband] += border[:inband]
+        c[inband:] = border[inband:]
     b = max(w - 1, 1)
     blocks = -(-n // b)
     L = max(0, (-(-blocks // _TAIL) - 1).bit_length())
@@ -100,8 +109,7 @@ def band_solver(rows, kl, border=None):
             X[step // 2 :: step] = tops[level] - _mv(left, X[:-1:step]) - _mv(right, X[step::step])
         return X.ravel()[kl : kl + n]
 
-    c = np.zeros(n) if border is None else np.asarray(border, dtype=float)
-    if border is None:
+    if not c.any():
         base = reduced
     else:
         with np.errstate(all="ignore"):

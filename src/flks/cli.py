@@ -1056,6 +1056,11 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a size inside MAX_STEPS that this machine cannot allocate
+        print("config error: the configured sizes need more memory than is available",
+              file=sys.stderr)
+        return 2
     except FlksError as exc:
         # numerical failure: leave a diagnostic report behind
         report = {"error": type(exc).__name__, "message": str(exc)}

@@ -285,17 +285,7 @@ def _hermite(f, df, h, q):
 
 
 def case2_travelling_tanh(
-    params,
-    alpha,
-    s_profile=None,
-    C1=0.0,
-    U_ref=1.0,
-    y0=0.0,
-    window=(-40.0, 40.0),
-    n=16384,
-    tol=1e-10,
-    max_iter=400,
-    self_consistent=True,
+    params, alpha, C1=0.0, U_ref=1.0, y0=0.0, window=(-40.0, 40.0), n=16384
 ):
     """Traveling-wave solution for constant decay with the tanh limiter.
 
@@ -319,25 +309,24 @@ def case2_travelling_tanh(
 
     The closure s = V'[U[s]] is found by a self-consistency loop, iterated
     in the bounded variable tanh(alpha s / s0) by picard_iterate, the
-    Anderson-mixed engine that the self-similar profiles also use; the loop
-    gain of this map is large and negative.  From s = 0 the loop takes as
-    many iterations on a coarse grid as on a fine one (59 at the README
-    fig-1 parameters at n = 1024, 4096 and 16384), so it starts from a
-    coarser solution (nested iteration): while n is a multiple of _REFINE =
-    4 and n/4 >= _COARSEST_N = 1024, the same closure is first solved on
-    n/4 intervals of the same window, and its s, carried to this grid by
-    cubic Hermite interpolation with fourth-order nodal slopes, starts this
-    level's loop.  A coarse level only supplies a start: the coarsest level
-    starts from s = 0 or the supplied guess s_profile, and so does a level
-    whose coarser level failed (NoConvergence, DivergenceDetected or
-    DomainError) or that fails from its carried start, so every level
-    converges where its single-level solve does.  At the default n = 16384
-    the levels are 1024, 4096 and 16384, and the finest takes 17 iterations
-    at fig-1, 16 at alpha = 1.0 and 22 to 24 at D = 0.5 and v_max = 2 or 3.
-    ``levels`` records (n, iterations) for each level that ran, a failed one
-    included, coarsest first; ``residual_history`` is the finest level's.
-    With self_consistent=False the supplied s_profile is used as-is (single
-    pass, no closure).
+    Anderson-mixed engine that the self-similar profiles also use, to a
+    residual below 1e-10 within 400 iterations; the loop gain of this map
+    is large and negative.  From s = 0 the loop takes as many iterations on
+    a coarse grid as on a fine one (59 at the README fig-1 parameters at
+    n = 1024, 4096 and 16384), so it starts from a coarser solution (nested
+    iteration): while n is a multiple of _REFINE = 4 and n/4 >= _COARSEST_N
+    = 1024, the same closure is first solved on n/4 intervals of the same
+    window, and its s, carried to this grid by cubic Hermite interpolation
+    with fourth-order nodal slopes, starts this level's loop.  A coarse
+    level only supplies a start: the coarsest level starts from s = 0, and
+    so does a level whose coarser level failed (NoConvergence,
+    DivergenceDetected or DomainError) or that fails from its carried
+    start, so every level converges where its single-level solve does.  At
+    the default n = 16384 the levels are 1024, 4096 and 16384, and the
+    finest takes 17 iterations at fig-1, 16 at alpha = 1.0 and 22 to 24 at
+    D = 0.5 and v_max = 2 or 3.  ``levels`` records (n, iterations) for
+    each level that ran, a failed one included, coarsest first;
+    ``residual_history`` is the finest level's.
 
     The evaluators interpolate U and V by cubic Hermite on the profile
     grid, with the nodal slopes U' of the first integral and V' = the kernel
@@ -346,8 +335,6 @@ def case2_travelling_tanh(
     limiter = params.limiter
     if not isinstance(limiter, TanhLimiter):
         raise ValidationError("traveling tanh wave requires the tanh limiter")
-    if alpha == 0.0:
-        raise ValidationError("alpha must be nonzero")
     if not isinstance(params.decay, ConstantDecay):
         raise ValidationError("traveling tanh wave requires constant decay")
     if not 3 <= n <= MAX_STEPS:
@@ -384,14 +371,11 @@ def case2_travelling_tanh(
         return y, h, i0, U_of, green
 
     def start(y, h, coarse):
-        """The loop's start on y: the coarser level's s carried to y, else
-        s_profile, else 0."""
-        if coarse is not None:
-            H = _REFINE * h
-            return _hermite(coarse, d1_uniform(coarse, H), H, np.arange(y.size) / _REFINE)
-        if s_profile is None:
+        """The loop's start on y: the coarser level's s carried to y, else 0."""
+        if coarse is None:
             return np.zeros(y.size)
-        return np.asarray([float(s_profile(yy)) for yy in y])
+        H = _REFINE * h
+        return _hermite(coarse, d1_uniform(coarse, H), H, np.arange(y.size) / _REFINE)
 
     def closure(U_of, green, s):
         """The closure's s from the start s, and its residual history."""
@@ -402,18 +386,15 @@ def case2_travelling_tanh(
             # s = V' is the kernel applied to U' = U w + C1/Da2 (exact)
             return np.tanh(k_tanh * green(U * w + C1 / Da2))
 
-        result = picard_iterate(g_map, np.tanh(k_tanh * s), tol=tol, max_iter=max_iter)
+        result = picard_iterate(g_map, np.tanh(k_tanh * s), tol=1e-10, max_iter=400)
         return np.arctanh(np.clip(result.profile, -cap, cap)) / k_tanh, result.residuals
 
     sizes = [n]
-    while self_consistent and sizes[0] % _REFINE == 0 and sizes[0] // _REFINE >= _COARSEST_N:
+    while sizes[0] % _REFINE == 0 and sizes[0] // _REFINE >= _COARSEST_N:
         sizes.insert(0, sizes[0] // _REFINE)
     s, history, levels = None, [], []
     for m in sizes:
         y, h, i0, U_of, green = level(m)
-        if not self_consistent:
-            s = start(y, h, None)
-            break
         # a coarser level's s is only a start: a level that fails from it
         # runs again from the fresh start, and a coarse level that fails
         # from that leaves the next level the fresh start
@@ -499,8 +480,6 @@ def case4_cellfree_front(alpha, tau, law, A=1.0, B=0.0):
     the front is not a traveling wave.  A psi that overflows double
     precision raises OverflowGuard.
     """
-    if alpha == 0.0:
-        raise ValidationError("alpha must be nonzero")
     t0 = law.start
     kappa0 = float(law.kappa(t0))
     r1, r2 = travelling_roots(alpha, tau, kappa0)

@@ -71,7 +71,8 @@ def stable_dt(params, config):
     """The step cfl_safety * dx / (2 v_max): the explicit flux, at speed
     |F| <= v_max, carries u across at most cfl_safety/2 of a cell per step
     (the positivity CFL of Chertock & Kurganov, Numer. Math. 111 (2008)).
-    The implicit part sets no bound."""
+    The implicit part sets no bound.  Under a limiter without that bound
+    (``bounded`` not True), ``_Operator.advance`` checks the CFL itself."""
     return config.cfl_safety * config.grid.dx / (2.0 * params.limiter.v_max)
 
 
@@ -138,6 +139,7 @@ class _Operator:
         self.D = params.D
         self.tau = params.tau
         self.F = params.limiter.F
+        self.bounded = params.limiter.bounded is True
         self.kappa = params.decay.kappa
         self.periodic = config.bc == "periodic"
         self.widths = cell_widths(n, dx, config.bc)
@@ -264,9 +266,17 @@ class _Operator:
         solves X' - h L X' = X + dt (_DELTA E(X) + (1 - _DELTA) E(Y))
         + (1 - _GAMMA) dt L Y, with dt L Y = (Y - X - h E(X))/_GAMMA.  E and
         L are the explicit and implicit parts, taken at the stage times
-        t, t + h and t + dt.
+        t, t + h and t + dt.  Under an unbounded limiter a step with
+        dt max|F(v_x)| > dx/2 on X, past the positivity CFL that
+        ``stable_dt`` assumes, raises CFLViolation.
         """
         X = self.X
+        if not self.bounded:
+            speed = float(np.max(np.abs(self.F((X[1, 1:] - X[1, :-1]) / self.dx))))
+            if not dt * speed <= 0.5 * self.dx:
+                raise CFLViolation(
+                    f"the flux speed {speed:.3g} carries u {dt * speed / self.dx:.3g} cells "
+                    f"in the step from t={t:g}, past the positivity bound of 1/2")
         h = _GAMMA * dt
         E1 = self.explicit(X, t)
         B = X + h * E1
@@ -280,9 +290,11 @@ def step(state, params, config, dt):
     """One ARS(2,2,2) step of length dt; kappa is evaluated at the stage times.
 
     Raises StepSizeError for dt <= 0 or a step the implicit stage cannot
-    take, CFLViolation when dt exceeds ``stable_dt``, ValidationError when
-    the state does not match config.grid, and InvalidState when the state
-    is not finite or the result stops being finite.
+    take, CFLViolation when dt exceeds ``stable_dt`` or, under an unbounded
+    limiter, the flux's positivity CFL (``_Operator.advance``),
+    ValidationError when the state does not match config.grid, and
+    InvalidState when the state is not finite or the result stops being
+    finite.
     """
     if dt <= 0.0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
@@ -337,7 +349,9 @@ def run(initial, params, config):
     time, more than MAX_STEPS steps after it, or more than MAX_STEPS
     recorded values (frames times nodes) raises ValidationError before
     anything is allocated; a non-finite state raises InvalidState with the
-    failing time.  The metadata records the step dt.
+    failing time, and a step past the positivity CFL under an unbounded
+    limiter raises CFLViolation (``_Operator.advance``).  The metadata
+    records the step dt.
     """
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")

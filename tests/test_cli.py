@@ -1292,6 +1292,8 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("exact case2_travelling_tanh", "exact", "window_hi", "inf", 2),
      ("exact case2_travelling_tanh", "exact", "alpha", "1e-200", 2),
      ("exact case4_cellfree_front", "exact", "alpha", "1e-200", 2),
+     ("exact case2_travelling_tanh", "exact", "alpha", "0", 2),
+     ("exact case4_cellfree_front", "exact", "alpha", "0", 2),
      ("simulate", "solver", "t_end", "1e300", 2),
      ("simulate frames", "solver", "output_stride", "1", 2),
      ("simulate frames", "solver", "output_stride", "50", 2),
@@ -1325,6 +1327,40 @@ def test_travelling_wave_of_zero_width_exits_2():
     sections = {s: dict(body) for s, body in FINDING_CONFIGS["exact case2_travelling_tanh"].items()}
     sections["exact"].update(window_lo="0", window_hi="0")
     assert _main_on("exact", sections) == 2
+
+
+def _run_capped(argv, address_space):
+    """Run ``flks argv`` in a fresh interpreter whose address space is capped
+    at address_space bytes (RLIMIT_AS, set in the child only); skipped where
+    the resource module is missing.  One BLAS thread keeps the cap from
+    depending on the machine's core count."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "flks.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("finding", ["reduce self_similar", "exact case2_travelling_tanh"])
+def test_sizes_beyond_memory_exit_2(finding, tmp_path):
+    # 10^7 intervals are inside MAX_STEPS, but the self-similar band rows
+    # (687 MiB) or the wave's coarse-to-fine levels outgrow a 600 MiB
+    # address space; numpy's MemoryError ended in a traceback and exit 1
+    sections = {s: dict(body) for s, body in FINDING_CONFIGS[finding].items()}
+    sections[finding.split()[0]]["n"] = "10000000"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(_ini(sections))
+    proc = _run_capped([finding.split()[0], "--config", str(cfg_path),
+                        "--out", str(tmp_path / "o")], 600 * 2**20)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "config error: the configured sizes need more memory than is available"]
 
 
 def test_numerical_failure_prints_one_stderr_line(tmp_path):

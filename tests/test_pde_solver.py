@@ -17,7 +17,12 @@ from flks.core import (
 )
 from flks.errors import CFLViolation, FlksError, InvalidState, StepSizeError, ValidationError
 from flks.exact_solutions import case1_homogeneous, case4_cellfree_front
-from flks.limiters import AlgebraicSqrtLimiter, TanhLimiter, TanhLogLimiter
+from flks.limiters import (
+    AlgebraicSqrtLimiter,
+    TanhLimiter,
+    TanhLogLimiter,
+    WeberFechnerLogLimiter,
+)
 from flks import pde_solver
 from flks.pde_solver import SolverConfig, Trajectory, run, stable_dt, step, total_mass
 
@@ -70,6 +75,28 @@ def test_step_guards():
     bad.u[3] = np.inf
     with pytest.raises(InvalidState):
         step(bad, p, cfg, stable_dt(p, cfg))
+
+
+def test_unbounded_limiter_refuses_a_step_past_the_positivity_cfl():
+    # weber_fechner_log grows without bound, so stable_dt's |F| <= v_max
+    # fails: after the first step max |F(v_x)| is 3.15 and the second would
+    # carry u 0.63 cells.  Marched on to t = 1.3, this run reached
+    # min_u = -2e122 and a mass drift of 6e103
+    p = ModelParams(D=0.1, tau=0.1, limiter=WeberFechnerLogLimiter(1.0, 0.05),
+                    decay=ConstantDecay(0.5))
+    grid = Grid1D(-4.0, 4.0, 256)
+    x = grid.nodes()
+    init = FieldPair(1.0 + 3.0 * np.exp(-x * x / 0.18), np.zeros_like(x), 0.0)
+    cfg = SolverConfig(grid=grid, t_end=0.02)
+    with pytest.raises(CFLViolation, match="0.63 cells in the step from t=0.00625"):
+        run(init, p, cfg)
+    dt = stable_dt(p, cfg)
+    first = step(init, p, cfg, dt)  # v = 0: no flux yet
+    with pytest.raises(CFLViolation, match="0.63 cells"):
+        step(first, p, cfg, dt)
+    # a step 16 times smaller stays inside the bound and keeps u positive
+    traj = run(init, p, SolverConfig(grid=grid, t_end=0.02, cfl_safety=0.025))
+    assert traj.steps_taken == 52 and np.min(traj.min_u) > 0.9
 
 
 @pytest.mark.parametrize(
