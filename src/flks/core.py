@@ -4,7 +4,6 @@ Everything here is immutable after construction (``FieldPair`` arrays are the
 one exception: they belong to the solver run that owns them).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,9 +32,10 @@ class DecayLaw:
 
     Concrete laws implement ``kappa(t)`` and its exact integral
     ``cumulative(a, b)`` over [a, b], which the integrating factor of the
-    uniform relaxation tau v' + kappa(t) v = C is built from.  ``start`` is
-    the time a run under the law begins at: 0, unless the law is undefined
-    there.
+    uniform relaxation tau v' + kappa(t) v = C is built from.  Both take
+    floats or arrays (a and b broadcast); a float in gives a float out.
+    ``start`` is the time a run under the law begins at: 0, unless the law
+    is undefined there.
     """
 
     start = 0.0
@@ -95,7 +95,7 @@ class PowerLawDecay(DecayLaw):
         return self.mu / t
 
     def cumulative(self, a, b):
-        if not (a > 0.0 and b > 0.0):  # also rejects NaN
+        if not (np.all(np.greater(a, 0.0)) and np.all(np.greater(b, 0.0))):  # also rejects NaN
             raise DomainError("power-law decay is defined for t > 0")
         return self.mu * np.log(b / a)
 
@@ -146,13 +146,12 @@ class TabulatedDecay(DecayLaw):
             raise ValidationError("tabulated samples must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("tabulated times must be strictly increasing")
-        # integrals of the interpolant from times[0] to each knot
+        # the knots, and the integrals of the interpolant from times[0] to
+        # each knot, as read-only arrays, so neither kappa nor cumulative
+        # converts the tuples on every call
         seg = np.cumsum(0.5 * np.add(values[1:], values[:-1]) * np.diff(times))
-        object.__setattr__(self, "_seg", (0.0, *seg.tolist()))
-        # the knots as read-only arrays, so np.interp does not convert the
-        # tuples on every call
-        for name, knots in (("_t", times), ("_k", values)):
-            arr = np.array(knots)
+        for name, arr in (("_t", np.array(times)), ("_k", np.array(values)),
+                          ("_seg", np.concatenate([[0.0], seg]))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -162,29 +161,30 @@ class TabulatedDecay(DecayLaw):
         return self.times[0]
 
     def kappa(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if not np.all((t_arr >= self.times[0]) & (t_arr <= self.times[-1])):  # also rejects NaN
-            raise DomainError(
-                f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
-            )
-        out = np.interp(t_arr, self._t, self._k)
+        out = np.interp(self._inside(t), self._t, self._k)
         return out if np.ndim(t) else float(out)
 
     def cumulative(self, a, b):
         """Exact integral of the interpolant over [a, b] (DomainError outside)."""
-        lo, hi = self.times[0], self.times[-1]
-        for t in (a, b):
-            if not lo <= t <= hi:  # also rejects NaN
-                raise DomainError(f"t={t!r} outside tabulated range [{lo}, {hi}]")
-        return self._cum_at(b) - self._cum_at(a)
+        out = self._cum_at(self._inside(b)) - self._cum_at(self._inside(a))
+        return out if out.ndim else float(out)
+
+    def _inside(self, t):
+        """t as a float array; DomainError when a time is outside the samples."""
+        arr = np.asarray(t, dtype=float)
+        if not np.all((arr >= self.times[0]) & (arr <= self.times[-1])):  # also rejects NaN
+            raise DomainError(
+                f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
+            )
+        return arr
 
     def _cum_at(self, t):
-        # exact integral of the piecewise-linear interpolant from times[0]
-        ts, ks = self.times, self.values
-        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        # exact integral of the interpolant from times[0]; i is t's knot interval
+        ts, ks = self._t, self._k
+        i = np.searchsorted(ts[1:-1], t, side="right")
         dt = t - ts[i]
         slope = (ks[i + 1] - ks[i]) / (ts[i + 1] - ts[i])
-        return float(self._seg[i] + ks[i] * dt + 0.5 * slope * dt * dt)
+        return self._seg[i] + ks[i] * dt + 0.5 * slope * dt * dt
 
 
 #: Admitted generator names per classification case, in table row order.

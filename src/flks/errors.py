@@ -28,7 +28,7 @@ class MaxDepthExceeded(FlksError):
 
 
 class OverflowGuard(FlksError):
-    """An exponent would overflow double precision; refusing to continue."""
+    """A value to be returned overflows double precision; refusing to return it."""
 
 
 class NoConvergence(FlksError):

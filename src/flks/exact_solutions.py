@@ -4,7 +4,7 @@ Every constructor returns an ExactSolution whose (eval_u, eval_v) callables
 accept scalar or array x and t, carry the full parameter record, and document
 their validity assumptions.  The homogeneous families are x-independent and
 say so: their evaluators carry the time function they lift (``of_t``), and
-ExactSolution.frame samples such a field as one value per time.  The
+ExactSolution.frames samples such a field as one value per time.  The
 traveling families live on y = t - alpha*x.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_STEPS, CaseTag, ConstantDecay, FieldPair, classify
+from .core import MAX_STEPS, CaseTag, ConstantDecay, FieldPair, TabulatedDecay, classify
 from .errors import (
     ComplexRoots,
     DivergenceDetected,
@@ -24,13 +24,13 @@ from .errors import (
 )
 from .limiters import TanhLimiter
 from .quadrature import (
-    CachedLinearSolution,
     cumulative_integral,
     d1_uniform,
     exp_integral_Ei,
     exp_kernel_lower,
     exp_kernel_upper,
     first_integral,
+    linear_relaxation,
     picard_iterate,
 )
 
@@ -45,15 +45,18 @@ class ExactSolution:
     params: dict
     assumptions: tuple = ()
 
-    def frame(self, x, t):
-        """(u, v) on the nodes x at time t.  A field stated x-independent
-        (its evaluator carries ``of_t``) is one float, its time function
-        called once; any other is a read-only broadcast array over x."""
-        return tuple(
-            float(ev.of_t(float(t))) if hasattr(ev, "of_t")
-            else np.broadcast_to(np.asarray(ev(x, t), dtype=float), np.shape(x))
+    def frames(self, x, ts):
+        """(u, v) on the nodes x at each of the times ts.  A field stated
+        x-independent (its evaluator carries ``of_t``) is one float per time,
+        from one call of its time function on all of ts; any other is a
+        read-only broadcast array over x per time."""
+        ts = np.asarray(ts, dtype=float)
+        fields = [
+            ev.of_t(ts).tolist() if hasattr(ev, "of_t")
+            else [np.broadcast_to(np.asarray(ev(x, t), dtype=float), np.shape(x)) for t in ts]
             for ev in (self.eval_u, self.eval_v)
-        )
+        ]
+        return zip(*fields)
 
     def sample(self, grid, t):
         """Sample both fields on the nodes of a Grid1D at time t."""
@@ -64,53 +67,60 @@ class ExactSolution:
 
 
 def _no_overflow(fn_t):
-    """fn_t with a float overflow raised as OverflowGuard, a numerical
-    failure, instead of Python's OverflowError."""
+    """fn_t with a float overflow, Python's OverflowError or numpy's, raised
+    as OverflowGuard, a numerical failure.  An infinite input stays a value."""
 
     def guarded(t):
         try:
-            return fn_t(t)
-        except OverflowError:
-            raise OverflowGuard(f"closed form overflows double precision at t = {t:g}") from None
+            with np.errstate(over="raise"):
+                return fn_t(t)
+        except (OverflowError, FloatingPointError):
+            at = f"[{np.min(t):g}, {np.max(t):g}]"
+            raise OverflowGuard(f"closed form overflows double precision at t in {at}") from None
 
     return guarded
 
 
 def _x_independent(fn_t):
-    """Lift a scalar function of time to an (x, t) field evaluator; the
-    evaluator keeps fn_t, guarded against overflow, as ``of_t``, its
-    statement that the field is x-independent."""
+    """Lift a function of an array of times to an (x, t) field evaluator that
+    keeps, as ``of_t``, its statement that the field is x-independent: fn_t
+    guarded against overflow, taking a float to a float, an array to an array."""
     fn_t = _no_overflow(fn_t)
 
-    def ev(x, t):
-        x = np.asarray(x, dtype=float)
-        if np.ndim(t) == 0:
-            return np.broadcast_to(fn_t(float(t)), x.shape).copy() if x.ndim else fn_t(float(t))
-        tv = np.asarray(t, dtype=float)
-        vals = np.array([fn_t(float(tt)) for tt in tv.ravel()]).reshape(tv.shape)
-        return np.broadcast_to(vals, np.broadcast_shapes(x.shape, tv.shape)).copy()
+    def of_t(t):
+        t = np.asarray(t, dtype=float)
+        vals = np.broadcast_to(fn_t(t), t.shape)
+        return vals if t.ndim else float(vals)
 
-    ev.of_t = fn_t
+    def ev(x, t):
+        vals = of_t(t)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(vals))
+        return np.broadcast_to(vals, shape).copy() if shape else vals
+
+    ev.of_t = of_t
     return ev
 
 
-def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0, tol=1e-12):
+def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0):
     """Spatially uniform solution u = C, tau v' + kappa(t) v = C.
 
     v(t) = mu(t)^-1 [mu(t0) V0 + (C/tau) int_t0^t mu(s) ds] with the
     integrating factor mu(t) = exp((1/tau) int_t0^t kappa).  Valid for any
     decay law on the law's own domain; the flux term vanishes identically so
-    no limiter assumption enters.  The exponent uses the law's exact
-    cumulative integral; tol governs the remaining particular-part
-    quadrature (a looser value helps tabulated laws with many kinks).
+    no limiter assumption enters.  v comes from quadrature.linear_relaxation
+    on whole arrays of times, panels of 6-node Gauss-Legendre between t0, the
+    times and a tabulated law's knots, exponents from the law's cumulative.
     """
     law, tau = params.decay, params.tau
-    v_of_t = CachedLinearSolution(
-        lambda lo, hi: law.cumulative(lo, hi) / tau, C / tau, t0, V0, tol=tol
-    )
-    tag = classify(law)[0]
+    knots = law.times if isinstance(law, TabulatedDecay) else ()
+
+    def v_of_t(t):
+        return linear_relaxation(lambda s: law.kappa(s) / tau,
+                                 lambda lo, hi: law.cumulative(lo, hi) / tau,
+                                 C / tau, t0, V0, t, knots)
+
     return ExactSolution(
-        case=tag,
+        case=classify(law)[0],
         eval_u=_x_independent(lambda t: C),
         eval_v=_x_independent(v_of_t),
         params={"C": C, "V0": V0, "t0": t0, "tau": tau, "decay": repr(law)},
@@ -137,15 +147,15 @@ def case3_homogeneous(mu, tau, C=1.0, V0=0.0, t0=1.0):
     if mu == -tau:
 
         def v_of_t(t):
-            if t <= 0.0:
+            if np.any(t <= 0.0):
                 raise DomainError("power-law decay requires t > 0")
-            return (C / tau) * t * math.log(t / t0) + (V0 / t0) * t
+            return (C / tau) * t * np.log(t / t0) + (V0 / t0) * t
 
         branch = "logarithmic (mu = -tau)"
     else:
 
         def v_of_t(t):
-            if t <= 0.0:
+            if np.any(t <= 0.0):
                 raise DomainError("power-law decay requires t > 0")
             return C * t / (mu + tau) + ((mu + tau) * V0 - C * t0) / (mu + tau) * (
                 t0 / t
@@ -185,7 +195,7 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
         else:
 
             def v_of_t(t):
-                return C / kappa0 + (V0 - C / kappa0) * math.exp(
+                return C / kappa0 + (V0 - C / kappa0) * np.exp(
                     -kappa0 * (t - t0) / tau
                 )
 
@@ -194,17 +204,16 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
         if kappa0 == 0.0:
             raise DomainError("kappa0 = 0 puts the Ei argument at its singularity")
         a = kappa0 / (tau * lam)
-        w_of_t = _no_overflow(lambda t: a * math.exp(lam * t))
-        w0 = w_of_t(t0)
+        w_of_t = _no_overflow(lambda t: a * np.exp(lam * t))
+        w0 = float(w_of_t(t0))
         ei0 = exp_integral_Ei(w0)
 
         def v_of_t(t):
             w = w_of_t(t)
+            ei = np.reshape([exp_integral_Ei(x) for x in w.ravel().tolist()], w.shape)
             # e^(w0-w) keeps the homogeneous part a pure difference of
             # exponents; the particular part pairs e^(-w) with Ei(w)
-            return math.exp(w0 - w) * V0 + (C / (tau * lam)) * (
-                math.exp(-w) * (exp_integral_Ei(w) - ei0)
-            )
+            return np.exp(w0 - w) * V0 + (C / (tau * lam)) * (np.exp(-w) * (ei - ei0))
 
         branch = "exponential-integral form"
 
@@ -483,17 +492,13 @@ def case4_cellfree_front(alpha, tau, law, A=1.0, B=0.0):
     t0 = law.start
     kappa0 = float(law.kappa(t0))
     r1, r2 = travelling_roots(alpha, tau, kappa0)
-    psi = _no_overflow(
-        lambda t: math.exp(-(law.cumulative(t0, t) - kappa0 * (t - t0)) / tau)
-    )
+    psi = _no_overflow(lambda t: np.exp(-(law.cumulative(t0, t) - kappa0 * (t - t0)) / tau))
 
     def ev_v(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         yy = t - alpha * x
-        # the laws' cumulative integrals take scalar times
-        factor = np.vectorize(psi, otypes=[float])(t) if t.ndim else psi(float(t))
-        return factor * (A * np.exp(r1 * yy) + B * np.exp(r2 * yy))
+        return psi(t) * (A * np.exp(r1 * yy) + B * np.exp(r2 * yy))
 
     def ev_u(x, t):
         shape = np.broadcast_shapes(np.shape(x), np.shape(t))

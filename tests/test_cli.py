@@ -562,6 +562,21 @@ def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, c
         assert err == ""
 
 
+def test_uniform_family_reaches_its_steady_level_at_long_times(tmp_path):
+    # fig-1 constant decay: v -> C/kappa0 = 2.  The accumulated exponent
+    # int kappa/tau is 1e3 at t = 200; exact and reduce write v there
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL + "[exact]\nfamily = case1_homogeneous\nt_samples = 1,200\n"
+                        "[reduce]\nkind = homogeneous\nt_end = 200\nh = 0.01\n")
+    for command, name, t_col, v_col in (("exact", "case1_homogeneous", "t", "v"),
+                                        ("reduce", "reduce_homogeneous", "t", "V")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, cols = import_csv(str(out / f"{name}.csv"))
+        v = cols[v_col][cols[t_col] == 200.0]
+        assert v.size and np.all(np.abs(v / 2.0 - 1.0) <= 1e-14), v
+
+
 def test_exact_cellfree_front_constant_decay_is_lam_zero(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "[exact]\nfamily = case4_cellfree_front\nt_samples = 0.5\n")
@@ -616,7 +631,7 @@ UNIFORM_FAMILIES = ("case1_homogeneous", "case3_homogeneous", "case4_homogeneous
 def test_declared_uniform_values_are_the_evaluators(decay, family):
     # exact writes a declared field as one value per frame: that value is
     # eval_u / eval_v at every node, bit for bit, each side on a fresh
-    # instance sampled at the same times in the same order
+    # instance sampled at the same times in one call
     from flks.cli import build_decay, build_grid
 
     cfg = parse_config(MINIMAL.replace(CONSTANT, DECAY_TEXT[decay]) + "[exact]\nn = 2048\n",
@@ -631,12 +646,13 @@ def test_declared_uniform_values_are_the_evaluators(decay, family):
     if family not in UNIFORM_FAMILIES:
         return
     x = build_grid(cfg).nodes()
-    for t in build_decay(cfg).start + np.array([0.5, 1.0, 2.0]):
-        for value, ev in zip(sol.frame(x, t), (ref.eval_u, ref.eval_v)):
+    ts = build_decay(cfg).start + np.array([0.5, 1.0, 2.0])
+    for k, frame in enumerate(sol.frames(x, ts)):
+        for value, ev in zip(frame, (ref.eval_u, ref.eval_v)):
             assert isinstance(value, float)
             np.testing.assert_array_equal(
                 np.full(x.shape, value).view(np.int64),
-                np.asarray(ev(x, t), dtype=float).view(np.int64))
+                np.asarray(ev(x[:, None], ts), dtype=float)[:, k].view(np.int64))
 
 
 def test_sweep_converts_values_per_key(tmp_path):

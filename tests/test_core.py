@@ -94,7 +94,8 @@ def test_cumulative_is_exact_integral_of_kappa(law, a, b):
 
 
 def test_tabulated_cumulative_range():
-    for a, b in ((-0.1, 1.0), (0.5, 2.5), (np.nan, 1.0), (0.5, np.nan)):
+    for a, b in ((-0.1, 1.0), (0.5, 2.5), (np.nan, 1.0), (0.5, np.nan),
+                 (np.array([0.5, 2.5]), 1.0), (0.5, np.array([[1.0, 1.5], [-0.1, 1.0]]))):
         with pytest.raises(DomainError):
             _TABULATED.cumulative(a, b)
     with pytest.raises(NotImplementedError):
@@ -102,6 +103,20 @@ def test_tabulated_cumulative_range():
 
 
 _ALL_LAWS = [ConstantDecay(0.5), PowerLawDecay(0.5), ExponentialDecay(0.5, 0.3), _TABULATED]
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: type(law).__name__)
+def test_array_cumulative_matches_scalar_calls(law):
+    # the same arithmetic per element: equal to the last bit, a float per
+    # scalar call, and a and b broadcast
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.5, 2.0, (2, 3, 4))
+    by_float = [law.cumulative(float(lo), float(hi)) for lo, hi in zip(a.ravel(), b.ravel())]
+    assert all(isinstance(c, float) for c in by_float)
+    np.testing.assert_array_equal(law.cumulative(a, b), np.reshape(by_float, a.shape))
+    np.testing.assert_array_equal(law.cumulative(0.5, b[:, :1]),
+                                  [[law.cumulative(0.5, float(hi))] for hi in b[:, 0]])
+    assert law.cumulative(a[:, :, None], b[:, None, :]).shape == (3, 4, 4)
 
 
 @pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: type(law).__name__)
@@ -113,8 +128,11 @@ _ALL_LAWS = [ConstantDecay(0.5), PowerLawDecay(0.5), ExponentialDecay(0.5, 0.3),
         lambda law: law.kappa(np.array([0.5, np.nan])),
         lambda law: law.cumulative(0.5, float("nan")),
         lambda law: law.cumulative(float("nan"), 0.5),
+        lambda law: law.cumulative(np.array([0.5, 0.6]), np.array([1.0, np.nan])),
+        lambda law: law.cumulative(np.array([[0.5], [np.nan]]), 1.0),
     ],
-    ids=["kappa", "kappa-np-scalar", "kappa-array", "cumulative-hi", "cumulative-lo"],
+    ids=["kappa", "kappa-np-scalar", "kappa-array", "cumulative-hi", "cumulative-lo",
+         "cumulative-array-hi", "cumulative-array-lo"],
 )
 def test_nan_time_raises_domain_error(law, call):
     with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ from conftest import case2_pde_residuals, rk4_scalar_ode
 from flks.core import (
     CaseTag,
     ConstantDecay,
+    ExponentialDecay,
     ModelParams,
     PowerLawDecay,
     TabulatedDecay,
@@ -17,6 +18,7 @@ from flks.errors import (
     DivergenceDetected,
     DomainError,
     NoConvergence,
+    OverflowGuard,
     ValidationError,
 )
 from flks.exact_solutions import (
@@ -41,16 +43,34 @@ def make_params(decay, limiter=None, D=0.8, tau=0.1):
 # case I
 # ---------------------------------------------------------------------------
 
+# (kappa0, tau, C, V0, t0, times) under constant decay, against the closed
+# form C/kappa0 + (V0 - C/kappa0) e^(-kappa0 (t - t0)/tau), V0 + C (t - t0)/tau
+# at kappa0 = 0
+_CONSTANT_RATE_ROWS = [
+    # fig-1: v = 2 (1 - e^(-5 t)), at its steady level 2 by t = 12; at
+    # t = 200 and 1e4 the accumulated exponent is 1e3 and 5e4
+    (0.5, 0.1, 1.0, 0.0, 0.0, (0.0, 0.3, 1.0, 2.5, 12.0, 139.0, 141.0, 200.0, 1e4)),
+    (0.0, 1.0, 1.0, 0.0, 0.0, (5.0,)),  # kappa = 0: pure integration
+    (1.7, 1.0, -0.6, 2.3, 0.5, (0.5, 1.0, 3.0, 8.0)),  # C < 0
+    (1.0, 1.0, 0.0, 1.0, 0.0, (2.0, -1.0, 0.5)),  # times before t0
+]
+
+
 def test_case1_constant_decay_closed_form():
-    # kappa0 = 0.5, tau = 0.1, C = 1, V0 = 0: v(t) = 2 (1 - e^(-5 t))
-    p = make_params(ConstantDecay(0.5))
-    sol = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
-    for t in (0.0, 0.3, 1.0, 2.5):
-        assert sol.eval_v(0.0, t) == pytest.approx(
-            2.0 * (1.0 - math.exp(-5.0 * t)), abs=1e-10
-        )
+    for kappa0, tau, C, V0, t0, times in _CONSTANT_RATE_ROWS:
+        sol = case1_homogeneous(make_params(ConstantDecay(kappa0), tau=tau), C=C, V0=V0, t0=t0)
+        ts = np.array(times)
+        if kappa0 == 0.0:
+            exact = V0 + C * (ts - t0) / tau
+        else:
+            exact = C / kappa0 + (V0 - C / kappa0) * np.exp(-kappa0 * (ts - t0) / tau)
+        # all times in one call, and each time alone
+        np.testing.assert_allclose(sol.eval_v(0.0, ts), exact, rtol=1e-13, atol=1e-15)
+        for t, v in zip(times, exact):
+            assert sol.eval_v(0.0, t) == pytest.approx(v, rel=1e-13, abs=1e-15)
+    # u = C, and x-independence
+    sol = case1_homogeneous(make_params(ConstantDecay(0.5)), C=1.0, V0=0.0, t0=0.0)
     assert sol.eval_u(3.0, 1.0) == 1.0
-    # x-independence
     xs = np.linspace(-4.0, 4.0, 9)
     assert np.ptp(sol.eval_v(xs, 1.3)) == 0.0
 
@@ -69,7 +89,7 @@ def test_case1_tabulated_matches_case4():
     ts = np.linspace(0.0, 5.0, 2501)
     law = TabulatedDecay(tuple(ts), tuple(0.5 * np.exp(0.2 * ts)))
     p = make_params(law, tau=0.1)
-    sol_tab = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0, tol=1e-9)
+    sol_tab = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
     sol_ei = case4_homogeneous(kappa0=0.5, lam=0.2, tau=0.1, C=1.0, V0=0.0, t0=0.0)
     for t in (0.5, 1.0, 2.0, 3.5, 5.0):
         assert sol_tab.eval_v(0.0, t) == pytest.approx(
@@ -77,11 +97,63 @@ def test_case1_tabulated_matches_case4():
         )
 
 
+def test_case1_tabulated_relaxes_only_as_far_as_asked():
+    # kappa = 1, tau = 0.01 tabulated to t = 1e5 is 1e7 relaxation units, more
+    # than MAX_STEPS panels; v(1) and v(2) need the knots up to t = 2 only
+    ts = np.linspace(0.0, 1e5, 1001)
+    law = TabulatedDecay(tuple(ts), tuple(np.ones_like(ts)))
+    sol = case1_homogeneous(make_params(law, tau=0.01), C=1.0, V0=0.0, t0=0.0)
+    np.testing.assert_allclose(sol.eval_v(0.0, np.array([1.0, 2.0])), 1.0, rtol=1e-15)
+
+
 def test_case1_power_law_domain_error_propagates():
     p = make_params(PowerLawDecay(0.2))
     sol = case1_homogeneous(p, C=1.0, V0=0.0, t0=1.0)
     with pytest.raises(DomainError):
         sol.eval_v(0.0, -1.0)
+
+
+def test_case1_matches_the_closed_forms_of_cases_3_and_4():
+    # exponential decay: the Ei closed form, and RK4 of tau v' = C - kappa(t) v
+    sol = case1_homogeneous(make_params(ExponentialDecay(0.5, 0.2)), C=1.0, V0=0.0, t0=0.0)
+    ref = case4_homogeneous(0.5, 0.2, 0.1, C=1.0, V0=0.0, t0=0.0)
+    ts = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    np.testing.assert_allclose(sol.eval_v(0.0, ts), [ref.eval_v(0.0, t) for t in ts], rtol=1e-13)
+    rk4 = rk4_scalar_ode(lambda t, y: (1.0 - 0.5 * math.exp(0.2 * t) * y) / 0.1,
+                         0.0, 0.0, 1.0, 20000)
+    assert sol.eval_v(0.0, 1.0) == pytest.approx(rk4, rel=1e-8)
+    # power-law decay from V0 != 0
+    sol = case1_homogeneous(make_params(PowerLawDecay(0.2)), C=1.0, V0=0.5, t0=1.0)
+    ref = case3_homogeneous(0.2, 0.1, C=1.0, V0=0.5, t0=1.0)
+    ts = np.array([1.5, 2.0, 5.0, 20.0])
+    np.testing.assert_allclose(sol.eval_v(0.0, ts), [ref.eval_v(0.0, t) for t in ts], rtol=1e-13)
+    # rates that vary over decades of t inside panels with int kappa/tau < 1:
+    # mu/tau = 0.1 from t0 = 1 to sparse times (0.92 from 1 to 1e4), and
+    # kappa0 = 1e-6 doubling every 0.7 time units
+    for C in (0.0, 1.0):
+        sol = case1_homogeneous(make_params(PowerLawDecay(0.01)), C=C, V0=1.0, t0=1.0)
+        ref = case3_homogeneous(0.01, 0.1, C=C, V0=1.0, t0=1.0)
+        for t in (1e3, 1e4):
+            assert sol.eval_v(0.0, t) == pytest.approx(ref.eval_v(0.0, t), rel=1e-13)
+    sol = case1_homogeneous(make_params(ExponentialDecay(1e-6, 1.0), tau=1.0), C=1.0, V0=1.0)
+    ref = case4_homogeneous(1e-6, 1.0, 1.0, C=1.0, V0=1.0)
+    ts = np.array([5.0, 15.0, 20.0])
+    np.testing.assert_allclose(sol.eval_v(0.0, ts), [ref.eval_v(0.0, t) for t in ts], rtol=1e-13)
+
+
+def test_case1_refuses_only_a_value_that_overflows():
+    # kappa0 < 0 grows v like e^(2 t): finite at t = 300, past double
+    # precision at t = 400
+    sol = case1_homogeneous(make_params(ConstantDecay(-2.0), tau=1.0), C=1.0, V0=1.0, t0=0.0)
+    assert math.isfinite(sol.eval_v(0.0, 300.0))
+    with pytest.raises(OverflowGuard):
+        sol.eval_v(0.0, 400.0)
+    with pytest.raises(OverflowGuard):
+        sol.eval_v(0.0, np.array([1.0, 400.0]))
+    # fig-1 to t = 1e7 is 5e7 panels, more than MAX_STEPS
+    sol = case1_homogeneous(make_params(ConstantDecay(0.5)), C=1.0, V0=0.0, t0=0.0)
+    with pytest.raises(ValidationError, match="panels"):
+        sol.eval_v(0.0, 1e7)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from flks.errors import (
     OverflowGuard,
 )
 from flks.quadrature import (
-    CachedLinearSolution,
     _panel_weights,
     cumulative_integral,
     d1_uniform,
@@ -80,19 +79,6 @@ def composite_simpson(f, lo, hi, panels):
     return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
-def rk4_scalar(f, t0, y0, t1, n):
-    t, y = t0, y0
-    h = (t1 - t0) / n
-    for _ in range(n):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
-
-
 # ---------------------------------------------------------------------------
 # integrate_adaptive
 # ---------------------------------------------------------------------------
@@ -137,58 +123,6 @@ def test_adaptive_depth_limit():
         integrate_adaptive(
             lambda t: math.sqrt(abs(t)), -1.0, 1.0, tol=1e-300, max_depth=8
         )
-
-
-# ---------------------------------------------------------------------------
-# CachedLinearSolution
-# ---------------------------------------------------------------------------
-
-def test_linear_pure_integration():
-    sol = CachedLinearSolution(lambda lo, hi: 0.0, b=1.0, t0=0.0, y0=0.0)
-    assert sol(5.0) == pytest.approx(5.0, abs=1e-11)
-
-
-def test_linear_steady_level():
-    # a = kappa0/tau = 5, b = C/tau = 10: steady level C/kappa0 = 2
-    sol = CachedLinearSolution(lambda lo, hi: 5.0 * (hi - lo), b=10.0, t0=0.0, y0=0.0)
-    assert sol(12.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_linear_constant_coefficients_closed_form():
-    a, b, y0, t0 = 1.7, -0.6, 2.3, 0.5
-    cumulative = lambda lo, hi: a * (hi - lo)
-    for t in (0.5, 1.0, 3.0, 8.0):
-        exact = b / a + (y0 - b / a) * math.exp(-a * (t - t0))
-        assert CachedLinearSolution(cumulative, b, t0, y0)(t) == pytest.approx(exact, rel=1e-10)
-
-
-def test_linear_exponential_coefficient_vs_rk4():
-    kappa0, lam, tau, C = 0.5, 0.2, 0.1, 1.0
-    sol = CachedLinearSolution(
-        lambda lo, hi: kappa0 * (math.exp(lam * hi) - math.exp(lam * lo)) / (lam * tau),
-        b=C / tau,
-        t0=0.0,
-        y0=0.0,
-    )
-    got = sol(1.0)
-    ref = rk4_scalar(
-        lambda t, y: (C - kappa0 * math.exp(lam * t) * y) / tau, 0.0, 0.0, 1.0, 20000
-    )
-    assert got == pytest.approx(ref, rel=1e-8)
-
-
-def test_linear_array_eval_and_backward():
-    ts = np.array([2.0, -1.0, 0.5])
-    sol = CachedLinearSolution(lambda lo, hi: hi - lo, b=0.0, t0=0.0, y0=1.0)
-    ys = np.array([sol(t) for t in ts])
-    assert np.allclose(ys, np.exp(-ts), rtol=1e-10)
-
-
-def test_linear_overflow_guard():
-    # negative a grows the factor; a huge window must trip the guard
-    sol = CachedLinearSolution(lambda lo, hi: -2.0 * (hi - lo), b=1.0, t0=0.0, y0=1.0)
-    with pytest.raises(OverflowGuard):
-        sol(400.0)
 
 
 # ---------------------------------------------------------------------------
