@@ -10,7 +10,6 @@ table, applied to arrays or assembled as band rows) used by the
 solution constructors, the reduced solvers and the residual checks.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -468,57 +467,69 @@ def _poly_exp_moments(z, kmax=3, terms=30):
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-@functools.lru_cache(maxsize=64)
 def _panel_weights(z):
     """Nodal weights for int_0^1 f(theta) exp(z(1-theta)) dtheta with f the
     cubic through 4 nodes.  Returns (left-edge, interior, right-edge) weight
-    vectors for node offsets (0,1,2,3), (-1,0,1,2), (-2,-1,0,1).
-
-    A closure pass evaluates the kernels thousands of times at a handful of
-    z values, so the weights are cached per z and returned read-only."""
+    vectors for node offsets (0,1,2,3), (-1,0,1,2), (-2,-1,0,1)."""
     A = _poly_exp_moments(z)
     weights = []
     for offsets in ((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0)):
         V = np.vander(np.asarray(offsets), 4, increasing=True)  # V[j,k] = theta_j^k
-        wts = np.linalg.solve(V.T, A)
-        wts.flags.writeable = False
-        weights.append(wts)
+        weights.append(np.linalg.solve(V.T, A))
     return tuple(weights)
 
 
-def exp_kernel_lower(f, h, r):
-    """L[i] = int_{y_0}^{y_i} exp(r (y_i - eta)) f(eta) d eta on a uniform
-    grid, 4th-order accurate, via the stable panel recurrence."""
-    f = np.asarray(f, dtype=float)
-    n = f.size
+def exp_kernel(n, h, r):
+    """The lower kernel on n uniform nodes of step h, prepared once: a
+    callable taking f to L[i] = int_{y_0}^{y_i} exp(r (y_i - eta)) f(eta)
+    d eta, 4th-order accurate, via the stable panel recurrence.
+
+    The panel weights and the scan rows e^(-zk), e^(zk), z = r h, are
+    computed here, for every k <= n - 1 with |z| k <= ln of the largest
+    double; each call forms the panel sums by one np.convolve and scans
+    them.  Raises DomainError for n < 4 or |z| > 5."""
     if n < 4:
-        raise DomainError("exp_kernel_lower needs at least 4 samples")
+        raise DomainError("exp_kernel needs at least 4 samples")
     z = r * h
     w_left, w_int, w_right = _panel_weights(z)
-    p = np.empty(n - 1)
-    p[0] = h * np.dot(w_left, f[0:4])
-    if n > 4:
-        stack = np.stack([f[0:-3], f[1:-2], f[2:-1], f[3:]], axis=0)
-        p[1:-1] = h * (w_int @ stack)
-    p[-1] = h * np.dot(w_right, f[-4:])
-    out = np.empty(n)
-    out[0] = 0.0
-    # L[s+j] = e^(z j) (L[s] + sum_{k<=j} p_{s+k-1} e^(-z k)) over blocks of
-    # panels from node s.  Each block keeps |z| k <= room, the ln of the
-    # largest double over n max|p|, so no rescaled sum overflows; a kernel
-    # with that room for all n - 1 panels is one block
-    room = _LOG_MAX - math.log(n * max(float(np.max(np.abs(p))), 1.0))
-    block = n - 1
-    if 0.0 < room < abs(z) * (n - 1):
-        block = max(1, int(room / abs(z)))
-    idx = np.arange(1, block + 1)
-    for s in range(0, n - 1, block):
-        k = idx[: n - 1 - s]
-        acc = np.cumsum(p[s : s + k.size] * np.exp(-z * k))
-        if s:
-            acc += out[s]
-        out[s + 1 : s + 1 + k.size] = np.exp(z * k) * acc
-    return out
+    taps = w_int[::-1]
+    zk = z * np.arange(1, n)
+    zk = zk[np.abs(zk) <= _LOG_MAX]
+    down, up = np.exp(-zk), np.exp(zk)
+
+    def lower(f):
+        f = np.asarray(f, dtype=float)
+        p = np.empty(n - 1)
+        p[0] = h * np.dot(w_left, f[0:4])
+        p[1:-1] = h * np.convolve(f, taps, "valid")
+        p[-1] = h * np.dot(w_right, f[-4:])
+        out = np.empty(n)
+        out[0] = 0.0
+        # L[s+j] = e^(z j) (L[s] + sum_{k<=j} p_{s+k-1} e^(-z k)) over blocks of
+        # panels from node s.  Each block keeps |z| k <= room, the ln of the
+        # largest double over n max|p|, so no rescaled sum overflows; a kernel
+        # with that room for all n - 1 panels is one block, and one with no
+        # room at all takes the longest blocks the rows hold
+        room = _LOG_MAX - math.log(n * max(float(np.max(np.abs(p))), 1.0))
+        block = up.size
+        if 0.0 < room < abs(z) * (n - 1):
+            block = max(1, int(room / abs(z)))
+        for s in range(0, n - 1, block):
+            m = min(block, n - 1 - s)
+            acc = np.cumsum(p[s : s + m] * down[:m])
+            if s:
+                acc += out[s]
+            out[s + 1 : s + 1 + m] = up[:m] * acc
+        return out
+
+    return lower
+
+
+def exp_kernel_lower(f, h, r):
+    """L[i] = int_{y_0}^{y_i} exp(r (y_i - eta)) f(eta) d eta, 4th order;
+    see exp_kernel."""
+    f = np.asarray(f, dtype=float)
+    return exp_kernel(f.size, h, r)(f)
 
 
 def exp_kernel_upper(f, h, r):

@@ -31,6 +31,7 @@ from flks.exact_solutions import (
     travelling_roots,
 )
 from flks.limiters import TanhLimiter, WeberFechnerLogLimiter
+from flks.quadrature import exp_kernel_upper
 
 
 def make_params(decay, limiter=None, D=0.8, tau=0.1):
@@ -457,6 +458,20 @@ def test_case2_failed_level_leaves_the_fresh_start(fig_params, monkeypatch, fail
     assert sol.levels == first + [(4096, k)]
     assert sol.residual_history == single.residual_history
     assert np.array_equal(sol.U, single.U) and np.array_equal(sol.V, single.V)
+
+
+def test_case2_coarse_level_whose_kernel_cannot_be_prepared_is_a_failed_level():
+    # at n = 1024 on the window +-40,000, r+ h = 6.5 > 5 and the kernel
+    # raises DomainError; that level fails and the next starts from s = 0
+    p = make_params(ConstantDecay(1e-4), D=1000.0)
+    r_plus, _ = travelling_roots(1.1, 0.1, 1e-4)
+    with pytest.raises(DomainError):
+        exp_kernel_upper(np.zeros(1025), 80000.0 / 1024, r_plus)
+    sol = case2_travelling_tanh(p, 1.1, window=(-40000.0, 40000.0), n=16384)
+    assert sol.levels[0] == (1024, 0)
+    assert [m for m, _ in sol.levels] == [1024, 4096, 16384]
+    assert sol.levels[-1] == (16384, len(sol.residual_history))
+    assert sol.residual_history[-1] < 1e-10
 
 
 def test_case2_closure_converges_where_its_coarse_start_fails():

@@ -3,7 +3,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flks.banded import band_matvec
@@ -15,12 +15,12 @@ from flks.errors import (
     OverflowGuard,
 )
 from flks.quadrature import (
-    _panel_weights,
     cumulative_integral,
     d1_uniform,
     d2_uniform,
     difference_matrix,
     exp_integral_Ei,
+    exp_kernel,
     exp_kernel_lower,
     exp_kernel_upper,
     first_integral,
@@ -414,6 +414,7 @@ def test_difference_matrices_apply_the_stencil_table(n):
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+@example(r=2.225073858507203e-309)
 def test_exp_kernel_matches_brute_force(r):
     # L[i] = int exp(r (y_i - eta)) f d eta against adaptive quadrature
     y = np.linspace(-1.0, 3.0, 161)
@@ -430,18 +431,6 @@ def test_exp_kernel_matches_brute_force(r):
         ).value
         assert L[i] == pytest.approx(ref_l, abs=60.0 * h**4)
         assert R[i] == pytest.approx(ref_r, abs=60.0 * h**4)
-
-
-def test_panel_weights_cached_read_only_and_unchanged():
-    for z in (-0.3, 0.0, 0.05, 1.7):
-        first = _panel_weights(z)
-        assert _panel_weights(z) is first
-        fresh = _panel_weights.__wrapped__(z)
-        for w, ref in zip(first, fresh):
-            assert not w.flags.writeable
-            assert w.tobytes() == ref.tobytes()
-        with pytest.raises(ValueError):
-            first[1][0] = 0.0
 
 
 def test_exp_kernel_fourth_order_refinement():
@@ -492,3 +481,30 @@ def test_exp_kernel_of_a_constant_is_finite_and_exact(f0, r):
     assert np.all(np.isfinite(L))
     assert L[0] == 0.0
     assert np.max(np.abs(L[1:] - ref[1:]) / ref[1:]) < 1e-12
+
+
+def test_prepared_exp_kernel_keeps_no_state_between_calls():
+    # one prepared kernel on an ordinary profile, then on f = 1e200 (room
+    # below |z|(n - 1) = 540, so the scan runs in blocks), then the ordinary
+    # profile again: each call matches its closed form, and the repeat is
+    # bit-identical to the first
+    n, h, r = 16385, 900.0 / 16384, -0.6
+    y = h * np.arange(n)
+    lower = exp_kernel(n, h, r)
+    ordinary = (-r * np.cos(y) + np.sin(y) + r * np.exp(r * y)) / (1.0 + r * r)
+    first = lower(np.cos(y))
+    assert np.max(np.abs(first - ordinary)) < 1e-6
+    huge = lower(np.full(n, 1e200))
+    ref = 1e200 * (np.exp(r * y[1:]) - 1.0) / r
+    assert huge[0] == 0.0
+    assert np.max(np.abs(huge[1:] - ref) / ref) < 1e-12
+    assert np.array_equal(lower(np.cos(y)), first)
+
+
+def test_exp_kernel_on_four_nodes():
+    # the one interior panel of four nodes was left unset, 0.1 off here
+    h, r = 0.1, 0.5
+    y = h * np.arange(4)
+    L = exp_kernel_lower(np.cos(y), h, r)
+    ref = (-r * np.cos(y) + np.sin(y) + r * np.exp(r * y)) / (1.0 + r * r)
+    assert np.max(np.abs(L - ref)) < 1e-6
