@@ -31,6 +31,7 @@ into node n and source terms are evaluated there at x_0; every stage then
 keeps node n bitwise equal to node 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,32 +85,49 @@ def cell_widths(n, dx, bc):
     return widths
 
 
+@functools.lru_cache(maxsize=8)
+def _reduction_weights(r, sigma):
+    """The weights (alpha, beta) of each cyclic-reduction level of the row
+    (sigma + 2r) x_i - r (x_{i-1} + x_{i+1}) = b_i, until r < 2^-60.
+
+    A level eliminates the neighbours at distance s and divides by the new
+    diagonal q = (sigma + 2r)^2 - 2 r^2, so alpha = (sigma + 2r)/q and
+    beta = r/q.  sigma (the diagonal less 2r) is carried as its own number:
+    for r near 1/2 it holds the smooth modes, which the diagonal would round
+    away.  A table depends on (r, sigma) alone; the last 8 are kept, so a
+    constant-step march derives each row's once.
+    """
+    weights = []
+    while r >= 2.0**-60:
+        a = sigma * (sigma + 4.0 * r)  # (sigma + 2r)^2 - (2r)^2
+        r2 = r * r
+        q = a + 2.0 * r2
+        weights.append(((sigma + 2.0 * r) / q, r / q))
+        sigma, r = a / q, r2 / q
+    return tuple(weights)
+
+
 def _cyclic_reduction(W, T, r, sigma):
     """Solve (sigma + 2r) x_i - r (x_{i-1} + x_{i+1}) = b_i on m periodic
     nodes in place, by parallel cyclic reduction: W is (2m,) with b in
     W[:m], where x is left; T is (m,) work.
 
-    Each level eliminates the neighbours at distance s, divides by the new
-    diagonal and doubles s, until r < 2^-60.  Every node does the same
-    operations, so the solve commutes bit for bit with rolls and
-    reflections of b.  sigma (the diagonal less 2r) is carried as its own
-    number: for r near 1/2 it holds the smooth modes, which the diagonal
-    would round away.
+    Level j, at distance s = 2^j, replaces x by alpha x + beta (x_{i-s} +
+    x_{i+s}) with that level's weights from ``_reduction_weights``.  Every
+    node does the same operations, so the solve commutes bit for bit with
+    rolls and reflections of b.
     """
     m = T.size
     x = W[:m]
     s = 1
-    while r >= 2.0**-60:
+    for alpha, beta in _reduction_weights(r, sigma):
         # W is x twice over, so its windows at m -/+ s are x rolled by +/- s
         W[m:] = x
         k = s % m
-        np.multiply(r, np.add(W[m - k:2 * m - k], W[k:k + m], out=T), out=T)
-        np.add(np.multiply(sigma + 2.0 * r, x, out=x), T, out=x)
-        a = sigma * (sigma + 4.0 * r)  # (sigma + 2r)^2 - (2r)^2
-        r2 = r * r
-        q = a + 2.0 * r2  # the new diagonal, (sigma + 2r)^2 - 2 r^2
-        np.divide(x, q, out=x)
-        sigma, r = a / q, r2 / q
+        np.add(W[m - k:2 * m - k], W[k:k + m], out=T)
+        np.multiply(T, beta, out=T)
+        np.multiply(x, alpha, out=x)
+        np.add(x, T, out=x)
         s *= 2
 
 
@@ -234,7 +252,11 @@ class _Operator:
         L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
 
         Each row is solved by ``_cyclic_reduction`` on the n periodic nodes,
-        or on the 2n-node even extension for Neumann.  Raises StepSizeError
+        or on the 2n-node even extension for Neumann, so the solution
+        commutes bit for bit with rolls and reflections of b.  A row's
+        level weights depend on h, and for v on kappa(t), alone: a
+        constant-decay march derives each row's once per step size, a
+        time-varying kappa the v row's once per stage.  Raises StepSizeError
         when a row is not diagonally dominant (1 + h kappa/tau <= 0 under
         negative decay).
         """

@@ -403,6 +403,47 @@ def test_implicit_solve_matches_a_dense_solve(bc):
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_implicit_solve_matches_a_dense_solve_under_time_varying_decay(bc):
+    # kappa(t) = 0.7 e^(0.9 t): the v row's weights change with every stage
+    # time, so each solve derives its own and must still meet the dense one
+    rng = np.random.default_rng(11)
+    decay = ExponentialDecay(0.7, 0.9)
+    p = ModelParams(D=1.0, tau=1.0, limiter=TanhLimiter(1.1, 1.4), decay=decay)
+    for n in (8, 9, 33, 1025):
+        op = pde_solver._Operator(p, SolverConfig(Grid1D(0.0, float(n), n), t_end=1.0, bc=bc))
+        lap = _ref_laplacian(n, 1.0, bc)
+        m = lap.shape[0]
+        for c in (0.01, 0.3, 10.0, 1e4):
+            b = rng.standard_normal((2, n + 1))
+            if bc == "periodic":
+                b[:, -1] = b[:, 0]
+            for t in (0.25, 1.75):  # two stage times
+                x = op.solve(t, c, b)
+                for row, shift in enumerate((1.0, 1.0 + decay.kappa(t) * c)):
+                    ref = _refined_solve(shift * np.eye(m) - c * lap, b[row, :m])
+                    tol = 1e-13 + (1.0 + 4.0 * c / shift) * np.finfo(np.longdouble).eps
+                    err = np.max(np.abs(x[row, :m] - ref))
+                    assert err <= tol * np.max(np.abs(ref)), (n, c, t, row)
+                mirrored = op.solve(t, c, b[:, ::-1].copy())
+                assert mirrored.tobytes() == x[:, ::-1].tobytes()
+
+
+def test_reduction_weights_are_derived_once_per_row_and_step():
+    # a constant-decay run takes one (r, sigma) per row at the full step and
+    # one per row at the shortened last step: at most 4 weight tables
+    pde_solver._reduction_weights.cache_clear()
+    p = make_params()
+    cfg = SolverConfig(Grid1D(-4.0, 4.0, 64), t_end=0.99)
+    x = cfg.grid.nodes()
+    traj = run(FieldPair(1.0 + np.exp(-x * x), np.zeros_like(x), 0.0), p, cfg)
+    assert traj.steps_taken >= 30
+    assert pde_solver._reduction_weights.cache_info().misses <= 4
+    # each level squares r over a diagonal near 1; the last level's r < 2^-60
+    assert len(pde_solver._reduction_weights(0.366, 0.27)) == 6
+    assert len(pde_solver._reduction_weights(0.486, 0.029)) == 8
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
 def test_explicit_and_implicit_parts_add_up_to_the_rhs(bc):
     # the march takes explicit + the implicit part, a steady state is a zero
     # of rhs: simulate started from one stays put only if the two agree
