@@ -4,8 +4,9 @@ Library layout:
 
 - ``core``: decay laws, model parameters, grids, discrete states
 - ``limiters``: flux-limiter catalog F(s) = f(s)*s
-- ``quadrature``: adaptive integration, the integrating factor of exactly
-  integrated decay laws, Ei, the Picard fixed-point engine
+- ``quadrature``: adaptive Simpson, the Gauss-Legendre panel rule for
+  the uniform relaxation, Ei, the Picard fixed-point engine, fourth-order
+  stencils and exponential-kernel convolutions
 - ``banded``: banded linear solves in numpy (cyclic reduction by QR)
 - ``exact_solutions``: closed-form / quadrature solution families
 - ``reduced_systems``: direct numerical integration of the reduced systems
@@ -13,7 +14,7 @@ Library layout:
 - ``lie_toolkit``: exact vector-field algebra for the generator catalog:
   affine fields with rational coefficients; the bracket is the
   augmented-matrix commutator
-- ``verify``: residual, comparison and invariance checks
+- ``verify``: residual, convergence-order and invariance checks
 - ``cli``: config-driven command line front end
 """
 
@@ -57,7 +58,7 @@ from .reduced_systems import (
     solve_self_similar,
     solve_steady_state,
 )
-from .verify import compare, convergence_order, group_invariance_check, pde_residual
+from .verify import convergence_order, group_invariance_check, pde_residual
 
 __all__ = [
     "__version__",
@@ -92,7 +93,6 @@ __all__ = [
     "integrate_travelling_wave",
     "solve_self_similar",
     "solve_steady_state",
-    "compare",
     "convergence_order",
     "group_invariance_check",
     "pde_residual",

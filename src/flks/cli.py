@@ -105,18 +105,6 @@ class RunConfig:
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def canonical_text(self):
-        lines = []
-        for section in sorted(self.sections):
-            body = self.sections[section]
-            if not body:
-                continue
-            lines.append(f"[{section}]")
-            for key in sorted(body):
-                lines.append(f"{key} = {_format_value(body[key])}")
-            lines.append("")
-        return "\n".join(lines)
-
 
 def _format_value(v):
     if isinstance(v, bool):

@@ -4,7 +4,7 @@ Everything here is immutable after construction (``FieldPair`` arrays are the
 one exception: they belong to the solver run that owns them).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,7 @@ def _require_finite(name, value):
 
 def _reject_nan(*ts):
     """DomainError when a time is NaN.  A scalar is tested with t != t, which
-    stays cheap on the PDE path (kappa runs three times per step)."""
+    stays cheap on the PDE path (kappa runs twice per step)."""
     for t in ts:
         if (t != t) if isinstance(t, float) else np.isnan(t).any():
             raise DomainError(f"decay time must not be NaN, got t={t!r}")

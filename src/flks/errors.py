@@ -74,10 +74,6 @@ class CFLViolation(FlksError):
     """A requested time step exceeds the stability bound."""
 
 
-class GridMismatch(FlksError):
-    """Two sampled fields do not share a grid."""
-
-
 class ComplexRoots(FlksError):
     """A characteristic polynomial has complex roots; the requested real
     solution family does not exist for these parameters."""

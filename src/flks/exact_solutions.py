@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_STEPS, CaseTag, ConstantDecay, FieldPair, TabulatedDecay, classify
+from .core import MAX_STEPS, CaseTag, ConstantDecay, TabulatedDecay, classify
 from .errors import (
     ComplexRoots,
     DivergenceDetected,
@@ -60,13 +60,6 @@ class ExactSolution:
             for ev in (self.eval_u, self.eval_v)
         ]
         return zip(*fields)
-
-    def sample(self, grid, t):
-        """Sample both fields on the nodes of a Grid1D at time t."""
-        x = grid.nodes()
-        u = np.broadcast_to(np.asarray(self.eval_u(x, t), dtype=float), x.shape)
-        v = np.broadcast_to(np.asarray(self.eval_v(x, t), dtype=float), x.shape)
-        return FieldPair(u, v, t)
 
 
 def _no_overflow(fn_t):

@@ -371,15 +371,14 @@ def table_rows():
     }
 
 
-def classification_report(laws=None):
-    """Bundle classify() plus residual checks for a set of laws."""
-    if laws is None:
-        laws = [
-            ConstantDecay(0.5),
-            PowerLawDecay(0.5),
-            ExponentialDecay(0.5, 0.2),
-            TabulatedDecay((0.0, 1.0, 2.0), (0.5, 0.6, 0.7)),
-        ]
+def classification_report():
+    """Bundle classify() plus residual checks for one law of each kind."""
+    laws = [
+        ConstantDecay(0.5),
+        PowerLawDecay(0.5),
+        ExponentialDecay(0.5, 0.2),
+        TabulatedDecay((0.0, 1.0, 2.0), (0.5, 0.6, 0.7)),
+    ]
     rows = []
     for law in laws:
         tag, gens = classify(law)

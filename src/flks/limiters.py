@@ -16,8 +16,6 @@ from .errors import ValidationError
 class FluxLimiter:
     """Base type; concrete limiters implement F and dF."""
 
-    #: 'odd' or 'even' symmetry of F
-    parity = None
     #: whether |F| <= v_max holds for all s
     bounded = None
     #: the gradient scale of F (its s0 where it has one); not a step bound
@@ -42,7 +40,6 @@ class TanhLimiter(FluxLimiter):
     v_max: float
     s0: float
 
-    parity = "odd"
     bounded = True
 
     def __post_init__(self):
@@ -70,7 +67,6 @@ class AlgebraicSqrtLimiter(FluxLimiter):
 
     v_max: float
 
-    parity = "odd"
     bounded = True
     gradient_scale = 1.0
 
@@ -94,7 +90,6 @@ class WeberFechnerLogLimiter(FluxLimiter):
     v_max: float
     s0: float
 
-    parity = "even"
     bounded = False
 
     def __post_init__(self):
@@ -127,7 +122,6 @@ class TanhLogLimiter(FluxLimiter):
     v_max: float
     a: float
 
-    parity = "even"
     bounded = True
     gradient_scale = 1.0
 

@@ -348,9 +348,6 @@ class Trajectory:
     steps_taken: int
     metadata: dict = field(default_factory=dict)
 
-    def frame(self, k):
-        return FieldPair(self.us[k], self.vs[k], float(self.times[k]))
-
 
 def total_mass(u, grid, bc):
     """Trapezoid mass consistent with the half-cell boundary ownership."""
@@ -382,7 +379,8 @@ def run(initial, params, config):
     t = initial.t
     t_end = float(config.t_end)
     dt_max = stable_dt(params, config)
-    needed = (t_end - t) / dt_max
+    # a step that underflowed to zero (2 v_max overflowed) takes endless steps
+    needed = (t_end - t) / dt_max if dt_max > 0.0 else math.inf
     if not needed <= MAX_STEPS:  # NaN included
         raise ValidationError(f"the run to t_end={t_end:g} takes more than {MAX_STEPS} steps "
                               f"of dt={dt_max:.3g}")

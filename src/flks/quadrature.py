@@ -200,11 +200,14 @@ def exp_integral_Ei(x):
     from its 20 terms, reaches 2.8e-14 just above 40; above 60 the bits are
     scipy's) and the absolute error <= 4e-16 within 1e-3 of the root
     x0 = 0.37250741078136663.  Raises DomainError at the singularity x = 0
-    and OverflowGuard above 709, where Ei overflows double precision.
+    and at NaN, and OverflowGuard above 709, where Ei overflows double
+    precision.
     """
     x = float(x)
     if x == 0.0:
         raise DomainError("Ei is singular at x = 0")
+    if x != x:
+        raise DomainError("Ei is undefined at x = nan")
     if x > 709.0:
         raise OverflowGuard("Ei(x) overflows double precision for x > 709")
     if x > 40.0:

@@ -1,5 +1,5 @@
-"""Validation harness: PDE residuals, comparisons, convergence-order fits and
-finite-transform invariance checks.
+"""Validation harness: PDE residuals, convergence-order fits and finite-transform
+invariance checks.
 
 Residuals use fourth-order central differences in x and t so the measurement
 noise sits well below the second-order solver errors being judged.  One
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFit,
-    EvaluationError,
-    GridMismatch,
-    UnsupportedGenerator,
-    ValidationError,
-)
+from .errors import DegenerateFit, EvaluationError, UnsupportedGenerator, ValidationError
 from .quadrature import central_d1, d1_uniform, d2_uniform
 
 
@@ -151,31 +145,6 @@ def pde_residual(sol, params, grid=None, t_samples=None, ht=5e-4):
         raise ValidationError(f"ht must be positive and finite, got {ht!r}")
     samples = _callable_samples(sol.eval_u, sol.eval_v, grid, t_samples, ht)
     return _residual(samples, params, ht, grid, grid.nodes())
-
-
-def compare(a, b):
-    """Elementwise difference norms of two sampled field pairs.
-
-    Accepts anything with .u and .v arrays (FieldPair, frames).  Returns a
-    dict with sup/l2/relative entries per field; mismatched shapes raise
-    GridMismatch.
-    """
-    ua, va = np.asarray(a.u, float), np.asarray(a.v, float)
-    ub, vb = np.asarray(b.u, float), np.asarray(b.v, float)
-    if ua.shape != ub.shape or va.shape != vb.shape:
-        raise GridMismatch(f"sampled fields differ in shape: {ua.shape} vs {ub.shape}")
-    out = {}
-    for name, fa, fb in (("u", ua, ub), ("v", va, vb)):
-        diff = fa - fb
-        sup = float(np.max(np.abs(diff)))
-        l2 = float(np.sqrt(np.mean(diff**2)))
-        scale = float(np.max(np.abs(fa)))
-        out[name] = {
-            "sup": sup,
-            "l2": l2,
-            "relative": sup / scale if scale > 0.0 else (0.0 if sup == 0.0 else math.inf),
-        }
-    return out
 
 
 def convergence_order(pairs):

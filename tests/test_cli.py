@@ -19,6 +19,8 @@ from flks.cli import (
     _FAMILIES,
     _Frames,
     _SCHEMA,
+    _convert,
+    _format_value,
     apply_overrides,
     build_model,
     emit_plot_script,
@@ -116,11 +118,18 @@ def test_negative_kappa0_needs_override_key():
 
 
 def test_config_roundtrips_to_canonical_form():
-    cfg = parse_config(MINIMAL, command="simulate")
-    text = cfg.canonical_text()
-    cfg2 = parse_config(text, command="simulate")
-    assert cfg2.sections == cfg.sections
-    assert cfg2.canonical_text() == text
+    # sweep writes each value back as text with _format_value and re-reads
+    # it with _convert: every parsed value, defaults included, must return
+    # to the last bit (floats and tuples of floats at %.17g)
+    cfg = parse_config(MINIMAL.replace("kind = constant", "kind = constant\nallow_negative = true")
+                       + "[exact]\nt_samples = 0.1,0.30000000000000004,2.2250738585072014e-308\n",
+                       command="simulate")
+    apply_overrides(cfg, ["model.D=0.30000000000000004", "grid.x_lo=-1e-300"])
+    values = [(s, k, v) for s, body in cfg.sections.items() for k, v in body.items()]
+    assert {type(v) for _, _, v in values} == {str, int, float, bool, tuple}
+    for section, key, value in values:
+        back = _convert(section, key, _format_value(value))
+        assert type(back) is type(value) and back == value, (section, key)
 
 
 def test_overrides():
@@ -960,9 +969,10 @@ def _exact_samples(tmp_path, family, decay=CONSTANT, n=32):
     cfg = parse_config(text, command="exact")
     sol = _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
     grid = build_grid(cfg)
-    frames = [sol.sample(grid, t) for t in (0.5, 1.0, 2.25)]
-    table = _reference_long_table([f.t for f in frames], grid.nodes(),
-                                  [f.u for f in frames], [f.v for f in frames])
+    x, ts = grid.nodes(), (0.5, 1.0, 2.25)
+    fields = [[np.broadcast_to(np.asarray(ev(x, t), dtype=float), x.shape) for t in ts]
+              for ev in (sol.eval_u, sol.eval_v)]
+    table = _reference_long_table(ts, x, *fields)
     return tmp_path / "o" / f"{family}.csv", table
 
 
@@ -1216,7 +1226,8 @@ FUZZ_CONFIGS = {
     "lie": FUZZ_BASE,
 }
 # the findings' base configs: the fuzzed ones, the traveling, self-similar
-# and steady reductions and the traveling wave
+# and steady reductions, the traveling wave and case IV
+EXPONENTIAL_SECTION = _sections("[decay]\n" + EXPONENTIAL)["decay"]
 FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "reduce travelling_wave": {
         **FUZZ_BASE, "reduce": {"kind": "travelling_wave", "y_hi": "0.01", "h": "0.001"}},
@@ -1233,6 +1244,11 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
                         "solver": {"t_end": "0.05", "output_stride": "10"}},
     "exact frames": {**FUZZ_BASE, "exact": {"family": "case1_homogeneous",
                                             "t_samples": "0.5,1,2"}},
+    # case IV, whose v(t) is evaluated through Ei
+    "exact case4_homogeneous": {**FUZZ_BASE, "decay": EXPONENTIAL_SECTION, "exact": {
+        "family": "case4_homogeneous", "t_samples": "0.5"}},
+    "verify case4_homogeneous": {**FUZZ_BASE, "decay": EXPONENTIAL_SECTION, "verify": {
+        "family": "case4_homogeneous", "t_samples": "0.5"}},
 })
 # every schema key of the command's sections, one unknown key and one unknown
 # section
@@ -1313,7 +1329,11 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("simulate", "solver", "t_end", "1e300", 2),
      ("simulate frames", "solver", "output_stride", "1", 2),
      ("simulate frames", "solver", "output_stride", "50", 2),
-     ("exact frames", "grid", "n", "5000000", 2)],
+     ("exact frames", "grid", "n", "5000000", 2),
+     ("exact case4_homogeneous", "exact", "t_samples", "nan", 3),
+     ("exact case4_homogeneous", "exact", "t0", "nan", 3),
+     ("verify case4_homogeneous", "verify", "t_samples", "nan", 3),
+     ("simulate", "limiter", "v_max", "1e308", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1332,7 +1352,9 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # are more recorded values than MAX_STEPS, frames times nodes: simulate
     # at n = 100000 asked for ~11 GB of frames and ended in numpy's
     # _ArrayMemoryError.  An alpha whose square underflows ended in
-    # ZeroDivisionError, and an infinite wave window in ValueError
+    # ZeroDivisionError, and an infinite wave window in ValueError.  A NaN
+    # time under case IV ended in Ei's ValueError, and v_max = 1e308, whose
+    # step underflows to zero, in run's ZeroDivisionError
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code

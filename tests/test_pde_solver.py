@@ -322,9 +322,8 @@ def test_trajectory_frames_and_mass_helper():
     state = FieldPair(np.ones(9), np.ones(9), 0.0)
     traj = run(state, p, cfg)
     assert isinstance(traj, Trajectory)
-    f0 = traj.frame(0)
-    assert f0.t == 0.0
-    assert total_mass(f0.u, grid, "neumann") == pytest.approx(1.0)
+    assert traj.times[0] == 0.0
+    assert total_mass(traj.us[0], grid, "neumann") == pytest.approx(1.0)
     assert traj.times[-1] == pytest.approx(0.01)
 
 

@@ -204,6 +204,9 @@ def test_ei_derivative_identity():
 def test_ei_domain_and_overflow():
     with pytest.raises(DomainError):
         exp_integral_Ei(0.0)
+    # NaN fell through every branch to int(80 / nan), Python's ValueError
+    with pytest.raises(DomainError):
+        exp_integral_Ei(math.nan)
     with pytest.raises(OverflowGuard):
         exp_integral_Ei(710.0)
 

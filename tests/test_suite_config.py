@@ -68,3 +68,27 @@ def test_pyproject_declares_numpy_as_the_one_runtime_dependency():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+# imported names a module keeps without using them: the benchmark's tracer
+# wraps these two in exact_solutions
+UNUSED_IMPORTS_ALLOWED = {("exact_solutions.py", "exp_kernel_lower"),
+                          ("exact_solutions.py", "exp_kernel_upper")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is left out
+    unused = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "flks", "*.py")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add((os.path.basename(path), name))
+    assert unused == UNUSED_IMPORTS_ALLOWED
