@@ -229,6 +229,8 @@ class Grid1D:
             raise ValidationError("grid endpoints must be finite")
         if self.x_hi <= self.x_lo:
             raise ValidationError("grid needs x_lo < x_hi")
+        if not np.isfinite(self.x_hi - self.x_lo):
+            raise ValidationError("grid width x_hi - x_lo overflows")
         if self.n < 8:
             raise ValidationError("grid needs at least 8 cells")
         if self.n > MAX_STEPS:

@@ -14,11 +14,12 @@ trapezoid mass exactly).
 Time: the IMEX scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, Appl. Numer.
 Math. 25 (1997)), second order and stiffly accurate.  The linear stiff
 part, D u_xx and (v_xx - kappa(t) v)/tau with kappa at the stage time, is
-implicit, solved by cyclic reduction on the periodic nodes or on the even
-extension of the Neumann ones (mirror ghosts make the two the same
-operator); the chemotactic flux, u/tau and the sources are explicit.  So
-the step, cfl_safety * dx / (2 v_max), is bounded by the flux speed alone,
-and cfl_safety sets the time error, which falls as dt^2.  A flux-off run
+implicit, solved by one cyclic reduction per stage, u and v interleaved on
+one ring of the periodic nodes or of the even extension of the Neumann
+ones (mirror ghosts make the two the same operator); the chemotactic flux,
+u/tau and the sources are explicit.  So the step, cfl_safety * dx /
+(2 v_max), is bounded by the flux speed alone, and cfl_safety sets the
+time error, which falls as dt^2.  A flux-off run
 (v_max -> 0) takes one step per horizon.  Positivity of u is reported per
 frame, never enforced.
 
@@ -85,49 +86,71 @@ def cell_widths(n, dx, bc):
     return widths
 
 
-@functools.lru_cache(maxsize=8)
-def _reduction_weights(r, sigma):
-    """The weights (alpha, beta) of each cyclic-reduction level of the row
-    (sigma + 2r) x_i - r (x_{i-1} + x_{i+1}) = b_i, until r < 2^-60.
+def _reduction_levels(r, sigma):
+    """The weights gamma of each cyclic-reduction level of the row
+    (sigma + 2r) x_i - r (x_{i-1} + x_{i+1}) = b_i, until r < 2^-60, and
+    the product of the levels' alpha.
 
     A level eliminates the neighbours at distance s and divides by the new
-    diagonal q = (sigma + 2r)^2 - 2 r^2, so alpha = (sigma + 2r)/q and
-    beta = r/q.  sigma (the diagonal less 2r) is carried as its own number:
-    for r near 1/2 it holds the smooth modes, which the diagonal would round
-    away.  A table depends on (r, sigma) alone; the last 8 are kept, so a
-    constant-step march derives each row's once.
+    diagonal q = (sigma + 2r)^2 - 2 r^2, so x becomes alpha x + beta
+    (x_{i-s} + x_{i+s}) with alpha = (sigma + 2r)/q and beta = r/q, that is
+    alpha (x + gamma (x_{i-s} + x_{i+s})) with gamma = beta/alpha =
+    r/(sigma + 2r).  sigma (the diagonal less 2r) is carried as its own
+    number: for r near 1/2 it holds the smooth modes, which the diagonal
+    would round away.
     """
-    weights = []
+    gammas, scale = [], 1.0
     while r >= 2.0**-60:
-        a = sigma * (sigma + 4.0 * r)  # (sigma + 2r)^2 - (2r)^2
+        d = sigma + 2.0 * r
+        a = sigma * (sigma + 4.0 * r)  # d^2 - (2r)^2
         r2 = r * r
         q = a + 2.0 * r2
-        weights.append(((sigma + 2.0 * r) / q, r / q))
+        gammas.append(r / d)
+        scale *= d / q
         sigma, r = a / q, r2 / q
-    return tuple(weights)
+    return gammas, scale
 
 
-def _cyclic_reduction(W, T, r, sigma):
-    """Solve (sigma + 2r) x_i - r (x_{i-1} + x_{i+1}) = b_i on m periodic
-    nodes in place, by parallel cyclic reduction: W is (2m,) with b in
-    W[:m], where x is left; T is (m,) work.
-
-    Level j, at distance s = 2^j, replaces x by alpha x + beta (x_{i-s} +
-    x_{i+s}) with that level's weights from ``_reduction_weights``.  Every
-    node does the same operations, so the solve commutes bit for bit with
-    rolls and reflections of b.
+@functools.lru_cache(maxsize=8)
+def _ring_table(r_u, sigma_u, r_v, sigma_v, m):
+    """The cyclic-reduction table of a u row and a v row interleaved on a
+    ring of 2m entries: G[j] holds level j's gamma of u at the even entries
+    and of v at the odd ones, and scales holds each row's product of alpha.
+    The row with fewer levels has gamma = 0 on the rest.  A table depends on
+    both rows' (r, sigma) and on m alone; the last 8 are kept, so a
+    constant-decay march derives one per step size.
     """
-    m = T.size
-    x = W[:m]
-    s = 1
-    for alpha, beta in _reduction_weights(r, sigma):
-        # W is x twice over, so its windows at m -/+ s are x rolled by +/- s
-        W[m:] = x
-        k = s % m
-        np.add(W[m - k:2 * m - k], W[k:k + m], out=T)
-        np.multiply(T, beta, out=T)
-        np.multiply(x, alpha, out=x)
-        np.add(x, T, out=x)
+    g_u, scale_u = _reduction_levels(r_u, sigma_u)
+    g_v, scale_v = _reduction_levels(r_v, sigma_v)
+    levels = max(len(g_u), len(g_v))
+    pairs = np.array((g_u + [0.0] * (levels - len(g_u)), g_v + [0.0] * (levels - len(g_v))))
+    G = np.repeat(pairs.T.reshape(levels, 1, 2), m, axis=1).reshape(levels, 2 * m)
+    G.flags.writeable = False
+    return G, (scale_u, scale_v)
+
+
+def _cyclic_reduction(W, T, G):
+    """Solve a ring's two interleaved rows in place by parallel cyclic
+    reduction, up to each row's scale: W is (4m,) with the ring y in
+    W[:2m], u of node i at entry 2i and v at 2i + 1, and T is (2m,) work;
+    G is the ring's gamma table from ``_ring_table``.
+
+    Level j, at distance s = 2^j nodes (2s entries), replaces y by y +
+    G[j] (y_{i-s} + y_{i+s}) in four contiguous numpy calls.  Every node
+    does the same operations, with gamma >= 0, so the solve commutes bit
+    for bit with rolls and reflections of the ring and keeps nonnegative
+    data nonnegative.
+    """
+    M = T.size
+    y = W[:M]
+    s = 2  # the level's distance in entries
+    for gamma in G:
+        # W is y twice over, so its windows at M -/+ k are y rolled by +/- k
+        W[M:] = y
+        k = s % M
+        np.add(W[M - k:2 * M - k], W[k:k + M], out=T)
+        np.multiply(T, gamma, out=T)
+        np.add(y, T, out=y)
         s *= 2
 
 
@@ -251,34 +274,45 @@ class _Operator:
         """The X with X - h L(t) X = b, both (2, n+1) node arrays, where
         L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
 
-        Each row is solved by ``_cyclic_reduction`` on the n periodic nodes,
-        or on the 2n-node even extension for Neumann, so the solution
-        commutes bit for bit with rolls and reflections of b.  A row's
-        level weights depend on h, and for v on kappa(t), alone: a
-        constant-decay march derives each row's once per step size, a
-        time-varying kappa the v row's once per stage.  Raises StepSizeError
-        when a row is not diagonally dominant (1 + h kappa/tau <= 0 under
-        negative decay).
+        Both rows are solved by one ``_cyclic_reduction`` on a ring of the
+        n periodic nodes, or of the 2n-node even extension for Neumann, with
+        u and v interleaved: b is copied in as it is, and each row's 1/diag
+        and the product of its levels' alpha are one scale per row, applied
+        as X is written.  So the solution commutes bit for bit with rolls
+        and reflections of b, and row k of X depends on row k of b alone.
+        The ring's table depends on h, and through the v row on kappa(t),
+        alone: a constant-decay march derives one per step size, a
+        time-varying kappa one per stage.  Raises StepSizeError when a row
+        is not diagonally dominant (1 + h kappa/tau <= 0 under negative
+        decay).
         """
         n, m = self.n, self.m
-        X = np.empty_like(b)
-        W, T = np.empty(2 * m), np.empty(m)
-        shifts = (1.0, 1.0 + h * self.kappa(t) / self.tau)
-        for row, (shift, coupling) in enumerate(zip(shifts, self.coupling)):
+        shifts = (1.0, 1.0 + h * float(self.kappa(t)) / self.tau)
+        key, diags = [], []
+        for shift, coupling in zip(shifts, self.coupling):
             c = h * coupling
             diag = shift + 2.0 * c
             sigma = shift / diag
             if not (shift > 0.0 and sigma > 0.0):
                 raise StepSizeError(
                     f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
-            if self.periodic:
-                np.divide(b[row, :-1], diag, out=W[:n])
-            else:
-                np.divide(b[row], diag, out=W[:n + 1])
-                np.divide(b[row, -2:0:-1], diag, out=W[n + 1:m])
-            _cyclic_reduction(W, T, c / diag, sigma)
-            X[row, :n] = W[:n]
-            X[row, n] = W[0] if self.periodic else W[n]
+            key += (c / diag, sigma)
+            diags.append(diag)
+        G, scales = _ring_table(*key, m)
+        W, T = np.empty(4 * m), np.empty(2 * m)
+        ring = W[:2 * m].reshape(m, 2)
+        if self.periodic:
+            ring[:] = b[:, :-1].T
+        else:
+            ring[:n + 1] = b.T
+            ring[n + 1:] = b[:, -2:0:-1].T
+        _cyclic_reduction(W, T, G)
+        X = np.empty_like(b)
+        cols = n if self.periodic else n + 1
+        scale = ((scales[0] / diags[0],), (scales[1] / diags[1],))
+        np.multiply(ring[:cols].T, scale, out=X[:, :cols])
+        if self.periodic:
+            X[:, n] = X[:, 0]
         return X
 
     def advance(self, t, dt):

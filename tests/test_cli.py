@@ -1239,6 +1239,8 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "exact case4_cellfree_front": {
         **FUZZ_BASE, "exact": {"family": "case4_cellfree_front", "t_samples": "0.5"}},
     "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
+    # finite endpoints whose difference overflows
+    "simulate wide": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "x_lo": "-1e308"}},
     # frames x nodes: a run or a sampling whose recorded values no machine holds
     "simulate frames": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "n": "100000"},
                         "solver": {"t_end": "0.05", "output_stride": "10"}},
@@ -1333,7 +1335,8 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("exact case4_homogeneous", "exact", "t_samples", "nan", 3),
      ("exact case4_homogeneous", "exact", "t0", "nan", 3),
      ("verify case4_homogeneous", "verify", "t_samples", "nan", 3),
-     ("simulate", "limiter", "v_max", "1e308", 2)],
+     ("simulate", "limiter", "v_max", "1e308", 2),
+     ("simulate wide", "grid", "x_hi", "1e308", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1354,7 +1357,9 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # _ArrayMemoryError.  An alpha whose square underflows ended in
     # ZeroDivisionError, and an infinite wave window in ValueError.  A NaN
     # time under case IV ended in Ei's ValueError, and v_max = 1e308, whose
-    # step underflows to zero, in run's ZeroDivisionError
+    # step underflows to zero, in run's ZeroDivisionError.  A grid from
+    # -1e308 to 1e308 has an infinite dx: simulate exited 0 with x cells of
+    # nan and inf and a summary of "mass_drift": NaN, "dt": Infinity
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code

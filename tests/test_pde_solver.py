@@ -428,18 +428,54 @@ def test_implicit_solve_matches_a_dense_solve_under_time_varying_decay(bc):
 
 
 def test_reduction_weights_are_derived_once_per_row_and_step():
-    # a constant-decay run takes one (r, sigma) per row at the full step and
-    # one per row at the shortened last step: at most 4 weight tables
-    pde_solver._reduction_weights.cache_clear()
+    # a constant-decay run takes one ring table, holding both rows' weights,
+    # at the full step and one at the shortened last step
+    pde_solver._ring_table.cache_clear()
     p = make_params()
     cfg = SolverConfig(Grid1D(-4.0, 4.0, 64), t_end=0.99)
     x = cfg.grid.nodes()
     traj = run(FieldPair(1.0 + np.exp(-x * x), np.zeros_like(x), 0.0), p, cfg)
     assert traj.steps_taken >= 30
-    assert pde_solver._reduction_weights.cache_info().misses <= 4
+    assert pde_solver._ring_table.cache_info().misses <= 2
     # each level squares r over a diagonal near 1; the last level's r < 2^-60
-    assert len(pde_solver._reduction_weights(0.366, 0.27)) == 6
-    assert len(pde_solver._reduction_weights(0.486, 0.029)) == 8
+    assert len(pde_solver._reduction_levels(0.366, 0.27)[0]) == 6
+    assert len(pde_solver._reduction_levels(0.486, 0.029)[0]) == 8
+    # the ring interleaves the rows, and the row with fewer levels has gamma = 0
+    G, _ = pde_solver._ring_table(0.366, 0.27, 0.486, 0.029, 5)
+    assert G.shape == (8, 10)
+    assert (G[6:, 0::2] == 0.0).all() and (G[:, 1::2] > 0.0).all()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_ring_solves_the_rows_independently_and_keeps_positivity(bc):
+    # u and v share one interleaved ring: each row's solution must not
+    # depend on the other row's data, bit for bit, whichever row has more
+    # levels (D = 1 gives u more, D = 0.01 mostly v), and nonnegative data
+    # must give finite, nonnegative solutions from subnormals to ~1e300
+    rng = np.random.default_rng(17)
+    for decay in (ConstantDecay(0.7), ExponentialDecay(0.7, 0.9)):
+        for D in (1.0, 0.01):
+            p = ModelParams(D=D, tau=1.0, limiter=TanhLimiter(1.1, 1.4), decay=decay)
+            for n in (8, 9, 33, 1025):
+                cfg = SolverConfig(Grid1D(0.0, float(n), n), t_end=1.0, bc=bc)
+                op = pde_solver._Operator(p, cfg)
+                for c in (0.01, 0.3, 10.0, 1e4):
+                    b = rng.standard_normal((2, n + 1))
+                    if bc == "periodic":
+                        b[:, -1] = b[:, 0]
+                    x = op.solve(1.75, c, b)
+                    for row in (0, 1):
+                        alone = np.zeros_like(b)
+                        alone[row] = b[row]
+                        got = op.solve(1.75, c, alone)[row]
+                        assert got.tobytes() == x[row].tobytes(), (n, c, row)
+                    b = np.choose(rng.integers(0, 4, b.shape), (
+                        np.zeros(b.shape), rng.random(b.shape) * 1e-310,
+                        rng.uniform(0.5, 1.5, b.shape) * 1e300, rng.random(b.shape)))
+                    if bc == "periodic":
+                        b[:, -1] = b[:, 0]
+                    x = op.solve(1.75, c, b)
+                    assert np.isfinite(x).all() and (x >= 0.0).all(), (n, c)
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])

@@ -1,8 +1,10 @@
 """The project's own configuration (pyproject.toml): the suite's pytest
-settings and the runtime dependencies it declares."""
+settings and the runtime dependencies it declares; and the benchmark
+records (BENCH_*.json) against the benchmark's declaration."""
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -92,3 +94,26 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.add((os.path.basename(path), name))
     assert unused == UNUSED_IMPORTS_ALLOWED
+
+
+def test_bench_records_name_only_declared_workloads_and_metrics():
+    # each BENCH_*.json is bench/compare.py's --out of a parent/change run:
+    # paired runs of declared workloads, each with the declared end-to-end
+    # metrics only, and every run's own checks passed
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        declared = json.load(f)
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    paths = glob.glob(os.path.join(ROOT, "BENCH_*.json"))
+    assert paths
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as f:
+            results = json.load(f)["results"]
+        assert set(results) == {"parent", "change"}, name
+        assert set(results["parent"]) == set(results["change"]) <= workloads, name
+        for workload, runs in results["change"].items():
+            assert runs and len(runs) == len(results["parent"][workload]), (name, workload)
+            for run in runs + results["parent"][workload]:
+                assert run["correct"] is True, (name, workload)
+                assert set(run["metrics"]) <= metrics, (name, workload)
