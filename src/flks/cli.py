@@ -56,7 +56,7 @@ def _as_floats(s):
 # parsed config and so echoed into every CSV header.  The [model], [grid] and
 # [solver] keys are the fields of ModelParams, Grid1D and SolverConfig.
 _SCHEMA = {
-    "run": {"seed": 0, "command": str},
+    "run": {"seed": 0},
     "model": {"D": 1.0, "tau": 1.0},
     "limiter": {"kind": "tanh", "v_max": float, "s0": float, "a": float},
     "decay": {
@@ -116,8 +116,9 @@ def _format_value(v):
     return str(v)
 
 
-def parse_config(text, command=None):
-    """Parse sectioned key=value text into a validated RunConfig.
+def parse_config(text, command="simulate"):
+    """Parse sectioned key=value text into a validated RunConfig for
+    ``command``, which only the caller names.
 
     Unknown sections or keys raise errors naming the offending line; there
     are no silent defaults for misspellings.
@@ -160,8 +161,7 @@ def parse_config(text, command=None):
     for section, body in sections.items():
         merged.setdefault(section, {}).update(body)
 
-    cmd = command or merged.get("run", {}).get("command", "simulate")
-    cfg = RunConfig(command=cmd, sections=merged)
+    cfg = RunConfig(command=command, sections=merged)
     _validate_config(cfg)
     return cfg
 
@@ -177,6 +177,8 @@ def _validate_config(cfg):
     grid = cfg.sections.get("grid", {})
     if grid and grid.get("x_lo", 0.0) >= grid.get("x_hi", 1.0):
         raise ValidationError("grid needs x_lo < x_hi")
+    if cfg.get("run", "seed", 0) < 0:
+        raise ValidationError(f"run.seed must be >= 0, got {cfg.get('run', 'seed')}")
 
 
 def apply_overrides(cfg, overrides):

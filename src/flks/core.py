@@ -258,12 +258,6 @@ class FieldPair:
         self.v = v
         self.t = float(t)
 
-    def is_valid(self):
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
-
-    def copy(self):
-        return FieldPair(self.u, self.v, self.t)
-
     def __repr__(self):
         return f"FieldPair(n={self.u.size - 1}, t={self.t:g})"
 

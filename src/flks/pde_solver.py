@@ -32,7 +32,6 @@ into node n and source terms are evaluated there at x_0; every stage then
 keeps node n bitwise equal to node 0.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,14 +110,12 @@ def _reduction_levels(r, sigma):
     return gammas, scale
 
 
-@functools.lru_cache(maxsize=8)
 def _ring_table(r_u, sigma_u, r_v, sigma_v, m):
     """The cyclic-reduction table of a u row and a v row interleaved on a
     ring of 2m entries: G[j] holds level j's gamma of u at the even entries
     and of v at the odd ones, and scales holds each row's product of alpha.
     The row with fewer levels has gamma = 0 on the rest.  A table depends on
-    both rows' (r, sigma) and on m alone; the last 8 are kept, so a
-    constant-decay march derives one per step size.
+    both rows' (r, sigma) and on m alone.
     """
     g_u, scale_u = _reduction_levels(r_u, sigma_u)
     g_v, scale_v = _reduction_levels(r_v, sigma_v)
@@ -197,6 +194,7 @@ class _Operator:
         self.m = n if self.periodic else 2 * n
         # the implicit coupling per unit step: D/dx^2 for u, 1/(tau dx^2) for v
         self.coupling = (self.D / self.dx2, 1.0 / (self.tau * self.dx2))
+        self.table = (None, None)  # the last ring table's key and the table
 
     def load(self, u, v):
         """Set the state to (u, v); a periodic node n takes node 0's values."""
@@ -281,7 +279,8 @@ class _Operator:
         as X is written.  So the solution commutes bit for bit with rolls
         and reflections of b, and row k of X depends on row k of b alone.
         The ring's table depends on h, and through the v row on kappa(t),
-        alone: a constant-decay march derives one per step size, a
+        alone; the operator keeps the last one, so a constant-decay march
+        derives one per step size (both stages of a step share h) and a
         time-varying kappa one per stage.  Raises StepSizeError when a row
         is not diagonally dominant (1 + h kappa/tau <= 0 under negative
         decay).
@@ -298,7 +297,9 @@ class _Operator:
                     f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
             key += (c / diag, sigma)
             diags.append(diag)
-        G, scales = _ring_table(*key, m)
+        if key != self.table[0]:
+            self.table = key, _ring_table(*key, m)
+        G, scales = self.table[1]
         W, T = np.empty(4 * m), np.empty(2 * m)
         ring = W[:2 * m].reshape(m, 2)
         if self.periodic:

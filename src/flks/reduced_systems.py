@@ -94,19 +94,21 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     ``simulate`` started from it does not move.  The residual is its rows
     (u_t, tau v_t) at t = 0 (the decay is constant); the cell mass is a free
     direction of the u-equation, and row 0 pins the trapezoid mass of the
-    initial guess.  The Jacobian is a forward difference coloured by the
-    five-point stencil (ten residual calls per Newton step at any n, see
-    ``_fd_jacobian``), banded node by node with the whole mass row as a
-    border, and each step is one ``banded.band_solver`` solve; a halving
-    line search keeps the defect monotone.  The solve stops when the defect is
-    below ``tol`` or below the rows' round-off floor, eps times the largest
-    row sum of |J_ij z_j|; the rows scale like 1/dx^2, so on fine grids
-    (n >= 1024 on [0, 4]) the floor is the larger.  ``iterations``, in the
+    initial guess.  The Newton vector is node-ordered, (u_0, v_0, u_1, v_1,
+    ...), like the band rows.  The Jacobian is a forward difference coloured
+    by its nine-wide band (nine residual calls per Newton step at any n, see
+    ``_fd_jacobian``) with the whole mass row as a border, and each step is
+    one ``banded.band_solver`` solve; a halving line search keeps the defect
+    monotone.  The solve stops when the defect is below ``tol`` or below the
+    rows' round-off floor, eps times the largest row sum of |J_ij z_j|; the
+    rows scale like 1/dx^2, so on fine grids (n >= 1024 on [0, 4]) the floor
+    is the larger.  ``iterations``, in the
     result and in ``NoConvergence``, counts the Newton steps taken, at most
     ``max_iter``; a step whose line search fails, or whose Jacobian the
     banded solve refuses as singular, ends the solve and counts as not
-    converged.  Only ``bc = "neumann"`` is accepted: periodic node n is node
-    0, which would make the Jacobian singular.
+    converged; its ``profile`` is the last iterate, node-ordered.  Only
+    ``bc = "neumann"`` is accepted: periodic node n is node 0, which would
+    make the Jacobian singular.
     """
     bc = problem.data.get("bc", "neumann")
     if bc != "neumann":
@@ -125,11 +127,13 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     op = _Operator(params, config)
 
     def residual(z):
-        du, dv = op.rhs(z.reshape(2, n + 1), 0.0)
-        du[0] = float(np.dot(w, z[: n + 1])) - mass_target
-        return np.concatenate((du, params.tau * dv))
+        X = z.reshape(n + 1, 2).T.copy()
+        R = op.rhs(X, 0.0)
+        R[0, 0] = float(np.dot(w, X[0])) - mass_target
+        R[1] *= params.tau
+        return R.T.ravel()
 
-    z = np.concatenate([u, v])
+    z = np.stack((u, v), axis=1).ravel()
     history = []
     accept = tol
     steps = 0
@@ -142,14 +146,14 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
         rows, border = _fd_jacobian(residual, z, R, w)
         # the round-off floor of the rows: one eps of each row's absolute
         # terms |J_ij z_j|, which grow like 1/dx^2
-        za = np.abs(_by_node(z))
+        za = np.abs(z)
         floor = band_matvec(np.abs(rows), 4, za)
         floor[0] += np.abs(border) @ za
         accept = max(tol, np.finfo(float).eps * float(np.max(floor)))
         if defect < accept:
             break
         try:
-            delta = band_solver(rows, 4, border)(-_by_node(R)).reshape(n + 1, 2).T.ravel()
+            delta = band_solver(rows, 4, border)(-R)
         except DomainError:  # a singular Jacobian: NoConvergence below
             break
         steps += 1
@@ -165,46 +169,36 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
             break
     if defect >= accept:
         raise NoConvergence(steps, defect, history, profile=z)
-    return SteadyStateResult(x, z[: n + 1], z[n + 1 :], defect, history, steps)
+    U, V = z.reshape(n + 1, 2).T.copy()
+    return SteadyStateResult(x, U, V, defect, history, steps)
 
 
-def _by_node(z):
-    """The stacked (u, v) vector in the node-by-node order u_0, v_0, u_1, ..."""
-    return z.reshape(2, -1).T.ravel()
+def _fd_jacobian(residual, z, R0, mass_row):
+    """Forward-difference Jacobian of the node-ordered (u_0, v_0, u_1, ...)
+    residual, as band rows plus a border row.
 
-
-def _fd_jacobian(residual, z, R0, mass_row, eps=1e-7):
-    """Forward-difference Jacobian of the stacked (u, v) residual, as band
-    rows in the node-by-node order of ``_by_node`` plus a border row.
-
-    Row i of either block reads only nodes i-2..i+2 of u and v (the Fromm
-    face reconstruction), so columns five apart never share a row: every
-    fifth u column is perturbed in one residual call, then every fifth v
-    column, ten calls in all (Curtis, Powell & Reid, J. Inst. Math. Appl. 13,
-    1974).  Node by node, the u-row of node i reads u_(i-2..i+2) and
-    v_(i-1..i+1) and the v-row u_i and v_(i-1..i+1), so every entry lies
-    within 4 places of the diagonal.  ``mass_row`` holds the trapezoid
-    weights of the linear mass row (row 0), which is not differenced: its
-    band row is zero and the whole row, in node order, is the border.
-    Returns (rows, border) for ``band_solver(rows, 4, border)``.
+    Node by node, the u-row of node i reads u_(i-2..i+2) and v_(i-1..i+1)
+    (the Fromm face reconstruction) and the v-row u_i and v_(i-1..i+1), so
+    row p reads only entries p-4..p+4 and columns nine apart never share a
+    row: every ninth column is perturbed in one residual call, nine calls in
+    all (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974), and each band
+    entry is the single-column forward difference.  ``mass_row`` holds the
+    trapezoid weights of the linear mass row (row 0), which is not
+    differenced: its band row is zero and the whole row, in node order, is
+    the border.  Returns (rows, border) for ``band_solver(rows, 4, border)``.
     """
-    N = z.size // 2
-    scale = eps * max(1.0, float(np.max(np.abs(z))))
-    i = np.arange(N)
-    rows = np.zeros((2 * N, 9))
-    for block in (0, 1):
-        for colour in range(5):
-            zp = z.copy()
-            zp[block * N + colour : (block + 1) * N : 5] += scale
-            dR = ((residual(zp) - R0) / scale).reshape(2, N)
-            # row i's one perturbed column among i-2..i+2
-            j = i + (colour - i + 2) % 5 - 2
-            for rblock in (0, 1):
-                k = 4 + 2 * (j - i) + block - rblock
-                ok = (j >= 0) & (j < N) & (k >= 0) & (k <= 8)
-                rows[2 * i[ok] + rblock, k[ok]] = dR[rblock, i[ok]]
+    scale = 1e-7 * max(1.0, float(np.max(np.abs(z))))
+    p = np.arange(z.size)
+    rows = np.zeros((z.size, 9))
+    for colour in range(9):
+        zp = z.copy()
+        zp[colour::9] += scale
+        # row p's one perturbed column among p-4..p+4, at band entry k
+        k = (colour - p + 4) % 9
+        ok = (p + k >= 4) & (p + k - 4 < z.size)
+        rows[p[ok], k[ok]] = ((residual(zp) - R0) / scale)[ok]
     rows[0] = 0.0
-    border = np.zeros(2 * N)
+    border = np.zeros(z.size)
     border[::2] = mass_row
     return rows, border
 

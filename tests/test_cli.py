@@ -1239,6 +1239,8 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "exact case4_cellfree_front": {
         **FUZZ_BASE, "exact": {"family": "case4_cellfree_front", "t_samples": "0.5"}},
     "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
+    # a seeded initial state
+    "simulate noise": {**FUZZ_BASE, "initial": {"kind": "noise", "u0": "1.0", "noise": "0.01"}},
     # finite endpoints whose difference overflows
     "simulate wide": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "x_lo": "-1e308"}},
     # frames x nodes: a run or a sampling whose recorded values no machine holds
@@ -1336,7 +1338,8 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("exact case4_homogeneous", "exact", "t0", "nan", 3),
      ("verify case4_homogeneous", "verify", "t_samples", "nan", 3),
      ("simulate", "limiter", "v_max", "1e308", 2),
-     ("simulate wide", "grid", "x_hi", "1e308", 2)],
+     ("simulate wide", "grid", "x_hi", "1e308", 2),
+     ("simulate noise", "run", "seed", "-1", 2), ("simulate", "run", "command", "exact", 2)],
 )
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
@@ -1359,10 +1362,27 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # time under case IV ended in Ei's ValueError, and v_max = 1e308, whose
     # step underflows to zero, in run's ZeroDivisionError.  A grid from
     # -1e308 to 1e308 has an infinite dx: simulate exited 0 with x cells of
-    # nan and inf and a summary of "mass_drift": NaN, "dt": Infinity
+    # nan and inf and a summary of "mass_drift": NaN, "dt": Infinity.  A
+    # negative seed of a noise state ended in numpy's ValueError, and
+    # simulate with [run] command = exact, a key nothing read, exited 0
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
+
+
+def test_run_command_is_an_unknown_key(tmp_path):
+    # main runs its positional command; a [run] command key, in the config
+    # or as an override, is refused, not echoed beside the command that ran
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(_ini(FUZZ_BASE))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--override", "run.command=exact"]) == 2
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ValidationError, match="unknown key 'command' in section \\[run\\]"):
+        parse_config(_ini(FUZZ_BASE) + "[run]\ncommand = exact\n")
+    assert main(argv) == 0
+    meta, _ = import_csv(str(tmp_path / "o" / "trajectory.csv"))
+    assert meta["command"] == "simulate" and meta["config"]["run"] == {"seed": 0}
 
 
 def test_travelling_wave_of_zero_width_exits_2():
