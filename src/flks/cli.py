@@ -419,24 +419,23 @@ _Frames = collections.namedtuple("_Frames", "times x us vs")
 def _write_long(f, frames):
     """Write _write_rows' bytes of the long table of frames, never built.
 
-    Each node's x cell is formatted once, into a row template per block of
-    nodes where "\\0" holds the t cell and "\\1" the (u, v) cells.  Each
-    frame's t cell is formatted once per frame, and so is a field that is
-    one value for the frame; one `%` call per frame and block then formats
-    the node arrays' cells, and none is made when both fields are values.
+    Each node's x cell is formatted once, as a ",x," piece.  Each frame's t
+    cell is formatted once per frame, and so is a field that is one value
+    for the frame; a block of nodes' rows is then one join of its pieces
+    over the frame's "(u, v) cells, newline, t cell", and one `%` call per
+    frame and block formats the node arrays' cells, none when both fields
+    are values.
     """
-    x = frames.x.tolist()
-    blocks = []
-    for start in range(0, len(x), _BLOCK_ROWS):
-        cells = x[start : start + _BLOCK_ROWS]
-        template = ("\0,%.17g,\1\n" * len(cells)) % tuple(cells)
-        blocks.append((slice(start, start + _BLOCK_ROWS), template))
+    x = ["," + "%.17g" % c + "," for c in frames.x.tolist()]
+    blocks = [(slice(start, start + _BLOCK_ROWS), x[start : start + _BLOCK_ROWS])
+              for start in range(0, len(x), _BLOCK_ROWS)]
     for t, u, v in zip(frames.times, frames.us, frames.vs):
         t_cell = "%.17g" % t
         nodal = [a for a in (u, v) if np.ndim(a)]
         uv_cells = ",".join("%.17g" if np.ndim(a) else "%.17g" % a for a in (u, v))
-        for nodes, template in blocks:
-            rows = template.replace("\0", t_cell).replace("\1", uv_cells)
+        sep = uv_cells + "\n" + t_cell
+        for nodes, pieces in blocks:
+            rows = t_cell + sep.join(pieces) + uv_cells + "\n"
             if nodal:
                 rows %= tuple(np.column_stack([a[nodes] for a in nodal]).ravel().tolist())
             f.write(rows)

@@ -24,12 +24,12 @@ time error, which falls as dt^2.  A flux-off run
 frame, never enforced.
 
 The operator is prepared once per (params, config): ``_Operator`` binds the
-constants and maps a (2, n+1) array of u and v to new arrays, filling the
-ghosts per evaluation.  ``run`` and ``step`` march one prepared operator,
-and ``reduced_systems`` takes the steady-state residual from one.  The
-periodic seam: periodic node n is node 0, so loading a state copies node 0
-into node n and source terms are evaluated there at x_0; every stage then
-keeps node n bitwise equal to node 0.
+constants and maps an (n+1, 2) array of u and v, node by node, to new
+arrays, filling the ghosts per evaluation.  ``run`` and ``step`` march one
+prepared operator, and ``reduced_systems`` takes the steady-state residual
+from one.  The periodic seam: periodic node n is node 0, so loading a state
+copies node 0 into node n and source terms are evaluated there at x_0;
+every stage then keeps node n bitwise equal to node 0.
 """
 
 import math
@@ -160,12 +160,12 @@ _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 class _Operator:
     """The semi-discrete operator of one (params, config) pair, prepared once.
 
-    A state is a (2, n+1) array: row 0 holds u, row 1 holds v, column k
-    holds node k.  ``load`` sets the state ``X``; a periodic node n takes
-    node 0's values, and periodic sources see x_0 at node n, so node n stays
-    bitwise equal to node 0 through every stage.  ``rhs`` returns (u_t, v_t)
-    of a state, ``explicit`` only its explicit part, and ``solve`` inverts
-    the implicit part; each returns a new array and writes into none it was
+    A state is an (n+1, 2) array, node by node: row k holds u and v of node
+    k.  ``load`` sets the state ``X``; a periodic node n takes node 0's
+    values, and periodic sources see x_0 at node n, so node n stays bitwise
+    equal to node 0 through every stage.  ``rhs`` returns (u_t, v_t) of a
+    state, ``explicit`` only its explicit part, and ``solve`` inverts the
+    implicit part; each returns a new array and writes into none it was
     given.  ``advance`` replaces X by one ARS(2,2,2) step.
     """
 
@@ -195,14 +195,15 @@ class _Operator:
         # the implicit coupling per unit step: D/dx^2 for u, 1/(tau dx^2) for v
         self.coupling = (self.D / self.dx2, 1.0 / (self.tau * self.dx2))
         self.table = (None, None)  # the last ring table's key and the table
+        self.scale = np.empty(2 * n if self.periodic else 2 * n + 2)  # set with the table
 
     def load(self, u, v):
         """Set the state to (u, v); a periodic node n takes node 0's values."""
         if np.shape(u) != (self.n + 1,) or np.shape(v) != (self.n + 1,):
             raise ValidationError("state does not match the grid")
-        self.X = np.array((u, v), dtype=float)
+        self.X = np.stack((u, v), axis=1, dtype=float)
         if self.periodic:
-            self.X[:, -1] = self.X[:, 0]
+            self.X[-1] = self.X[0]
 
     def finite(self):
         """Whether the state is finite at every node."""
@@ -230,7 +231,7 @@ class _Operator:
         """The chemotactic fluxes u F(v_x) on the n inner faces, u taken by
         Fromm reconstruction biased to the donor by the flux sign: u_i + q_i
         or u_{i+1} - q_{i+1}, with q_k = (u_{k+1} - u_{k-1})/4."""
-        u, v = X
+        u, v = X[:, 0], X[:, 1]
         Fv = self.F((v[1:] - v[:-1]) / self.dx)
         U = self._ghosted(u)
         q = 0.25 * (U[2:] - U[:-2])
@@ -240,54 +241,54 @@ class _Operator:
 
     def _add_sources(self, t, R):
         if self.source_u is not None:
-            R[0] += self.source_u(self.x, t)
+            R[:, 0] += self.source_u(self.x, t)
         if self.source_v is not None:
-            R[1] += self.source_v(self.x, t) / self.tau
+            R[:, 1] += self.source_v(self.x, t) / self.tau
         return R
 
     def rhs(self, X, t):
         """The right-hand side (u_t, v_t) of state X at time t."""
-        u, v = X
+        u, v = X[:, 0], X[:, 1]
         R = np.empty_like(X)
         G = self.D * (u[1:] - u[:-1]) / self.dx
-        np.subtract(self._divergence(G), self._divergence(self._flux(X)), out=R[0])
+        np.subtract(self._divergence(G), self._divergence(self._flux(X)), out=R[:, 0])
         V = self._ghosted(v)
         v_xx = ((V[2:] - 2.0 * v) + V[:-2]) / self.dx2
         if not self.periodic:
             # the mirrored three-point form rounds differently from 2(v1 - v0)
             v_xx[0] = 2.0 * (v[1] - v[0]) / self.dx2
             v_xx[-1] = 2.0 * (v[-2] - v[-1]) / self.dx2
-        np.divide(v_xx - self.kappa(t) * v + u, self.tau, out=R[1])
+        np.divide(v_xx - self.kappa(t) * v + u, self.tau, out=R[:, 1])
         return self._add_sources(t, R)
 
     def explicit(self, X, t):
         """The explicit part of the right-hand side of state X at time t:
         -(u F(v_x))_x + S_u and (u + S_v)/tau."""
         E = np.empty_like(X)
-        np.negative(self._divergence(self._flux(X)), out=E[0])
-        np.divide(X[0], self.tau, out=E[1])
+        np.negative(self._divergence(self._flux(X)), out=E[:, 0])
+        np.divide(X[:, 0], self.tau, out=E[:, 1])
         return self._add_sources(t, E)
 
     def solve(self, t, h, b):
-        """The X with X - h L(t) X = b, both (2, n+1) node arrays, where
+        """The X with X - h L(t) X = b, both (n+1, 2) node arrays, where
         L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
 
-        Both rows are solved by one ``_cyclic_reduction`` on a ring of the
-        n periodic nodes, or of the 2n-node even extension for Neumann, with
-        u and v interleaved: b is copied in as it is, and each row's 1/diag
-        and the product of its levels' alpha are one scale per row, applied
-        as X is written.  So the solution commutes bit for bit with rolls
-        and reflections of b, and row k of X depends on row k of b alone.
-        The ring's table depends on h, and through the v row on kappa(t),
-        alone; the operator keeps the last one, so a constant-decay march
-        derives one per step size (both stages of a step share h) and a
-        time-varying kappa one per stage.  Raises StepSizeError when a row
-        is not diagonally dominant (1 + h kappa/tau <= 0 under negative
-        decay).
+        Both columns are solved by one ``_cyclic_reduction`` on a ring of
+        the n periodic nodes, or of the 2n-node even extension for Neumann:
+        b's node order is the ring's, so b is copied in whole (and mirrored),
+        and X is written through one scale row of each column's 1/diag times
+        the product of its levels' alpha.  So the solution commutes bit for
+        bit with rolls and reflections of b, and column k of X depends on
+        column k of b alone.  The table and scale row depend on h, and
+        through v on kappa(t), alone; the operator keeps the last ones, so a
+        constant-decay march derives them once per step size (both stages
+        of a step share h) and a time-varying kappa once per stage.  Raises
+        StepSizeError when a column is not diagonally dominant (1 + h
+        kappa/tau <= 0 under negative decay).
         """
         n, m = self.n, self.m
         shifts = (1.0, 1.0 + h * float(self.kappa(t)) / self.tau)
-        key, diags = [], []
+        key = []
         for shift, coupling in zip(shifts, self.coupling):
             c = h * coupling
             diag = shift + 2.0 * c
@@ -295,25 +296,24 @@ class _Operator:
             if not (shift > 0.0 and sigma > 0.0):
                 raise StepSizeError(
                     f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
-            key += (c / diag, sigma)
-            diags.append(diag)
+            key.append((c / diag, sigma, diag))
         if key != self.table[0]:
-            self.table = key, _ring_table(*key, m)
-        G, scales = self.table[1]
+            (r_u, sigma_u, diag_u), (r_v, sigma_v, diag_v) = key
+            G, (scale_u, scale_v) = _ring_table(r_u, sigma_u, r_v, sigma_v, m)
+            self.table = key, G
+            self.scale[0::2], self.scale[1::2] = scale_u / diag_u, scale_v / diag_v
         W, T = np.empty(4 * m), np.empty(2 * m)
         ring = W[:2 * m].reshape(m, 2)
         if self.periodic:
-            ring[:] = b[:, :-1].T
+            ring[:] = b[:-1]
         else:
-            ring[:n + 1] = b.T
-            ring[n + 1:] = b[:, -2:0:-1].T
-        _cyclic_reduction(W, T, G)
-        X = np.empty_like(b)
-        cols = n if self.periodic else n + 1
-        scale = ((scales[0] / diags[0],), (scales[1] / diags[1],))
-        np.multiply(ring[:cols].T, scale, out=X[:, :cols])
+            ring[:n + 1] = b
+            ring[n + 1:] = ring[n - 1:0:-1]
+        _cyclic_reduction(W, T, self.table[1])
+        X, scale = np.empty(b.shape), self.scale
+        np.multiply(W[:scale.size], scale, out=X.reshape(-1)[:scale.size])
         if self.periodic:
-            X[:, n] = X[:, 0]
+            X[n] = X[0]
         return X
 
     def advance(self, t, dt):
@@ -329,7 +329,7 @@ class _Operator:
         """
         X = self.X
         if not self.bounded:
-            speed = float(np.max(np.abs(self.F((X[1, 1:] - X[1, :-1]) / self.dx))))
+            speed = float(np.max(np.abs(self.F((X[1:, 1] - X[:-1, 1]) / self.dx))))
             if not dt * speed <= 0.5 * self.dx:
                 raise CFLViolation(
                     f"the flux speed {speed:.3g} carries u {dt * speed / self.dx:.3g} cells "
@@ -366,7 +366,7 @@ def step(state, params, config, dt):
     t = state.t + dt
     if not op.finite():
         raise InvalidState(f"solution lost finiteness during the step to t={t:g}")
-    return FieldPair(*op.X, t)
+    return FieldPair(op.X[:, 0], op.X[:, 1], t)
 
 
 @dataclass
@@ -432,12 +432,12 @@ def run(initial, params, config):
 
     def record(low):
         times.append(t)
-        us.append(op.X[0])
-        vs.append(op.X[1])
+        us.append(op.X[:, 0])
+        vs.append(op.X[:, 1])
         mass.append(total_mass(us[-1], config.grid, config.bc))
         min_u.append(low)
 
-    record(float(np.min(op.X[0])))
+    record(float(np.min(op.X[:, 0])))
     low = np.inf  # the minimum of u over the steps since the last frame
     steps = 0
     while t < t_end - 1e-14:
@@ -447,7 +447,7 @@ def run(initial, params, config):
         if not op.finite():
             raise InvalidState(f"solution lost finiteness during the step to t={t:g}")
         steps += 1
-        low = min(low, float(np.min(op.X[0])))
+        low = min(low, float(np.min(op.X[:, 0])))
         if steps % config.output_stride == 0 or t >= t_end - 1e-14:
             record(low)
             low = np.inf

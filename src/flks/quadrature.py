@@ -116,6 +116,8 @@ _GL_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831
                       0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
 _GL_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                         0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
+#: linear_relaxation forms the nodes of at most this many panels at a time
+_PANELS = 4096
 #: linear_relaxation halves a panel whose rate bends by more than this: at
 #: 2e-3 case I meets case III and IV to 9e-16, at 4e-3 to 2e-12, unhalved 7e-3
 _BEND = 2e-3
@@ -136,7 +138,9 @@ def linear_relaxation(rate, cumulative, b, t0, y0, t, knots=()):
     both by 6-node Gauss-Legendre on the same nodes, so a constant rate keeps
     its steady level b/a however the nodes round.  No exponent above 1 is
     formed: OverflowGuard means a returned value overflows.  More than
-    MAX_STEPS panels is a ValidationError, raised before the split.
+    MAX_STEPS panels is a ValidationError, raised before the split.  The
+    nodes are formed _PANELS panels at a time, so a split holds ~25 B per
+    panel (its edges and their y), ~250 MB at MAX_STEPS.
     """
     t = np.asarray(t, dtype=float)
     ends = np.append(t.ravel(), t0)
@@ -154,33 +158,50 @@ def linear_relaxation(rate, cumulative, b, t0, y0, t, knots=()):
 
 
 def _relax_chain(rate, cumulative, b, y0, edges):
-    """y at each of the monotone edges, from y(edges[0]) = y0, panel by panel."""
-    marks = np.arange(edges.size)  # where the given edges sit among the split ones
-    while True:
-        p, q = edges[:-1], edges[1:]
-        nodes = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _GL_NODES
-        E = cumulative(nodes, q[:, None])
-        a = rate(nodes)
-        size = np.maximum(np.abs(cumulative(p, q)), np.abs(E).max(axis=1))
-        pieces = np.where(size <= 1.0, 1.0, np.floor(size) + 1.0)  # NaN stays NaN
-        bent = np.abs(a[:, 0] + a[:, 5] - a[:, 2] - a[:, 3]) > _BEND * np.abs(a).sum(axis=1)
-        pieces[bent] = np.maximum(pieces[bent], 2.0)
-        if np.all(pieces == 1.0):
-            break
-        if not pieces.sum() <= MAX_STEPS:
-            raise ValidationError(
-                f"relaxing to t = {edges[-1]:g} takes more than {MAX_STEPS} panels")
-        m = pieces.astype(np.int64)
-        ends = np.cumsum(m)
-        j = np.arange(ends[-1]) - np.repeat(ends - m, m)  # each new edge's place in its panel
-        edges = np.append(np.repeat(p, m) + j * np.repeat((q - p) / pieces, m), edges[-1])
-        marks = np.append(0, ends)[marks]
-    f = 0.5 * (q - p)[:, None] * np.exp(-E)
-    gain = b * (f @ _GL_WEIGHTS)
-    loss = (a * f) @ _GL_WEIGHTS
-    y = accumulate(zip(gain.tolist(), loss.tolist()),
-                   lambda y_p, step: y_p + (step[0] - step[1] * y_p), initial=float(y0))
-    return np.array(list(y))[marks]
+    """y at each of the monotone edges, from y(edges[0]) = y0, panel by panel,
+    in even parts of at most _PANELS panels: a part that splits is relaxed
+    as a chain of its split edges, so only edges and y grow with the panel
+    count.  A part of two or more panels sums each panel bit for bit as one
+    product over all panels would (BLAS sums a lone row in another order)."""
+    panels = edges.size - 1  # of the whole split, as far as it is known
+    end = edges[-1]
+
+    def chain(y0, edges):
+        nonlocal panels
+        y = np.empty(edges.size)
+        y[0] = y0
+        count = edges.size - 1
+        parts = -(-count // _PANELS)
+        for k in range(parts):
+            lo, hi = k * count // parts, (k + 1) * count // parts
+            p, q = edges[lo:hi], edges[lo + 1:hi + 1]
+            nodes = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _GL_NODES
+            E = cumulative(nodes, q[:, None])
+            a = rate(nodes)
+            size = np.maximum(np.abs(cumulative(p, q)), np.abs(E).max(axis=1))
+            pieces = np.where(size <= 1.0, 1.0, np.floor(size) + 1.0)  # NaN stays NaN
+            bent = np.abs(a[:, 0] + a[:, 5] - a[:, 2] - a[:, 3]) > _BEND * np.abs(a).sum(axis=1)
+            pieces[bent] = np.maximum(pieces[bent], 2.0)
+            if np.all(pieces == 1.0):
+                f = 0.5 * (q - p)[:, None] * np.exp(-E)
+                gain = b * (f @ _GL_WEIGHTS)
+                loss = (a * f) @ _GL_WEIGHTS
+                y[lo + 1:hi + 1] = list(accumulate(
+                    zip(gain.tolist(), loss.tolist()),
+                    lambda y_p, step: y_p + (step[0] - step[1] * y_p), initial=float(y[lo])))[1:]
+                continue
+            panels += pieces.sum() - pieces.size
+            if not panels <= MAX_STEPS:
+                raise ValidationError(
+                    f"relaxing to t = {end:g} takes more than {MAX_STEPS} panels")
+            m = pieces.astype(np.int64)
+            ends = np.cumsum(m)
+            j = np.arange(ends[-1]) - np.repeat(ends - m, m)  # each new edge's place in its panel
+            split = np.append(np.repeat(p, m) + j * np.repeat((q - p) / pieces, m), q[-1])
+            y[lo + 1:hi + 1] = chain(y[lo], split)[ends]
+        return y
+
+    return chain(y0, edges)
 
 
 _EULER_GAMMA = 0.5772156649015328

@@ -119,6 +119,9 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     x = config.grid.nodes()
     u = np.asarray(problem.data.get("u_init", np.ones(n + 1)), dtype=float).copy()
     v = np.asarray(problem.data.get("v_init", u / max(kappa0, 1e-12)), dtype=float).copy()
+    if not (u.shape == v.shape == (n + 1,)):
+        raise ValidationError(f"steady-state guess u_init, v_init must have n + 1 = {n + 1} "
+                              f"entries, got {u.size} and {v.size}")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValidationError("steady-state guess u_init, v_init must be finite")
     w = cell_widths(n, config.grid.dx, bc)
@@ -127,11 +130,11 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     op = _Operator(params, config)
 
     def residual(z):
-        X = z.reshape(n + 1, 2).T.copy()
-        R = op.rhs(X, 0.0)
-        R[0, 0] = float(np.dot(w, X[0])) - mass_target
-        R[1] *= params.tau
-        return R.T.ravel()
+        R = op.rhs(z.reshape(n + 1, 2), 0.0)
+        # a contiguous u: BLAS sums a strided one in another order
+        R[0, 0] = float(np.dot(w, z[0::2].copy())) - mass_target
+        R[:, 1] *= params.tau
+        return R.ravel()
 
     z = np.stack((u, v), axis=1).ravel()
     history = []
@@ -169,7 +172,7 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
             break
     if defect >= accept:
         raise NoConvergence(steps, defect, history, profile=z)
-    U, V = z.reshape(n + 1, 2).T.copy()
+    U, V = z[0::2].copy(), z[1::2].copy()
     return SteadyStateResult(x, U, V, defect, history, steps)
 
 

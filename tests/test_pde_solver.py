@@ -32,7 +32,7 @@ def operator_rhs(u, v, t, params, config):
     op = pde_solver._Operator(params, config)
     op.load(u, v)
     out = op.rhs(op.X, t)
-    return out[0], out[1]
+    return out[:, 0], out[:, 1]
 
 
 def make_params(decay=None, tau=0.1, D=0.8):
@@ -384,21 +384,21 @@ def test_implicit_solve_matches_a_dense_solve(bc):
         lap = _ref_laplacian(n, 1.0, bc)
         m = lap.shape[0]
         for c in 10.0 ** np.arange(-3.0, 5.0):
-            b = rng.standard_normal((2, n + 1))
+            b = rng.standard_normal((n + 1, 2))  # node by node: (u_k, v_k) in row k
             if bc == "periodic":
-                b[:, -1] = b[:, 0]
+                b[-1] = b[0]
             x = op.solve(0.0, c, b)
-            for row, shift in enumerate((1.0, 1.0 + kappa0 * c)):
-                ref = _refined_solve(shift * np.eye(m) - c * lap, b[row, :m])
+            for col, shift in enumerate((1.0, 1.0 + kappa0 * c)):
+                ref = _refined_solve(shift * np.eye(m) - c * lap, b[:m, col])
                 tol = 1e-13 + (1.0 + 4.0 * c / shift) * np.finfo(np.longdouble).eps
-                assert np.max(np.abs(x[row, :m] - ref)) <= tol * np.max(np.abs(ref)), (n, c, row)
+                assert np.max(np.abs(x[:m, col] - ref)) <= tol * np.max(np.abs(ref)), (n, c, col)
             if bc == "periodic":
-                assert x[:, -1].tobytes() == x[:, 0].tobytes()
+                assert x[-1].tobytes() == x[0].tobytes()
                 k = int(rng.integers(1, n))
-                rolled = op.solve(0.0, c, np.roll(b[:, :-1], k, axis=1)[:, np.r_[:n, 0]])
-                assert rolled.tobytes() == np.roll(x[:, :-1], k, axis=1)[:, np.r_[:n, 0]].tobytes()
-            mirrored = op.solve(0.0, c, b[:, ::-1].copy())
-            assert mirrored.tobytes() == x[:, ::-1].tobytes()
+                rolled = op.solve(0.0, c, np.roll(b[:-1], k, axis=0)[np.r_[:n, 0]])
+                assert rolled.tobytes() == np.roll(x[:-1], k, axis=0)[np.r_[:n, 0]].tobytes()
+            mirrored = op.solve(0.0, c, b[::-1].copy())
+            assert mirrored.tobytes() == x[::-1].tobytes()
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -413,18 +413,18 @@ def test_implicit_solve_matches_a_dense_solve_under_time_varying_decay(bc):
         lap = _ref_laplacian(n, 1.0, bc)
         m = lap.shape[0]
         for c in (0.01, 0.3, 10.0, 1e4):
-            b = rng.standard_normal((2, n + 1))
+            b = rng.standard_normal((n + 1, 2))
             if bc == "periodic":
-                b[:, -1] = b[:, 0]
+                b[-1] = b[0]
             for t in (0.25, 1.75):  # two stage times
                 x = op.solve(t, c, b)
-                for row, shift in enumerate((1.0, 1.0 + decay.kappa(t) * c)):
-                    ref = _refined_solve(shift * np.eye(m) - c * lap, b[row, :m])
+                for col, shift in enumerate((1.0, 1.0 + decay.kappa(t) * c)):
+                    ref = _refined_solve(shift * np.eye(m) - c * lap, b[:m, col])
                     tol = 1e-13 + (1.0 + 4.0 * c / shift) * np.finfo(np.longdouble).eps
-                    err = np.max(np.abs(x[row, :m] - ref))
-                    assert err <= tol * np.max(np.abs(ref)), (n, c, t, row)
-                mirrored = op.solve(t, c, b[:, ::-1].copy())
-                assert mirrored.tobytes() == x[:, ::-1].tobytes()
+                    err = np.max(np.abs(x[:m, col] - ref))
+                    assert err <= tol * np.max(np.abs(ref)), (n, c, t, col)
+                mirrored = op.solve(t, c, b[::-1].copy())
+                assert mirrored.tobytes() == x[::-1].tobytes()
 
 
 def test_reduction_weights_are_derived_once_per_row_and_step(monkeypatch):
@@ -471,20 +471,20 @@ def test_ring_solves_the_rows_independently_and_keeps_positivity(bc):
                 cfg = SolverConfig(Grid1D(0.0, float(n), n), t_end=1.0, bc=bc)
                 op = pde_solver._Operator(p, cfg)
                 for c in (0.01, 0.3, 10.0, 1e4):
-                    b = rng.standard_normal((2, n + 1))
+                    b = rng.standard_normal((n + 1, 2))
                     if bc == "periodic":
-                        b[:, -1] = b[:, 0]
+                        b[-1] = b[0]
                     x = op.solve(1.75, c, b)
-                    for row in (0, 1):
+                    for col in (0, 1):
                         alone = np.zeros_like(b)
-                        alone[row] = b[row]
-                        got = op.solve(1.75, c, alone)[row]
-                        assert got.tobytes() == x[row].tobytes(), (n, c, row)
+                        alone[:, col] = b[:, col]
+                        got = op.solve(1.75, c, alone)[:, col]
+                        assert got.tobytes() == x[:, col].tobytes(), (n, c, col)
                     b = np.choose(rng.integers(0, 4, b.shape), (
                         np.zeros(b.shape), rng.random(b.shape) * 1e-310,
                         rng.uniform(0.5, 1.5, b.shape) * 1e300, rng.random(b.shape)))
                     if bc == "periodic":
-                        b[:, -1] = b[:, 0]
+                        b[-1] = b[0]
                     x = op.solve(1.75, c, b)
                     assert np.isfinite(x).all() and (x >= 0.0).all(), (n, c)
 
@@ -506,10 +506,10 @@ def test_explicit_and_implicit_parts_add_up_to_the_rhs(bc):
     lap = _ref_laplacian(n, grid.dx, bc)
     m = lap.shape[0]
     for t in (0.0, 0.7):
-        u, v = op.X[:, :m]
-        implicit = np.array([p.D * (lap @ u), (lap @ v - p.decay.kappa(t) * v) / p.tau])
+        u, v = op.X[:m, 0], op.X[:m, 1]
+        implicit = np.stack([p.D * (lap @ u), (lap @ v - p.decay.kappa(t) * v) / p.tau], axis=1)
         if bc == "periodic":
-            implicit = np.append(implicit, implicit[:, :1], axis=1)
+            implicit = np.append(implicit, implicit[:1], axis=0)
         R = op.rhs(op.X, t)
         split = op.explicit(op.X, t) + implicit
         assert np.max(np.abs(split - R)) <= 1e-12 * np.max(np.abs(R)), t
@@ -1026,7 +1026,7 @@ def test_steady_residual_and_solve_are_bit_identical_to_the_reference(monkeypatc
             self.params, self.config = params, config
 
         def rhs(self, X, t):
-            return np.array(_ref_rhs(X[0], X[1], t, self.params, self.config))
+            return np.stack(_ref_rhs(X[:, 0], X[:, 1], t, self.params, self.config), axis=1)
 
     monkeypatch.setattr(reduced_systems, "_Operator", Reference)
     ref = solve_steady_state(prob, n=n)

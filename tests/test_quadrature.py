@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flks import quadrature
 from flks.banded import band_matvec
+from flks.core import MAX_STEPS, ConstantDecay, ExponentialDecay, PowerLawDecay, TabulatedDecay
 from flks.errors import (
     DivergenceDetected,
     DomainError,
@@ -25,6 +29,7 @@ from flks.quadrature import (
     exp_kernel_upper,
     first_integral,
     integrate_adaptive,
+    linear_relaxation,
     picard_iterate,
 )
 
@@ -511,3 +516,76 @@ def test_exp_kernel_on_four_nodes():
     L = exp_kernel_lower(np.cos(y), h, r)
     ref = (-r * np.cos(y) + np.sin(y) + r * np.exp(r * y)) / (1.0 + r * r)
     assert np.max(np.abs(L - ref)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# linear relaxation
+# ---------------------------------------------------------------------------
+
+def _ref_relax_chain(rate, cumulative, b, y0, edges):
+    """The relaxation chain as it stood when it split every panel at once:
+    the values that the chain taken a part at a time must equal bit for bit."""
+    marks = np.arange(edges.size)
+    while True:
+        p, q = edges[:-1], edges[1:]
+        nodes = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * quadrature._GL_NODES
+        E = cumulative(nodes, q[:, None])
+        a = rate(nodes)
+        size = np.maximum(np.abs(cumulative(p, q)), np.abs(E).max(axis=1))
+        pieces = np.where(size <= 1.0, 1.0, np.floor(size) + 1.0)
+        bent = np.abs(a[:, 0] + a[:, 5] - a[:, 2] - a[:, 3]) > \
+            quadrature._BEND * np.abs(a).sum(axis=1)
+        pieces[bent] = np.maximum(pieces[bent], 2.0)
+        if np.all(pieces == 1.0):
+            break
+        assert pieces.sum() <= MAX_STEPS
+        m = pieces.astype(np.int64)
+        ends = np.cumsum(m)
+        j = np.arange(ends[-1]) - np.repeat(ends - m, m)
+        edges = np.append(np.repeat(p, m) + j * np.repeat((q - p) / pieces, m), edges[-1])
+        marks = np.append(0, ends)[marks]
+    f = 0.5 * (q - p)[:, None] * np.exp(-E)
+    gain = b * (f @ quadrature._GL_WEIGHTS)
+    loss = (a * f) @ quadrature._GL_WEIGHTS
+    y = accumulate(zip(gain.tolist(), loss.tolist()),
+                   lambda y_p, step: y_p + (step[0] - step[1] * y_p), initial=float(y0))
+    return np.array(list(y))[marks]
+
+
+def _relaxation(law, tau, t0, t):
+    knots = law.times if isinstance(law, TabulatedDecay) else ()
+    return (lambda s: law.kappa(s) / tau, lambda lo, hi: law.cumulative(lo, hi) / tau,
+            1.3 / tau, t0, 0.7, np.asarray(t, dtype=float), knots)
+
+
+def test_linear_relaxation_runs_in_bounded_memory(monkeypatch):
+    # kappa/tau = 5 to t = 2e4 is 1e5 panels: split all at once they held
+    # ~340 B each, a 32 MB peak
+    args = _relaxation(ConstantDecay(0.5), 0.1, 0.0, [2e4, 1e4, 5.0])
+    tracemalloc.start()
+    try:
+        got = linear_relaxation(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
+    monkeypatch.setattr(quadrature, "_relax_chain", _ref_relax_chain)
+    assert got.tobytes() == linear_relaxation(*args).tobytes()
+
+
+@pytest.mark.parametrize("law", [
+    ConstantDecay(5.0), ExponentialDecay(0.7, -0.9), PowerLawDecay(-0.4),
+    TabulatedDecay(tuple(np.linspace(1.0, 61.0, 40)),
+                   tuple(1.0 + np.sin(np.linspace(1.0, 61.0, 40)) ** 2)),
+], ids=["constant", "exponential", "power_law", "tabulated"])
+def test_linear_relaxation_by_parts_equals_the_whole_split(monkeypatch, law):
+    # forwards and backwards from t0, over parts that split and parts that
+    # do not, and over more given panels than one part holds
+    rng = np.random.default_rng(3)
+    cases = [(1.0, 3.5, [1.0 + 2e3 * 0.01]), (0.01, 2.0, rng.uniform(1.0, 61.0, 300)),
+             (1.0, 30.0, np.linspace(1.0, 61.0, 9000)), (0.1, 1.0, np.linspace(1.0, 61.0, 4098)),
+             (1.0, 1.0, [1.0])]
+    got = [linear_relaxation(*_relaxation(law, *case)) for case in cases]
+    monkeypatch.setattr(quadrature, "_relax_chain", _ref_relax_chain)
+    for case, values in zip(cases, got):
+        assert values.tobytes() == linear_relaxation(*_relaxation(law, *case)).tobytes(), case[:2]

@@ -279,11 +279,10 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
     op = _Operator(params, config)
 
     def residual(z):
-        X = z.reshape(n + 1, 2).T.copy()
-        R = op.rhs(X, 0.0)
-        R[0, 0] = float(np.dot(w, X[0])) - float(np.dot(w, u))
-        R[1] *= params.tau
-        return R.T.ravel()
+        R = op.rhs(z.reshape(n + 1, 2), 0.0)
+        R[0, 0] = float(np.dot(w, z[0::2])) - float(np.dot(w, u))
+        R[:, 1] *= params.tau
+        return R.ravel()
 
     z = np.stack((u, v), axis=1).ravel()  # node by node: u_0, v_0, u_1, ...
     R0 = residual(z)
@@ -385,6 +384,41 @@ def test_steady_solve_prepares_one_operator(monkeypatch):
     assert len(made) == 1
 
 
+def test_states_are_node_ordered_and_the_residual_reads_the_newton_vector(monkeypatch):
+    # one (u, v) order: the operator's state is (n+1, 2), node by node, and
+    # the steady residual hands rhs a view of the Newton vector, not a copy
+    n = 16
+    x = np.linspace(0.0, 4.0, n + 1)
+    u, v = 1.0 + 0.3 * np.exp(-(x - 2.0) ** 2), 2.0 + 0.1 * x
+    op = _Operator(make_params(), SolverConfig(Grid1D(0.0, 4.0, n), t_end=0.0))
+    op.load(u, v)
+    assert op.X.shape == (n + 1, 2) and op.X.flags.c_contiguous
+    assert op.X.ravel().tobytes() == np.stack((u, v), axis=1).ravel().tobytes()
+
+    seen, jacobians = [], []
+
+    class Recorded(_Operator):
+        def rhs(self, X, t):
+            seen.append(X)
+            return super().rhs(X, t)
+
+    def recorded_jacobian(residual, z, R0, mass_row):
+        jacobians.append((residual, z))
+        return _fd_jacobian(residual, z, R0, mass_row)
+
+    monkeypatch.setattr(reduced_systems, "_Operator", Recorded)
+    monkeypatch.setattr(reduced_systems, "_fd_jacobian", recorded_jacobian)
+    prob = ReducedProblem("steady_state", make_params(), constants={"kappa0": 0.5},
+                          domain=(0.0, 4.0), data={"bc": "neumann", "u_init": u})
+    assert solve_steady_state(prob, n=n).defect < 1e-10
+    residual, z = jacobians[0]
+    seen.clear()
+    R = residual(z)
+    (X,) = seen
+    assert X.shape == (n + 1, 2) and np.shares_memory(X, z)
+    assert R.shape == z.shape
+
+
 
 def wall_aggregate(n):
     # a non-uniform zero-flux steady state: the cells gather at the wall x = 0
@@ -478,6 +512,19 @@ def test_steady_state_refuses_a_non_finite_guess(field, bad):
     )
     with pytest.raises(ValidationError, match="finite"):
         solve_steady_state(prob, n=32)
+
+
+@pytest.mark.parametrize("field", ["u_init", "v_init"])
+def test_steady_state_refuses_a_guess_off_the_grid(field):
+    # a guess of 10 entries on 17 nodes failed inside numpy (the mass dot,
+    # or stacking u with v) instead of naming both lengths
+    data = {"u_init": np.ones(17), "v_init": np.full(17, 2.0), "bc": "neumann"}
+    data[field] = data[field][:10]
+    prob = ReducedProblem(
+        "steady_state", make_params(), constants={"kappa0": 0.5}, domain=(0.0, 4.0), data=data
+    )
+    with pytest.raises(ValidationError, match=r"17 entries, got 1[07] and 1[07]"):
+        solve_steady_state(prob, n=16)
 
 
 def test_steady_state_needs_kappa0_under_varying_decay():
