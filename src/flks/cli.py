@@ -238,21 +238,35 @@ def build_grid(cfg):
 
 
 def build_initial(cfg, grid):
+    """The [initial] state on the grid's nodes at the decay law's start.  A
+    value it reads that is not finite, a width that is not positive, or a
+    state that is not finite at every node is a config error."""
     ini = cfg.sections["initial"]
+
+    def value(key, default=None):
+        v = ini.get(key, default)
+        if not np.isfinite(v):
+            raise ValidationError(f"initial.{key} must be finite, got {v!r}")
+        return v
+
     x = grid.nodes()
-    kind, u0, v0 = ini["kind"], ini["u0"], ini["v0"]
+    kind, u0, v0 = ini["kind"], value("u0"), value("v0")
     if kind == "uniform":
         u = np.full_like(x, u0)
     elif kind == "gaussian":
-        amp = ini.get("amplitude", 1.0)
-        c = ini.get("center", 0.5 * (grid.x_lo + grid.x_hi))
-        w = ini.get("width", 1.0)
+        amp = value("amplitude", 1.0)
+        c = value("center", 0.5 * (grid.x_lo + grid.x_hi))
+        w = value("width", 1.0)
+        if not w > 0.0:
+            raise ValidationError(f"initial.width must be positive, got {w!r}")
         u = u0 + amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
     elif kind == "noise":
         rng = np.random.default_rng(cfg.get("run", "seed", 0))
-        u = u0 + ini.get("noise", 1e-2) * rng.standard_normal(x.size)
+        u = u0 + value("noise", 1e-2) * rng.standard_normal(x.size)
     else:
         raise ValidationError(f"unknown initial kind {kind!r}")
+    if not np.isfinite(u).all():
+        raise ValidationError(f"the [initial] {kind} state is not finite at every node")
     return FieldPair(u, np.full_like(x, v0), build_decay(cfg).start)
 
 
@@ -872,9 +886,10 @@ def cmd_exact(cfg, outdir):
 
     # sample the field families on the grid at the requested times
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
-    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
+    if not (ts and np.isfinite(ts).all() and all(a < b for a, b in zip(ts, ts[1:]))):
         # the CSV body and its plot script are one frame per sample time
-        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
+        raise ValidationError(
+            f"exact.t_samples must be non-empty, finite and increasing, got {ts!r}")
     if len(ts) * (grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
                               f"{MAX_STEPS} values")
@@ -921,9 +936,10 @@ def cmd_verify(cfg, outdir):
         cfg, params, cfg.sections.get("exact", {})
     )
     grid = build_grid(cfg)
-    rep = verify.pde_residual(
-        sol, params, grid, v.get("t_samples", (0.5, 1.0)), ht=v.get("ht", 5e-4)
-    )
+    ts = v.get("t_samples", (0.5, 1.0))
+    if not np.isfinite(ts).all():
+        raise ValidationError(f"verify.t_samples must be finite, got {ts!r}")
+    rep = verify.pde_residual(sol, params, grid, ts, ht=v.get("ht", 5e-4))
     report = {
         "sup_norm": rep.sup_norm,
         "l2_norm": rep.l2_norm,
@@ -973,7 +989,9 @@ def cmd_sweep(cfg, outdir):
     if len(set(subdirs)) < len(subdirs):
         raise ValidationError(f"sweep values repeat: {', '.join(map(repr, values))}")
 
-    # every member passes the checks a config file gets before any member runs
+    # every member passes the checks a config file gets, and builds the
+    # model, grid and initial state its command builds, before any member
+    # runs, so a refused value writes no member
     subs = []
     for value in values:
         sub = RunConfig(
@@ -982,6 +1000,12 @@ def cmd_sweep(cfg, outdir):
         )
         sub.sections.setdefault(section, {})[key] = value
         _validate_config(sub)
+        if base_command != "lie":
+            build_model(sub)
+        if base_command in ("simulate", "exact", "verify"):
+            grid = build_grid(sub)
+            if base_command == "simulate":
+                build_initial(sub, grid)
         subs.append(sub)
 
     for sub, subdir in zip(subs, subdirs):

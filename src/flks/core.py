@@ -280,7 +280,3 @@ class ModelParams:
             raise ValidationError("limiter must be specified")
         if self.decay is None:
             raise ValidationError("decay law must be specified")
-
-    @property
-    def case(self):
-        return classify(self.decay)[0]

@@ -2,9 +2,10 @@
 
 Every constructor returns an ExactSolution whose (eval_u, eval_v) callables
 accept scalar or array x and t, carry the full parameter record, and document
-their validity assumptions.  The homogeneous families are x-independent and
-say so: their evaluators carry the time function they lift (``of_t``), and
-ExactSolution.frames samples such a field as one value per time.  The
+their validity assumptions.  A field that is x-independent says so: its
+evaluator carries the time function it lifts (``of_t``), and
+ExactSolution.frames samples it as one value per time.  Both fields of the
+homogeneous families are, and so is the cell-free front's u = 0.  The
 traveling families live on y = t - alpha*x.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_STEPS, CaseTag, ConstantDecay, TabulatedDecay, classify
+from .core import MAX_STEPS, ConstantDecay, TabulatedDecay
 from .errors import (
     ComplexRoots,
     DivergenceDetected,
@@ -40,9 +41,10 @@ from .quadrature import (
 
 @dataclass
 class ExactSolution:
-    """An evaluable (u, v) pair with its case tag and parameter record."""
+    """An evaluable (u, v) pair with its parameter record and assumptions.
+    An x-independent field, as the homogeneous families' u and v and the
+    cell-free front's u = 0 are, is an evaluator that carries ``of_t``."""
 
-    case: CaseTag
     eval_u: object
     eval_v: object
     params: dict
@@ -97,6 +99,18 @@ def _x_independent(fn_t):
     return ev
 
 
+def _uniform(C, v_of_t, params, *assumptions):
+    """The spatially uniform solution u = C, v = v_of_t(t), both fields
+    x-independent; its assumptions are "spatially uniform", then the
+    family's own."""
+    return ExactSolution(
+        eval_u=_x_independent(lambda t: C),
+        eval_v=_x_independent(v_of_t),
+        params=params,
+        assumptions=("spatially uniform", *assumptions),
+    )
+
+
 def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0):
     """Spatially uniform solution u = C, tau v' + kappa(t) v = C.
 
@@ -115,13 +129,8 @@ def case1_homogeneous(params, C=1.0, V0=0.0, t0=0.0):
                                  lambda lo, hi: law.cumulative(lo, hi) / tau,
                                  C / tau, t0, V0, t, knots)
 
-    return ExactSolution(
-        case=classify(law)[0],
-        eval_u=_x_independent(lambda t: C),
-        eval_v=_x_independent(v_of_t),
-        params={"C": C, "V0": V0, "t0": t0, "tau": tau, "decay": repr(law)},
-        assumptions=("spatially uniform", "flux term vanishes identically"),
-    )
+    return _uniform(C, v_of_t, {"C": C, "V0": V0, "t0": t0, "tau": tau, "decay": repr(law)},
+                    "flux term vanishes identically")
 
 
 def case3_homogeneous(mu, tau, C=1.0, V0=0.0, t0=1.0):
@@ -140,32 +149,21 @@ def case3_homogeneous(mu, tau, C=1.0, V0=0.0, t0=1.0):
     mu = float(mu)
     tau = float(tau)
 
-    if mu == -tau:
+    logarithmic = mu == -tau
+    branch = "logarithmic (mu = -tau)" if logarithmic else "generic (mu + tau != 0)"
 
-        def v_of_t(t):
-            if np.any(t <= 0.0):
-                raise DomainError("power-law decay requires t > 0")
+    def v_of_t(t):
+        if np.any(t <= 0.0):
+            raise DomainError("power-law decay requires t > 0")
+        if logarithmic:
             return (C / tau) * t * np.log(t / t0) + (V0 / t0) * t
+        return C * t / (mu + tau) + ((mu + tau) * V0 - C * t0) / (mu + tau) * (
+            t0 / t
+        ) ** (mu / tau)
 
-        branch = "logarithmic (mu = -tau)"
-    else:
-
-        def v_of_t(t):
-            if np.any(t <= 0.0):
-                raise DomainError("power-law decay requires t > 0")
-            return C * t / (mu + tau) + ((mu + tau) * V0 - C * t0) / (mu + tau) * (
-                t0 / t
-            ) ** (mu / tau)
-
-        branch = "generic (mu + tau != 0)"
-
-    return ExactSolution(
-        case=CaseTag.III_POWER_LAW,
-        eval_u=_x_independent(lambda t: C),
-        eval_v=_x_independent(v_of_t),
-        params={"mu": mu, "tau": tau, "C": C, "V0": V0, "t0": t0, "branch": branch},
-        assumptions=("spatially uniform", "t > 0", branch),
-    )
+    return _uniform(C, v_of_t,
+                    {"mu": mu, "tau": tau, "C": C, "V0": V0, "t0": t0, "branch": branch},
+                    "t > 0", branch)
 
 
 def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
@@ -213,11 +211,10 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
 
         branch = "exponential-integral form"
 
-    return ExactSolution(
-        case=CaseTag.IV_EXPONENTIAL,
-        eval_u=_x_independent(lambda t: C),
-        eval_v=_x_independent(v_of_t),
-        params={
+    return _uniform(
+        C,
+        v_of_t,
+        {
             "kappa0": kappa0,
             "lam": lam,
             "tau": tau,
@@ -226,7 +223,7 @@ def case4_homogeneous(kappa0, lam, tau, C=1.0, V0=0.0, t0=0.0):
             "t0": t0,
             "branch": branch,
         },
-        assumptions=("spatially uniform", branch),
+        branch,
     )
 
 
@@ -440,7 +437,6 @@ def case2_travelling_tanh(
         return ev
 
     return TravellingWaveSolution(
-        case=CaseTag.II_CONSTANT,
         eval_u=make_eval(U, dU),
         eval_v=make_eval(V, dV),
         params={
@@ -503,13 +499,8 @@ def case4_cellfree_front(alpha, tau, law, A=1.0, B=0.0):
         yy = t - alpha * x
         return psi(t) * (A * np.exp(r1 * yy) + B * np.exp(r2 * yy))
 
-    def ev_u(x, t):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-        return np.zeros(shape) if shape else 0.0
-
     return ExactSolution(
-        case=classify(law)[0],
-        eval_u=ev_u,
+        eval_u=_x_independent(lambda t: 0.0),
         eval_v=ev_v,
         params={"alpha": alpha, "tau": tau, "t0": t0, "kappa0": kappa0, "A": A, "B": B,
                 "r1": r1, "r2": r2},

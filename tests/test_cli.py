@@ -628,8 +628,12 @@ def test_verify_every_sampled_family(tmp_path, decay, family):
         assert rep["sup_norm"] < 1e-6
 
 
-# the families that state their fields x-independent (``of_t`` evaluators)
-UNIFORM_FAMILIES = ("case1_homogeneous", "case3_homogeneous", "case4_homogeneous")
+# family -> whether it states (u, v) x-independent (``of_t`` evaluators):
+# both fields of the uniform families, the cell-free front's u = 0 only, and
+# neither field of the traveling wave
+DECLARED = {"case1_homogeneous": (True, True), "case2_travelling_tanh": (False, False),
+            "case3_homogeneous": (True, True), "case4_homogeneous": (True, True),
+            "case4_cellfree_front": (True, False)}
 
 
 @pytest.mark.parametrize(
@@ -639,7 +643,7 @@ UNIFORM_FAMILIES = ("case1_homogeneous", "case3_homogeneous", "case4_homogeneous
 )
 def test_declared_uniform_values_are_the_evaluators(decay, family):
     # exact writes a declared field as one value per frame: that value is
-    # eval_u / eval_v at every node, bit for bit, each side on a fresh
+    # its evaluator at every node, bit for bit, each side on a fresh
     # instance sampled at the same times in one call
     from flks.cli import build_decay, build_grid
 
@@ -650,14 +654,16 @@ def test_declared_uniform_values_are_the_evaluators(decay, family):
         return _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
 
     sol, ref = build(), build()
-    declared = [hasattr(ev, "of_t") for ev in (sol.eval_u, sol.eval_v)]
-    assert declared == [family in UNIFORM_FAMILIES] * 2
-    if family not in UNIFORM_FAMILIES:
+    declared = tuple(hasattr(ev, "of_t") for ev in (sol.eval_u, sol.eval_v))
+    assert declared == DECLARED[family]
+    if not any(declared):
         return
     x = build_grid(cfg).nodes()
     ts = build_decay(cfg).start + np.array([0.5, 1.0, 2.0])
     for k, frame in enumerate(sol.frames(x, ts)):
-        for value, ev in zip(frame, (ref.eval_u, ref.eval_v)):
+        for value, ev, one_value in zip(frame, (ref.eval_u, ref.eval_v), declared):
+            if not one_value:
+                continue
             assert isinstance(value, float)
             np.testing.assert_array_equal(
                 np.full(x.shape, value).view(np.int64),
@@ -736,6 +742,22 @@ def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
     out = tmp_path / "allowed"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["decay.kappa0=-1.0", "decay.kappa0=0.5"]
+
+
+@pytest.mark.parametrize("command, target, values", [
+    ("simulate", "grid.n", "32,4"), ("simulate", "limiter.v_max", "1.1,-1"),
+    ("simulate", "initial.width", "1,0"), ("exact", "grid.n", "32,4"),
+    ("verify", "grid.n", "32,4"), ("reduce", "limiter.v_max", "1.1,-1")])
+def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, target, values):
+    # the second value passes the config checks but not the model, grid or
+    # initial builder, so it is refused before the first member writes
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace("kind = uniform", "kind = gaussian")
+                        + _sweep(target, values, command))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command, report", [("verify", "residual_report.json"),
@@ -825,7 +847,6 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
     # x = 0.5 before u at x = 1.25, and the third frame at x = -1, earlier
     # in x but later in row order: the first frame and every edge are finite
     from flks import cli
-    from flks.core import CaseTag
     from flks.exact_solutions import ExactSolution
 
     def u(x, t):
@@ -835,7 +856,7 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
     def v(x, t):
         return np.where(np.isclose(x, 0.5) & (t == 1.0), -np.inf, 0.0)
 
-    sol = ExactSolution(CaseTag.I_ARBITRARY, u, v, {})
+    sol = ExactSolution(u, v, {})
     monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")
@@ -956,12 +977,13 @@ def _uniform_frames(nodes, rng):
         times, x, *([np.broadcast_to(a, x.shape) for a in f] for f in (us, vs)))
 
 
-def _exact_samples(tmp_path, family, decay=CONSTANT, n=32):
+def _exact_samples(tmp_path, family, decay, n):
     # exact's own output at three times and the long table of its family
-    # sampled on the grid, a fresh instance evaluating x and t as arrays
+    # sampled on the grid, a fresh instance evaluating each field on all
+    # nodes at all times in one call
     from flks.cli import build_grid
 
-    text = (MINIMAL.replace(CONSTANT, decay).replace("n = 32", f"n = {n}")
+    text = (MINIMAL.replace(CONSTANT, SAMPLED_DECAY_TEXT[decay]).replace("n = 32", f"n = {n}")
             + f"[exact]\nfamily = {family}\nt_samples = 0.5,1,2.25\n")
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(text)
@@ -969,23 +991,34 @@ def _exact_samples(tmp_path, family, decay=CONSTANT, n=32):
     cfg = parse_config(text, command="exact")
     sol = _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
     grid = build_grid(cfg)
-    x, ts = grid.nodes(), (0.5, 1.0, 2.25)
-    fields = [[np.broadcast_to(np.asarray(ev(x, t), dtype=float), x.shape) for t in ts]
+    x, ts = grid.nodes(), np.array([0.5, 1.0, 2.25])
+    fields = [np.broadcast_to(np.asarray(ev(x[:, None], ts), dtype=float), (x.size, ts.size)).T
               for ev in (sol.eval_u, sol.eval_v)]
     table = _reference_long_table(ts, x, *fields)
     return tmp_path / "o" / f"{family}.csv", table
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "long_trajectory", "profile", "table", "exact",
-                                  "exact_uniform", "uniform_frames"])
+# the sample times 0.5, 1 and 2.25 inside a table with a knot between them
+SAMPLED_DECAY_TEXT = dict(DECAY_TEXT,
+                          tabulated="kind = tabulated\ntimes = 0.0,1.5,3.0\nvalues = 0.5,0.9,0.7")
+# kind -> (family, decay kind, cells): every grid-sampled family under every
+# decay kind that admits it; "exact" is the cell-free front under constant
+# decay, with an x-dependent v, and "exact_uniform" the x-independent case IV
+# family on three blocks of nodes
+EXACT_KINDS = {f"exact-{family}-{decay}": (family, decay, 32)
+               for family, (_, kinds) in _FAMILIES.items() if family != "case2_travelling_tanh"
+               for decay in kinds or _DECAY_KINDS}
+EXACT_KINDS["exact"] = EXACT_KINDS.pop("exact-case4_cellfree_front-constant")
+EXACT_KINDS["exact_uniform"] = (*EXACT_KINDS.pop("exact-case4_homogeneous-exponential")[:2],
+                                2 * _BLOCK_ROWS + 36)
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "long_trajectory", "profile", "table",
+                                  "uniform_frames", *EXACT_KINDS])
 def test_csv_body_is_byte_identical_to_savetxt(tmp_path, kind):
-    # exact: the cell-free front, x-dependent; exact_uniform: the
-    # x-independent case IV family on three blocks of nodes
-    if kind == "exact":
-        path, table = _exact_samples(tmp_path, "case4_cellfree_front")
-    elif kind == "exact_uniform":
-        path, table = _exact_samples(tmp_path, "case4_homogeneous", EXPONENTIAL,
-                                     2 * _BLOCK_ROWS + 36)
+    # each exact kind splices its x-independent fields as one cell per frame
+    if kind in EXACT_KINDS:
+        path, table = _exact_samples(tmp_path, *EXACT_KINDS[kind])
     else:
         result, table = (_uniform_frames(_BLOCK_ROWS + 3, np.random.default_rng(5))
                          if kind == "uniform_frames" else _csv_results()[kind])
@@ -1239,8 +1272,10 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
     "exact case4_cellfree_front": {
         **FUZZ_BASE, "exact": {"family": "case4_cellfree_front", "t_samples": "0.5"}},
     "reduce steady_state": {**FUZZ_BASE, "reduce": {"kind": "steady_state"}},
-    # a seeded initial state
+    # a seeded initial state, a Gaussian one, and a run that takes no step
     "simulate noise": {**FUZZ_BASE, "initial": {"kind": "noise", "u0": "1.0", "noise": "0.01"}},
+    "simulate gaussian": {**FUZZ_BASE, "initial": {"kind": "gaussian", "u0": "1.0"}},
+    "simulate no step": {**FUZZ_BASE, "solver": {**FUZZ_BASE["solver"], "t_end": "0"}},
     # finite endpoints whose difference overflows
     "simulate wide": {**FUZZ_BASE, "grid": {**FUZZ_BASE["grid"], "x_lo": "-1e308"}},
     # frames x nodes: a run or a sampling whose recorded values no machine holds
@@ -1334,9 +1369,16 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("simulate frames", "solver", "output_stride", "1", 2),
      ("simulate frames", "solver", "output_stride", "50", 2),
      ("exact frames", "grid", "n", "5000000", 2),
-     ("exact case4_homogeneous", "exact", "t_samples", "nan", 3),
+     ("exact case4_homogeneous", "exact", "t_samples", "nan", 2),
      ("exact case4_homogeneous", "exact", "t0", "nan", 3),
-     ("verify case4_homogeneous", "verify", "t_samples", "nan", 3),
+     ("verify case4_homogeneous", "verify", "t_samples", "nan", 2),
+     ("exact", "exact", "t_samples", "0.5,inf", 2), ("verify", "verify", "t_samples", "inf", 2),
+     ("simulate gaussian", "initial", "width", "0", 2),
+     ("simulate gaussian", "initial", "width", "nan", 2),
+     ("simulate gaussian", "initial", "width", "1e-200", 2),
+     ("simulate gaussian", "initial", "u0", "nan", 2),
+     ("simulate gaussian", "initial", "amplitude", "inf", 2),
+     ("simulate no step", "initial", "v0", "nan", 2),
      ("simulate", "limiter", "v_max", "1e308", 2),
      ("simulate wide", "grid", "x_hi", "1e308", 2),
      ("simulate noise", "run", "seed", "-1", 2), ("simulate", "run", "command", "exact", 2)],
@@ -1360,11 +1402,16 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # _ArrayMemoryError.  An alpha whose square underflows ended in
     # ZeroDivisionError, and an infinite wave window in ValueError.  A NaN
     # time under case IV ended in Ei's ValueError, and v_max = 1e308, whose
-    # step underflows to zero, in run's ZeroDivisionError.  A grid from
+    # step underflows to zero, in run's ZeroDivisionError.  A NaN or
+    # infinite sample time exited 3 with "decay time must not be NaN" and an
+    # array of panel nodes; it is refused by key name.  A grid from
     # -1e308 to 1e308 has an infinite dx: simulate exited 0 with x cells of
     # nan and inf and a summary of "mass_drift": NaN, "dt": Infinity.  A
     # negative seed of a noise state ended in numpy's ValueError, and
-    # simulate with [run] command = exact, a key nothing read, exited 0
+    # simulate with [run] command = exact, a key nothing read, exited 0.  A
+    # Gaussian of zero, NaN or underflowing width, or a non-finite u0 or
+    # amplitude, exited 3 at t = 0, and a NaN v0 in a run that takes no step
+    # wrote a NaN trajectory and exited 0
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code

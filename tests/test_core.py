@@ -192,7 +192,6 @@ def test_model_params_validation():
     lim = TanhLimiter(1.1, 1.4)
     decay = ConstantDecay(0.5)
     p = ModelParams(D=0.8, tau=0.1, limiter=lim, decay=decay)
-    assert p.case is CaseTag.II_CONSTANT
     with pytest.raises(ValidationError):
         ModelParams(D=0.0, tau=0.1, limiter=lim, decay=decay)
     with pytest.raises(ValidationError):

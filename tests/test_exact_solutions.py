@@ -5,7 +5,6 @@ import pytest
 
 from conftest import case2_pde_residuals, rk4_scalar_ode
 from flks.core import (
-    CaseTag,
     ConstantDecay,
     ExponentialDecay,
     ModelParams,
@@ -253,7 +252,6 @@ def test_case4_positive_lambda_extinguishes_signal():
 def test_case4_lambda_zero_delegates_to_constant_form():
     sol = case4_homogeneous(0.5, 0.0, 0.1, C=1.0, V0=0.0, t0=0.0)
     assert sol.eval_v(0.0, 1.0) == pytest.approx(2.0 * (1.0 - math.exp(-5.0)), rel=1e-12)
-    assert sol.case is CaseTag.IV_EXPONENTIAL
 
 
 def test_case4_domain_and_overflow_guards():

@@ -53,7 +53,6 @@ def test_non_finite_residual_raises_naming_its_point():
     p = make_params()
     sol = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
     holed = ExactSolution(
-        case=sol.case,
         eval_u=lambda x, t: np.where(np.asarray(x) == 0.25, np.nan, sol.eval_u(x, t)),
         eval_v=sol.eval_v,
         params=sol.params,
@@ -82,7 +81,6 @@ def test_residual_detects_corruption():
     p = make_params()
     sol = case1_homogeneous(p, C=1.0, V0=0.0, t0=0.0)
     bad = ExactSolution(
-        case=sol.case,
         eval_u=sol.eval_u,
         eval_v=lambda x, t: 1.01 * np.asarray(sol.eval_v(x, t)),
         params=sol.params,
@@ -99,7 +97,6 @@ def test_residual_linear_in_perturbation():
 
     def perturbed(delta):
         return ExactSolution(
-            case=sol.case,
             eval_u=sol.eval_u,
             eval_v=lambda x, t: np.asarray(sol.eval_v(x, t)) + delta * np.cos(np.asarray(x)),
             params=sol.params,
