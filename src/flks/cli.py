@@ -51,6 +51,12 @@ def _as_floats(s):
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
+def _positive(s):
+    if not float(s) > 0.0:  # NaN included
+        raise ValueError(f"must be positive, got {s}")
+    return float(s)
+
+
 # section -> key -> converter, or the key's default value, whose type is then
 # its converter.  Unknown keys are hard errors.  Defaults are filled into every
 # parsed config and so echoed into every CSV header.  The [model], [grid] and
@@ -67,7 +73,7 @@ _SCHEMA = {
     "solver": {"bc": "neumann", "cfl_safety": 0.4, "t_end": 1.0, "output_stride": 20},
     "initial": {
         "kind": "uniform", "u0": 1.0, "v0": 0.0,
-        "amplitude": float, "center": float, "width": float, "noise": float,
+        "amplitude": float, "center": float, "width": _positive, "noise": float,
     },
     "exact": {
         "family": str, "n": int, "t_samples": _as_floats,
@@ -75,7 +81,7 @@ _SCHEMA = {
         "U_ref": float, "y0": float, "C1": float, "window_lo": float, "window_hi": float,
     },
     "reduce": {
-        "kind": str, "n": int, "t_end": float, "h": float, "xi_max": float,
+        "kind": str, "n": int, "t_end": float, "h": _positive, "xi_max": float,
         "U0": float, "V0": float, "dU0": float, "s0": float, "C1": float,
         "alpha": float, "y_lo": float, "y_hi": float,
     },
@@ -85,14 +91,18 @@ _SCHEMA = {
 
 
 def _convert(section, key, text):
-    """Convert config text for section.key through the key's schema entry."""
+    """Convert config text for section.key through the key's schema entry; a
+    float, alone or in a list, must be finite (a sweep's values: as its key's)."""
     spec = _SCHEMA.get(section, {}).get(key)
     if spec is None:
         raise ValidationError(f"unknown config key {section}.{key}")
     try:
-        return (spec if callable(spec) else type(spec))(text)
+        value = (spec if callable(spec) else type(spec))(text)
+        if section != "sweep" and isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+            raise ValueError(f"must be finite, got {text}")
     except ValueError as exc:
         raise ValidationError(f"bad value for {section}.{key}: {exc}") from None
+    return value
 
 
 @dataclasses.dataclass
@@ -238,36 +248,25 @@ def build_grid(cfg):
 
 
 def build_initial(cfg, grid):
-    """The [initial] state on the grid's nodes at the decay law's start.  A
-    value it reads that is not finite, a width that is not positive, or a
-    state that is not finite at every node is a config error."""
+    """The [initial] state on the grid's nodes at the decay law's start.
+    Its numbers are finite and its width positive as the schema reads them;
+    a state that is not finite at every node is a config error."""
     ini = cfg.sections["initial"]
-
-    def value(key, default=None):
-        v = ini.get(key, default)
-        if not np.isfinite(v):
-            raise ValidationError(f"initial.{key} must be finite, got {v!r}")
-        return v
-
     x = grid.nodes()
-    kind, u0, v0 = ini["kind"], value("u0"), value("v0")
+    kind, u0 = ini["kind"], ini["u0"]
     if kind == "uniform":
         u = np.full_like(x, u0)
     elif kind == "gaussian":
-        amp = value("amplitude", 1.0)
-        c = value("center", 0.5 * (grid.x_lo + grid.x_hi))
-        w = value("width", 1.0)
-        if not w > 0.0:
-            raise ValidationError(f"initial.width must be positive, got {w!r}")
-        u = u0 + amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+        c, w = ini.get("center", 0.5 * (grid.x_lo + grid.x_hi)), ini.get("width", 1.0)
+        u = u0 + ini.get("amplitude", 1.0) * np.exp(-((x - c) ** 2) / (2.0 * w * w))
     elif kind == "noise":
         rng = np.random.default_rng(cfg.get("run", "seed", 0))
-        u = u0 + value("noise", 1e-2) * rng.standard_normal(x.size)
+        u = u0 + ini.get("noise", 1e-2) * rng.standard_normal(x.size)
     else:
         raise ValidationError(f"unknown initial kind {kind!r}")
     if not np.isfinite(u).all():
         raise ValidationError(f"the [initial] {kind} state is not finite at every node")
-    return FieldPair(u, np.full_like(x, v0), build_decay(cfg).start)
+    return FieldPair(u, np.full_like(x, ini["v0"]), build_decay(cfg).start)
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +885,9 @@ def cmd_exact(cfg, outdir):
 
     # sample the field families on the grid at the requested times
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
-    if not (ts and np.isfinite(ts).all() and all(a < b for a, b in zip(ts, ts[1:]))):
+    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
         # the CSV body and its plot script are one frame per sample time
-        raise ValidationError(
-            f"exact.t_samples must be non-empty, finite and increasing, got {ts!r}")
+        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
     if len(ts) * (grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
                               f"{MAX_STEPS} values")
@@ -913,8 +911,6 @@ def cmd_reduce(cfg, outdir):
     params = build_model(cfg)
     r = cfg.sections.get("reduce", {})
     kind = r.get("kind", "homogeneous")
-    if not r.get("h", 1.0) > 0.0:  # NaN included
-        raise ValidationError(f"reduce.h must be positive, got {r['h']!r}")
     res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
     # every reduction writes profiles; the uniform one is its (t, U, V) table
     columns = ("t", "U", "V") if isinstance(res, np.ndarray) else None
@@ -936,10 +932,8 @@ def cmd_verify(cfg, outdir):
         cfg, params, cfg.sections.get("exact", {})
     )
     grid = build_grid(cfg)
-    ts = v.get("t_samples", (0.5, 1.0))
-    if not np.isfinite(ts).all():
-        raise ValidationError(f"verify.t_samples must be finite, got {ts!r}")
-    rep = verify.pde_residual(sol, params, grid, ts, ht=v.get("ht", 5e-4))
+    rep = verify.pde_residual(sol, params, grid, v.get("t_samples", (0.5, 1.0)),
+                              ht=v.get("ht", 5e-4))
     report = {
         "sup_norm": rep.sup_norm,
         "l2_norm": rep.l2_norm,
@@ -989,9 +983,11 @@ def cmd_sweep(cfg, outdir):
     if len(set(subdirs)) < len(subdirs):
         raise ValidationError(f"sweep values repeat: {', '.join(map(repr, values))}")
 
-    # every member passes the checks a config file gets, and builds the
-    # model, grid and initial state its command builds, before any member
-    # runs, so a refused value writes no member
+    # every member passes the checks a config file gets and builds what its
+    # command builds (model, grid, solver config, initial state) before any
+    # member runs, so a value refused there writes no member; a run's step
+    # and frame count and horizon (pde_solver.run), verify.ht and the order
+    # and count of exact.t_samples are refused only as their member runs
     subs = []
     for value in values:
         sub = RunConfig(
@@ -1005,6 +1001,7 @@ def cmd_sweep(cfg, outdir):
         if base_command in ("simulate", "exact", "verify"):
             grid = build_grid(sub)
             if base_command == "simulate":
+                pde_solver.SolverConfig(grid=grid, **sub.sections["solver"])
                 build_initial(sub, grid)
         subs.append(sub)
 

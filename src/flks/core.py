@@ -57,7 +57,16 @@ def _reject_nan(*ts):
     stays cheap on the PDE path (kappa runs twice per step)."""
     for t in ts:
         if (t != t) if isinstance(t, float) else np.isnan(t).any():
-            raise DomainError(f"decay time must not be NaN, got t={t!r}")
+            raise DomainError("decay time must not be NaN, got t=nan")
+
+
+def _require_positive(t):
+    """DomainError naming, as one float, the first time of t (in C order)
+    that is not > 0, NaN included: the power law's domain."""
+    inside = np.greater(t, 0.0)
+    if not np.all(inside):
+        bad = float(np.asarray(t, dtype=float)[~inside][0])
+        raise DomainError(f"power-law decay is defined for t > 0, got t={bad!r}")
 
 
 @dataclass(frozen=True)
@@ -90,13 +99,12 @@ class PowerLawDecay(DecayLaw):
         _require_finite("mu", self.mu)
 
     def kappa(self, t):
-        if not np.all(np.asarray(t) > 0.0):  # also rejects NaN
-            raise DomainError(f"power-law decay is defined for t > 0, got t={t!r}")
+        _require_positive(t)
         return self.mu / t
 
     def cumulative(self, a, b):
-        if not (np.all(np.greater(a, 0.0)) and np.all(np.greater(b, 0.0))):  # also rejects NaN
-            raise DomainError("power-law decay is defined for t > 0")
+        _require_positive(a)
+        _require_positive(b)
         return self.mu * np.log(b / a)
 
 
@@ -170,12 +178,12 @@ class TabulatedDecay(DecayLaw):
         return out if out.ndim else float(out)
 
     def _inside(self, t):
-        """t as a float array; DomainError when a time is outside the samples."""
+        """t as a float array; DomainError naming the first time outside the samples."""
         arr = np.asarray(t, dtype=float)
-        if not np.all((arr >= self.times[0]) & (arr <= self.times[-1])):  # also rejects NaN
-            raise DomainError(
-                f"t={t!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
-            )
+        inside = (arr >= self.times[0]) & (arr <= self.times[-1])  # NaN is not
+        if not np.all(inside):
+            raise DomainError(f"t={float(arr[~inside][0])!r} outside tabulated range "
+                              f"[{self.times[0]}, {self.times[-1]}]")
         return arr
 
     def _cum_at(self, t):

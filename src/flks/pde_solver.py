@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_STEPS, FieldPair, Grid1D
-from .errors import CFLViolation, InvalidState, StepSizeError, ValidationError
+from .errors import CFLViolation, DomainError, InvalidState, StepSizeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -400,12 +400,12 @@ def run(initial, params, config):
     frame's min_u entry is the minimum of u over every step since the
     previous frame (the first entry: the initial state), so a negative
     density between frames is still reported.  A t_end before the initial
-    time, more than MAX_STEPS steps after it, or more than MAX_STEPS
-    recorded values (frames times nodes) raises ValidationError before
-    anything is allocated; a non-finite state raises InvalidState with the
-    failing time, and a step past the positivity CFL under an unbounded
-    limiter raises CFLViolation (``_Operator.advance``).  The metadata
-    records the step dt.
+    time or outside the decay law's domain, more than MAX_STEPS steps after
+    the initial time, or more than MAX_STEPS recorded values (frames times
+    nodes) raises ValidationError before anything is allocated; a
+    non-finite state raises InvalidState with the failing time, and a step
+    past the positivity CFL under an unbounded limiter raises CFLViolation
+    (``_Operator.advance``).  The metadata records the step dt.
     """
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
@@ -413,6 +413,10 @@ def run(initial, params, config):
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
     t = initial.t
     t_end = float(config.t_end)
+    try:
+        params.decay.kappa(t_end)
+    except DomainError as exc:
+        raise ValidationError(f"t_end is outside the decay law's domain: {exc}") from None
     dt_max = stable_dt(params, config)
     # a step that underflowed to zero (2 v_max overflowed) takes endless steps
     needed = (t_end - t) / dt_max if dt_max > 0.0 else math.inf

@@ -487,6 +487,7 @@ CONSTANT = "kind = constant\nkappa0 = 0.5"
 EXPONENTIAL = "kind = exponential\nkappa0 = 0.5\nlambda = 0.2"
 POWER_LAW = "kind = power_law\nmu = 0.5"
 LATE_TABLE = "kind = tabulated\ntimes = 0.5,2.0\nvalues = 0.5,0.7"
+TABLE = "kind = tabulated\ntimes = 0,1.5,3\nvalues = 0.5,0.7,0.6"
 
 
 def _sweep(target, values, command="simulate"):
@@ -547,6 +548,12 @@ def _sweep(target, values, command="simulate"):
         pytest.param("exact", POWER_LAW,
                      "[exact]\nfamily = case3_homogeneous\nt_samples = 1e-300\n", [], 3,
                      id="exact-case3-power-overflows"),
+        pytest.param("exact", TABLE, "[exact]\nt_samples = 1,5\n", [], 3,
+                     id="exact-tabulated-sample-past-the-table"),
+        pytest.param("verify", TABLE, "[verify]\nt_samples = 2.9995\n", [], 3,
+                     id="verify-tabulated-stencil-past-the-table"),
+        pytest.param("simulate", TABLE, "", ["solver.t_end=5"], 2,
+                     id="simulate-tabulated-horizon-past-the-table"),
     ],
 )
 def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
@@ -555,7 +562,9 @@ def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, c
     # The cell-free front runs under any decay law, a sweep may target a section the config leaves out, and a run starts
     # where its decay law does (t = 1 under power law, the first knot of a
     # table).  A closed form that overflows double precision is a numerical
-    # failure with its one diagnostic line.
+    # failure with its one diagnostic line, and so is a sample time, or a
+    # verify stencil time, past the end of a decay table; a run horizon
+    # past it is a config error, refused before the march.
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -747,17 +756,68 @@ def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
 @pytest.mark.parametrize("command, target, values", [
     ("simulate", "grid.n", "32,4"), ("simulate", "limiter.v_max", "1.1,-1"),
     ("simulate", "initial.width", "1,0"), ("exact", "grid.n", "32,4"),
-    ("verify", "grid.n", "32,4"), ("reduce", "limiter.v_max", "1.1,-1")])
+    ("verify", "grid.n", "32,4"), ("reduce", "limiter.v_max", "1.1,-1"),
+    ("reduce", "reduce.h", "0.1,0"), ("reduce steady_state", "initial.width", "1,0"),
+    ("simulate", "solver.cfl_safety", "0.4,2"), ("simulate", "solver.output_stride", "10,0"),
+    ("exact", "exact.t_samples", "1,inf")])
 def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, target, values):
-    # the second value passes the config checks but not the model, grid or
-    # initial builder, so it is refused before the first member writes
+    # the second value is refused as the sweep reads it, or passes the config
+    # checks but not the model, grid, solver config or initial builder, so
+    # it is refused before the first member writes; a reduce kind after the
+    # command is the [reduce] kind
+    command, *kind = command.split()
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("kind = uniform", "kind = gaussian")
+                        + "".join(f"[reduce]\nkind = {k}\n" for k in kind)
                         + _sweep(target, values, command))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert os.listdir(out) == []
+
+
+def _number_keys():
+    """Every schema key whose converter yields a float or a tuple of floats,
+    but [sweep] values, which the sweep reads as its key's, and whether the
+    key's converter also refuses 0."""
+    keys = []
+    for section, body in _SCHEMA.items():
+        for key in body:
+            try:
+                value = _convert(section, key, "1")
+            except ValidationError:
+                continue
+            if isinstance(value, (float, tuple)) and (section, key) != ("sweep", "values"):
+                try:
+                    _convert(section, key, "0")
+                    keys.append((section, key, False))
+                except ValidationError:
+                    keys.append((section, key, True))
+    return keys
+
+
+@pytest.mark.parametrize("section, key, positive",
+                         [pytest.param(*k, id=f"{k[0]}.{k[1]}") for k in _number_keys()])
+def test_every_number_is_refused_by_name_through_every_door(tmp_path, capsys, section, key,
+                                                             positive):
+    # a config file, an override and a sweep value all refuse a non-finite
+    # number, and a positive key 0 or less, as the config is read: exit 2,
+    # the key named, no file written, whether or not the command reads it
+    target = f"{section}.{key}"
+    cfg_path = tmp_path / "cfg.ini"
+    for i, value in enumerate(["nan", "inf", "-inf"] + ["0", "-1"] * positive):
+        doors = {
+            "file": (MINIMAL + f"[{section}]\n{key} = {value}\n", [], "simulate"),
+            "override": (MINIMAL, ["--override", f"{target}={value}"], "simulate"),
+            "sweep": (MINIMAL + _sweep(target, f"1,{value}"), [], "sweep"),
+        }
+        for door, (text, extra, command) in doors.items():
+            cfg_path.write_text(text)
+            out = tmp_path / f"{door}-{i}"
+            assert main([command, "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and target in err, (door, value, err)
+            assert not out.exists() if door != "sweep" else os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command, report", [("verify", "residual_report.json"),
@@ -866,12 +926,16 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
     assert _listing(out) == ["failure_report.json"]
 
 
-def test_exact_uniform_family_names_x_lo_when_non_finite(tmp_path, capsys):
-    # an x-independent v is one value per frame: V0 = inf makes every frame
-    # non-finite, and the first (x, t) in row order is x_lo at the first time
+def test_exact_uniform_family_names_x_lo_when_non_finite(tmp_path, capsys, monkeypatch):
+    # an x-independent v is one value per frame: an infinite one makes every
+    # frame non-finite, and the first (x, t) in row order is x_lo at the
+    # first time
+    from flks import cli, exact_solutions
+
+    sol = exact_solutions._uniform(1.0, lambda t: np.full_like(t, np.inf), {})
+    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL.replace(CONSTANT, EXPONENTIAL)
-                        + "[exact]\nfamily = case4_homogeneous\nV0 = inf\nt_samples = 0.5,1,2\n")
+    cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")
     out = tmp_path / "o"
     assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: non-finite sample at x=-2, t=0.5\n"
@@ -1343,8 +1407,12 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
      ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
      ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
-     ("verify", "exact", "V0", "inf", 3), ("reduce", "reduce", "U0", "nan", 3),
-     ("exact", "exact", "V0", "inf", 3), ("exact", "exact", "t_samples", "", 2),
+     ("verify", "exact", "V0", "inf", 2), ("reduce", "reduce", "U0", "nan", 2),
+     ("exact", "exact", "V0", "inf", 2), ("exact", "exact", "t_samples", "", 2),
+     ("verify", "exact", "C", "1e308", 3), ("reduce", "reduce", "U0", "1e308", 3),
+     ("exact", "exact", "C", "1e308", 3), ("reduce", "reduce", "h", "inf", 2),
+     ("exact", "exact", "t0", "inf", 2), ("reduce self_similar", "reduce", "C1", "nan", 2),
+     ("reduce travelling_wave", "reduce", "alpha", "nan", 2),
      ("exact", "exact", "t_samples", "0.5,0.5", 2), ("reduce", "reduce", "t_end", "1e300", 2),
      ("reduce travelling_wave", "reduce", "y_hi", "-1", 2),
      ("reduce travelling_wave", "reduce", "y_hi", "0", 2),
@@ -1370,7 +1438,7 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
      ("simulate frames", "solver", "output_stride", "50", 2),
      ("exact frames", "grid", "n", "5000000", 2),
      ("exact case4_homogeneous", "exact", "t_samples", "nan", 2),
-     ("exact case4_homogeneous", "exact", "t0", "nan", 3),
+     ("exact case4_homogeneous", "exact", "t0", "nan", 2),
      ("verify case4_homogeneous", "verify", "t_samples", "nan", 2),
      ("exact", "exact", "t_samples", "0.5,inf", 2), ("verify", "verify", "t_samples", "inf", 2),
      ("simulate gaussian", "initial", "width", "0", 2),
@@ -1411,7 +1479,12 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # simulate with [run] command = exact, a key nothing read, exited 0.  A
     # Gaussian of zero, NaN or underflowing width, or a non-finite u0 or
     # amplitude, exited 3 at t = 0, and a NaN v0 in a run that takes no step
-    # wrote a NaN trajectory and exited 0
+    # wrote a NaN trajectory and exited 0.  A non-finite number is refused
+    # by key name as the config is read: an infinite V0 or a NaN U0 exited
+    # 3 (the finite 1e308 still overflows the samples, a numerical
+    # failure), an infinite h wrote a two-row table and exited 0, an
+    # infinite t0 exited 3 with an array of times, a NaN self-similar C1
+    # blamed a near-singular band and a NaN traveling alpha the march
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
@@ -1478,7 +1551,7 @@ def test_numerical_failure_prints_one_stderr_line(tmp_path):
     # before the diagnostic; pytest captures warnings, so only a fresh
     # interpreter shows what a user sees
     sections = {s: dict(body) for s, body in FUZZ_CONFIGS["verify"].items()}
-    sections.setdefault("exact", {})["V0"] = "inf"
+    sections.setdefault("exact", {})["C"] = "1e308"
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(_ini(sections))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -140,6 +140,28 @@ def test_nan_time_raises_domain_error(law, call):
     assert np.isfinite(law.kappa(0.5)) and np.isfinite(law.cumulative(0.5, 1.0))
 
 
+def test_domain_errors_name_the_first_time_outside_on_one_line():
+    # an array of times was printed whole, over several lines; the message
+    # names the first time outside the law's domain, in C order, as a float
+    table = TabulatedDecay((0.0, 1.5, 3.0), (0.5, 0.7, 0.6))
+    power = PowerLawDecay(0.5)
+    cases = [
+        (lambda: table.cumulative(0.0, np.array([[1.0], [3.0], [5.0]])),
+         "t=5.0 outside tabulated range [0.0, 3.0]"),
+        (lambda: table.kappa(np.array([3.0005, -1.0])), "t=3.0005 outside tabulated range [0.0, 3.0]"),
+        (lambda: power.kappa(np.array([[2.0, -1.0], [0.0, 1.0]])),
+         "power-law decay is defined for t > 0, got t=-1.0"),
+        (lambda: power.cumulative(np.array([1.0, 2.0]), np.array([[0.5, np.nan]])),
+         "power-law decay is defined for t > 0, got t=nan"),
+        (lambda: ExponentialDecay(0.5, 0.2).kappa(np.array([1.0, np.nan])),
+         "decay time must not be NaN, got t=nan"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_tabulated_validation():
     with pytest.raises(ValidationError):
         TabulatedDecay(times=(0.0, 0.0), values=(1.0, 2.0))

@@ -912,6 +912,16 @@ def test_step_refuses_a_state_of_another_grid():
             operator_rhs(state.u, state.v, 0.0, p, cfg)
 
 
+def test_run_refuses_a_horizon_outside_the_decay_law_before_the_march(monkeypatch):
+    # a table on [0, 3] was marched to t = 3 before t_end = 5 raised
+    # DomainError; the horizon is refused before the operator is prepared
+    p = make_params(TabulatedDecay((0.0, 1.5, 3.0), (0.5, 0.7, 0.6)))
+    cfg = SolverConfig(grid=Grid1D(-2.0, 2.0, 32), t_end=5.0)
+    monkeypatch.setattr(pde_solver, "_Operator", None)
+    with pytest.raises(ValidationError, match=r"t=5.0 outside tabulated range \[0.0, 3.0\]"):
+        run(FieldPair(np.ones(33), np.zeros(33), 0.0), p, cfg)
+
+
 def test_run_records_the_step_and_its_active_bound():
     # the one bound is the flux speed's, dx/(2 v_max); at the fig-1
     # constants, n = 256 on [-4, 4], it is ~291x the explicit march's
