@@ -85,7 +85,7 @@ _SCHEMA = {
         "U0": float, "V0": float, "dU0": float, "s0": float, "C1": float,
         "alpha": float, "y_lo": float, "y_hi": float,
     },
-    "verify": {"family": str, "t_samples": _as_floats, "ht": float},
+    "verify": {"family": str, "t_samples": _as_floats, "ht": _positive},
     "sweep": {"section": str, "key": str, "values": _as_floats, "command": str},
 }
 
@@ -324,22 +324,25 @@ _FAMILIES = {
 
 
 def _reduce_homogeneous(cfg, params, r):
-    """case1_homogeneous with C = U0 sampled at n + 1 even times over
-    [start, start + t_end], n = reduced_systems.step_count of the span at
-    step h, as a (t, U, V) table; a non-finite sample is a numerical
-    failure."""
+    """The solve that samples case1_homogeneous with C = U0 at n + 1 even
+    times over [start, start + t_end], n = reduced_systems.step_count of the
+    span at step h (checked first), as a (t, U, V) table; a non-finite
+    sample is a numerical failure."""
     t0 = params.decay.start
     t1 = t0 + r.get("t_end", 5.0)
     n = reduced_systems.step_count((t0, t1), r.get("h", 1e-3))
-    ts = t0 + (t1 - t0) / n * np.arange(n + 1)
-    sol = exact_solutions.case1_homogeneous(
-        params, C=r.get("U0", 1.0), V0=r.get("V0", 0.0), t0=t0
-    )
-    table = np.column_stack([ts, sol.eval_u(0.0, ts), sol.eval_v(0.0, ts)])
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        raise EvaluationError(f"non-finite sample at t={ts[np.argmax(bad)]:g}")
-    return table
+
+    def solve():
+        ts = t0 + (t1 - t0) / n * np.arange(n + 1)
+        sol = exact_solutions.case1_homogeneous(
+            params, C=r.get("U0", 1.0), V0=r.get("V0", 0.0), t0=t0
+        )
+        table = np.column_stack([ts, sol.eval_u(0.0, ts), sol.eval_v(0.0, ts)])
+        bad = ~np.isfinite(table).all(axis=1)
+        if bad.any():
+            raise EvaluationError(f"non-finite sample at t={ts[np.argmax(bad)]:g}")
+        return table
+    return solve
 
 
 def _reduce_steady_state(cfg, params, r):
@@ -351,7 +354,7 @@ def _reduce_steady_state(cfg, params, r):
         "steady_state", params, domain=(grid.x_lo, grid.x_hi),
         data={"bc": "neumann", "u_init": build_initial(cfg, grid).u},
     )
-    return reduced_systems.solve_steady_state(prob, n=grid.n)
+    return lambda: reduced_systems.solve_steady_state(prob, n=grid.n)
 
 
 def _reduce_travelling_wave(cfg, params, r):
@@ -362,7 +365,7 @@ def _reduce_travelling_wave(cfg, params, r):
         data={"U0": r.get("U0", 0.0), "dU0": r.get("dU0", 0.0),
               "V0": r.get("V0", 1.0), "s0": r.get("s0", 0.0)},
     )
-    return reduced_systems.integrate_travelling_wave(prob, h=r.get("h", 1e-3))
+    return lambda: reduced_systems.integrate_travelling_wave(prob, h=r.get("h", 1e-3))
 
 
 def _reduce_self_similar(cfg, params, r):
@@ -370,12 +373,12 @@ def _reduce_self_similar(cfg, params, r):
         "self_similar", params, domain=(0.0, r.get("xi_max", 10.0)),
         data={"U0": r.get("U0", 1.0), "C1": r.get("C1", 0.0)},
     )
-    return reduced_systems.solve_self_similar(prob, n=r.get("n", 2000))
+    return lambda: reduced_systems.solve_self_similar(prob, n=r.get("n", 2000))
 
 
-# reduce kind -> (solver(cfg, params, [reduce] section), decay kinds that admit
-# it); the steady and traveling reductions take kappa0, the self-similar one
-# mu from the decay law
+# reduce kind -> (builder(cfg, params, [reduce] section) of the checked problem's
+# solve, decay kinds that admit it); the steady and traveling reductions take
+# kappa0, the self-similar one mu from the decay law
 _REDUCERS = {
     "homogeneous": (_reduce_homogeneous, ()),
     "steady_state": (_reduce_steady_state, ("constant",)),
@@ -850,11 +853,15 @@ def _write_set(outdir, files):
         raise
 
 
-def cmd_simulate(cfg, outdir):
+def cmd_simulate(cfg, outdir=None):
     params = build_model(cfg)
     grid = build_grid(cfg)
     config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
-    traj = pde_solver.run(build_initial(cfg, grid), params, config)
+    initial = build_initial(cfg, grid)
+    pde_solver.check_run(initial, params, config)
+    if outdir is None:
+        return None
+    traj = pde_solver.run(initial, params, config)
     _write_set(outdir, _plotted("trajectory", traj, _meta_for(cfg), "trajectory"))
     # the largest drift over the whole ledger, relative to the initial mass
     # (absolute when that is zero)
@@ -869,12 +876,22 @@ def cmd_simulate(cfg, outdir):
     return summary
 
 
-def cmd_exact(cfg, outdir):
+def cmd_exact(cfg, outdir=None):
     params = build_model(cfg)
     grid = build_grid(cfg)  # checked even where the family samples its own window
     e = cfg.sections.get("exact", {})
     family = e.get("family", "case1_homogeneous")
-    sol = _lookup(_FAMILIES, "exact family", family, cfg)[0](cfg, params, e)
+    build = _lookup(_FAMILIES, "exact family", family, cfg)[0]
+    ts = e.get("t_samples", (0.5, 1.0, 2.0))
+    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
+        # the CSV body and its plot script are one frame per sample time
+        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
+    if len(ts) * (grid.n + 1) > MAX_STEPS:
+        raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
+                              f"{MAX_STEPS} values")
+    if outdir is None:
+        return None
+    sol = build(cfg, params, e)
     meta = _meta_for(cfg)
     if isinstance(sol, exact_solutions.TravellingWaveSolution):
         _write_set(outdir, _plotted(family, sol, meta, "profiles"))
@@ -884,13 +901,6 @@ def cmd_exact(cfg, outdir):
                 "levels": sol.levels}
 
     # sample the field families on the grid at the requested times
-    ts = e.get("t_samples", (0.5, 1.0, 2.0))
-    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
-        # the CSV body and its plot script are one frame per sample time
-        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
-    if len(ts) * (grid.n + 1) > MAX_STEPS:
-        raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
-                              f"{MAX_STEPS} values")
     x = grid.nodes()
     us, vs = [], []
     for t, (u, v) in zip(ts, sol.frames(x, ts)):
@@ -907,11 +917,14 @@ def cmd_exact(cfg, outdir):
     return {"family": family, "samples": len(ts) * x.size}
 
 
-def cmd_reduce(cfg, outdir):
+def cmd_reduce(cfg, outdir=None):
     params = build_model(cfg)
     r = cfg.sections.get("reduce", {})
     kind = r.get("kind", "homogeneous")
-    res = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
+    solve = _lookup(_REDUCERS, "reduce kind", kind, cfg)[0](cfg, params, r)
+    if outdir is None:
+        return None
+    res = solve()
     # every reduction writes profiles; the uniform one is its (t, U, V) table
     columns = ("t", "U", "V") if isinstance(res, np.ndarray) else None
     meta = dict(_meta_for(cfg), kind="profiles")
@@ -924,14 +937,15 @@ def cmd_reduce(cfg, outdir):
     return out
 
 
-def cmd_verify(cfg, outdir):
+def cmd_verify(cfg, outdir=None):
     params = build_model(cfg)
     v = cfg.sections.get("verify", {})
     family = v.get("family", "case1_homogeneous")
-    sol = _lookup(_FAMILIES, "verify family", family, cfg)[0](
-        cfg, params, cfg.sections.get("exact", {})
-    )
+    build = _lookup(_FAMILIES, "verify family", family, cfg)[0]
     grid = build_grid(cfg)
+    if outdir is None:
+        return None
+    sol = build(cfg, params, cfg.sections.get("exact", {}))
     rep = verify.pde_residual(sol, params, grid, v.get("t_samples", (0.5, 1.0)),
                               ht=v.get("ht", 5e-4))
     report = {
@@ -945,7 +959,9 @@ def cmd_verify(cfg, outdir):
     return report
 
 
-def cmd_lie(cfg, outdir):
+def cmd_lie(cfg, outdir=None):
+    if outdir is None:
+        return None
     rows = lie_toolkit.classification_report()
     reports = {}
     for tag in CaseTag:
@@ -967,7 +983,7 @@ def cmd_lie(cfg, outdir):
     return {"all_ok": all(rep["all_ok"] for rep in reports.values())}
 
 
-def cmd_sweep(cfg, outdir):
+def cmd_sweep(cfg, outdir=None):
     s = cfg.sections.get("sweep", {})
     section, key = s.get("section"), s.get("key")
     values = s.get("values", ())
@@ -979,15 +995,16 @@ def cmd_sweep(cfg, outdir):
     # each value is converted as if written in a config file, so integer keys
     # get ints, and names its own subdirectory
     values = [_convert(section, key, _format_value(v)) for v in values]
-    subdirs = [os.path.join(outdir, f"{section}.{key}={v!r}") for v in values]
-    if len(set(subdirs)) < len(subdirs):
+    names = [f"{section}.{key}={v!r}" for v in values]
+    if len(set(names)) < len(names):
         raise ValidationError(f"sweep values repeat: {', '.join(map(repr, values))}")
 
-    # every member passes the checks a config file gets and builds what its
-    # command builds (model, grid, solver config, initial state) before any
-    # member runs, so a value refused there writes no member; a run's step
-    # and frame count and horizon (pde_solver.run), verify.ht and the order
-    # and count of exact.t_samples are refused only as their member runs
+    # every member passes the checks a config file gets and its command's
+    # check phase before any member runs, so a value refused there writes no
+    # member; only the solvers' own argument checks refuse as their member
+    # runs: integrate_travelling_wave's span and its steps at reduce.h,
+    # solve_self_similar's xi_max, n and limiter, verify.pde_residual's empty
+    # t_samples, and the exact family builders'
     subs = []
     for value in values:
         sub = RunConfig(
@@ -996,21 +1013,19 @@ def cmd_sweep(cfg, outdir):
         )
         sub.sections.setdefault(section, {})[key] = value
         _validate_config(sub)
-        if base_command != "lie":
-            build_model(sub)
-        if base_command in ("simulate", "exact", "verify"):
-            grid = build_grid(sub)
-            if base_command == "simulate":
-                pde_solver.SolverConfig(grid=grid, **sub.sections["solver"])
-                build_initial(sub, grid)
+        _COMMANDS[base_command](sub)
         subs.append(sub)
-
-    for sub, subdir in zip(subs, subdirs):
+    if outdir is None:
+        return None
+    for sub, name in zip(subs, names):
+        subdir = os.path.join(outdir, name)
         os.makedirs(subdir, exist_ok=True)
         _COMMANDS[base_command](sub, subdir)
     return {"runs": len(subs)}
 
 
+# command -> cmd(cfg, outdir=None), which makes every refusal it owns first
+# and, without an outdir, returns None before it solves, marches, samples or writes
 _COMMANDS = {
     "simulate": cmd_simulate,
     "exact": cmd_exact,

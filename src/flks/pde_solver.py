@@ -392,26 +392,15 @@ def total_mass(u, grid, bc):
     return dx * (0.5 * u[0] + float(np.sum(u[1:-1])) + 0.5 * u[-1])
 
 
-def run(initial, params, config):
-    """Advance from the initial time to t_end in ARS(2,2,2) steps of
-    ``stable_dt`` (the last one shortened to land on t_end).
-
-    Frames are recorded every output_stride steps and at t_end.  Each
-    frame's min_u entry is the minimum of u over every step since the
-    previous frame (the first entry: the initial state), so a negative
-    density between frames is still reported.  A t_end before the initial
-    time or outside the decay law's domain, more than MAX_STEPS steps after
-    the initial time, or more than MAX_STEPS recorded values (frames times
-    nodes) raises ValidationError before anything is allocated; a
-    non-finite state raises InvalidState with the failing time, and a step
-    past the positivity CFL under an unbounded limiter raises CFLViolation
-    (``_Operator.advance``).  The metadata records the step dt.
-    """
+def check_run(initial, params, config):
+    """The step dt of ``run(initial, params, config)``, checked before anything
+    is allocated: a state off the grid, a t_end before the initial time or out
+    of the decay law's domain, or more than MAX_STEPS steps or recorded values
+    (frames times nodes) raises ValidationError."""
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
     if config.t_end < initial.t:
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
-    t = initial.t
     t_end = float(config.t_end)
     try:
         params.decay.kappa(t_end)
@@ -419,7 +408,7 @@ def run(initial, params, config):
         raise ValidationError(f"t_end is outside the decay law's domain: {exc}") from None
     dt_max = stable_dt(params, config)
     # a step that underflowed to zero (2 v_max overflowed) takes endless steps
-    needed = (t_end - t) / dt_max if dt_max > 0.0 else math.inf
+    needed = (t_end - initial.t) / dt_max if dt_max > 0.0 else math.inf
     if not needed <= MAX_STEPS:  # NaN included
         raise ValidationError(f"the run to t_end={t_end:g} takes more than {MAX_STEPS} steps "
                               f"of dt={dt_max:.3g}")
@@ -427,6 +416,23 @@ def run(initial, params, config):
     if frames * (config.grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"the run to t_end={t_end:g} records {frames} frames of "
                               f"{config.grid.n + 1} nodes, more than {MAX_STEPS} values")
+    return dt_max
+
+
+def run(initial, params, config):
+    """Advance from the initial time to t_end in ARS(2,2,2) steps of
+    ``stable_dt`` (the last one shortened to land on t_end).
+
+    Frames are recorded every output_stride steps and at t_end.  Each
+    frame's min_u entry is the minimum of u over every step since the
+    previous frame (the first entry: the initial state), so a negative
+    density between frames is still reported.  ``check_run`` refuses a bad
+    run first; a non-finite state raises InvalidState with the failing time,
+    and a step past the positivity CFL under an unbounded limiter raises
+    CFLViolation (``_Operator.advance``).  The metadata records the step dt.
+    """
+    dt_max = check_run(initial, params, config)
+    t, t_end = initial.t, float(config.t_end)
     op = _Operator(params, config)
     op.load(initial.u, initial.v)
 

@@ -29,6 +29,7 @@ from flks.cli import (
     main,
     parse_config,
 )
+from flks import cli, exact_solutions, lie_toolkit, pde_solver, reduced_systems, verify
 from flks.core import ConstantDecay, FieldPair, Grid1D, ModelParams
 from flks.errors import IoError, ParseError, ValidationError
 from flks.limiters import TanhLimiter
@@ -759,21 +760,63 @@ def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
     ("verify", "grid.n", "32,4"), ("reduce", "limiter.v_max", "1.1,-1"),
     ("reduce", "reduce.h", "0.1,0"), ("reduce steady_state", "initial.width", "1,0"),
     ("simulate", "solver.cfl_safety", "0.4,2"), ("simulate", "solver.output_stride", "10,0"),
-    ("exact", "exact.t_samples", "1,inf")])
+    ("exact", "exact.t_samples", "1,inf"), ("simulate", "solver.t_end", "0.05,1e9"),
+    ("simulate", "solver.t_end", "0.05,-1"), ("simulate tabulated", "solver.t_end", "1,5"),
+    ("verify", "verify.ht", "0.001,0"), ("exact", "grid.n", "32,5000000"),
+    ("reduce steady_state", "reduce.n", "64,2"), ("reduce", "reduce.t_end", "1,1e12")])
 def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, target, values):
     # the second value is refused as the sweep reads it, or passes the config
-    # checks but not the model, grid, solver config or initial builder, so
-    # it is refused before the first member writes; a reduce kind after the
-    # command is the [reduce] kind
+    # checks but not its command's check phase (the model, grid, solver
+    # config, initial state, the run's steps and horizon, the sample count),
+    # so it is refused before the first member writes; a word after the
+    # command is the [reduce] kind, or "tabulated" for the decay table TABLE
     command, *kind = command.split()
+    text = MINIMAL.replace("kind = uniform", "kind = gaussian")
+    for k in kind:
+        text = text.replace(CONSTANT, TABLE) if k == "tabulated" else text + f"[reduce]\nkind = {k}\n"
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL.replace("kind = uniform", "kind = gaussian")
-                        + "".join(f"[reduce]\nkind = {k}\n" for k in kind)
-                        + _sweep(target, values, command))
+    cfg_path.write_text(text + _sweep(target, values, command))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, decay, extra", [
+    ("simulate", CONSTANT, ""), ("exact", CONSTANT, ""),
+    ("exact", CONSTANT, "[exact]\nfamily = case2_travelling_tanh\n"), ("verify", CONSTANT, ""),
+    ("lie", CONSTANT, ""), ("reduce", CONSTANT, "[reduce]\nkind = homogeneous\n"),
+    ("reduce", CONSTANT, "[reduce]\nkind = steady_state\n"),
+    ("reduce", CONSTANT, "[reduce]\nkind = travelling_wave\n"),
+    ("reduce", POWER_LAW, "[reduce]\nkind = self_similar\n"),
+] + [("sweep", CONSTANT, _sweep("decay.kappa0", "0.4,0.6", c))
+     for c in ("simulate", "exact", "reduce", "verify", "lie")], ids=[
+    "simulate", "exact", "exact-case2", "verify", "lie", "reduce-homogeneous",
+    "reduce-steady_state", "reduce-travelling_wave", "reduce-self_similar", "sweep-simulate",
+    "sweep-exact", "sweep-reduce", "sweep-verify", "sweep-lie"])
+def test_a_command_without_an_outdir_checks_and_returns_none(tmp_path, monkeypatch, command,
+                                                             decay, extra):
+    # the check phase alone: no march, family, reduction, residual, Lie
+    # report or write is reached, and no file is made
+    def reached(*args, **kwargs):
+        raise AssertionError("the check phase went on to the work")
+
+    for module, names in [
+        (pde_solver, ["_Operator"]),
+        (reduced_systems, ["solve_steady_state", "integrate_travelling_wave",
+                           "solve_self_similar"]),
+        (exact_solutions, ["case1_homogeneous", "case2_travelling_tanh", "case3_homogeneous",
+                           "case4_homogeneous", "case4_cellfree_front"]),
+        (verify, ["pde_residual"]),
+        (lie_toolkit, ["classification_report", "verify_optimal_system"]),
+        (cli, ["_write_set"]),
+    ]:
+        for name in names:
+            monkeypatch.setattr(module, name, reached)
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(MINIMAL.replace(CONSTANT, decay) + extra, command=command)
+    assert cli._COMMANDS[command](cfg) is None
+    assert os.listdir(tmp_path) == []
 
 
 def _number_keys():

@@ -46,7 +46,7 @@ def make_params(decay=None, limiter=None, tau=0.1, D=0.8):
 
 def _reduce_homogeneous(params, t_end, h, U0=1.0, V0=0.0):
     """The (t, U, V) table `reduce homogeneous` writes."""
-    return cli._reduce_homogeneous(None, params, {"t_end": t_end, "h": h, "U0": U0, "V0": V0})
+    return cli._reduce_homogeneous(None, params, {"t_end": t_end, "h": h, "U0": U0, "V0": V0})()
 
 
 def _rk4_homogeneous(params, span, h, U0=1.0, V0=0.0):
