@@ -48,7 +48,10 @@ def _as_bool(s):
 
 
 def _as_floats(s):
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    values = tuple(float(p) for p in s.split(",") if p.strip())
+    if not values:
+        raise ValueError(f"needs at least one value, got {s!r}")
+    return values
 
 
 def _positive(s):
@@ -185,8 +188,9 @@ def _validate_config(cfg):
                 "set decay.allow_negative = true to override"
             )
     grid = cfg.sections.get("grid", {})
-    if grid and grid.get("x_lo", 0.0) >= grid.get("x_hi", 1.0):
-        raise ValidationError("grid needs x_lo < x_hi")
+    lo, hi = grid.get("x_lo", 0.0), grid.get("x_hi", 1.0)
+    if grid and lo >= hi:
+        raise ValidationError(f"grid needs x_lo < x_hi, got x_lo = {lo!r}, x_hi = {hi!r}")
     if cfg.get("run", "seed", 0) < 0:
         raise ValidationError(f"run.seed must be >= 0, got {cfg.get('run', 'seed')}")
 
@@ -278,23 +282,26 @@ def _uniform_args(e, law):
 
 
 def _case1(cfg, params, e):
-    return exact_solutions.case1_homogeneous(params, **_uniform_args(e, params.decay))
+    sol = exact_solutions.case1_homogeneous(params, **_uniform_args(e, params.decay))
+    return lambda: sol
 
 
 def _case3(cfg, params, e):
-    return exact_solutions.case3_homogeneous(
+    sol = exact_solutions.case3_homogeneous(
         params.decay.mu, params.tau, **_uniform_args(e, params.decay)
     )
+    return lambda: sol
 
 
 def _case4(cfg, params, e):
-    return exact_solutions.case4_homogeneous(
+    sol = exact_solutions.case4_homogeneous(
         params.decay.kappa0, params.decay.lam, params.tau, **_uniform_args(e, params.decay)
     )
+    return lambda: sol
 
 
 def _case2(cfg, params, e):
-    return exact_solutions.case2_travelling_tanh(
+    return lambda: exact_solutions.case2_travelling_tanh(
         params,
         alpha=e.get("alpha", 1.1),
         C1=e.get("C1", 0.0),
@@ -306,14 +313,15 @@ def _case2(cfg, params, e):
 
 
 def _cellfree_front(cfg, params, e):
-    return exact_solutions.case4_cellfree_front(
+    sol = exact_solutions.case4_cellfree_front(
         e.get("alpha", 1.1), params.tau, params.decay, A=e.get("A", 1.0), B=e.get("B", 0.0)
     )
+    return lambda: sol
 
 
-# family -> (builder(cfg, params, [exact] section), decay kinds that admit it
-# (empty: every kind)); verify measures every family's PDE residual under the
-# configured model
+# family -> (entry(cfg, params, [exact] section), decay kinds that admit it, or
+# () for all); an entry builds a closed form and its work returns it, case II's
+# work is its closure solve; verify takes each family's configured PDE residual
 _FAMILIES = {
     "case1_homogeneous": (_case1, ()),
     "case2_travelling_tanh": (_case2, ("constant",)),
@@ -365,20 +373,23 @@ def _reduce_travelling_wave(cfg, params, r):
         data={"U0": r.get("U0", 0.0), "dU0": r.get("dU0", 0.0),
               "V0": r.get("V0", 1.0), "s0": r.get("s0", 0.0)},
     )
-    return lambda: reduced_systems.integrate_travelling_wave(prob, h=r.get("h", 1e-3))
+    h = r.get("h", 1e-3)
+    reduced_systems.step_count(prob.domain, h)
+    return lambda: reduced_systems.integrate_travelling_wave(prob, h=h)
 
 
 def _reduce_self_similar(cfg, params, r):
+    grid = Grid1D(0.0, r.get("xi_max", 10.0), r.get("n", 2000))
     prob = reduced_systems.ReducedProblem(
-        "self_similar", params, domain=(0.0, r.get("xi_max", 10.0)),
+        "self_similar", params, domain=(grid.x_lo, grid.x_hi),
         data={"U0": r.get("U0", 1.0), "C1": r.get("C1", 0.0)},
     )
-    return lambda: reduced_systems.solve_self_similar(prob, n=r.get("n", 2000))
+    return lambda: reduced_systems.solve_self_similar(prob, n=grid.n)
 
 
-# reduce kind -> (builder(cfg, params, [reduce] section) of the checked problem's
-# solve, decay kinds that admit it); the steady and traveling reductions take
-# kappa0, the self-similar one mu from the decay law
+# reduce kind -> (entry(cfg, params, [reduce] section), decay kinds that admit
+# it); an entry checks the problem and the grid or steps its solve marches on,
+# and its work is that solve; kappa0, or mu when self-similar, is the law's
 _REDUCERS = {
     "homogeneous": (_reduce_homogeneous, ()),
     "steady_state": (_reduce_steady_state, ("constant",)),
@@ -881,17 +892,18 @@ def cmd_exact(cfg, outdir=None):
     grid = build_grid(cfg)  # checked even where the family samples its own window
     e = cfg.sections.get("exact", {})
     family = e.get("family", "case1_homogeneous")
-    build = _lookup(_FAMILIES, "exact family", family, cfg)[0]
+    entry = _lookup(_FAMILIES, "exact family", family, cfg)[0]
     ts = e.get("t_samples", (0.5, 1.0, 2.0))
-    if not (ts and all(a < b for a, b in zip(ts, ts[1:]))):
+    if not all(a < b for a, b in zip(ts, ts[1:])):
         # the CSV body and its plot script are one frame per sample time
-        raise ValidationError(f"exact.t_samples must be non-empty and increasing, got {ts!r}")
+        raise ValidationError(f"exact.t_samples must be increasing, got {ts!r}")
     if len(ts) * (grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
                               f"{MAX_STEPS} values")
+    work = entry(cfg, params, e)
     if outdir is None:
         return None
-    sol = build(cfg, params, e)
+    sol = work()
     meta = _meta_for(cfg)
     if isinstance(sol, exact_solutions.TravellingWaveSolution):
         _write_set(outdir, _plotted(family, sol, meta, "profiles"))
@@ -941,12 +953,12 @@ def cmd_verify(cfg, outdir=None):
     params = build_model(cfg)
     v = cfg.sections.get("verify", {})
     family = v.get("family", "case1_homogeneous")
-    build = _lookup(_FAMILIES, "verify family", family, cfg)[0]
+    entry = _lookup(_FAMILIES, "verify family", family, cfg)[0]
     grid = build_grid(cfg)
+    work = entry(cfg, params, cfg.sections.get("exact", {}))
     if outdir is None:
         return None
-    sol = build(cfg, params, cfg.sections.get("exact", {}))
-    rep = verify.pde_residual(sol, params, grid, v.get("t_samples", (0.5, 1.0)),
+    rep = verify.pde_residual(work(), params, grid, v.get("t_samples", (0.5, 1.0)),
                               ht=v.get("ht", 5e-4))
     report = {
         "sup_norm": rep.sup_norm,
@@ -1001,10 +1013,8 @@ def cmd_sweep(cfg, outdir=None):
 
     # every member passes the checks a config file gets and its command's
     # check phase before any member runs, so a value refused there writes no
-    # member; only the solvers' own argument checks refuse as their member
-    # runs: integrate_travelling_wave's span and its steps at reduce.h,
-    # solve_self_similar's xi_max, n and limiter, verify.pde_residual's empty
-    # t_samples, and the exact family builders'
+    # member; only case2_travelling_tanh's own argument checks refuse as
+    # their member runs
     subs = []
     for value in values:
         sub = RunConfig(

@@ -233,14 +233,15 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        ends = f"x_lo = {self.x_lo!r}, x_hi = {self.x_hi!r}"
         if not (np.isfinite(self.x_lo) and np.isfinite(self.x_hi)):
-            raise ValidationError("grid endpoints must be finite")
+            raise ValidationError(f"grid endpoints must be finite, got {ends}")
         if self.x_hi <= self.x_lo:
-            raise ValidationError("grid needs x_lo < x_hi")
+            raise ValidationError(f"grid needs x_lo < x_hi, got {ends}")
         if not np.isfinite(self.x_hi - self.x_lo):
-            raise ValidationError("grid width x_hi - x_lo overflows")
+            raise ValidationError(f"grid width x_hi - x_lo overflows, got {ends}")
         if self.n < 8:
-            raise ValidationError("grid needs at least 8 cells")
+            raise ValidationError(f"grid needs at least 8 cells, got n = {self.n!r}")
         if self.n > MAX_STEPS:
             raise ValidationError(f"grid has {self.n} cells, more than {MAX_STEPS}")
 

@@ -40,8 +40,9 @@ _KINDS = ("steady_state", "travelling_wave", "self_similar")
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """A reduced system: its kind, model parameters, case constants,
-    domain interval and boundary/initial data."""
+    """A reduced system: its kind, model parameters, case constants, domain
+    interval (its solver's grid or step count checks it) and boundary/initial
+    data; traveling needs a nonzero alpha, self-similar the tanh-log limiter."""
 
     kind: str
     params: ModelParams
@@ -52,11 +53,10 @@ class ReducedProblem:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not np.all(np.isfinite(self.domain)):
-            raise ValidationError(f"{self.kind} needs a finite domain, got {self.domain!r}")
-        if self.kind == "travelling_wave":
-            if not self.constants.get("alpha"):
-                raise ValidationError(f"{self.kind} requires a nonzero alpha")
+        if self.kind == "travelling_wave" and not self.constants.get("alpha"):
+            raise ValidationError(f"{self.kind} requires a nonzero alpha")
+        if self.kind == "self_similar" and not isinstance(self.params.limiter, TanhLogLimiter):
+            raise ValidationError("the self-similar reduction requires the tanh-log limiter")
 
 
 def _decay_constant(problem, name, law):
@@ -337,6 +337,7 @@ def solve_self_similar(problem, n=2000):
     V'(0) = 0 and a no-growth condition at xi_max, inside picard_iterate's
     Anderson-mixed loop on S = V', to a residual of 1e-10 in 200 iterations.
 
+    The xi nodes are Grid1D(0, xi_max, n)'s: xi_max finite and positive, n >= 8.
     Nonconvergence is reported in the result (converged=False plus the
     residual history), never silently discarded.  defect_u / defect_v are
     sup-norm residuals of the two similarity equations from fourth-order
@@ -347,16 +348,9 @@ def solve_self_similar(problem, n=2000):
         raise ValidationError(
             f"the self-similar half line starts at the symmetry point 0, got domain {problem.domain!r}"
         )
-    if not (xi_max > 0.0 and 8 <= n <= MAX_STEPS):
-        # the fourth-order stencils and the defects' interior need 9 nodes
-        raise ValidationError(
-            f"the self-similar solve needs xi_max > 0 and 8 <= n <= {MAX_STEPS}, "
-            f"got xi_max = {xi_max}, n = {n}"
-        )
+    xi = Grid1D(xi_lo, xi_max, n).nodes()
     params = problem.params
     lim = params.limiter
-    if not isinstance(lim, TanhLogLimiter):
-        raise ValidationError("the self-similar reduction requires the tanh-log limiter")
     D = params.D
     tau = params.tau
     mu = _decay_constant(problem, "mu", PowerLawDecay)
@@ -364,7 +358,6 @@ def solve_self_similar(problem, n=2000):
     C1 = float(problem.data.get("C1", 0.0))
     v_max = lim.v_max
 
-    xi = np.linspace(0.0, xi_max, n + 1)
     h = xi[1] - xi[0]
     solve = band_solver(_build_similarity_operator(xi, h), 4)
 

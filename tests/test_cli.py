@@ -487,6 +487,8 @@ def test_plot_script_raster_without_matplotlib(tmp_path):
 CONSTANT = "kind = constant\nkappa0 = 0.5"
 EXPONENTIAL = "kind = exponential\nkappa0 = 0.5\nlambda = 0.2"
 POWER_LAW = "kind = power_law\nmu = 0.5"
+TANH = "kind = tanh\nv_max = 1.1\ns0 = 1.4"
+TANH_LOG = "kind = tanh_log\nv_max = 1.1\na = 0.51"
 LATE_TABLE = "kind = tabulated\ntimes = 0.5,2.0\nvalues = 0.5,0.7"
 TABLE = "kind = tabulated\ntimes = 0,1.5,3\nvalues = 0.5,0.7,0.6"
 
@@ -661,7 +663,7 @@ def test_declared_uniform_values_are_the_evaluators(decay, family):
                        command="exact")
 
     def build():
-        return _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
+        return _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])()
 
     sol, ref = build(), build()
     declared = tuple(hasattr(ev, "of_t") for ev in (sol.eval_u, sol.eval_v))
@@ -763,23 +765,53 @@ def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
     ("exact", "exact.t_samples", "1,inf"), ("simulate", "solver.t_end", "0.05,1e9"),
     ("simulate", "solver.t_end", "0.05,-1"), ("simulate tabulated", "solver.t_end", "1,5"),
     ("verify", "verify.ht", "0.001,0"), ("exact", "grid.n", "32,5000000"),
-    ("reduce steady_state", "reduce.n", "64,2"), ("reduce", "reduce.t_end", "1,1e12")])
+    ("reduce steady_state", "reduce.n", "64,2"), ("reduce", "reduce.t_end", "1,1e12"),
+    ("reduce travelling_wave", "reduce.y_hi", "5,-1"),
+    ("reduce travelling_wave", "reduce.h", "0.01,1e-12"),
+    ("reduce self_similar power_law tanh_log", "reduce.xi_max", "10,-1"),
+    ("reduce self_similar power_law tanh_log", "reduce.n", "200,4"),
+    ("reduce self_similar power_law", "decay.mu", "0.5,0.6"),
+    ("exact case4_cellfree_front", "exact.alpha", "1.1,0")])
 def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, target, values):
     # the second value is refused as the sweep reads it, or passes the config
     # checks but not its command's check phase (the model, grid, solver
-    # config, initial state, the run's steps and horizon, the sample count),
-    # so it is refused before the first member writes; a word after the
-    # command is the [reduce] kind, or "tabulated" for the decay table TABLE
-    command, *kind = command.split()
+    # config, initial state, the run's steps and horizon, the sample count,
+    # a closed-form family, a reduction's grid or steps), so it is refused
+    # before the first member writes; under the tanh limiter every
+    # self-similar member is refused.  A word after the command swaps in the
+    # decay table TABLE ("tabulated"), power-law decay or the tanh-log
+    # limiter; any other word is the [reduce] kind or the [exact] family
+    command, *words = command.split()
+    swaps = {"tabulated": (CONSTANT, TABLE), "power_law": (CONSTANT, POWER_LAW),
+             "tanh_log": (TANH, TANH_LOG)}
     text = MINIMAL.replace("kind = uniform", "kind = gaussian")
-    for k in kind:
-        text = text.replace(CONSTANT, TABLE) if k == "tabulated" else text + f"[reduce]\nkind = {k}\n"
+    for w in words:
+        if w in swaps:
+            text = text.replace(*swaps[w])
+        else:
+            text += f"[{command}]\n{'kind' if command == 'reduce' else 'family'} = {w}\n"
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(text + _sweep(target, values, command))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert os.listdir(out) == []
+
+
+def test_a_refused_grid_gives_its_values(tmp_path, capsys):
+    # [grid] as the config is read, and the self-similar half line that a
+    # sweep of reduce.xi_max builds, whose refusal names no [grid] key
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace("x_hi = 2.0", "x_hi = -3.0"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid needs x_lo < x_hi, got x_lo = -2.0, x_hi = -3.0\n")
+    cfg_path.write_text(MINIMAL.replace(TANH, TANH_LOG).replace(CONSTANT, POWER_LAW)
+                        + "[reduce]\nkind = self_similar\n"
+                        + _sweep("reduce.xi_max", "10,-1", "reduce"))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid needs x_lo < x_hi, got x_lo = 0.0, x_hi = -1.0\n")
 
 
 @pytest.mark.parametrize("command, decay, extra", [
@@ -796,8 +828,9 @@ def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, t
     "sweep-exact", "sweep-reduce", "sweep-verify", "sweep-lie"])
 def test_a_command_without_an_outdir_checks_and_returns_none(tmp_path, monkeypatch, command,
                                                              decay, extra):
-    # the check phase alone: no march, family, reduction, residual, Lie
-    # report or write is reached, and no file is made
+    # the check phase alone: no march, closure solve, sampling, reduction,
+    # residual, Lie report or write is reached, and no file is made; the
+    # closed-form families are built there
     def reached(*args, **kwargs):
         raise AssertionError("the check phase went on to the work")
 
@@ -805,8 +838,8 @@ def test_a_command_without_an_outdir_checks_and_returns_none(tmp_path, monkeypat
         (pde_solver, ["_Operator"]),
         (reduced_systems, ["solve_steady_state", "integrate_travelling_wave",
                            "solve_self_similar"]),
-        (exact_solutions, ["case1_homogeneous", "case2_travelling_tanh", "case3_homogeneous",
-                           "case4_homogeneous", "case4_cellfree_front"]),
+        (exact_solutions, ["case2_travelling_tanh"]),
+        (exact_solutions.ExactSolution, ["frames"]),
         (verify, ["pde_residual"]),
         (lie_toolkit, ["classification_report", "verify_optimal_system"]),
         (cli, ["_write_set"]),
@@ -814,7 +847,10 @@ def test_a_command_without_an_outdir_checks_and_returns_none(tmp_path, monkeypat
         for name in names:
             monkeypatch.setattr(module, name, reached)
     monkeypatch.chdir(tmp_path)
-    cfg = parse_config(MINIMAL.replace(CONSTANT, decay) + extra, command=command)
+    text = MINIMAL.replace(CONSTANT, decay)
+    if "self_similar" in extra:  # the self-similar reduction's limiter
+        text = text.replace(TANH, TANH_LOG)
+    cfg = parse_config(text + extra, command=command)
     assert cli._COMMANDS[command](cfg) is None
     assert os.listdir(tmp_path) == []
 
@@ -960,7 +996,8 @@ def test_exact_names_the_first_non_finite_sample_and_writes_no_set(tmp_path, cap
         return np.where(np.isclose(x, 0.5) & (t == 1.0), -np.inf, 0.0)
 
     sol = ExactSolution(u, v, {})
-    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
+    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous",
+                        (lambda cfg, params, e: lambda: sol, ()))
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")
     out = tmp_path / "o"
@@ -976,7 +1013,8 @@ def test_exact_uniform_family_names_x_lo_when_non_finite(tmp_path, capsys, monke
     from flks import cli, exact_solutions
 
     sol = exact_solutions._uniform(1.0, lambda t: np.full_like(t, np.inf), {})
-    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous", (lambda cfg, params, e: sol, ()))
+    monkeypatch.setitem(cli._FAMILIES, "case1_homogeneous",
+                        (lambda cfg, params, e: lambda: sol, ()))
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL + "[exact]\nt_samples = 0.5,1,2\n")
     out = tmp_path / "o"
@@ -1096,7 +1134,7 @@ def _exact_samples(tmp_path, family, decay, n):
     cfg_path.write_text(text)
     assert main(["exact", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     cfg = parse_config(text, command="exact")
-    sol = _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])
+    sol = _FAMILIES[family][0](cfg, build_model(cfg), cfg.sections["exact"])()
     grid = build_grid(cfg)
     x, ts = grid.nodes(), np.array([0.5, 1.0, 2.25])
     fields = [np.broadcast_to(np.asarray(ev(x[:, None], ts), dtype=float), (x.size, ts.size)).T
@@ -1395,6 +1433,8 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
         "family": "case4_homogeneous", "t_samples": "0.5"}},
     "verify case4_homogeneous": {**FUZZ_BASE, "decay": EXPONENTIAL_SECTION, "verify": {
         "family": "case4_homogeneous", "t_samples": "0.5"}},
+    # a sweep of a key with no values
+    "sweep": {**FUZZ_BASE, "sweep": {"section": "decay", "key": "kappa0"}},
 })
 # every schema key of the command's sections, one unknown key and one unknown
 # section
@@ -1444,56 +1484,58 @@ def test_fuzzed_config_exits_with_a_contract_code(case):
     assert _main_on(*case) in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize(
-    "command, section, key, value, code",
-    [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end", "nan", 2),
-     ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
-     ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
-     ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
-     ("verify", "exact", "V0", "inf", 2), ("reduce", "reduce", "U0", "nan", 2),
-     ("exact", "exact", "V0", "inf", 2), ("exact", "exact", "t_samples", "", 2),
-     ("verify", "exact", "C", "1e308", 3), ("reduce", "reduce", "U0", "1e308", 3),
-     ("exact", "exact", "C", "1e308", 3), ("reduce", "reduce", "h", "inf", 2),
-     ("exact", "exact", "t0", "inf", 2), ("reduce self_similar", "reduce", "C1", "nan", 2),
-     ("reduce travelling_wave", "reduce", "alpha", "nan", 2),
-     ("exact", "exact", "t_samples", "0.5,0.5", 2), ("reduce", "reduce", "t_end", "1e300", 2),
-     ("reduce travelling_wave", "reduce", "y_hi", "-1", 2),
-     ("reduce travelling_wave", "reduce", "y_hi", "0", 2),
-     ("reduce travelling_wave", "reduce", "y_hi", "1e300", 2),
-     ("reduce self_similar", "reduce", "xi_max", "0", 2),
-     ("reduce self_similar", "reduce", "xi_max", "-3", 2),
-     ("reduce self_similar", "reduce", "n", "0", 2), ("reduce self_similar", "reduce", "n", "3", 2),
-     ("reduce self_similar", "reduce", "n", "6", 2), ("reduce self_similar", "reduce", "n", "7", 2),
-     ("reduce self_similar", "reduce", "n", "8", 0),
-     ("exact case2_travelling_tanh", "exact", "n", "0", 2),
-     ("exact case2_travelling_tanh", "exact", "n", "2", 2),
-     ("exact", "grid", "n", "1000000000000", 2),
-     ("reduce steady_state", "reduce", "n", "1000000000000", 2),
-     ("reduce self_similar", "reduce", "n", "1000000000000", 2),
-     ("exact case2_travelling_tanh", "exact", "n", "1000000000000", 2),
-     ("exact case2_travelling_tanh", "exact", "window_hi", "inf", 2),
-     ("exact case2_travelling_tanh", "exact", "alpha", "1e-200", 2),
-     ("exact case4_cellfree_front", "exact", "alpha", "1e-200", 2),
-     ("exact case2_travelling_tanh", "exact", "alpha", "0", 2),
-     ("exact case4_cellfree_front", "exact", "alpha", "0", 2),
-     ("simulate", "solver", "t_end", "1e300", 2),
-     ("simulate frames", "solver", "output_stride", "1", 2),
-     ("simulate frames", "solver", "output_stride", "50", 2),
-     ("exact frames", "grid", "n", "5000000", 2),
-     ("exact case4_homogeneous", "exact", "t_samples", "nan", 2),
-     ("exact case4_homogeneous", "exact", "t0", "nan", 2),
-     ("verify case4_homogeneous", "verify", "t_samples", "nan", 2),
-     ("exact", "exact", "t_samples", "0.5,inf", 2), ("verify", "verify", "t_samples", "inf", 2),
-     ("simulate gaussian", "initial", "width", "0", 2),
-     ("simulate gaussian", "initial", "width", "nan", 2),
-     ("simulate gaussian", "initial", "width", "1e-200", 2),
-     ("simulate gaussian", "initial", "u0", "nan", 2),
-     ("simulate gaussian", "initial", "amplitude", "inf", 2),
-     ("simulate no step", "initial", "v0", "nan", 2),
-     ("simulate", "limiter", "v_max", "1e308", 2),
-     ("simulate wide", "grid", "x_hi", "1e308", 2),
-     ("simulate noise", "run", "seed", "-1", 2), ("simulate", "run", "command", "exact", 2)],
-)
+# config findings: (base in FINDING_CONFIGS, section, key, value, exit code)
+FINDINGS = [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end", "nan", 2),
+    ("reduce", "reduce", "h", "nan", 2), ("reduce", "reduce", "h", "0", 2),
+    ("reduce", "reduce", "t_end", "-1", 2), ("reduce", "reduce", "t_end", "0", 2),
+    ("verify", "verify", "t_samples", "", 2), ("verify", "verify", "ht", "0", 2),
+    ("verify", "exact", "V0", "inf", 2), ("reduce", "reduce", "U0", "nan", 2),
+    ("exact", "exact", "V0", "inf", 2), ("exact", "exact", "t_samples", "", 2),
+    ("verify", "exact", "C", "1e308", 3), ("reduce", "reduce", "U0", "1e308", 3),
+    ("exact", "exact", "C", "1e308", 3), ("reduce", "reduce", "h", "inf", 2),
+    ("exact", "exact", "t0", "inf", 2), ("reduce self_similar", "reduce", "C1", "nan", 2),
+    ("reduce travelling_wave", "reduce", "alpha", "nan", 2),
+    ("exact", "exact", "t_samples", "0.5,0.5", 2), ("reduce", "reduce", "t_end", "1e300", 2),
+    ("reduce travelling_wave", "reduce", "y_hi", "-1", 2),
+    ("reduce travelling_wave", "reduce", "y_hi", "0", 2),
+    ("reduce travelling_wave", "reduce", "y_hi", "1e300", 2),
+    ("reduce self_similar", "reduce", "xi_max", "0", 2),
+    ("reduce self_similar", "reduce", "xi_max", "-3", 2),
+    ("reduce self_similar", "reduce", "n", "0", 2), ("reduce self_similar", "reduce", "n", "3", 2),
+    ("reduce self_similar", "reduce", "n", "6", 2), ("reduce self_similar", "reduce", "n", "7", 2),
+    ("reduce self_similar", "reduce", "n", "8", 0),
+    ("exact case2_travelling_tanh", "exact", "n", "0", 2),
+    ("exact case2_travelling_tanh", "exact", "n", "2", 2),
+    ("exact", "grid", "n", "1000000000000", 2),
+    ("reduce steady_state", "reduce", "n", "1000000000000", 2),
+    ("reduce self_similar", "reduce", "n", "1000000000000", 2),
+    ("exact case2_travelling_tanh", "exact", "n", "1000000000000", 2),
+    ("exact case2_travelling_tanh", "exact", "window_hi", "inf", 2),
+    ("exact case2_travelling_tanh", "exact", "alpha", "1e-200", 2),
+    ("exact case4_cellfree_front", "exact", "alpha", "1e-200", 2),
+    ("exact case2_travelling_tanh", "exact", "alpha", "0", 2),
+    ("exact case4_cellfree_front", "exact", "alpha", "0", 2),
+    ("simulate", "solver", "t_end", "1e300", 2),
+    ("simulate frames", "solver", "output_stride", "1", 2),
+    ("simulate frames", "solver", "output_stride", "50", 2),
+    ("exact frames", "grid", "n", "5000000", 2),
+    ("exact case4_homogeneous", "exact", "t_samples", "nan", 2),
+    ("exact case4_homogeneous", "exact", "t0", "nan", 2),
+    ("verify case4_homogeneous", "verify", "t_samples", "nan", 2),
+    ("exact", "exact", "t_samples", "0.5,inf", 2), ("verify", "verify", "t_samples", "inf", 2),
+    ("simulate gaussian", "initial", "width", "0", 2),
+    ("simulate gaussian", "initial", "width", "nan", 2),
+    ("simulate gaussian", "initial", "width", "1e-200", 2),
+    ("simulate gaussian", "initial", "u0", "nan", 2),
+    ("simulate gaussian", "initial", "amplitude", "inf", 2),
+    ("simulate no step", "initial", "v0", "nan", 2),
+    ("simulate", "limiter", "v_max", "1e308", 2),
+    ("simulate wide", "grid", "x_hi", "1e308", 2),
+    ("simulate noise", "run", "seed", "-1", 2), ("simulate", "run", "command", "exact", 2),
+    ("sweep", "sweep", "command", "simulate", 2)]
+
+
+@pytest.mark.parametrize("command, section, key, value, code", FINDINGS)
 def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, code):
     # an infinite or NaN span and a NaN step ended in OverflowError or
     # ValueError in the RK4 march, no sample time in ZeroDivisionError; a
@@ -1527,10 +1569,64 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # 3 (the finite 1e308 still overflows the samples, a numerical
     # failure), an infinite h wrote a two-row table and exited 0, an
     # infinite t0 exited 3 with an array of times, a NaN self-similar C1
-    # blamed a near-singular band and a NaN traveling alpha the march
+    # blamed a near-singular band and a NaN traveling alpha the march.  A
+    # [sweep] with no values key would run no member and exit 0
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
     assert _main_on(command.split()[0], sections) == code
+
+
+# the exit-2 findings that case2_travelling_tanh's own argument checks refuse
+# only as its closure solve starts; ROADMAP item 18, which refuses every case
+# II config, moves them into the check phase
+RUN_ONLY = [("exact case2_travelling_tanh", "exact", key, value)
+            for key, values in (("n", ("0", "2", "1000000000000")), ("alpha", ("0", "1e-200")))
+            for value in values]
+
+
+@pytest.mark.parametrize("command, section, key, value",
+                         [row[:4] for row in FINDINGS if row[4] == 2])
+def test_every_exit_2_finding_is_refused_by_the_check_phase(tmp_path, command, section, key,
+                                                            value):
+    # the config reader or the command called without an outdir makes the
+    # refusal, so a sweep member with the value writes nothing; numpy's
+    # warnings are silenced as main silences them
+    sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
+    sections.setdefault(section, {})[key] = value
+    name = command.split()[0]
+    with np.errstate(all="ignore"):
+        try:
+            cfg = parse_config(_ini(sections), command=name)
+            cli._COMMANDS[name](cfg)
+        except (ParseError, ValidationError):
+            assert (command, section, key, value) not in RUN_ONLY
+            return
+        assert (command, section, key, value) in RUN_ONLY
+        with pytest.raises(ValidationError):
+            cli._COMMANDS[name](cfg, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("how", ["config", "override"])
+@pytest.mark.parametrize("target", ["decay.times", "decay.values", "exact.t_samples",
+                                    "verify.t_samples", "sweep.values"])
+@pytest.mark.parametrize("text", [",", ""])
+def test_a_list_with_no_value_is_refused_by_key(tmp_path, capsys, how, target, text):
+    # a list key holds at least one value, for every command: simulate
+    # reads none of these keys under constant decay
+    cfg_path = tmp_path / "cfg.ini"
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+    if how == "config":
+        section, key = target.split(".")
+        cfg_path.write_text(MINIMAL + f"[{section}]\n{key} = {text}\n")
+    else:
+        cfg_path.write_text(MINIMAL)
+        argv += ["--override", f"{target}={text}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and target in err
+    assert not out.exists()
 
 
 def test_run_command_is_an_unknown_key(tmp_path):

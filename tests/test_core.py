@@ -199,6 +199,20 @@ def test_grid_invariants():
         Grid1D(1.0, 0.0, 16)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.0, -1.0, 16), "grid needs x_lo < x_hi, got x_lo = 0.0, x_hi = -1.0"),
+    ((0.0, np.inf, 16), "grid endpoints must be finite, got x_lo = 0.0, x_hi = inf"),
+    ((-1e308, 1e308, 16), "grid width x_hi - x_lo overflows, got x_lo = -1e+308, x_hi = 1e+308"),
+    ((0.0, 10.0, 4), "grid needs at least 8 cells, got n = 4"),
+], ids=["reversed", "infinite", "overflowing", "few-cells"])
+def test_grid_refusals_give_the_values_they_refuse(args, message):
+    # a grid built from other keys (the self-similar half line from
+    # reduce.xi_max and reduce.n) is refused with the values it was given
+    with pytest.raises(ValidationError) as err:
+        Grid1D(*args)
+    assert str(err.value) == message
+
+
 def test_field_pair_validity():
     # a state owns copies of its arrays: the explicit-march oracle copies a
     # state by constructing one

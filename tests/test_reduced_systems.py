@@ -735,10 +735,10 @@ def test_self_similar_grid_refinement_second_order_or_better():
 
 
 def test_self_similar_requires_tanh_log():
+    # refused as the problem is built, before any solve
     p = make_params()
-    prob = ReducedProblem("self_similar", p, constants={"mu": 0.5}, domain=(0.0, 10.0))
-    with pytest.raises(ValidationError):
-        solve_self_similar(prob)
+    with pytest.raises(ValidationError, match="tanh-log limiter"):
+        ReducedProblem("self_similar", p, constants={"mu": 0.5}, domain=(0.0, 10.0))
 
 
 def test_self_similar_solves_on_the_problem_domain():
