@@ -187,10 +187,7 @@ def _validate_config(cfg):
                 "negative kappa0 is admitted mathematically but flagged; "
                 "set decay.allow_negative = true to override"
             )
-    grid = cfg.sections.get("grid", {})
-    lo, hi = grid.get("x_lo", 0.0), grid.get("x_hi", 1.0)
-    if grid and lo >= hi:
-        raise ValidationError(f"grid needs x_lo < x_hi, got x_lo = {lo!r}, x_hi = {hi!r}")
+    build_grid(cfg)
     if cfg.get("run", "seed", 0) < 0:
         raise ValidationError(f"run.seed must be >= 0, got {cfg.get('run', 'seed')}")
 
@@ -278,7 +275,9 @@ def build_initial(cfg, grid):
 # ---------------------------------------------------------------------------
 
 def _uniform_args(e, law):
-    return {"C": e.get("C", 1.0), "V0": e.get("V0", 0.0), "t0": e.get("t0", law.start)}
+    t0 = e.get("t0", law.start)
+    law.check_times(t0, "exact.t0")
+    return {"C": e.get("C", 1.0), "V0": e.get("V0", 0.0), "t0": t0}
 
 
 def _case1(cfg, params, e):
@@ -334,14 +333,16 @@ _FAMILIES = {
 def _reduce_homogeneous(cfg, params, r):
     """The solve that samples case1_homogeneous with C = U0 at n + 1 even
     times over [start, start + t_end], n = reduced_systems.step_count of the
-    span at step h (checked first), as a (t, U, V) table; a non-finite
+    span at step h, as a (t, U, V) table.  The steps and the end time, which
+    must lie in the decay law's domain, are checked first; a non-finite
     sample is a numerical failure."""
     t0 = params.decay.start
     t1 = t0 + r.get("t_end", 5.0)
     n = reduced_systems.step_count((t0, t1), r.get("h", 1e-3))
+    params.decay.check_times(t1, "reduce.t_end")
 
     def solve():
-        ts = t0 + (t1 - t0) / n * np.arange(n + 1)
+        ts = np.linspace(t0, t1, n + 1)  # ends on t1, not an ulp past it
         sol = exact_solutions.case1_homogeneous(
             params, C=r.get("U0", 1.0), V0=r.get("V0", 0.0), t0=t0
         )
@@ -897,6 +898,7 @@ def cmd_exact(cfg, outdir=None):
     if not all(a < b for a, b in zip(ts, ts[1:])):
         # the CSV body and its plot script are one frame per sample time
         raise ValidationError(f"exact.t_samples must be increasing, got {ts!r}")
+    params.decay.check_times((ts[0], ts[-1]), "exact.t_samples")
     if len(ts) * (grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"{len(ts)} sample times of {grid.n + 1} nodes are more than "
                               f"{MAX_STEPS} values")
@@ -955,11 +957,13 @@ def cmd_verify(cfg, outdir=None):
     family = v.get("family", "case1_homogeneous")
     entry = _lookup(_FAMILIES, "verify family", family, cfg)[0]
     grid = build_grid(cfg)
+    ts, ht = v.get("t_samples", (0.5, 1.0)), v.get("ht", 5e-4)
+    params.decay.check_times((min(ts) - 2 * ht, max(ts) + 2 * ht),
+                             "verify.t_samples padded by 2 verify.ht")
     work = entry(cfg, params, cfg.sections.get("exact", {}))
     if outdir is None:
         return None
-    rep = verify.pde_residual(work(), params, grid, v.get("t_samples", (0.5, 1.0)),
-                              ht=v.get("ht", 5e-4))
+    rep = verify.pde_residual(work(), params, grid, ts, ht=ht)
     report = {
         "sup_norm": rep.sup_norm,
         "l2_norm": rep.l2_norm,
@@ -1013,17 +1017,20 @@ def cmd_sweep(cfg, outdir=None):
 
     # every member passes the checks a config file gets and its command's
     # check phase before any member runs, so a value refused there writes no
-    # member; only case2_travelling_tanh's own argument checks refuse as
-    # their member runs
+    # member and is named; only case2_travelling_tanh's own argument checks
+    # refuse as their member runs
     subs = []
-    for value in values:
+    for value, name in zip(values, names):
         sub = RunConfig(
             command=base_command,
             sections={sec: dict(body) for sec, body in cfg.sections.items()},
         )
         sub.sections.setdefault(section, {})[key] = value
-        _validate_config(sub)
-        _COMMANDS[base_command](sub)
+        try:
+            _validate_config(sub)
+            _COMMANDS[base_command](sub)
+        except ValidationError as exc:
+            raise ValidationError(f"sweep member {name}: {exc}") from None
         subs.append(sub)
     if outdir is None:
         return None

@@ -35,7 +35,8 @@ class DecayLaw:
     uniform relaxation tau v' + kappa(t) v = C is built from.  Both take
     floats or arrays (a and b broadcast); a float in gives a float out.
     ``start`` is the time a run under the law begins at: 0, unless the law
-    is undefined there.
+    is undefined there.  Both raise DomainError at a time outside the law's
+    domain; ``check_times`` turns that into a config error.
     """
 
     start = 0.0
@@ -45,6 +46,16 @@ class DecayLaw:
 
     def cumulative(self, a, b):
         raise NotImplementedError
+
+    def check_times(self, times, what):
+        """ValidationError naming ``what`` when a time of ``times`` lies outside
+        the law's domain.  Every domain is an interval, so the end points of
+        the times a work evaluates the law at suffice."""
+        try:
+            with np.errstate(all="ignore"):
+                self.kappa(np.asarray(times, dtype=float))
+        except DomainError as exc:
+            raise ValidationError(f"{what} is outside the decay law's domain: {exc}") from None
 
 
 def _require_finite(name, value):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_STEPS, FieldPair, Grid1D
-from .errors import CFLViolation, DomainError, InvalidState, StepSizeError, ValidationError
+from .errors import CFLViolation, InvalidState, StepSizeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -395,17 +395,14 @@ def total_mass(u, grid, bc):
 def check_run(initial, params, config):
     """The step dt of ``run(initial, params, config)``, checked before anything
     is allocated: a state off the grid, a t_end before the initial time or out
-    of the decay law's domain, or more than MAX_STEPS steps or recorded values
-    (frames times nodes) raises ValidationError."""
+    of the decay law's domain (``DecayLaw.check_times``), or more than
+    MAX_STEPS steps or recorded values (frames times nodes) raises ValidationError."""
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
     if config.t_end < initial.t:
         raise ValidationError(f"t_end={config.t_end!r} lies before the initial time t={initial.t!r}")
     t_end = float(config.t_end)
-    try:
-        params.decay.kappa(t_end)
-    except DomainError as exc:
-        raise ValidationError(f"t_end is outside the decay law's domain: {exc}") from None
+    params.decay.check_times(t_end, "t_end")
     dt_max = stable_dt(params, config)
     # a step that underflowed to zero (2 v_max overflowed) takes endless steps
     needed = (t_end - initial.t) / dt_max if dt_max > 0.0 else math.inf

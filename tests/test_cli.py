@@ -498,6 +498,24 @@ def _sweep(target, values, command="simulate"):
     return f"[sweep]\nsection = {section}\nkey = {key}\nvalues = {values}\ncommand = {command}\n"
 
 
+def _sweep_config(command, target, values):
+    """A config that sweeps target over values under the first word of
+    command, from MINIMAL with a Gaussian initial state.  A word after the
+    command swaps in the decay table TABLE ("tabulated"), power-law decay or
+    the tanh-log limiter; any other word is the [reduce] kind or the [exact]
+    family."""
+    command, *words = command.split()
+    swaps = {"tabulated": (CONSTANT, TABLE), "power_law": (CONSTANT, POWER_LAW),
+             "tanh_log": (TANH, TANH_LOG)}
+    text = MINIMAL.replace("kind = uniform", "kind = gaussian")
+    for w in words:
+        if w in swaps:
+            text = text.replace(*swaps[w])
+        else:
+            text += f"[{command}]\n{'kind' if command == 'reduce' else 'family'} = {w}\n"
+    return text + _sweep(target, values, command)
+
+
 @pytest.mark.parametrize(
     "command, decay, extra, overrides, code",
     [
@@ -551,9 +569,9 @@ def _sweep(target, values, command="simulate"):
         pytest.param("exact", POWER_LAW,
                      "[exact]\nfamily = case3_homogeneous\nt_samples = 1e-300\n", [], 3,
                      id="exact-case3-power-overflows"),
-        pytest.param("exact", TABLE, "[exact]\nt_samples = 1,5\n", [], 3,
+        pytest.param("exact", TABLE, "[exact]\nt_samples = 1,5\n", [], 2,
                      id="exact-tabulated-sample-past-the-table"),
-        pytest.param("verify", TABLE, "[verify]\nt_samples = 2.9995\n", [], 3,
+        pytest.param("verify", TABLE, "[verify]\nt_samples = 2.9995\n", [], 2,
                      id="verify-tabulated-stencil-past-the-table"),
         pytest.param("simulate", TABLE, "", ["solver.t_end=5"], 2,
                      id="simulate-tabulated-horizon-past-the-table"),
@@ -562,12 +580,13 @@ def _sweep(target, values, command="simulate"):
 def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, code):
     # a config error exits 2 with a one-line message, never a traceback; a
     # family or reduction under a decay law that does not admit it is one.
-    # The cell-free front runs under any decay law, a sweep may target a section the config leaves out, and a run starts
-    # where its decay law does (t = 1 under power law, the first knot of a
-    # table).  A closed form that overflows double precision is a numerical
-    # failure with its one diagnostic line, and so is a sample time, or a
-    # verify stencil time, past the end of a decay table; a run horizon
-    # past it is a config error, refused before the march.
+    # The cell-free front runs under any decay law, a sweep may target a
+    # section the config leaves out, and a run starts where its decay law
+    # does (t = 1 under power law, the first knot of a table).  A closed
+    # form that overflows double precision is a numerical failure with its
+    # one diagnostic line.  A time outside the decay law's domain is a config
+    # error, refused before any work: a sample time, a verify stencil time
+    # or a run horizon past the end of a decay table.
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -771,36 +790,59 @@ def test_sweep_validates_every_member_before_any_runs(tmp_path, capsys):
     ("reduce self_similar power_law tanh_log", "reduce.xi_max", "10,-1"),
     ("reduce self_similar power_law tanh_log", "reduce.n", "200,4"),
     ("reduce self_similar power_law", "decay.mu", "0.5,0.6"),
-    ("exact case4_cellfree_front", "exact.alpha", "1.1,0")])
+    ("exact case4_cellfree_front", "exact.alpha", "1.1,0"),
+    ("exact tabulated", "exact.t0", "1,5"), ("exact tabulated", "exact.t_samples", "1,5"),
+    ("exact power_law", "exact.t0", "1,-1"),
+    ("exact power_law case3_homogeneous", "exact.t0", "1,-1"),
+    ("verify tabulated", "verify.t_samples", "1,2.9995"),
+    ("reduce tabulated", "reduce.t_end", "1,5")])
 def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, target, values):
     # the second value is refused as the sweep reads it, or passes the config
     # checks but not its command's check phase (the model, grid, solver
     # config, initial state, the run's steps and horizon, the sample count,
-    # a closed-form family, a reduction's grid or steps), so it is refused
-    # before the first member writes; under the tanh limiter every
-    # self-similar member is refused.  A word after the command swaps in the
-    # decay table TABLE ("tabulated"), power-law decay or the tanh-log
-    # limiter; any other word is the [reduce] kind or the [exact] family
-    command, *words = command.split()
-    swaps = {"tabulated": (CONSTANT, TABLE), "power_law": (CONSTANT, POWER_LAW),
-             "tanh_log": (TANH, TANH_LOG)}
-    text = MINIMAL.replace("kind = uniform", "kind = gaussian")
-    for w in words:
-        if w in swaps:
-            text = text.replace(*swaps[w])
-        else:
-            text += f"[{command}]\n{'kind' if command == 'reduce' else 'family'} = {w}\n"
+    # a time outside the decay law's domain, a closed-form family, a
+    # reduction's grid or steps), so it is refused before the first member
+    # writes; under the tanh limiter every self-similar member is refused
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(text + _sweep(target, values, command))
+    cfg_path.write_text(_sweep_config(command, target, values))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command, target, values, name", [
+    ("simulate", "grid.n", "32,4", "grid.n=4"),
+    ("reduce self_similar power_law tanh_log", "reduce.n", "200,4", "reduce.n=4"),
+    ("exact power_law case3_homogeneous", "exact.t0", "1,-1", "exact.t0=-1.0")])
+def test_a_refused_sweep_member_is_named(tmp_path, capsys, command, target, values, name):
+    # a member refused in its command's check phase is named by its
+    # subdirectory on the one stderr line: a grid, the self-similar grid, and
+    # a case III t0 outside the power law's domain
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(_sweep_config(command, target, values))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: sweep member {name}: ") and err.count("\n") == 1, err
+
+
+def test_reduce_homogeneous_ends_on_the_end_of_a_decay_table(tmp_path):
+    # start + (t_end / n) * n rounds to 0.8500000000000001 here, one ulp past
+    # the end of the table, which the end itself passes: the last sample time
+    # must be the end
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, "kind = tabulated\ntimes = 0.5,0.85\n"
+                                        "values = 0.5,0.7")
+                        + "[reduce]\nkind = homogeneous\nt_end = 0.35\nh = 0.001\n")
+    assert main(["reduce", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    _, cols = import_csv(str(tmp_path / "o" / "reduce_homogeneous.csv"))
+    assert cols["t"].size == 351 and cols["t"][0] == 0.5 and cols["t"][-1] == 0.85
+
+
 def test_a_refused_grid_gives_its_values(tmp_path, capsys):
     # [grid] as the config is read, and the self-similar half line that a
-    # sweep of reduce.xi_max builds, whose refusal names no [grid] key
+    # sweep of reduce.xi_max builds, whose refusal names its member, not a
+    # [grid] key
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace("x_hi = 2.0", "x_hi = -3.0"))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 2
@@ -811,7 +853,8 @@ def test_a_refused_grid_gives_its_values(tmp_path, capsys):
                         + _sweep("reduce.xi_max", "10,-1", "reduce"))
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().err == (
-        "config error: grid needs x_lo < x_hi, got x_lo = 0.0, x_hi = -1.0\n")
+        "config error: sweep member reduce.xi_max=-1.0: "
+        "grid needs x_lo < x_hi, got x_lo = 0.0, x_hi = -1.0\n")
 
 
 @pytest.mark.parametrize("command, decay, extra", [
@@ -1435,6 +1478,15 @@ FINDING_CONFIGS = dict(FUZZ_CONFIGS, **{
         "family": "case4_homogeneous", "t_samples": "0.5"}},
     # a sweep of a key with no values
     "sweep": {**FUZZ_BASE, "sweep": {"section": "decay", "key": "kappa0"}},
+    # the uniform families and reduction under power-law decay and the decay
+    # table TABLE, and case III
+    **{f"{command} {name}": {**FUZZ_CONFIGS[command],
+                             "decay": _sections("[decay]\n" + decay)["decay"]}
+       for command in ("exact", "verify", "reduce")
+       for name, decay in (("power_law", POWER_LAW), ("tabulated", TABLE))},
+    "exact power_law case3_homogeneous": {
+        **FUZZ_BASE, "decay": _sections("[decay]\n" + POWER_LAW)["decay"],
+        "exact": {"family": "case3_homogeneous", "t_samples": "0.5"}},
 })
 # every schema key of the command's sections, one unknown key and one unknown
 # section
@@ -1471,17 +1523,24 @@ def _ini(sections):
 
 
 def _main_on(command, sections):
+    """main's exit code on the config sections, and the regular files it
+    left under its output directory, as sorted relative paths."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.ini")
         with open(cfg_path, "w") as f:
             f.write(_ini(sections))
-        return main([command, "--config", cfg_path, "--out", os.path.join(tmp, "o")])
+        out = os.path.join(tmp, "o")
+        code = main([command, "--config", cfg_path, "--out", out])
+        files = sorted(os.path.relpath(os.path.join(d, f), out)
+                       for d, _, names in os.walk(out) for f in names
+                       if os.path.isfile(os.path.join(d, f)))
+        return code, files
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=_mutated_config())
 def test_fuzzed_config_exits_with_a_contract_code(case):
-    assert _main_on(*case) in (0, 2, 3, 4)
+    assert _main_on(*case)[0] in (0, 2, 3, 4)
 
 
 # config findings: (base in FINDING_CONFIGS, section, key, value, exit code)
@@ -1532,7 +1591,16 @@ FINDINGS = [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end
     ("simulate", "limiter", "v_max", "1e308", 2),
     ("simulate wide", "grid", "x_hi", "1e308", 2),
     ("simulate noise", "run", "seed", "-1", 2), ("simulate", "run", "command", "exact", 2),
-    ("sweep", "sweep", "command", "simulate", 2)]
+    ("sweep", "sweep", "command", "simulate", 2),
+    ("lie", "grid", "n", "2", 2), ("lie", "grid", "n", "1000000000000", 2),
+    ("reduce", "grid", "n", "2", 2),
+    ("exact power_law", "exact", "t0", "-1", 2),
+    ("exact power_law case3_homogeneous", "exact", "t0", "-1", 2),
+    ("exact tabulated", "exact", "t_samples", "1,5", 2),
+    ("exact tabulated", "exact", "t0", "5", 2),
+    ("verify power_law", "verify", "t_samples", "0.0005", 2),
+    ("verify tabulated", "verify", "t_samples", "2.9995", 2),
+    ("reduce tabulated", "reduce", "t_end", "5", 2)]
 
 
 @pytest.mark.parametrize("command, section, key, value, code", FINDINGS)
@@ -1570,10 +1638,17 @@ def test_fuzz_findings_exit_with_a_contract_code(command, section, key, value, c
     # failure), an infinite h wrote a two-row table and exited 0, an
     # infinite t0 exited 3 with an array of times, a NaN self-similar C1
     # blamed a near-singular band and a NaN traveling alpha the march.  A
-    # [sweep] with no values key would run no member and exit 0
+    # [sweep] with no values key would run no member and exit 0.  A time
+    # outside the decay law's domain exited 3 as a numerical failure: t0 =
+    # -1 under power law (case I named a Gauss-Legendre node, t = -0.949),
+    # and a sample time, a verify stencil time, a t0 or a reduce end past a
+    # decay table.  lie and a reduction that reads no [grid] exited 0 with
+    # grid.n = 2 or 1e12.  A config error writes no file
     sections = {s: dict(body) for s, body in FINDING_CONFIGS[command].items()}
     sections.setdefault(section, {})[key] = value
-    assert _main_on(command.split()[0], sections) == code
+    got, files = _main_on(command.split()[0], sections)
+    assert got == code
+    assert code != 2 or files == [], files
 
 
 # the exit-2 findings that case2_travelling_tanh's own argument checks refuse
@@ -1648,7 +1723,7 @@ def test_travelling_wave_of_zero_width_exits_2():
     # window_lo = window_hi = y0 = 0 ended in ValueError (NaN node index)
     sections = {s: dict(body) for s, body in FINDING_CONFIGS["exact case2_travelling_tanh"].items()}
     sections["exact"].update(window_lo="0", window_hi="0")
-    assert _main_on("exact", sections) == 2
+    assert _main_on("exact", sections)[0] == 2
 
 
 def _run_capped(argv, address_space):
@@ -1708,7 +1783,7 @@ def test_numerical_failure_prints_one_stderr_line(tmp_path):
 @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
 def test_fuzz_base_config_runs(command):
     # the unmutated configs succeed, so a failure comes from a mutation
-    assert _main_on(command, FUZZ_CONFIGS[command]) == 0
+    assert _main_on(command, FUZZ_CONFIGS[command])[0] == 0
 
 
 # --- cold start: no command loads scipy

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,38 @@ def test_domain_errors_name_the_first_time_outside_on_one_line():
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "law, outside, message",
+    [
+        (ConstantDecay(0.5), np.nan, "decay time must not be NaN, got t=nan"),
+        (PowerLawDecay(0.5), -1.0, "power-law decay is defined for t > 0, got t=-1.0"),
+        (ExponentialDecay(0.5, 0.2), np.nan, "decay time must not be NaN, got t=nan"),
+        (TabulatedDecay((0.0, 1.5, 3.0), (0.5, 0.7, 0.6)), 5.0,
+         "t=5.0 outside tabulated range [0.0, 3.0]"),
+    ],
+    ids=["constant", "power_law", "exponential", "tabulated"],
+)
+def test_check_times_refuses_a_time_outside_the_domain_by_name(law, outside, message):
+    # the config door: a time inside the domain passes, as a float or an
+    # array; one outside is a ValidationError that names the time's key and
+    # then gives the law's own DomainError text
+    assert law.check_times(2.0, "t") is None
+    assert law.check_times(np.array([law.start, 2.0]), "t") is None
+    for times in (outside, np.array([2.0, outside])):
+        with pytest.raises(ValidationError) as info:
+            law.check_times(times, "exact.t0")
+        assert str(info.value) == f"exact.t0 is outside the decay law's domain: {message}"
+
+
+def test_check_times_does_not_warn_where_kappa_overflows():
+    # exp(1e300) overflows to inf, a value check_times does not use; a
+    # RuntimeWarning is an error under this suite's warning filters
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExponentialDecay(0.5, 1.0).check_times(1e300, "t")
+        ExponentialDecay(0.5, 1.0).check_times(np.array([0.0, 1e300]), "t")
 
 
 def test_tabulated_validation():
