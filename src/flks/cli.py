@@ -34,7 +34,8 @@ from .core import (
     PowerLawDecay,
     TabulatedDecay,
 )
-from .errors import EvaluationError, FlksError, IoError, ParseError, ValidationError
+from .errors import (DomainError, EvaluationError, FlksError, IoError, OverflowGuard,
+                     ParseError, ValidationError)
 from .limiters import limiter_from_config
 
 _BOOL = {"true": True, "false": False}
@@ -293,9 +294,18 @@ def _case3(cfg, params, e):
 
 
 def _case4(cfg, params, e):
-    sol = exact_solutions.case4_homogeneous(
-        params.decay.kappa0, params.decay.lam, params.tau, **_uniform_args(e, params.decay)
-    )
+    """Case IV's closed form.  Its Ei argument at t0, w(t0) = kappa0
+    e^(lambda t0)/(tau lambda), comes from config values alone, so one at
+    Ei's singularity (kappa0 = 0 with lambda != 0) or past its overflow guard
+    is a config error naming the keys."""
+    law, args = params.decay, _uniform_args(e, params.decay)
+    try:
+        sol = exact_solutions.case4_homogeneous(law.kappa0, law.lam, params.tau, **args)
+    except (DomainError, OverflowGuard) as exc:
+        raise ValidationError(
+            f"case IV's Ei argument w(t0) = kappa0 e^(lambda t0)/(tau lambda) at decay.kappa0 = "
+            f"{law.kappa0!r}, decay.lambda = {law.lam!r}, exact.t0 = {args['t0']!r}: {exc}"
+        ) from None
     return lambda: sol
 
 
@@ -865,15 +875,19 @@ def _write_set(outdir, files):
         raise
 
 
-def cmd_simulate(cfg, outdir=None):
+def _simulation(cfg):
+    """The checked (initial, params, config) of cfg's run."""
     params = build_model(cfg)
     grid = build_grid(cfg)
     config = pde_solver.SolverConfig(grid=grid, **cfg.sections["solver"])
     initial = build_initial(cfg, grid)
     pde_solver.check_run(initial, params, config)
-    if outdir is None:
-        return None
-    traj = pde_solver.run(initial, params, config)
+    return initial, params, config
+
+
+def _write_simulation(cfg, traj, outdir):
+    """Write cfg's trajectory set to outdir and return its summary; a
+    negative cell density is also said on stderr."""
     _write_set(outdir, _plotted("trajectory", traj, _meta_for(cfg), "trajectory"))
     # the largest drift over the whole ledger, relative to the initial mass
     # (absolute when that is zero)
@@ -886,6 +900,13 @@ def cmd_simulate(cfg, outdir=None):
         print(f"warning: negative cell density min_u={min_u:.6g}", file=sys.stderr)
         summary["min_u"] = min_u
     return summary
+
+
+def cmd_simulate(cfg, outdir=None):
+    simulation = _simulation(cfg)
+    if outdir is None:
+        return None
+    return _write_simulation(cfg, pde_solver.run(*simulation), outdir)
 
 
 def cmd_exact(cfg, outdir=None):
@@ -1034,10 +1055,25 @@ def cmd_sweep(cfg, outdir=None):
         subs.append(sub)
     if outdir is None:
         return None
+    # a simulate sweep over [decay], [initial] or [run] changes only what
+    # each member of a pde_solver.run_batch batch may have its own of, its
+    # decay law and initial state, so its members march together; once a
+    # batch fails, the rest march one by one, so the files, the failure and
+    # its message are those of a sweep that marches one member after another
+    marched = None
+    if base_command == "simulate" and section in ("decay", "initial", "run"):
+        marched = pde_solver.run_batch([_simulation(sub) for sub in subs])
     for sub, name in zip(subs, names):
         subdir = os.path.join(outdir, name)
         os.makedirs(subdir, exist_ok=True)
-        _COMMANDS[base_command](sub, subdir)
+        try:
+            traj = next(marched) if marched else None
+        except FlksError:
+            marched = traj = None
+        if traj is None:
+            _COMMANDS[base_command](sub, subdir)
+        else:
+            _write_simulation(sub, traj, subdir)
     return {"runs": len(subs)}
 
 

@@ -25,11 +25,18 @@ frame, never enforced.
 
 The operator is prepared once per (params, config): ``_Operator`` binds the
 constants and maps an (n+1, 2) array of u and v, node by node, to new
-arrays, filling the ghosts per evaluation.  ``run`` and ``step`` march one
-prepared operator, and ``reduced_systems`` takes the steady-state residual
-from one.  The periodic seam: periodic node n is node 0, so loading a state
-copies node 0 into node n and source terms are evaluated there at x_0;
-every stage then keeps node n bitwise equal to node 0.
+arrays, filling the ghosts per evaluation.  A batch of B members that share
+the grid, the solver config, the limiter, D and tau, each with its own decay
+law, is one (n+1, B, 2) array, node by node, then member: the ring holds
+2B entries per node, and each member's numbers are bit for bit those it
+has alone, at a fraction of the numpy calls per member.  There is one
+march: ``run_batch`` marches consecutive runs that share those as one
+batch, and ``run`` is its batch of one; ``step`` advances one prepared
+operator, and ``reduced_systems`` takes the steady-state residual, and
+its Jacobian's nine coloured perturbations as one batch, from one.  The
+periodic seam: periodic node n is node 0, so loading a state copies node 0
+into node n and source terms are evaluated there at x_0; every stage then
+keeps node n bitwise equal to node 0.
 """
 
 import math
@@ -110,37 +117,39 @@ def _reduction_levels(r, sigma):
     return gammas, scale
 
 
-def _ring_table(r_u, sigma_u, r_v, sigma_v, m):
-    """The cyclic-reduction table of a u row and a v row interleaved on a
-    ring of 2m entries: G[j] holds level j's gamma of u at the even entries
-    and of v at the odd ones, and scales holds each row's product of alpha.
-    The row with fewer levels has gamma = 0 on the rest.  A table depends on
-    both rows' (r, sigma) and on m alone.
+def _ring_table(rows, m):
+    """The cyclic-reduction table of a ring of m nodes that each hold one
+    entry per row of ``rows``, in order: G[j] holds level j's gamma of row e
+    at entries e, e + len(rows), e + 2 len(rows), ...  Each row is a gamma
+    list of ``_reduction_levels``; a row with fewer levels has gamma = 0 on
+    the rest.  Each entry's gamma is its own number, so every level is one
+    contiguous multiply.
     """
-    g_u, scale_u = _reduction_levels(r_u, sigma_u)
-    g_v, scale_v = _reduction_levels(r_v, sigma_v)
-    levels = max(len(g_u), len(g_v))
-    pairs = np.array((g_u + [0.0] * (levels - len(g_u)), g_v + [0.0] * (levels - len(g_v))))
-    G = np.repeat(pairs.T.reshape(levels, 1, 2), m, axis=1).reshape(levels, 2 * m)
+    levels = max(map(len, rows))
+    pattern = np.zeros((levels, 1, len(rows)))
+    for e, gammas in enumerate(rows):
+        pattern[:len(gammas), 0, e] = gammas
+    G = np.repeat(pattern, m, axis=1).reshape(levels, -1)
     G.flags.writeable = False
-    return G, (scale_u, scale_v)
+    return G
 
 
-def _cyclic_reduction(W, T, G):
-    """Solve a ring's two interleaved rows in place by parallel cyclic
-    reduction, up to each row's scale: W is (4m,) with the ring y in
-    W[:2m], u of node i at entry 2i and v at 2i + 1, and T is (2m,) work;
-    G is the ring's gamma table from ``_ring_table``.
+def _cyclic_reduction(W, T, G, width):
+    """Solve a ring's interleaved rows in place by parallel cyclic
+    reduction, up to each row's scale: W is (2M,) with the ring y in W[:M],
+    ``width`` entries per node (a state's u and v of each member: node i's
+    at entries i*width to (i+1)*width - 1), and T is (M,) work; G is the
+    ring's gamma table from ``_ring_table``.
 
-    Level j, at distance s = 2^j nodes (2s entries), replaces y by y +
-    G[j] (y_{i-s} + y_{i+s}) in four contiguous numpy calls.  Every node
-    does the same operations, with gamma >= 0, so the solve commutes bit
-    for bit with rolls and reflections of the ring and keeps nonnegative
-    data nonnegative.
+    Level j, at distance s = 2^j nodes (s*width entries), replaces y by y +
+    G[j] (y_{i-s} + y_{i+s}) in four contiguous numpy calls, whatever the
+    width.  Every node does the same operations, with gamma >= 0, so the
+    solve commutes bit for bit with rolls and reflections of the ring, keeps
+    nonnegative data nonnegative, and solves each row as it would alone.
     """
     M = T.size
     y = W[:M]
-    s = 2  # the level's distance in entries
+    s = width  # the level's distance in entries
     for gamma in G:
         # W is y twice over, so its windows at M -/+ k are y rolled by +/- k
         W[M:] = y
@@ -149,6 +158,19 @@ def _cyclic_reduction(W, T, G):
         np.multiply(T, gamma, out=T)
         np.add(y, T, out=y)
         s *= 2
+
+
+def _row_key(t, h, shift, coupling):
+    """The key (r, sigma, diag) of the implicit row (shift + 2c) x_i -
+    c (x_{i-1} + x_{i+1}), c = h coupling, scaled by its diagonal;
+    StepSizeError when the row is not diagonally dominant."""
+    c = h * coupling
+    diag = shift + 2.0 * c
+    sigma = shift / diag
+    if not (shift > 0.0 and sigma > 0.0):
+        raise StepSizeError(
+            f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
+    return c / diag, sigma, diag
 
 
 # ARS(2,2,2): both implicit stages have the diagonal weight _GAMMA; the
@@ -161,15 +183,24 @@ class _Operator:
     """The semi-discrete operator of one (params, config) pair, prepared once.
 
     A state is an (n+1, 2) array, node by node: row k holds u and v of node
-    k.  ``load`` sets the state ``X``; a periodic node n takes node 0's
-    values, and periodic sources see x_0 at node n, so node n stays bitwise
-    equal to node 0 through every stage.  ``rhs`` returns (u_t, v_t) of a
-    state, ``explicit`` only its explicit part, and ``solve`` inverts the
-    implicit part; each returns a new array and writes into none it was
-    given.  ``advance`` replaces X by one ARS(2,2,2) step.
+    k.  Given ``decays``, one decay law per member, the operator marches a
+    batch of B members that share the grid, the solver config, the limiter,
+    D and tau: its state is an (n+1, B, 2) array, node by node, then member,
+    then (u, v), and member b decays under decays[b].  ``load`` sets the
+    state ``X``; a periodic node n takes node 0's values, and periodic
+    sources see x_0 at node n, so node n stays bitwise equal to node 0
+    through every stage.  ``rhs`` returns (u_t, v_t) of a state, ``explicit``
+    only its explicit part, and ``solve`` inverts the implicit part; each
+    returns a new array and writes into none it was given.  ``rhs`` and
+    ``explicit`` also take an (n+1, B, 2) batch under the one law of an
+    operator without ``decays`` (the steady Jacobian's nine colours).
+    ``advance`` replaces X by one ARS(2,2,2) step.  Every member's numbers
+    are bit for bit those of the member marched alone: only the ghost fill,
+    the face fluxes and the divergence take the batch axis, each member's
+    constants are contiguous arrays, and the ring holds each member's rows.
     """
 
-    def __init__(self, params, config):
+    def __init__(self, params, config, decays=None):
         n = config.grid.n
         self.n = n
         self.dx = dx = config.grid.dx
@@ -178,12 +209,16 @@ class _Operator:
         self.tau = params.tau
         self.F = params.limiter.F
         self.bounded = params.limiter.bounded is True
-        self.kappa = params.decay.kappa
+        self.decays = (params.decay,) if decays is None else tuple(decays)
+        self.batch = () if decays is None else (len(self.decays),)
         self.periodic = config.bc == "periodic"
-        self.widths = cell_widths(n, dx, config.bc)
+        # the cell widths per batch shape, each member's a contiguous copy:
+        # a broadcast column costs 3x the divide
+        self.widths = {(): cell_widths(n, dx, config.bc)}
         self.source_u = config.source_u
         self.source_v = config.source_v
-        if self.source_u is not None or self.source_v is not None:
+        self.sourced = self.source_u is not None or self.source_v is not None
+        if self.sourced:
             self.x = config.grid.nodes()
             if self.periodic:
                 self.x[-1] = self.x[0]
@@ -194,14 +229,21 @@ class _Operator:
         self.m = n if self.periodic else 2 * n
         # the implicit coupling per unit step: D/dx^2 for u, 1/(tau dx^2) for v
         self.coupling = (self.D / self.dx2, 1.0 / (self.tau * self.dx2))
-        self.table = (None, None)  # the last ring table's key and the table
-        self.scale = np.empty(2 * n if self.periodic else 2 * n + 2)  # set with the table
+        # the keys of the u row and of each member's v row, their gammas and
+        # scales, and the ring table and scale row built from them
+        self.keys = [None] * (1 + len(self.decays))
+        self.rows = [None] * (1 + len(self.decays))
+        self.table = None
+        self.width = 2 * len(self.decays)  # the ring's entries per node
+        self.scale = np.empty(self.width * (n if self.periodic else n + 1))
 
     def load(self, u, v):
-        """Set the state to (u, v); a periodic node n takes node 0's values."""
-        if np.shape(u) != (self.n + 1,) or np.shape(v) != (self.n + 1,):
+        """Set the state to (u, v), each (n+1,), or (n+1, B) for a batch; a
+        periodic node n takes node 0's values."""
+        shape = (self.n + 1,) + self.batch
+        if np.shape(u) != shape or np.shape(v) != shape:
             raise ValidationError("state does not match the grid")
-        self.X = np.stack((u, v), axis=1, dtype=float)
+        self.X = np.stack((u, v), axis=-1, dtype=float)
         if self.periodic:
             self.X[-1] = self.X[0]
 
@@ -212,7 +254,7 @@ class _Operator:
     def _ghosted(self, w):
         """Nodes 0..n of w with one ghost node each side, wrapped when
         periodic, mirrored for Neumann."""
-        g = np.empty(self.n + 3)
+        g = np.empty((self.n + 3,) + w.shape[1:])
         g[1:-1] = w
         g[0], g[-1] = w[self.ghosts[0]], w[self.ghosts[1]]
         return g
@@ -221,17 +263,22 @@ class _Operator:
         """(flux_{i+1/2} - flux_{i-1/2}) / width_i at nodes 0..n, given the
         fluxes on the n inner faces; the boundary faces carry the wrapped
         fluxes, or none (Neumann)."""
-        faces = np.zeros(self.n + 2)
+        batch = flux.shape[1:]
+        faces = np.zeros((self.n + 2,) + batch)
         faces[1:-1] = flux
         if self.periodic:
             faces[0], faces[-1] = flux[-1], flux[0]
-        return (faces[1:] - faces[:-1]) / self.widths
+        widths = self.widths.get(batch)
+        if widths is None:
+            widths = np.repeat(self.widths[()], math.prod(batch)).reshape((self.n + 1,) + batch)
+            self.widths[batch] = widths
+        return (faces[1:] - faces[:-1]) / widths
 
     def _flux(self, X):
         """The chemotactic fluxes u F(v_x) on the n inner faces, u taken by
         Fromm reconstruction biased to the donor by the flux sign: u_i + q_i
         or u_{i+1} - q_{i+1}, with q_k = (u_{k+1} - u_{k-1})/4."""
-        u, v = X[:, 0], X[:, 1]
+        u, v = X[..., 0], X[..., 1]
         Fv = self.F((v[1:] - v[:-1]) / self.dx)
         U = self._ghosted(u)
         q = 0.25 * (U[2:] - U[:-2])
@@ -240,76 +287,86 @@ class _Operator:
         return face_u * Fv
 
     def _add_sources(self, t, R):
+        # every member of a batch sees the same sources; R is C-contiguous,
+        # so its (node, member, field) view is R itself
+        R = R.reshape(self.n + 1, -1, 2)
         if self.source_u is not None:
-            R[:, 0] += self.source_u(self.x, t)
+            R[..., 0] += np.reshape(self.source_u(self.x, t), (-1, 1))
         if self.source_v is not None:
-            R[:, 1] += self.source_v(self.x, t) / self.tau
-        return R
+            R[..., 1] += np.reshape(self.source_v(self.x, t), (-1, 1)) / self.tau
 
     def rhs(self, X, t):
         """The right-hand side (u_t, v_t) of state X at time t."""
-        u, v = X[:, 0], X[:, 1]
-        R = np.empty_like(X)
+        u, v = X[..., 0], X[..., 1]
+        R = np.empty(X.shape)
         G = self.D * (u[1:] - u[:-1]) / self.dx
-        np.subtract(self._divergence(G), self._divergence(self._flux(X)), out=R[:, 0])
+        np.subtract(self._divergence(G), self._divergence(self._flux(X)), out=R[..., 0])
         V = self._ghosted(v)
         v_xx = ((V[2:] - 2.0 * v) + V[:-2]) / self.dx2
         if not self.periodic:
             # the mirrored three-point form rounds differently from 2(v1 - v0)
             v_xx[0] = 2.0 * (v[1] - v[0]) / self.dx2
             v_xx[-1] = 2.0 * (v[-2] - v[-1]) / self.dx2
-        np.divide(v_xx - self.kappa(t) * v + u, self.tau, out=R[:, 1])
-        return self._add_sources(t, R)
+        kappa = [decay.kappa(t) for decay in self.decays]
+        kappa = kappa[0] if len(kappa) == 1 else np.array(kappa)
+        np.divide(v_xx - kappa * v + u, self.tau, out=R[..., 1])
+        if self.sourced:
+            self._add_sources(t, R)
+        return R
 
     def explicit(self, X, t):
         """The explicit part of the right-hand side of state X at time t:
         -(u F(v_x))_x + S_u and (u + S_v)/tau."""
-        E = np.empty_like(X)
-        np.negative(self._divergence(self._flux(X)), out=E[:, 0])
-        np.divide(X[:, 0], self.tau, out=E[:, 1])
-        return self._add_sources(t, E)
+        E = np.empty(X.shape)
+        np.negative(self._divergence(self._flux(X)), out=E[..., 0])
+        np.divide(X[..., 0], self.tau, out=E[..., 1])
+        if self.sourced:
+            self._add_sources(t, E)
+        return E
 
     def solve(self, t, h, b):
-        """The X with X - h L(t) X = b, both (n+1, 2) node arrays, where
-        L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
+        """The X with X - h L(t) X = b, both states of the operator's shape,
+        where L(t) is the implicit part: D u_xx and (v_xx - kappa(t) v)/tau.
 
-        Both columns are solved by one ``_cyclic_reduction`` on a ring of
-        the n periodic nodes, or of the 2n-node even extension for Neumann:
-        b's node order is the ring's, so b is copied in whole (and mirrored),
-        and X is written through one scale row of each column's 1/diag times
-        the product of its levels' alpha.  So the solution commutes bit for
-        bit with rolls and reflections of b, and column k of X depends on
-        column k of b alone.  The table and scale row depend on h, and
-        through v on kappa(t), alone; the operator keeps the last ones, so a
-        constant-decay march derives them once per step size (both stages
-        of a step share h) and a time-varying kappa once per stage.  Raises
-        StepSizeError when a column is not diagonally dominant (1 + h
-        kappa/tau <= 0 under negative decay).
+        Every row, u and v of each member, is solved by one
+        ``_cyclic_reduction`` on a ring of the n periodic nodes, or of the
+        2n-node even extension for Neumann: b's node order is the ring's, so
+        b is copied in whole (and mirrored), and X is written through one
+        scale row of each row's 1/diag times the product of its levels'
+        alpha.  So the solution commutes bit for bit with rolls and
+        reflections of b, and each row of X depends on that row of b alone.
+        Each row's levels are derived on their own: the u row's depend on h
+        alone, and each member's v row's on h and its kappa(t).  The
+        operator keeps the last ones and rebuilds the table only when one
+        changes, so a constant-decay march derives them once per step size
+        (both stages of a step share h) and a time-varying kappa only the v
+        rows, once per stage.  Raises StepSizeError when a row is not
+        diagonally dominant (1 + h kappa/tau <= 0 under negative decay).
         """
         n, m = self.n, self.m
-        shifts = (1.0, 1.0 + h * float(self.kappa(t)) / self.tau)
-        key = []
-        for shift, coupling in zip(shifts, self.coupling):
-            c = h * coupling
-            diag = shift + 2.0 * c
-            sigma = shift / diag
-            if not (shift > 0.0 and sigma > 0.0):
-                raise StepSizeError(
-                    f"the implicit stage at t={t:g} with h={h:.3e} is not diagonally dominant")
-            key.append((c / diag, sigma, diag))
-        if key != self.table[0]:
-            (r_u, sigma_u, diag_u), (r_v, sigma_v, diag_v) = key
-            G, (scale_u, scale_v) = _ring_table(r_u, sigma_u, r_v, sigma_v, m)
-            self.table = key, G
-            self.scale[0::2], self.scale[1::2] = scale_u / diag_u, scale_v / diag_v
-        W, T = np.empty(4 * m), np.empty(2 * m)
-        ring = W[:2 * m].reshape(m, 2)
+        keys = [_row_key(t, h, 1.0, self.coupling[0])]
+        for decay in self.decays:
+            shift = 1.0 + h * float(decay.kappa(t)) / self.tau
+            keys.append(_row_key(t, h, shift, self.coupling[1]))
+        if keys != self.keys:
+            for k, key in enumerate(keys):
+                if key != self.keys[k]:
+                    gammas, scale = _reduction_levels(*key[:2])
+                    self.rows[k] = gammas, scale / key[2]
+            self.keys = keys
+            (g_u, s_u), *v_rows = self.rows
+            self.table = _ring_table([g for g_v, _ in v_rows for g in (g_u, g_v)], m)
+            for e, (_, s_v) in enumerate(v_rows):
+                self.scale[2 * e::self.width], self.scale[2 * e + 1::self.width] = s_u, s_v
+        M = self.width * m
+        W = np.empty(2 * M)
+        ring = W[:M].reshape((m,) + b.shape[1:])
         if self.periodic:
             ring[:] = b[:-1]
         else:
             ring[:n + 1] = b
             ring[n + 1:] = ring[n - 1:0:-1]
-        _cyclic_reduction(W, T, self.table[1])
+        _cyclic_reduction(W, np.empty(M), self.table, self.width)
         X, scale = np.empty(b.shape), self.scale
         np.multiply(W[:scale.size], scale, out=X.reshape(-1)[:scale.size])
         if self.periodic:
@@ -324,12 +381,12 @@ class _Operator:
         + (1 - _GAMMA) dt L Y, with dt L Y = (Y - X - h E(X))/_GAMMA.  E and
         L are the explicit and implicit parts, taken at the stage times
         t, t + h and t + dt.  Under an unbounded limiter a step with
-        dt max|F(v_x)| > dx/2 on X, past the positivity CFL that
-        ``stable_dt`` assumes, raises CFLViolation.
+        dt max|F(v_x)| > dx/2 on X (over every member of a batch), past the
+        positivity CFL that ``stable_dt`` assumes, raises CFLViolation.
         """
         X = self.X
         if not self.bounded:
-            speed = float(np.max(np.abs(self.F((X[1:, 1] - X[:-1, 1]) / self.dx))))
+            speed = float(np.max(np.abs(self.F((X[1:, ..., 1] - X[:-1, ..., 1]) / self.dx))))
             if not dt * speed <= 0.5 * self.dx:
                 raise CFLViolation(
                     f"the flux speed {speed:.3g} carries u {dt * speed / self.dx:.3g} cells "
@@ -393,10 +450,11 @@ def total_mass(u, grid, bc):
 
 
 def check_run(initial, params, config):
-    """The step dt of ``run(initial, params, config)``, checked before anything
-    is allocated: a state off the grid, a t_end before the initial time or out
-    of the decay law's domain (``DecayLaw.check_times``), or more than
-    MAX_STEPS steps or recorded values (frames times nodes) raises ValidationError."""
+    """The step dt of ``run(initial, params, config)`` and the frames it
+    records, checked before anything is allocated: a state off the grid, a
+    t_end before the initial time or out of the decay law's domain
+    (``DecayLaw.check_times``), or more than MAX_STEPS steps or recorded
+    values (frames times nodes) raises ValidationError."""
     if initial.u.size != config.grid.n + 1:
         raise ValidationError("initial state does not match the grid")
     if config.t_end < initial.t:
@@ -413,7 +471,7 @@ def check_run(initial, params, config):
     if frames * (config.grid.n + 1) > MAX_STEPS:
         raise ValidationError(f"the run to t_end={t_end:g} records {frames} frames of "
                               f"{config.grid.n + 1} nodes, more than {MAX_STEPS} values")
-    return dt_max
+    return dt_max, frames
 
 
 def run(initial, params, config):
@@ -427,24 +485,73 @@ def run(initial, params, config):
     run first; a non-finite state raises InvalidState with the failing time,
     and a step past the positivity CFL under an unbounded limiter raises
     CFLViolation (``_Operator.advance``).  The metadata records the step dt.
+    The run is ``run_batch``'s batch of one.
     """
-    dt_max = check_run(initial, params, config)
-    t, t_end = initial.t, float(config.t_end)
-    op = _Operator(params, config)
-    op.load(initial.u, initial.v)
+    return next(run_batch([(initial, params, config)]))
+
+
+def _shared(member):
+    """What the members of one batch share: the config, the limiter, D, tau
+    and the initial time."""
+    initial, params, config = member
+    return config, params.limiter, params.D, params.tau, initial.t
+
+
+def run_batch(members):
+    """``run`` of each (initial, params, config) of ``members``: a generator
+    of their trajectories in order, each bit for bit its member's marched
+    alone.
+
+    ``check_run`` refuses a bad member before any marches.  Consecutive
+    members that share the config, the limiter, D, tau and the initial time
+    march together as one batch, each under its own decay law and from its
+    own initial state, of at most MAX_STEPS recorded values in all (members
+    times frames times nodes), so a batch holds no more frames than one run
+    may; a longer run of such members splits into batches.  A batch is
+    marched when its first trajectory is asked for.  A failure raises from
+    the batch and yields none of its members: it is the batch's first in
+    time, which need not be its first member's, so a caller that needs
+    each member's own outcome marches the rest with ``run``.
+    """
+    members = list(members)
+    checked = [check_run(*member) for member in members]
+    start = 0
+    while start < len(members):
+        dt_max, frames = checked[start]
+        size = MAX_STEPS // (frames * (members[start][2].grid.n + 1))
+        end = start + 1
+        while (end < len(members) and end - start < size
+               and _shared(members[end]) == _shared(members[start])):
+            end += 1
+        yield from _march(members[start:end], dt_max)
+        start = end
+
+
+def _march(members, dt_max):
+    """The trajectories of one ``run_batch`` batch, in order: one
+    ``_Operator`` marches the members' (n+1, B, 2) state, or the (n+1, 2)
+    state of a batch of one."""
+    initial, params, config = members[0]
+    if len(members) > 1:
+        op = _Operator(params, config, [p.decay for _, p, _ in members])
+        op.load(np.stack([i.u for i, _, _ in members], axis=1),
+                np.stack([i.v for i, _, _ in members], axis=1))
+    else:
+        op = _Operator(params, config)
+        op.load(initial.u, initial.v)
+    n, t, t_end = config.grid.n, initial.t, float(config.t_end)
 
     if t < t_end - 1e-14 and not op.finite():
         raise InvalidState(f"non-finite state at t={t:g}")
-    times, us, vs, mass, min_u = [], [], [], [], []
+    # each frame's state as (node, member, field), and each member's min_u
+    times, states, min_u = [], [], []
 
     def record(low):
         times.append(t)
-        us.append(op.X[:, 0])
-        vs.append(op.X[:, 1])
-        mass.append(total_mass(us[-1], config.grid, config.bc))
+        states.append(op.X.reshape(n + 1, -1, 2))
         min_u.append(low)
 
-    record(float(np.min(op.X[:, 0])))
+    record(op.X[..., 0].min(axis=0))
     low = np.inf  # the minimum of u over the steps since the last frame
     steps = 0
     while t < t_end - 1e-14:
@@ -454,24 +561,29 @@ def run(initial, params, config):
         if not op.finite():
             raise InvalidState(f"solution lost finiteness during the step to t={t:g}")
         steps += 1
-        low = min(low, float(np.min(op.X[:, 0])))
+        low = np.minimum(low, op.X[..., 0].min(axis=0))
         if steps % config.output_stride == 0 or t >= t_end - 1e-14:
             record(low)
             low = np.inf
-    return Trajectory(
-        grid=config.grid,
-        bc=config.bc,
-        times=np.asarray(times),
-        us=np.asarray(us),
-        vs=np.asarray(vs),
-        mass=np.asarray(mass),
-        min_u=np.asarray(min_u),
-        steps_taken=steps,
-        metadata={
-            "bc": config.bc,
-            "cfl_safety": config.cfl_safety,
-            "dt": dt_max,
-            "note": "zero-flux boundaries unless periodic; boundary choice is "
-            "a solver convention recorded here",
-        },
-    )
+    min_u = np.asarray(min_u).reshape(len(times), -1)
+    trajectories = []
+    for b in range(len(members)):
+        u = [X[:, b, 0] for X in states]
+        trajectories.append(Trajectory(
+            grid=config.grid,
+            bc=config.bc,
+            times=np.asarray(times),
+            us=np.asarray(u),
+            vs=np.asarray([X[:, b, 1] for X in states]),
+            mass=np.asarray([total_mass(frame, config.grid, config.bc) for frame in u]),
+            min_u=min_u[:, b].copy(),
+            steps_taken=steps,
+            metadata={
+                "bc": config.bc,
+                "cfl_safety": config.cfl_safety,
+                "dt": dt_max,
+                "note": "zero-flux boundaries unless periodic; boundary choice is "
+                "a solver convention recorded here",
+            },
+        ))
+    return trajectories

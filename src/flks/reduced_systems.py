@@ -96,10 +96,10 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     direction of the u-equation, and row 0 pins the trapezoid mass of the
     initial guess.  The Newton vector is node-ordered, (u_0, v_0, u_1, v_1,
     ...), like the band rows.  The Jacobian is a forward difference coloured
-    by its nine-wide band (nine residual calls per Newton step at any n, see
-    ``_fd_jacobian``) with the whole mass row as a border, and each step is
-    one ``banded.band_solver`` solve; a halving line search keeps the defect
-    monotone.  The solve stops when the defect is below ``tol`` or below the
+    by its nine-wide band (one residual call on the batch of nine colours
+    per Newton step at any n, see ``_fd_jacobian``) with the whole mass row
+    as a border, and each step is one ``banded.band_solver`` solve; a
+    halving line search keeps the defect monotone.  The solve stops when the defect is below ``tol`` or below the
     rows' round-off floor, eps times the largest row sum of |J_ij z_j|; the
     rows scale like 1/dx^2, so on fine grids (n >= 1024 on [0, 4]) the floor
     is the larger.  ``iterations``, in the
@@ -130,10 +130,14 @@ def solve_steady_state(problem, n=128, tol=1e-10, max_iter=60):
     op = _Operator(params, config)
 
     def residual(z):
-        R = op.rhs(z.reshape(n + 1, 2), 0.0)
+        # the Newton vector's rows, or the rows but the mass row of each
+        # member of an (n+1, B, 2) batch of them (_fd_jacobian's colours)
+        R = op.rhs(z.reshape(n + 1, 2) if z.ndim == 1 else z, 0.0)
+        R[..., 1] *= params.tau
+        if z.ndim > 1:
+            return R
         # a contiguous u: BLAS sums a strided one in another order
         R[0, 0] = float(np.dot(w, z[0::2].copy())) - mass_target
-        R[:, 1] *= params.tau
         return R.ravel()
 
     z = np.stack((u, v), axis=1).ravel()
@@ -183,23 +187,26 @@ def _fd_jacobian(residual, z, R0, mass_row):
     Node by node, the u-row of node i reads u_(i-2..i+2) and v_(i-1..i+1)
     (the Fromm face reconstruction) and the v-row u_i and v_(i-1..i+1), so
     row p reads only entries p-4..p+4 and columns nine apart never share a
-    row: every ninth column is perturbed in one residual call, nine calls in
-    all (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974), and each band
-    entry is the single-column forward difference.  ``mass_row`` holds the
-    trapezoid weights of the linear mass row (row 0), which is not
-    differenced: its band row is zero and the whole row, in node order, is
-    the border.  Returns (rows, border) for ``band_solver(rows, 4, border)``.
+    row: every ninth column is perturbed in one colour (Curtis, Powell &
+    Reid, J. Inst. Math. Appl. 13, 1974), and each band entry is the
+    single-column forward difference.  The nine colours are one batch, an
+    (n+1, 9, 2) state whose member c is z with colour c perturbed, and
+    ``residual`` takes them in one call (one ``_Operator.rhs``); each
+    member's rows are bit for bit those of its own call.  ``mass_row``
+    holds the trapezoid weights of the linear mass row (row 0), which is
+    not differenced: its band row is zero and the whole row, in node
+    order, is the border.  Returns (rows, border) for
+    ``band_solver(rows, 4, border)``.
     """
     scale = 1e-7 * max(1.0, float(np.max(np.abs(z))))
     p = np.arange(z.size)
-    rows = np.zeros((z.size, 9))
-    for colour in range(9):
-        zp = z.copy()
-        zp[colour::9] += scale
-        # row p's one perturbed column among p-4..p+4, at band entry k
-        k = (colour - p + 4) % 9
-        ok = (p + k >= 4) & (p + k - 4 < z.size)
-        rows[p[ok], k[ok]] = ((residual(zp) - R0) / scale)[ok]
+    Z = np.repeat(z.reshape(-1, 1, 2), 9, axis=1)
+    Z[p // 2, p % 9, p % 2] += scale
+    D = (residual(Z) - R0.reshape(-1, 1, 2)) / scale
+    # row p's column p + k - 4 among p-4..p+4 has colour (p + k - 4) % 9
+    k = np.arange(9)
+    rows = D[(p // 2)[:, None], (p[:, None] + k - 4) % 9, (p % 2)[:, None]]
+    rows[(p[:, None] + k < 4) | (p[:, None] + k - 4 >= z.size)] = 0.0
     rows[0] = 0.0
     border = np.zeros(z.size)
     border[::2] = mass_row

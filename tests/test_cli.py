@@ -501,12 +501,12 @@ def _sweep(target, values, command="simulate"):
 def _sweep_config(command, target, values):
     """A config that sweeps target over values under the first word of
     command, from MINIMAL with a Gaussian initial state.  A word after the
-    command swaps in the decay table TABLE ("tabulated"), power-law decay or
-    the tanh-log limiter; any other word is the [reduce] kind or the [exact]
-    family."""
+    command swaps in the decay table TABLE ("tabulated"), power-law or
+    exponential decay or the tanh-log limiter; any other word is the
+    [reduce] kind or the [exact] family."""
     command, *words = command.split()
     swaps = {"tabulated": (CONSTANT, TABLE), "power_law": (CONSTANT, POWER_LAW),
-             "tanh_log": (TANH, TANH_LOG)}
+             "exponential": (CONSTANT, EXPONENTIAL), "tanh_log": (TANH, TANH_LOG)}
     text = MINIMAL.replace("kind = uniform", "kind = gaussian")
     for w in words:
         if w in swaps:
@@ -563,7 +563,7 @@ def _sweep_config(command, target, values):
                      "[exact]\nfamily = case4_homogeneous\nt_samples = 1,10000\n", [], 3,
                      id="exact-case4-overflows-at-a-late-sample"),
         pytest.param("exact", EXPONENTIAL, "[exact]\nfamily = case4_homogeneous\n",
-                     ["exact.t0=5000"], 3, id="exact-case4-overflows-at-t0"),
+                     ["exact.t0=5000"], 2, id="exact-case4-overflows-at-t0"),
         pytest.param("verify", EXPONENTIAL, "[verify]\nfamily = case4_homogeneous\n",
                      ["verify.t_samples=4000"], 3, id="verify-case4-overflows"),
         pytest.param("exact", POWER_LAW,
@@ -583,10 +583,12 @@ def test_config_exit_codes(tmp_path, capsys, command, decay, extra, overrides, c
     # The cell-free front runs under any decay law, a sweep may target a
     # section the config leaves out, and a run starts where its decay law
     # does (t = 1 under power law, the first knot of a table).  A closed
-    # form that overflows double precision is a numerical failure with its
-    # one diagnostic line.  A time outside the decay law's domain is a config
-    # error, refused before any work: a sample time, a verify stencil time
-    # or a run horizon past the end of a decay table.
+    # form that overflows double precision at a sample is a numerical
+    # failure with its one diagnostic line; case IV's Ei argument at t0,
+    # which config values alone set, is a config error.  A time outside the
+    # decay law's domain is a config error, refused before any work: a
+    # sample time, a verify stencil time or a run horizon past the end of a
+    # decay table.
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL.replace(CONSTANT, decay) + extra)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -814,16 +816,148 @@ def test_sweep_refuses_a_bad_member_before_any_runs(tmp_path, capsys, command, t
 @pytest.mark.parametrize("command, target, values, name", [
     ("simulate", "grid.n", "32,4", "grid.n=4"),
     ("reduce self_similar power_law tanh_log", "reduce.n", "200,4", "reduce.n=4"),
-    ("exact power_law case3_homogeneous", "exact.t0", "1,-1", "exact.t0=-1.0")])
+    ("exact power_law case3_homogeneous", "exact.t0", "1,-1", "exact.t0=-1.0"),
+    ("exact exponential case4_homogeneous", "exact.t0", "1,5000", "exact.t0=5000.0"),
+    ("exact exponential case4_homogeneous", "decay.kappa0", "0.5,0", "decay.kappa0=0.0")])
 def test_a_refused_sweep_member_is_named(tmp_path, capsys, command, target, values, name):
     # a member refused in its command's check phase is named by its
-    # subdirectory on the one stderr line: a grid, the self-similar grid, and
-    # a case III t0 outside the power law's domain
+    # subdirectory on the one stderr line: a grid, the self-similar grid, a
+    # case III t0 outside the power law's domain, and case IV's Ei argument
+    # at t0 past its overflow guard or at its singularity
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(_sweep_config(command, target, values))
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: sweep member {name}: ") and err.count("\n") == 1, err
+
+
+def _sequential_sweep(cfg, outdir=None):
+    """The sweep as it ran before its members marched together: its check
+    phase, then each member's cmd_simulate, one after another."""
+    cli.cmd_sweep(cfg)
+    if outdir is None:
+        return None
+    s = cfg.sections["sweep"]
+    for value in s["values"]:
+        value = _convert(s["section"], s["key"], _format_value(value))
+        sub = cli.RunConfig("simulate", {sec: dict(body) for sec, body in cfg.sections.items()})
+        sub.sections.setdefault(s["section"], {})[s["key"]] = value
+        subdir = os.path.join(str(outdir), f"{s['section']}.{s['key']}={value!r}")
+        os.makedirs(subdir, exist_ok=True)
+        cli.cmd_simulate(sub, subdir)
+    return {"runs": len(s["values"])}
+
+
+def _sweep_outcome(capsys, cfg_path, out):
+    """main's exit code, stdout and stderr for a sweep, and every path under
+    out with the bytes of each file."""
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    files = {}
+    for path in _listing(out):
+        full = os.path.join(out, path)
+        if os.path.isfile(full):
+            with open(full, "rb") as f:
+                files[path] = f.read()
+        else:
+            files[path] = None
+    return code, captured.out, captured.err, files
+
+
+def _against_sequential(tmp_path, capsys, monkeypatch, text):
+    """The sweep's outcome, once it is asserted equal to the sequential one."""
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    batched = _sweep_outcome(capsys, cfg_path, tmp_path / "batched")
+    with monkeypatch.context() as m:
+        m.setitem(cli._COMMANDS, "sweep", _sequential_sweep)
+        sequential = _sweep_outcome(capsys, cfg_path, tmp_path / "sequential")
+    assert batched == sequential
+    return batched
+
+
+WEBER_FECHNER = "kind = weber_fechner_log\nv_max = 1.0\ns0 = 0.05"
+
+
+@pytest.mark.parametrize("swaps, target, values, code", [
+    ((), "decay.kappa0", "0.4,0.6", 0),
+    ((("[solver]", "[solver]\nbc = periodic"),), "decay.kappa0", "0.3,0.5,0.7", 0),
+    (((CONSTANT, EXPONENTIAL),), "decay.lambda", "0.1,-0.3", 0),
+    (((CONSTANT, EXPONENTIAL), ("[solver]", "[solver]\nbc = periodic")),
+     "decay.lambda", "0.1,0.2,-0.3", 0),
+    ((), "initial.amplitude", "0.5,1.5", 0),
+    ((), "initial.amplitude", "0.5,1.5,-0.2", 0),
+    ((("kind = gaussian", "kind = noise\nnoise = 0.1"),), "run.seed", "1,2,3", 0),
+    # the second member's march loses finiteness (InvalidState)
+    ((), "initial.amplitude", "1,1e308,2", 3),
+    # the second member's implicit stage under kappa0 = -1000 (StepSizeError)
+    (((CONSTANT, CONSTANT + "\nallow_negative = true"),), "decay.kappa0", "0.5,-1000,0.7", 3),
+    # past the positivity CFL (CFLViolation): the second member at t = 0.35,
+    # the third already at t = 0.05, so the batch fails first on the third
+    (((TANH, WEBER_FECHNER), ("D = 0.8", "D = 0.1"), ("x_lo = -2.0\nx_hi = 2.0\nn = 32",
+      "x_lo = -4.0\nx_hi = 4.0\nn = 64"), ("[initial]", "[initial]\nwidth = 0.3")),
+     "initial.amplitude", "0.05,0.1,1", 3),
+], ids=["kappa0", "kappa0-periodic", "lambda", "lambda-periodic", "amplitude", "amplitude-3",
+        "seed", "invalid-state", "step-size", "cfl"])
+def test_a_batched_sweep_is_a_sequential_sweep(tmp_path, capsys, monkeypatch, swaps, target,
+                                               values, code):
+    # a simulate sweep over [decay], [initial] or [run] marches its members
+    # together: the files, their bytes, the exit code, stdout and stderr are
+    # those of each member's cmd_simulate one after another.  When a member
+    # fails, the members before it are complete and the ones after it absent
+    text = _sweep_config("simulate", target, values).replace("t_end = 0.05", "t_end = 0.5")
+    for old, new in swaps:
+        assert old in text
+        text = text.replace(old, new)
+    got, _, err, files = _against_sequential(tmp_path, capsys, monkeypatch, text)
+    assert got == code
+    names = [f"{target}={_convert(*target.split('.'), v)!r}" for v in values.split(",")]
+    done = names if code == 0 else names[:1]
+    assert [n for n in files if "/" not in n] == sorted(
+        done + ([names[1], "failure_report.json"] if code else []))
+    for name in done:
+        assert files[f"{name}/trajectory.csv"] and files[f"{name}/plot_trajectory.py"]
+    assert code == 0 or err.startswith("numerical failure:")
+
+
+def _counted_operators(monkeypatch):
+    """The batch shape of every _Operator prepared from now on."""
+    made = []
+
+    class Counted(pde_solver._Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.batch)
+
+    monkeypatch.setattr(pde_solver, "_Operator", Counted)
+    return made
+
+
+def test_the_bench_sweep_prepares_one_operator(tmp_path, capsys, monkeypatch):
+    # pde_march's sweep: two decay rates of the fig-1 model at n = 128
+    text = (MINIMAL.replace("x_lo = -2.0\nx_hi = 2.0\nn = 32", "x_lo = -4.0\nx_hi = 4.0\nn = 128")
+            .replace("t_end = 0.05\noutput_stride = 10", "t_end = 0.15\noutput_stride = 1000")
+            .replace("kind = uniform", "kind = gaussian\nwidth = 0.6")
+            + _sweep("decay.kappa0", "0.4,0.7"))
+    made = _counted_operators(monkeypatch)
+    assert _against_sequential(tmp_path, capsys, monkeypatch, text)[0] == 0
+    assert made[0] == (2,) and len(made) == 3  # then the two members one by one
+
+
+def test_a_sweep_group_past_the_memory_bound_splits(tmp_path, capsys, monkeypatch):
+    # each member records 4 frames of 33 nodes (22 steps at output_stride
+    # 10): a bound of 264 values holds two members, so three march as a
+    # batch of two and a batch of one, and the output is unchanged
+    monkeypatch.setattr(pde_solver, "MAX_STEPS", 264)
+    text = _sweep_config("simulate", "decay.kappa0", "0.3,0.5,0.7").replace(
+        "t_end = 0.05", "t_end = 0.5")
+    made = _counted_operators(monkeypatch)
+    assert _against_sequential(tmp_path, capsys, monkeypatch, text)[0] == 0
+    assert made == [(2,), (), (), (), ()]
+    monkeypatch.setattr(pde_solver, "MAX_STEPS", 263)
+    made.clear()
+    assert _against_sequential(tmp_path, capsys, monkeypatch, text)[0] == 0
+    assert made == [()] * 6
 
 
 def test_reduce_homogeneous_ends_on_the_end_of_a_decay_table(tmp_path):
@@ -982,10 +1116,11 @@ def test_failed_report_write_leaves_no_partial_set(tmp_path, capsys, command, la
 
 
 def test_unwritable_failure_report_still_exits_3(tmp_path, capsys):
-    # kappa0 = 0 puts case IV's Ei argument at its singularity (DomainError)
+    # at t = 800 under lambda = -1, case IV's Ei argument kappa0
+    # e^(lambda t)/(tau lambda) underflows to Ei's singularity (DomainError)
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(MINIMAL.replace(CONSTANT, "kind = exponential\nkappa0 = 0.0\nlambda = 0.2")
-                        + "[exact]\nfamily = case4_homogeneous\n")
+    cfg_path.write_text(MINIMAL.replace(CONSTANT, "kind = exponential\nkappa0 = 0.5\nlambda = -1")
+                        + "[exact]\nfamily = case4_homogeneous\nt_samples = 1,800\n")
     out = tmp_path / "o"
     (out / "failure_report.json").mkdir(parents=True)
     assert main(["exact", "--config", str(cfg_path), "--out", str(out)]) == 3
@@ -1600,7 +1735,11 @@ FINDINGS = [("reduce", "reduce", "t_end", "inf", 2), ("reduce", "reduce", "t_end
     ("exact tabulated", "exact", "t0", "5", 2),
     ("verify power_law", "verify", "t_samples", "0.0005", 2),
     ("verify tabulated", "verify", "t_samples", "2.9995", 2),
-    ("reduce tabulated", "reduce", "t_end", "5", 2)]
+    ("reduce tabulated", "reduce", "t_end", "5", 2),
+    ("exact case4_homogeneous", "decay", "kappa0", "0", 2),
+    ("exact case4_homogeneous", "exact", "t0", "5000", 2),
+    ("verify case4_homogeneous", "decay", "kappa0", "0", 2),
+    ("verify case4_homogeneous", "exact", "t0", "5000", 2)]
 
 
 @pytest.mark.parametrize("command, section, key, value, code", FINDINGS)

@@ -428,33 +428,94 @@ def test_implicit_solve_matches_a_dense_solve_under_time_varying_decay(bc):
 
 
 def test_reduction_weights_are_derived_once_per_row_and_step(monkeypatch):
-    # a constant-decay run takes one ring table, holding both rows' weights,
-    # at the full step and one at the shortened last step; a time-varying
-    # kappa one per implicit stage
+    # each row's levels are derived on their own: a constant-decay run
+    # derives the u row's and the v row's at the full step and at the
+    # shortened last step; a time-varying kappa derives the v row's once per
+    # implicit stage, one per member of a batch, and keeps the u row's for
+    # as long as the step size holds
     derived = []
-    ring_table = pde_solver._ring_table
+    reduction_levels = pde_solver._reduction_levels
 
-    def counted(*key):
-        derived.append(key)
-        return ring_table(*key)
+    def counted(r, sigma):
+        derived.append((r, sigma))
+        return reduction_levels(r, sigma)
 
-    monkeypatch.setattr(pde_solver, "_ring_table", counted)
+    monkeypatch.setattr(pde_solver, "_reduction_levels", counted)
     cfg = SolverConfig(Grid1D(-4.0, 4.0, 64), t_end=0.99)
     x = cfg.grid.nodes()
     init = FieldPair(1.0 + np.exp(-x * x), np.zeros_like(x), 0.0)
     traj = run(init, make_params(), cfg)
-    assert traj.steps_taken >= 30
-    assert len(derived) <= 2
+    assert traj.steps_taken == 44  # the last one shortened
+    assert len(derived) == 4 == len(set(derived))
     derived.clear()
     traj = run(init, make_params(decay=ExponentialDecay(0.5, 0.9)), cfg)
-    assert len(derived) == 2 * traj.steps_taken == len(set(derived))
+    assert len(derived) == 2 + 2 * traj.steps_taken == len(set(derived))
+    derived.clear()
+    laws = (ExponentialDecay(0.5, 0.9), ConstantDecay(0.7), ExponentialDecay(0.4, -0.3))
+    batch = list(pde_solver.run_batch((init, make_params(decay=law), cfg) for law in laws))
+    assert len(derived) == 2 + 2 + 2 * 2 * traj.steps_taken == len(set(derived))
+    assert [b.us.tobytes() for b in batch] == \
+        [run(init, make_params(decay=law), cfg).us.tobytes() for law in laws]
     # each level squares r over a diagonal near 1; the last level's r < 2^-60
-    assert len(pde_solver._reduction_levels(0.366, 0.27)[0]) == 6
-    assert len(pde_solver._reduction_levels(0.486, 0.029)[0]) == 8
-    # the ring interleaves the rows, and the row with fewer levels has gamma = 0
-    G, _ = pde_solver._ring_table(0.366, 0.27, 0.486, 0.029, 5)
-    assert G.shape == (8, 10)
+    g_u, _ = reduction_levels(0.366, 0.27)
+    g_v, _ = reduction_levels(0.486, 0.029)
+    assert (len(g_u), len(g_v)) == (6, 8)
+    # the ring interleaves the rows, and a row with fewer levels has gamma = 0
+    G = pde_solver._ring_table([g_u, g_v], 5)
+    assert G.shape == (8, 10) and not G.flags.writeable
     assert (G[6:, 0::2] == 0.0).all() and (G[:, 1::2] > 0.0).all()
+    # a batch: each node holds u and v of each member, each entry its own gamma
+    g_w, _ = reduction_levels(0.2, 0.6)
+    G = pde_solver._ring_table([g_u, g_v, g_u, g_w], 5)
+    assert G.shape == (8, 20) and G.flags.c_contiguous
+    for e, g in enumerate((g_u, g_v, g_u, g_w)):
+        assert (G[:, e::4] == np.array(g + [0.0] * (8 - len(g)))[:, None]).all()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_a_batch_marches_each_member_as_it_marches_alone(monkeypatch, bc):
+    # members from their own states under each decay law, with sources:
+    # consecutive members that share the initial time march as one batch,
+    # and every field of every trajectory is bit for bit the solo run's
+    made = []
+
+    class Recorded(pde_solver._Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.batch)
+
+    monkeypatch.setattr(pde_solver, "_Operator", Recorded)
+    grid = Grid1D(-2.0, 2.0, 32)
+    x = grid.nodes()
+    cfg = SolverConfig(grid, t_end=1.5, bc=bc, output_stride=7,
+                       source_u=lambda x, t: 0.1 * np.sin(x + t),
+                       source_v=lambda x, t: 0.2 * t * np.cos(x))
+    laws = (ConstantDecay(0.5), PowerLawDecay(0.2), ExponentialDecay(0.5, 0.2),
+            TabulatedDecay((0.0, 2.0), (0.5, 0.8)), ConstantDecay(-0.2))
+    members = [(FieldPair(1.0 + (k + 1) * 0.3 * np.exp(-(x - 0.2 * k) ** 2),
+                          0.5 * k * np.cos(np.pi * x / 2.0), law.start),
+                make_params(decay=law), cfg) for k, law in enumerate(laws)]
+    batch = list(pde_solver.run_batch(members))
+    assert made == [(), (), (3,)]
+    # the batch operator's rhs, explicit part and solve, member by member
+    op = pde_solver._Operator(members[2][1], cfg, laws[2:])
+    op.load(np.stack([m[0].u for m in members[2:]], axis=1),
+            np.stack([m[0].v for m in members[2:]], axis=1))
+    for b, (initial, params, _) in enumerate(members[2:]):
+        alone = pde_solver._Operator(params, cfg)
+        alone.load(initial.u, initial.v)
+        for t in (0.0, 0.7):
+            assert op.rhs(op.X, t)[:, b].tobytes() == alone.rhs(alone.X, t).tobytes()
+            assert op.explicit(op.X, t)[:, b].tobytes() == alone.explicit(alone.X, t).tobytes()
+            assert op.solve(t, 0.3, op.X)[:, b].tobytes() == \
+                alone.solve(t, 0.3, alone.X).tobytes()
+    for traj, member in zip(batch, members):
+        alone = run(*member)
+        for name in ("times", "us", "vs", "mass", "min_u"):
+            assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert (traj.steps_taken, traj.metadata) == (alone.steps_taken, alone.metadata)
+        assert traj.us.flags.c_contiguous and traj.min_u.flags.c_contiguous
+    assert batch[0].steps_taken > 2 * cfg.output_stride
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -1036,6 +1097,8 @@ def test_steady_residual_and_solve_are_bit_identical_to_the_reference(monkeypatc
             self.params, self.config = params, config
 
         def rhs(self, X, t):
+            if X.ndim == 3:  # a batch: each member alone
+                return np.stack([self.rhs(X[:, b], t) for b in range(X.shape[1])], axis=1)
             return np.stack(_ref_rhs(X[:, 0], X[:, 1], t, self.params, self.config), axis=1)
 
     monkeypatch.setattr(reduced_systems, "_Operator", Reference)

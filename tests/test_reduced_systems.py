@@ -279,9 +279,13 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
     op = _Operator(params, config)
 
     def residual(z):
-        R = op.rhs(z.reshape(n + 1, 2), 0.0)
+        # a Newton vector, or _fd_jacobian's (n+1, 9, 2) batch of them, whose
+        # mass rows it does not read
+        R = op.rhs(z.reshape(n + 1, 2) if z.ndim == 1 else z, 0.0)
+        R[..., 1] *= params.tau
+        if z.ndim > 1:
+            return R
         R[0, 0] = float(np.dot(w, z[0::2])) - float(np.dot(w, u))
-        R[:, 1] *= params.tau
         return R.ravel()
 
     z = np.stack((u, v), axis=1).ravel()  # node by node: u_0, v_0, u_1, ...
@@ -302,6 +306,59 @@ def test_coloured_jacobian_matches_dense_oracle(bc, limiter, n):
     assert np.max(np.abs(J - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
+def _nine_call_fd_jacobian(residual, z, R0, mass_row):
+    # the coloured Jacobian as it was built from one residual call per
+    # colour, kept verbatim as the reference of the batched _fd_jacobian
+    scale = 1e-7 * max(1.0, float(np.max(np.abs(z))))
+    p = np.arange(z.size)
+    rows = np.zeros((z.size, 9))
+    for colour in range(9):
+        zp = z.copy()
+        zp[colour::9] += scale
+        # row p's one perturbed column among p-4..p+4, at band entry k
+        k = (colour - p + 4) % 9
+        ok = (p + k >= 4) & (p + k - 4 < z.size)
+        rows[p[ok], k[ok]] = ((residual(zp) - R0) / scale)[ok]
+    rows[0] = 0.0
+    border = np.zeros(z.size)
+    border[::2] = mass_row
+    return rows, border
+
+
+@pytest.mark.parametrize("amp, center, steps", [
+    (0.3, 0.0, 6),
+    (0.371305088247709, 0.3222399271663715, 10),  # ends in NoConvergence
+], ids=["bump", "stall"])
+def test_batched_jacobian_is_bit_identical_to_nine_calls(monkeypatch, amp, center, steps):
+    # the closure_quadrature bench's two guesses at n = 256: every Newton
+    # step's Jacobian, rows and border, equals the nine-call reference bit
+    # for bit, and the solve keeps its Newton steps
+    n = 256
+    x = np.linspace(-4.0, 4.0, n + 1)
+    prob = ReducedProblem(
+        "steady_state", make_params(), constants={"kappa0": 0.5}, domain=(-4.0, 4.0),
+        data={"bc": "neumann", "u_init": 1.0 + amp * np.exp(-((x - center) ** 2) / 0.5)},
+    )
+    compared = []
+
+    def checked(residual, z, R0, mass_row):
+        rows, border = _fd_jacobian(residual, z, R0, mass_row)
+        ref_rows, ref_border = _nine_call_fd_jacobian(residual, z, R0, mass_row)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert border.tobytes() == ref_border.tobytes()
+        compared.append(z)
+        return rows, border
+
+    monkeypatch.setattr(reduced_systems, "_fd_jacobian", checked)
+    if center:
+        with pytest.raises(NoConvergence) as exc:
+            solve_steady_state(prob, n=n)
+        assert exc.value.iterations == steps
+    else:
+        assert solve_steady_state(prob, n=n).iterations == steps
+    assert len(compared) == steps
+
+
 class _CountingTanh(TanhLimiter):
     """TanhLimiter counting its F calls: one per steady residual evaluation."""
 
@@ -315,7 +372,7 @@ class _CountingTanh(TanhLimiter):
 
 
 def test_newton_step_residual_calls_do_not_grow_with_n(monkeypatch):
-    # the Jacobian takes one residual call per colour of its nine-wide band
+    # the Jacobian takes one residual call for the nine colours of its band
     counts, jacobian_calls = [], []
 
     def counted_jacobian(residual, z, R0, mass_row):
@@ -341,7 +398,7 @@ def test_newton_step_residual_calls_do_not_grow_with_n(monkeypatch):
         except NoConvergence:
             pass
         counts.append(lim.calls)
-    assert jacobian_calls == [9, 9]
+    assert jacobian_calls == [1, 1]
     assert counts[0] == counts[1]
     assert counts[0] < 16
 
